@@ -6,16 +6,14 @@ degree distribution, average degree, sampled clustering, assortativity —
 two ways:
 
 * **csr**: rebuild a :class:`~repro.kernels.csr.CSRGraph` from scratch at
-  every snapshot and run the batch kernels (what ``backend="csr"`` pays);
+  every snapshot and run the batch kernels (what the csr engine pays);
 * **delta**: feed the window's arrival events to a
   :class:`~repro.kernels.delta.DeltaMetricEngine` and read the maintained
-  accumulators (what ``backend="delta"`` pays, event application charged
-  to the delta side).
+  accumulators (what the delta engine pays, event application charged to
+  the delta side).
 
 Every metric value is asserted bit-identical between the two sides while
-timing.  A warm-vs-cold Louvain chain (every third snapshot, the paper's
-3-day tracking cadence) is timed alongside and reported, but only the
-metric-suite aggregate is gated.
+timing, and the metric-suite aggregate is gated.
 
 Two entry points:
 
@@ -42,16 +40,10 @@ from repro.kernels.assortativity import degree_assortativity_csr
 from repro.kernels.clustering import average_clustering_csr
 from repro.kernels.csr import CSRGraph
 from repro.kernels.delta import DeltaCSRGraph, DeltaMetricEngine
-from repro.kernels.louvain import louvain_csr
 from repro.metrics.degree import average_degree, degree_distribution
-from repro.util.rng import make_rng
 
 SPEEDUP_FLOOR = 3.0  # default scale (presets.small, 1-day windows)
 QUICK_FLOOR = 1.0  # smoke workload: delta must simply not be slower
-
-# Louvain runs every LOUVAIN_EVERY-th snapshot — the paper's 3-day
-# community-tracking cadence against the 1-day metric cadence.
-LOUVAIN_EVERY = 3
 
 _PRESETS = {
     "tiny": presets.tiny,
@@ -76,15 +68,12 @@ def run_bench(quick: bool = False, seed: int = 7, preset: str | None = None) -> 
 
     suite_names = ("degree_distribution", "average_degree", "average_clustering", "assortativity")
     suite = {name: {"csr_s": 0.0, "delta_s": 0.0} for name in suite_names}
-    louvain_stats = {"csr_s": 0.0, "delta_s": 0.0, "calls": 0}
     build_s = 0.0
     apply_s = 0.0
 
     # -- csr pass: rebuild + batch kernels at every snapshot ---------------
     csr_values: list[dict[str, object]] = []
     replay = DynamicGraph(stream)
-    louvain_rng = make_rng(seed)
-    partition = None
     snapshots = 0
     final_nodes = final_edges = 0
     for i, t in enumerate(times):
@@ -114,18 +103,11 @@ def run_bench(quick: bool = False, seed: int = 7, preset: str | None = None) -> 
         row["assortativity"] = degree_assortativity_csr(csr)
         suite["assortativity"]["csr_s"] += time.perf_counter() - began
         csr_values.append(row)
-
-        if i % LOUVAIN_EVERY == 0:
-            began = time.perf_counter()
-            partition, _ = louvain_csr(csr, 0.04, partition, louvain_rng)
-            louvain_stats["csr_s"] += time.perf_counter() - began
-            louvain_stats["calls"] += 1
         final_nodes, final_edges = graph.num_nodes, graph.num_edges
 
     # -- delta pass: incremental engine over the same windows --------------
     replay = DynamicGraph(stream)
     engine = DeltaMetricEngine(graph=DeltaCSRGraph())
-    louvain_rng = make_rng(seed)
     for i, t in enumerate(times):
         view = replay.advance_to(t)
         began = time.perf_counter()
@@ -152,18 +134,8 @@ def run_bench(quick: bool = False, seed: int = 7, preset: str | None = None) -> 
         suite["assortativity"]["delta_s"] += time.perf_counter() - began
         assert _feq(assort, want["assortativity"]), "assortativity diverged"
 
-        if i % LOUVAIN_EVERY == 0:
-            began = time.perf_counter()
-            engine.louvain_update(0.04, louvain_rng)
-            louvain_stats["delta_s"] += time.perf_counter() - began
-
     for row in suite.values():
         row["speedup"] = row["csr_s"] / row["delta_s"] if row["delta_s"] > 0 else float("inf")
-    louvain_stats["speedup"] = (
-        louvain_stats["csr_s"] / louvain_stats["delta_s"]
-        if louvain_stats["delta_s"] > 0
-        else float("inf")
-    )
     csr_total = sum(row["csr_s"] for row in suite.values()) + build_s
     delta_total = sum(row["delta_s"] for row in suite.values()) + apply_s
     return {
@@ -177,7 +149,6 @@ def run_bench(quick: bool = False, seed: int = 7, preset: str | None = None) -> 
         "suite": suite,
         "csr_build_s": build_s,
         "delta_apply_s": apply_s,
-        "louvain": louvain_stats,
         "aggregate": {
             "csr_s": csr_total,
             "delta_s": delta_total,
@@ -201,11 +172,6 @@ def print_report(report: dict) -> None:
         )
     print(f"[delta] {'csr graph build':<24}{report['csr_build_s']:>12.3f}")
     print(f"[delta] {'delta event apply':<24}{'':>12}{report['delta_apply_s']:>12.3f}")
-    lv = report["louvain"]
-    print(
-        f"[delta] {'louvain chain (info)':<24}{lv['csr_s']:>12.3f}{lv['delta_s']:>12.3f}"
-        f"{lv['speedup']:>9.1f}x  ({lv['calls']} calls)"
-    )
     agg = report["aggregate"]
     print(
         f"[delta] {'aggregate':<24}{agg['csr_s']:>12.3f}{agg['delta_s']:>12.3f}"

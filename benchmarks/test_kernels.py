@@ -1,8 +1,9 @@
 """Benchmark-regression harness for the CSR kernel layer.
 
-Times every kernel-enabled function under both backends on snapshots of a
-generated Renren stream, asserts the results are bit-identical while
-timing, and reports per-kernel plus aggregate speedups.
+Times every kernel-enabled function against its ``*_reference`` twin (the
+dict/set implementation) on snapshots of a generated Renren stream,
+asserts the results are bit-identical while timing, and reports
+per-kernel plus aggregate speedups.
 
 Two entry points:
 
@@ -10,7 +11,7 @@ Two entry points:
   test: aggregate CSR speedup must be at least 5x on presets.small.
 * ``python benchmarks/test_kernels.py [--quick] [--out BENCH_kernels.json]``
   — the CI smoke harness: ``--quick`` runs a seconds-long workload and
-  fails (exit 1) if CSR is slower than Python in aggregate; ``--out``
+  fails (exit 1) if CSR is slower than the references in aggregate; ``--out``
   writes the measurements as JSON.
 
 The CSR timings charge the per-snapshot ``CSRGraph`` build to the CSR
@@ -25,15 +26,15 @@ import json
 import math
 import time
 
-from repro.community.louvain import louvain
+from repro.community.louvain import louvain, louvain_reference
 from repro.gen.config import presets
 from repro.gen.renren import generate_trace
-from repro.graph.components import connected_components
+from repro.graph.components import connected_components, connected_components_reference
 from repro.graph.dynamic import DynamicGraph
 from repro.kernels.csr import CSRGraph
-from repro.metrics.assortativity import degree_assortativity
-from repro.metrics.clustering import average_clustering
-from repro.metrics.paths import average_path_length_sampled
+from repro.metrics.assortativity import degree_assortativity, degree_assortativity_reference
+from repro.metrics.clustering import average_clustering, average_clustering_reference
+from repro.metrics.paths import average_path_length_reference, average_path_length_sampled
 
 SPEEDUP_FLOOR = 5.0  # default scale
 QUICK_FLOOR = 1.0  # smoke workload: CSR must simply not be slower
@@ -47,24 +48,33 @@ _PRESETS = {
 
 
 def _kernel_suite(path_sample: int, clustering_sample: int):
-    """name → fn(graph, csr, backend) for every kernel-enabled function."""
+    """name → (reference fn(graph), kernel fn(graph, csr)) per kernel-enabled function."""
     return {
-        "average_path_length": lambda g, csr, b: average_path_length_sampled(
-            g, path_sample, rng=7, backend=b, csr=csr
+        "average_path_length": (
+            lambda g: average_path_length_reference(g, path_sample, rng=7),
+            lambda g, csr: average_path_length_sampled(g, path_sample, rng=7, csr=csr),
         ),
-        "average_clustering": lambda g, csr, b: average_clustering(
-            g, clustering_sample, rng=7, backend=b, csr=csr
+        "average_clustering": (
+            lambda g: average_clustering_reference(g, clustering_sample, rng=7),
+            lambda g, csr: average_clustering(g, clustering_sample, rng=7, csr=csr),
         ),
-        "assortativity": lambda g, csr, b: degree_assortativity(g, backend=b, csr=csr),
-        "connected_components": lambda g, csr, b: float(
-            len(connected_components(g, backend=b, csr=csr))
+        "assortativity": (
+            degree_assortativity_reference,
+            lambda g, csr: degree_assortativity(g, csr=csr),
         ),
-        "louvain": lambda g, csr, b: louvain(g, delta=0.04, seed=7, backend=b, csr=csr).modularity,
+        "connected_components": (
+            lambda g: float(len(connected_components_reference(g))),
+            lambda g, csr: float(len(connected_components(g, csr=csr))),
+        ),
+        "louvain": (
+            lambda g: louvain_reference(g, delta=0.04, seed=7).modularity,
+            lambda g, csr: louvain(g, delta=0.04, seed=7, csr=csr).modularity,
+        ),
     }
 
 
 def run_bench(quick: bool = False, seed: int = 7, preset: str | None = None) -> dict:
-    """Time the kernel suite under both backends; returns the report dict."""
+    """Time the kernel suite against the references; returns the report dict."""
     if quick:
         preset = preset or "tiny"
         path_sample, clustering_sample = 60, 300
@@ -88,15 +98,15 @@ def run_bench(quick: bool = False, seed: int = 7, preset: str | None = None) -> 
         began = time.perf_counter()
         csr = CSRGraph.from_snapshot(graph)
         build_s += time.perf_counter() - began
-        for name, fn in suite.items():
+        for name, (reference, kernel) in suite.items():
             began = time.perf_counter()
-            py_value = fn(graph, None, "python")
+            py_value = reference(graph)
             kernels[name]["python_s"] += time.perf_counter() - began
             began = time.perf_counter()
-            csr_value = fn(graph, csr, "csr")
+            csr_value = kernel(graph, csr)
             kernels[name]["csr_s"] += time.perf_counter() - began
             identical = py_value == csr_value or (math.isnan(py_value) and math.isnan(csr_value))
-            assert identical, f"{name}: backends disagree ({py_value} != {csr_value})"
+            assert identical, f"{name}: kernel disagrees ({py_value} != {csr_value})"
 
     for name, row in kernels.items():
         row["speedup"] = row["python_s"] / row["csr_s"] if row["csr_s"] > 0 else float("inf")
@@ -140,7 +150,7 @@ def print_report(report: dict) -> None:
 
 
 def test_kernels_aggregate_speedup():
-    """Default scale: the CSR backend must hold a 5x aggregate speedup."""
+    """Default scale: the CSR kernels must hold a 5x aggregate speedup."""
     report = run_bench(quick=False)
     print()
     print_report(report)

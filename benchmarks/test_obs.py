@@ -122,11 +122,11 @@ def run_bench(quick: bool = False, seed: int = 7, preset: str | None = None) -> 
     """Measure disabled-path overhead and tracing parity; returns the report."""
     if quick:
         preset = preset or "tiny"
-        spec = MetricSpec(path_sample=60, clustering_sample=300, seed=seed, backend="csr")
+        spec = MetricSpec(path_sample=60, clustering_sample=300, seed=seed)
         interval = 10.0
     else:
         preset = preset or "small"
-        spec = MetricSpec(path_sample=200, clustering_sample=800, seed=seed, backend="csr")
+        spec = MetricSpec(path_sample=200, clustering_sample=800, seed=seed)
         interval = 10.0
     config = _PRESETS[preset]()
     stream = generate_trace(config, seed=seed)

@@ -17,23 +17,22 @@ Node visit order is shuffled with a seeded RNG, and modularity-gain ties
 resolve to the smallest community label, so results are deterministic for
 a given seed — independent of dict/set iteration order.
 
-Kernel-enabled: ``backend="csr"`` (the ``"auto"`` default) runs the
-flat-array local-move phase from :mod:`repro.kernels.louvain` behind the
-same API and δ semantics, bit-identical for identical RNG draws.
+:func:`louvain` runs the flat-array kernel from :mod:`repro.kernels.louvain`;
+:func:`louvain_reference` keeps the dict-of-dicts implementation the
+kernel is pinned against, bit-identical for identical RNG draws.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.community.modularity import modularity, partition_communities
 from repro.graph.snapshot import GraphSnapshot
-from repro.kernels.backend import resolve_backend
+from repro.kernels.csr import CSRGraph
 from repro.kernels.louvain import (
     MAX_LEVELS as _MAX_LEVELS,
 )
@@ -43,12 +42,10 @@ from repro.kernels.louvain import (
 from repro.kernels.louvain import (
     initial_assignment as _initial_assignment,
 )
+from repro.kernels.louvain import louvain_csr
 from repro.util.rng import make_rng
 
-if TYPE_CHECKING:
-    from repro.kernels.csr import CSRGraph
-
-__all__ = ["louvain", "LouvainResult"]
+__all__ = ["louvain", "louvain_reference", "LouvainResult"]
 
 
 @dataclass(frozen=True)
@@ -76,65 +73,44 @@ def louvain(
     seed_partition: Mapping[int, int] | None = None,
     seed: int | np.random.Generator | None = 0,
     *,
-    backend: str = "auto",
     csr: CSRGraph | None = None,
-    touched: Iterable[int] | None = None,
 ) -> LouvainResult:
     """Run Louvain on ``graph`` with stopping threshold ``delta``.
 
     ``seed_partition`` (incremental mode) provides initial community
     labels; nodes missing from it start as singletons.  ``csr`` optionally
     reuses a prebuilt :class:`~repro.kernels.csr.CSRGraph` of the same
-    snapshot when the csr backend is selected.
+    snapshot.
+    """
+    if delta < 0:
+        raise ValueError(f"delta must be non-negative, got {delta}")
+    partition, levels = louvain_csr(
+        csr if csr is not None else CSRGraph.from_snapshot(graph),
+        delta,
+        seed_partition,
+        make_rng(seed),
+    )
+    return LouvainResult(
+        partition=partition,
+        modularity=modularity(graph, partition),
+        levels=levels,
+    )
 
-    ``backend="delta"`` runs the paper's *warm-start* Louvain
-    (:func:`repro.kernels.delta.louvain_warm_csr`): level-0 local moves
-    are restricted to ``touched`` nodes (those whose incident structure
-    changed since ``seed_partition``) plus their neighborhoods.  With no
-    ``touched`` argument, every node absent from ``seed_partition`` counts
-    as touched.  Without a ``seed_partition`` there is nothing to warm
-    from, so the first call runs the ordinary csr level loop.  Warm starts
-    satisfy a tolerance contract, not bit-parity — see
-    ``docs/incremental.md``.
+
+def louvain_reference(
+    graph: GraphSnapshot,
+    delta: float = 0.01,
+    seed_partition: Mapping[int, int] | None = None,
+    seed: int | np.random.Generator | None = 0,
+) -> LouvainResult:
+    """Dict-of-dicts reference for :func:`louvain`, bit-identical to it.
+
+    Only the parity suite calls this; it pins the csr kernel's partition,
+    modularity and level count for the same RNG draws.
     """
     if delta < 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
     rng = make_rng(seed)
-    resolved = resolve_backend(backend, allow_delta=True)
-    if resolved == "delta" and seed_partition is not None:
-        from repro.kernels.csr import CSRGraph as _CSRGraph
-        from repro.kernels.delta import louvain_warm_csr
-
-        if touched is None:
-            touched = [u for u in graph.adjacency if u not in seed_partition]
-        touched_arr = np.fromiter(sorted(touched), dtype=np.int64)
-        partition, levels = louvain_warm_csr(
-            csr if csr is not None else _CSRGraph.from_snapshot(graph),
-            delta,
-            dict(seed_partition),
-            touched_arr,
-            rng,
-        )
-        return LouvainResult(
-            partition=partition,
-            modularity=modularity(graph, partition),
-            levels=levels,
-        )
-    if resolved in ("csr", "delta"):
-        from repro.kernels.csr import CSRGraph as _CSRGraph
-        from repro.kernels.louvain import louvain_csr
-
-        partition, levels = louvain_csr(
-            csr if csr is not None else _CSRGraph.from_snapshot(graph),
-            delta,
-            seed_partition,
-            rng,
-        )
-        return LouvainResult(
-            partition=partition,
-            modularity=modularity(graph, partition),
-            levels=levels,
-        )
     # Working weighted graph: adj[u][v] = weight; self-loops appear as adj[u][u].
     adj: dict[int, dict[int, float]] = {
         u: {v: 1.0 for v in nbrs} for u, nbrs in graph.adjacency.items()
@@ -163,7 +139,8 @@ def louvain(
 
 # -- internals -------------------------------------------------------------
 # (_initial_assignment and the level/pass caps live in repro.kernels.louvain,
-# shared with the csr kernel so both backends start and stop identically.)
+# shared with the csr kernel so both implementations start and stop
+# identically.)
 
 
 def _weighted_degree(adj_u: dict[int, float], u: int) -> float:

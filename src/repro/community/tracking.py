@@ -34,7 +34,7 @@ from repro.community.louvain import louvain
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import EventStream
 from repro.graph.snapshot import GraphSnapshot
-from repro.kernels.backend import resolve_backend
+from repro.kernels.matching import match_communities_csr
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -151,11 +151,9 @@ class CommunityTracker:
         delta: float = 0.04,
         min_size: int = 10,
         seed: int | np.random.Generator | None = 0,
-        backend: str = "auto",
     ) -> None:
         self.delta = delta
         self.min_size = min_size
-        self.backend = backend
         self._rng = make_rng(seed)
         self._prev_partition: dict[int, int] | None = None
         self._prev_states: dict[int, CommunityState] = {}
@@ -167,30 +165,17 @@ class CommunityTracker:
 
     # -- public API -----------------------------------------------------
 
-    def step(
-        self,
-        time: float,
-        graph: GraphSnapshot,
-        touched: Iterable[int] | None = None,
-    ) -> TrackedSnapshot:
-        """Process the next snapshot and return its tracked view.
-
-        ``touched`` (delta backend) lists the nodes whose incident
-        structure changed since the previous step; it seeds the warm-start
-        Louvain's restricted level-0 scan and is ignored by the batch
-        backends.
-        """
+    def step(self, time: float, graph: GraphSnapshot) -> TrackedSnapshot:
+        """Process the next snapshot and return its tracked view."""
         result = louvain(
             graph,
             delta=self.delta,
             seed_partition=self._prev_partition,
             seed=self._rng,
-            backend=self.backend,
-            touched=touched,
         )
         # Label-sorted: iteration order over ``raw`` decides birth lineage
         # numbering and tie-breaks downstream, and label values (unlike dict
-        # insertion order) are identical across backends.
+        # insertion order) are identical between kernel and reference.
         raw = {
             label: frozenset(members)
             for label, members in sorted(
@@ -221,14 +206,9 @@ class CommunityTracker:
         raw: Mapping[int, frozenset[int]],
     ) -> tuple[dict[int, CommunityState], list[float]]:
         prev_states = self._prev_states
-        if resolve_backend(self.backend) == "csr":
-            from repro.kernels.matching import match_communities_csr
-
-            parent, overlaps = match_communities_csr(
-                raw, {lin: st.members for lin, st in prev_states.items()}
-            )
-        else:
-            parent, overlaps = _match_python(raw, prev_states)
+        parent, overlaps = match_communities_csr(
+            raw, {lin: st.members for lin, st in prev_states.items()}
+        )
 
         # Winner child per lineage (continuation); the rest are split-born.
         claimants: dict[int, list[tuple[int, float]]] = defaultdict(list)
@@ -386,8 +366,8 @@ def _match_python(
 ) -> tuple[dict[int, tuple[int, float] | None], dict[int, Counter]]:
     """Reference matcher: per-label best previous lineage plus overlap counts.
 
-    The kernel equivalent is
-    :func:`repro.kernels.matching.match_communities_csr`; both resolve
+    Only the parity suite calls this; the tracker runs
+    :func:`repro.kernels.matching.match_communities_csr`.  Both resolve
     equal-similarity parents to the smallest lineage id.
     """
     node_lineage = {
@@ -426,34 +406,17 @@ def track_stream(
     min_size: int = 10,
     min_nodes: int = 64,
     seed: int = 0,
-    backend: str = "auto",
 ) -> CommunityTracker:
     """Track communities over ``stream`` at a fixed snapshot cadence.
 
     Mirrors the paper's setup: 3-day snapshots, starting once the network
     has at least ``min_nodes`` nodes (the paper starts at day 20 / 64
     nodes), considering only communities larger than ``min_size``.
-
-    Under ``backend="delta"`` the replay accumulates each window's arrival
-    events into a touched-node set (carried across skipped warm-up
-    windows), so every Louvain call after the first runs the warm-start
-    kernel restricted to the nodes that actually changed.
     """
-    tracker = CommunityTracker(delta=delta, min_size=min_size, seed=seed, backend=backend)
-    use_delta = resolve_backend(backend, allow_delta=True) == "delta"
-    replay = DynamicGraph(stream)
-    pending: set[int] = set()
-    for view in replay.snapshots(interval=interval, start=start):
-        if use_delta:
-            pending.update(view.new_nodes)
-            for u, v in view.new_edges:
-                pending.add(u)
-                pending.add(v)
-        if view.graph.num_nodes < min_nodes:
-            continue
-        touched = tuple(sorted(pending)) if use_delta else None
-        tracker.step(view.time, view.graph, touched=touched)
-        pending.clear()
+    tracker = CommunityTracker(delta=delta, min_size=min_size, seed=seed)
+    for view in DynamicGraph(stream).snapshots(interval=interval, start=start):
+        if view.graph.num_nodes >= min_nodes:
+            tracker.step(view.time, view.graph)
     return tracker
 
 

@@ -27,29 +27,19 @@ __all__ = [
 PARITY_TEST_FILE = "tests/test_kernels_parity.py"
 
 # Dispatcher qualname -> the parity test function that pins both backends.
-PARITY_COVERED: dict[str, str] = {
-    "repro.community.louvain.louvain": "test_louvain_parity",
-    "repro.community.tracking.track_stream": "test_tracking_parity",
-    "repro.graph.components.connected_components": "test_components_parity",
-    "repro.graph.components.largest_component": "test_largest_component_parity",
-    "repro.metrics.assortativity.degree_assortativity": "test_assortativity_parity",
-    "repro.metrics.clustering.average_clustering": "test_average_clustering_parity",
-    "repro.metrics.clustering.local_clustering": "test_local_clustering_parity",
-    "repro.metrics.paths.average_path_length_sampled": "test_path_length_parity",
-}
+# Empty: every kernel-enabled function calls its CSR kernel directly,
+# and the parity suite compares it against its ``*_reference`` twin.  A
+# reintroduced ``backend=`` dispatcher must register its parity test here.
+PARITY_COVERED: dict[str, str] = {}
 
-# The ``"delta"`` backend's parity/tolerance harness.  The incremental
-# engine is a third implementation of the covered dispatchers plus the
-# runtime suite: degree / clustering / assortativity (and the whole
-# MetricSpec timeseries) must be *bit-identical* to the batch backends,
-# while warm-start Louvain carries a documented modularity-tolerance
-# contract instead.  Cross-checked against DELTA_PARITY_TEST_FILE by
+# The delta engine's parity harness.  The engine is a second
+# implementation of the runtime suite: degree / clustering / assortativity
+# (and the whole MetricSpec timeseries) must be *bit-identical* to the
+# csr kernels.  Cross-checked against DELTA_PARITY_TEST_FILE by
 # ``tests/test_devtools_lint.py`` exactly like PARITY_COVERED.
 DELTA_PARITY_TEST_FILE = "tests/test_delta_parity.py"
 
 DELTA_PARITY_COVERED: dict[str, str] = {
-    "repro.community.louvain.louvain": "test_warm_start_tolerance_contract",
-    "repro.community.tracking.track_stream": "test_tracking_delta_backend_runs",
     "repro.kernels.delta.DeltaCSRGraph.to_csr": "test_delta_csr_matches_batch_build",
     "repro.kernels.delta.DeltaMetricEngine": "test_engine_metrics_bit_identical",
     "repro.runtime.parallel.evaluate_timeseries": "test_timeseries_delta_bit_identical",
@@ -69,16 +59,4 @@ ENGINE_EQUIVALENCE_COVERED: dict[str, str] = {
 }
 
 # Dispatcher qualname -> why it needs no parity test of its own.
-PARITY_EXEMPT: dict[str, str] = {
-    "repro.analysis.context.AnalysisContext.__init__": (
-        "configuration pass-through; every metric it triggers dispatches "
-        "through a covered function"
-    ),
-    "repro.community.tracking.CommunityTracker.__init__": (
-        "stores the backend for track_stream, whose parity test drives the "
-        "tracker end to end"
-    ),
-    "repro.kernels.backend.resolve_backend": (
-        "the backend resolver itself; has no python/csr twin to compare"
-    ),
-}
+PARITY_EXEMPT: dict[str, str] = {}

@@ -21,6 +21,7 @@ limits).
 from __future__ import annotations
 
 import ast
+import functools
 from collections.abc import Iterator
 
 from repro.devtools.dataflow import (
@@ -82,12 +83,22 @@ def _own_expressions(stmt: ast.stmt) -> Iterator[ast.AST]:
         yield from _walk_expr(expr)
 
 
-def _statements(
-    module: ModuleInfo,
-) -> Iterator[tuple[DtypeEnv, list, ast.stmt]]:
+def _statements(module: ModuleInfo) -> tuple[tuple[DtypeEnv, list, ast.stmt], ...]:
     """Every statement of every scope, with its dtype env and guards."""
-    np_names = numpy_aliases(module.tree)
-    summaries = alias_summaries(module.tree)
+    return _tree_statements(module.tree)
+
+
+# RPL020-RPL022 each walk the same module back to back; inferring the
+# dtype environments once per module instead of once per rule keeps the
+# repo-wide lint inside its runtime budget.
+@functools.lru_cache(maxsize=1)
+def _tree_statements(tree: ast.Module) -> tuple[tuple[DtypeEnv, list, ast.stmt], ...]:
+    return tuple(_iter_statements(tree))
+
+
+def _iter_statements(tree: ast.Module) -> Iterator[tuple[DtypeEnv, list, ast.stmt]]:
+    np_names = numpy_aliases(tree)
+    summaries = alias_summaries(tree)
     alias_params = {
         "IntArray": "int64",
         "FloatArray": "float64",
@@ -95,7 +106,7 @@ def _statements(
         "UIntArray": "uint64",
         "UInt16Array": "uint16",
     }
-    for scope, body in scope_bodies(module.tree):
+    for scope, body in scope_bodies(tree):
         env = DtypeEnv.for_scope(scope, body, np_names, summaries, alias_params)
         guards = collect_guards(body)
         for node in walk_shallow(body):

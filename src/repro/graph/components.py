@@ -10,11 +10,11 @@ Component ordering is fully deterministic: components sort by size
 component" never depends on traversal order — a requirement for sampled
 metrics to be reproducible across serial, restored, and parallel replays.
 
-``connected_components`` and ``largest_component`` are kernel-enabled:
-``backend="csr"`` (the ``"auto"`` default) runs the frontier-array BFS
-from :mod:`repro.kernels.traversal` and returns identical results.
-Kernel imports stay inside the functions because ``repro.graph.__init__``
-imports this module while :mod:`repro.kernels` imports the graph package.
+``connected_components`` and ``largest_component`` run the frontier-array
+BFS from :mod:`repro.kernels.traversal`; their ``*_reference`` twins keep
+the dict BFS the parity suite pins them against.  Kernel imports stay
+inside the functions because ``repro.graph.__init__`` imports this module
+while :mod:`repro.kernels` imports the graph package.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ if TYPE_CHECKING:
 
 __all__ = [
     "connected_components",
+    "connected_components_reference",
     "largest_component",
+    "largest_component_reference",
     "bfs_distances",
     "bfs_distance_to_set",
 ]
@@ -39,17 +41,34 @@ __all__ = [
 def connected_components(
     graph: GraphSnapshot,
     *,
-    backend: str = "auto",
     csr: "CSRGraph | None" = None,
 ) -> list[set[int]]:
     """All connected components, largest first (ties: smallest member id)."""
-    from repro.kernels.backend import resolve_backend
+    from repro.kernels.csr import CSRGraph
+    from repro.kernels.traversal import connected_components_csr
 
-    if resolve_backend(backend) == "csr":
-        from repro.kernels.csr import CSRGraph
-        from repro.kernels.traversal import connected_components_csr
+    return connected_components_csr(csr if csr is not None else CSRGraph.from_snapshot(graph))
 
-        return connected_components_csr(csr if csr is not None else CSRGraph.from_snapshot(graph))
+
+def largest_component(
+    graph: GraphSnapshot,
+    *,
+    csr: "CSRGraph | None" = None,
+) -> set[int]:
+    """The node set of the largest component (empty graph → empty set).
+
+    Equal-size components tie-break on the smallest member id, not on
+    traversal order.
+    """
+    from repro.kernels.csr import CSRGraph
+    from repro.kernels.traversal import largest_component_csr
+
+    members = largest_component_csr(csr if csr is not None else CSRGraph.from_snapshot(graph))
+    return set(members.tolist())
+
+
+def connected_components_reference(graph: GraphSnapshot) -> list[set[int]]:
+    """Dict-BFS reference for :func:`connected_components`."""
     seen: set[int] = set()
     components: list[set[int]] = []
     for root in graph.nodes():
@@ -62,25 +81,8 @@ def connected_components(
     return components
 
 
-def largest_component(
-    graph: GraphSnapshot,
-    *,
-    backend: str = "auto",
-    csr: "CSRGraph | None" = None,
-) -> set[int]:
-    """The node set of the largest component (empty graph → empty set).
-
-    Equal-size components tie-break on the smallest member id, not on
-    traversal order.
-    """
-    from repro.kernels.backend import resolve_backend
-
-    if resolve_backend(backend) == "csr":
-        from repro.kernels.csr import CSRGraph
-        from repro.kernels.traversal import largest_component_csr
-
-        members = largest_component_csr(csr if csr is not None else CSRGraph.from_snapshot(graph))
-        return set(members.tolist())
+def largest_component_reference(graph: GraphSnapshot) -> set[int]:
+    """Dict-BFS reference for :func:`largest_component`."""
     best: set[int] = set()
     seen: set[int] = set()
     for root in graph.nodes():
@@ -164,7 +166,7 @@ def _bfs_component(graph: GraphSnapshot, root: int) -> set[int]:
     while queue:
         node = queue.popleft()
         # Builds a set; membership is visit-order-independent and sorting
-        # here would only slow the reference backend's hot path.
+        # here would only slow the reference implementation.
         for nbr in graph.adjacency[node]:  # repro: noqa[RPL001] -- set result, order-free
             if nbr not in component:
                 component.add(nbr)

@@ -1,12 +1,13 @@
-"""Vectorized CSR kernels behind the ``backend="auto"|"python"|"csr"`` switch.
+"""Vectorized CSR kernels: the one implementation every metric call runs.
 
 Each kernel is the numpy twin of a pure-Python reference implementation
 and is *bit-identical* to it: same floats for the same RNG draws.  The
-contract, and how to add a kernel, is documented in ``docs/kernels.md``.
+references are plain functions next to their public wrappers; only the
+parity suites call them.  The contract, and how to add a kernel, is
+documented in ``docs/kernels.md``.
 
 Layout:
 
-* :mod:`~repro.kernels.backend` — backend resolution (``$REPRO_BACKEND``);
 * :mod:`~repro.kernels.csr` — :class:`CSRGraph`, the frozen array view all
   kernels consume, plus the multi-slice neighbor gather;
 * :mod:`~repro.kernels.traversal` — frontier-array BFS: components,
@@ -15,27 +16,20 @@ Layout:
   coefficients;
 * :mod:`~repro.kernels.assortativity` — vectorized degree assortativity;
 * :mod:`~repro.kernels.louvain` — flat-array Louvain local moves;
-* :mod:`~repro.kernels.delta` — the incremental ``"delta"`` backend:
-  append-friendly CSR, event-delta metric accumulators, warm-start
-  Louvain;
+* :mod:`~repro.kernels.delta` — the incremental delta engine:
+  append-friendly CSR and event-delta metric accumulators;
 * :mod:`~repro.kernels.matching` — contingency-count Jaccard matching for
   community tracking.
 """
 
 from repro.kernels.assortativity import degree_assortativity_csr
-from repro.kernels.backend import BACKENDS, resolve_backend
 from repro.kernels.clustering import (
     average_clustering_csr,
     clustering_coefficients,
     local_clustering_csr,
 )
 from repro.kernels.csr import CSRGraph, gather_neighbors
-from repro.kernels.delta import (
-    DeltaCSRGraph,
-    DeltaEngineState,
-    DeltaMetricEngine,
-    louvain_warm_csr,
-)
+from repro.kernels.delta import DeltaCSRGraph, DeltaEngineState, DeltaMetricEngine
 from repro.kernels.louvain import louvain_csr
 from repro.kernels.matching import match_communities_csr
 from repro.kernels.traversal import (
@@ -47,7 +41,6 @@ from repro.kernels.traversal import (
 )
 
 __all__ = [
-    "BACKENDS",
     "CSRGraph",
     "DeltaCSRGraph",
     "DeltaEngineState",
@@ -63,7 +56,5 @@ __all__ = [
     "largest_component_csr",
     "local_clustering_csr",
     "louvain_csr",
-    "louvain_warm_csr",
     "match_communities_csr",
-    "resolve_backend",
 ]

@@ -1,4 +1,4 @@
-"""Append-friendly CSR and event-delta metric accumulators (``"delta"`` backend).
+"""Append-friendly CSR and event-delta metric accumulators (the delta engine).
 
 Batch replay rebuilds a :class:`~repro.kernels.csr.CSRGraph` and recomputes
 every metric per snapshot, so each snapshot costs O(graph) even when the
@@ -16,14 +16,10 @@ the metric state *incrementally*:
   Pearson sums, updated per edge event in O(deg) instead of O(graph) per
   snapshot.  Every derived float is produced by the *same IEEE-754
   expression* as the batch kernels, so degree / clustering / assortativity
-  are bit-identical to ``backend="csr"`` (and therefore to ``"python"``).
-* :func:`louvain_warm_csr` — the paper's incremental Louvain: level-0
-  local moves restricted to the touched nodes and their neighborhoods,
-  warm-started from the previous snapshot's partition.  Warm starts visit
-  (and permute) a different node set than a batch run, so the partition is
-  *not* bit-identical; the contract (see ``docs/incremental.md``) is a
-  valid full-coverage partition whose modularity tracks the batch result
-  within a small tolerance.
+  are bit-identical to the csr kernels (and therefore to the references).
+
+Which replays run on the engine is decided by the runtime
+(:func:`repro.runtime.parallel.select_engine`), never by the caller.
 
 The engine's accumulator math is exact because every quantity is a Python
 integer: adding edge ``(u, v)`` with old degrees ``du``/``dv`` and old
@@ -43,13 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.kernels.csr import CSRGraph, gather_neighbors
-from repro.kernels.louvain import (
-    MAX_LEVELS,
-    _aggregate_arrays,
-    _one_level_arrays,
-    initial_assignment,
-)
+from repro.kernels.csr import CSRGraph
 from repro.obs import get_recorder
 from repro.util.arrays import FloatArray, IntArray
 from repro.util.rng import make_rng
@@ -58,7 +48,6 @@ __all__ = [
     "DeltaCSRGraph",
     "DeltaEngineState",
     "DeltaMetricEngine",
-    "louvain_warm_csr",
 ]
 
 # Compaction policy defaults: merge the edge log into the base CSR once the
@@ -236,8 +225,8 @@ class DeltaEngineState:
     """Picklable freeze of a :class:`DeltaMetricEngine` (checkpoint payload).
 
     Everything needed to resume incremental evaluation mid-stream: the
-    delta-CSR arrays (log included, so compaction cadence is preserved),
-    the exact-integer accumulators, and the warm-start partition.
+    delta-CSR arrays (log included, so compaction cadence is preserved)
+    and the exact-integer accumulators.
     """
 
     node_ids: IntArray
@@ -255,8 +244,6 @@ class DeltaEngineState:
     sum_d2: int
     sum_d3: int
     sum_dxdy: int
-    partition: dict[int, int] | None
-    touched: tuple[int, ...]
 
 
 @dataclass
@@ -274,13 +261,9 @@ class DeltaMetricEngine:
       ``2·T / (k·(k-1))`` expression, same ``np.mean``;
     * :meth:`assortativity` — the reference's exact-integer Pearson
       formula evaluated on incrementally maintained sums.
-
-    ``partition`` / ``touched`` carry incremental-Louvain state between
-    snapshots (see :meth:`louvain_update`); they influence nothing else.
     """
 
     graph: DeltaCSRGraph = field(default_factory=DeltaCSRGraph)
-    partition: dict[int, int] | None = None
 
     def __post_init__(self) -> None:
         self._tri: list[int] = [0] * self.graph.num_nodes
@@ -291,7 +274,6 @@ class DeltaMetricEngine:
         self._hist: dict[int, int] = (
             {0: self.graph.num_nodes} if self.graph.num_nodes else {}
         )
-        self._touched: set[int] = set()
 
     # -- event ingestion ----------------------------------------------
 
@@ -302,7 +284,6 @@ class DeltaMetricEngine:
         self._tri.append(0)
         self._nds.append(0)
         self._hist[0] = self._hist.get(0, 0) + 1
-        self._touched.add(node)
         return True
 
     def apply_edge(self, u: int, v: int) -> bool:
@@ -351,8 +332,6 @@ class DeltaMetricEngine:
             else:
                 del hist[old]
             hist[old + 1] = hist.get(old + 1, 0) + 1
-        self._touched.add(u)
-        self._touched.add(v)
         return True
 
     def apply_view(
@@ -452,37 +431,6 @@ class DeltaMetricEngine:
         """Frozen CSR of the current graph (compacts; result is cached)."""
         return self.graph.to_csr()
 
-    # -- incremental Louvain ------------------------------------------
-
-    def louvain_update(
-        self,
-        delta: float,
-        rng: int | np.random.Generator | None,
-    ) -> tuple[dict[int, int], int]:
-        """Advance the warm-start Louvain chain to the current graph.
-
-        The first call (no partition yet) runs a full batch level loop;
-        later calls restrict level-0 moves to the nodes touched since the
-        previous call plus their neighborhoods.  Stores and returns the
-        new partition; resets the touched set.
-        """
-        from repro.kernels.louvain import louvain_csr
-
-        csr = self.to_csr()
-        generator = make_rng(rng)
-        if self.partition is None:
-            partition, levels = louvain_csr(csr, delta, None, generator)
-        else:
-            touched = np.fromiter(
-                sorted(self._touched), dtype=np.int64, count=len(self._touched)
-            )
-            partition, levels = louvain_warm_csr(
-                csr, delta, self.partition, touched, generator
-            )
-        self.partition = partition
-        self._touched = set()
-        return partition, levels
-
     # -- checkpointing -------------------------------------------------
 
     def state(self) -> DeltaEngineState:
@@ -506,8 +454,6 @@ class DeltaMetricEngine:
             sum_d2=self._sum_d2,
             sum_d3=self._sum_d3,
             sum_dxdy=self._sum_dxdy,
-            partition=None if self.partition is None else dict(self.partition),
-            touched=tuple(sorted(self._touched)),
         )
 
     @classmethod
@@ -536,7 +482,7 @@ class DeltaMetricEngine:
         graph._log_v = state.log_v.tolist()
         graph.num_edges = state.num_edges
         graph.compactions = state.compactions
-        engine = cls(graph=graph, partition=None)
+        engine = cls(graph=graph)
         engine._tri = state.triangles.tolist()
         engine._nds = state.neighbor_degree_sums.tolist()
         engine._sum_d2 = state.sum_d2
@@ -545,86 +491,4 @@ class DeltaMetricEngine:
         engine._hist = {}
         for k in graph._deg:
             engine._hist[k] = engine._hist.get(k, 0) + 1
-        engine.partition = None if state.partition is None else dict(state.partition)
-        engine._touched = set(state.touched)
         return engine
-
-
-def louvain_warm_csr(
-    csr: CSRGraph,
-    delta: float,
-    seed_partition: dict[int, int],
-    touched: IntArray,
-    rng: np.random.Generator,
-) -> tuple[dict[int, int], int]:
-    """Warm-start Louvain: restricted level-0 moves, then full refinement.
-
-    Level 0 visits only ``touched`` node ids (those whose incident
-    structure changed since ``seed_partition`` was computed) plus their
-    direct neighbors; every other node keeps its seeded community.  The
-    condensed levels then run the normal full loop, which is cheap because
-    the condensed graph has one node per community.
-
-    Divergence contract: the returned partition is a valid full-coverage
-    partition, deterministic for a given ``(csr, seed_partition, touched,
-    rng)``, but **not** bit-identical to a cold run — the restricted visit
-    order consumes different RNG draws.  Modularity stays within the
-    tolerance pinned by ``tests/test_delta_parity.py``.
-    """
-    node_ids = csr.node_ids
-    n = csr.num_nodes
-    ids_list = node_ids.tolist()
-    initial = initial_assignment(ids_list, seed_partition)
-    node_label = np.fromiter(
-        (initial[node] for node in ids_list), dtype=np.int64, count=n
-    )
-    indptr = csr.indptr
-    indices = csr.indices
-    weights = np.ones(indices.size, dtype=np.float64)
-    self_w = np.zeros(n, dtype=np.float64)
-    carried: list[IntArray] = [np.array([p], dtype=np.int64) for p in range(n)]
-
-    touched = np.asarray(touched, dtype=np.int64)
-    if touched.size:
-        present = touched[np.isin(touched, node_ids)]
-    else:
-        present = touched
-    if present.size:
-        tpos = csr.positions_of(present)
-        active = np.unique(
-            np.concatenate([tpos, gather_neighbors(indptr, indices, tpos)])
-        )
-    else:
-        active = np.empty(0, dtype=np.int64)
-
-    rec = get_recorder()
-    with rec.span("kernels.louvain_warm", nodes=n, active=int(active.size)):
-        if rec.enabled:
-            rec.count("kernels.louvain_warm_active", int(active.size))
-        # Level 0 is the restricted warm-start pass.  Whether or not it
-        # moved anything, condense and refine in full: the condensed graph
-        # has one node per community, so the full levels are cheap and give
-        # community-level merges the restricted pass cannot express.
-        _improved, node_label, _passes, _moves = _one_level_arrays(
-            indptr, indices, weights, self_w, node_label, delta, rng, active=active
-        )
-        levels = 1
-        while levels < MAX_LEVELS:
-            indptr, indices, weights, self_w, node_label, carried = _aggregate_arrays(
-                indptr, indices, weights, self_w, node_label, carried
-            )
-            improved, node_label, _passes, _moves = _one_level_arrays(
-                indptr, indices, weights, self_w, node_label, delta, rng
-            )
-            levels += 1
-            if not improved:
-                break
-        if rec.enabled:
-            rec.count("kernels.louvain_warm_levels", levels)
-
-    partition: dict[int, int] = {}
-    for position, members in enumerate(carried):
-        label = int(node_label[position])
-        for original in members.tolist():
-            partition[ids_list[original]] = label
-    return partition, levels

@@ -4,26 +4,24 @@ The Pearson correlation coefficient of the degrees at either end of each
 edge.  Each undirected edge contributes both orientations, making the
 measure symmetric (the standard Newman definition).
 
-Kernel-enabled: ``backend="csr"`` (the ``"auto"`` default) reduces the
-Pearson sums with four vectorized int64 reductions over the CSR arrays —
-both backends use exact integer arithmetic, so results are identical.
+:func:`degree_assortativity` reduces the Pearson sums with four
+vectorized int64 reductions over the CSR arrays;
+:func:`degree_assortativity_reference` walks the edge list.  Both use
+exact integer arithmetic, so results are identical.
 """
 
 from __future__ import annotations
 
-
 from repro.graph.snapshot import GraphSnapshot
 from repro.kernels.assortativity import degree_assortativity_csr
-from repro.kernels.backend import resolve_backend
 from repro.kernels.csr import CSRGraph
 
-__all__ = ["degree_assortativity"]
+__all__ = ["degree_assortativity", "degree_assortativity_reference"]
 
 
 def degree_assortativity(
     graph: GraphSnapshot,
     *,
-    backend: str = "auto",
     csr: CSRGraph | None = None,
 ) -> float:
     """Degree correlation over edges; ``nan`` when undefined (e.g. regular graphs).
@@ -33,10 +31,13 @@ def degree_assortativity(
     parallel replay, whose rebuilt adjacency sets may iterate differently
     than serially grown ones.
     """
-    if resolve_backend(backend) == "csr":
-        if csr is None:
-            csr = CSRGraph.from_snapshot(graph)
-        return degree_assortativity_csr(csr)
+    if csr is None:
+        csr = CSRGraph.from_snapshot(graph)
+    return degree_assortativity_csr(csr)
+
+
+def degree_assortativity_reference(graph: GraphSnapshot) -> float:
+    """Edge-walking reference for :func:`degree_assortativity`."""
     adjacency = graph.adjacency
     # Both orientations of every edge contribute, so the x- and y-series
     # are permutations of each other: sum(x) == sum(y), sum(x^2) == sum(y^2).

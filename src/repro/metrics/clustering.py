@@ -5,10 +5,11 @@ neighbors over the maximum possible; the network metric is the mean over
 all nodes (degree < 2 nodes contribute 0, matching the networkx
 convention the community uses as reference).
 
-Kernel-enabled: ``backend="csr"`` (the ``"auto"`` default) counts
-neighbor-neighbor intersections against a boolean membership mask instead
-of probing ``k^2`` Python set pairs.  Counts are exact integers, so both
-backends return identical floats.
+The public functions run the CSR kernel, which counts neighbor-neighbor
+intersections against a boolean membership mask instead of probing
+``k^2`` Python set pairs.  The ``*_reference`` functions keep the set
+implementation the parity suite pins the kernel against; counts are exact
+integers, so both return identical floats.
 
 Sampling draws from the *sorted* node pool (not dict insertion order), so
 restored and parallel replays — which rebuild adjacency in a different
@@ -20,26 +21,49 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.snapshot import GraphSnapshot
-from repro.kernels.backend import resolve_backend
 from repro.kernels.clustering import average_clustering_csr, local_clustering_csr
 from repro.kernels.csr import CSRGraph
 from repro.util.rng import make_rng
 
-__all__ = ["local_clustering", "average_clustering"]
+__all__ = [
+    "average_clustering",
+    "average_clustering_reference",
+    "local_clustering",
+    "local_clustering_reference",
+]
 
 
 def local_clustering(
     graph: GraphSnapshot,
     node: int,
     *,
-    backend: str = "auto",
     csr: CSRGraph | None = None,
 ) -> float:
     """Clustering coefficient of one node (0.0 when degree < 2)."""
-    if resolve_backend(backend) == "csr":
-        if csr is None:
-            csr = CSRGraph.from_snapshot(graph)
-        return local_clustering_csr(csr, node)
+    if csr is None:
+        csr = CSRGraph.from_snapshot(graph)
+    return local_clustering_csr(csr, node)
+
+
+def average_clustering(
+    graph: GraphSnapshot,
+    sample_size: int | None = None,
+    rng: int | np.random.Generator | None = None,
+    *,
+    csr: CSRGraph | None = None,
+) -> float:
+    """Mean local clustering over all nodes (or a uniform sample).
+
+    ``sample_size`` bounds the work on large snapshots; ``None`` computes
+    the exact average.  Returns ``nan`` for an empty graph.
+    """
+    if csr is None:
+        csr = CSRGraph.from_snapshot(graph)
+    return average_clustering_csr(csr, sample_size, rng)
+
+
+def local_clustering_reference(graph: GraphSnapshot, node: int) -> float:
+    """Set-based reference for :func:`local_clustering`."""
     neighbors = graph.adjacency[node]
     k = len(neighbors)
     if k < 2:
@@ -57,23 +81,12 @@ def local_clustering(
     return 2.0 * links / (k * (k - 1))
 
 
-def average_clustering(
+def average_clustering_reference(
     graph: GraphSnapshot,
     sample_size: int | None = None,
     rng: int | np.random.Generator | None = None,
-    *,
-    backend: str = "auto",
-    csr: CSRGraph | None = None,
 ) -> float:
-    """Mean local clustering over all nodes (or a uniform sample).
-
-    ``sample_size`` bounds the work on large snapshots; ``None`` computes
-    the exact average.  Returns ``nan`` for an empty graph.
-    """
-    if resolve_backend(backend) == "csr":
-        if csr is None:
-            csr = CSRGraph.from_snapshot(graph)
-        return average_clustering_csr(csr, sample_size, rng)
+    """Set-based reference for :func:`average_clustering`."""
     if graph.num_nodes == 0:
         return float("nan")
     nodes = list(graph.nodes())
@@ -84,6 +97,4 @@ def average_clustering(
         pool.sort()
         generator = make_rng(rng)
         nodes = generator.choice(pool, size=sample_size, replace=False).tolist()
-    return float(
-        np.mean([local_clustering(graph, n, backend="python") for n in nodes])
-    )
+    return float(np.mean([local_clustering_reference(graph, n) for n in nodes]))

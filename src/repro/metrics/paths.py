@@ -5,24 +5,24 @@ length computation tractable": 1000 sources from the largest connected
 component, once every three days.  We do the same — BFS from each sampled
 source, averaging distances to all reachable nodes.
 
-Kernel-enabled: ``backend="csr"`` (the ``"auto"`` default) runs the
-frontier-array BFS kernel; sources are drawn from the same sorted pool
-with the same RNG call, and distances accumulate in exact integer
-arithmetic, so both backends return the identical float.
+:func:`average_path_length_sampled` runs the frontier-array BFS kernel;
+:func:`average_path_length_reference` runs dict BFS.  Sources are drawn
+from the same sorted pool with the same RNG call, and distances
+accumulate in exact integer arithmetic, so both return the identical
+float.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.components import bfs_distances, largest_component
+from repro.graph.components import bfs_distances, largest_component_reference
 from repro.graph.snapshot import GraphSnapshot
-from repro.kernels.backend import resolve_backend
 from repro.kernels.csr import CSRGraph
 from repro.kernels.traversal import average_path_length_csr
 from repro.util.rng import make_rng
 
-__all__ = ["average_path_length_sampled"]
+__all__ = ["average_path_length_reference", "average_path_length_sampled"]
 
 
 def average_path_length_sampled(
@@ -30,7 +30,6 @@ def average_path_length_sampled(
     sample_size: int = 1000,
     rng: int | np.random.Generator | None = None,
     *,
-    backend: str = "auto",
     csr: CSRGraph | None = None,
 ) -> float:
     """Average hop distance from sampled sources to all reachable nodes.
@@ -41,12 +40,19 @@ def average_path_length_sampled(
     same snapshot (the runtime builds one per snapshot and shares it
     across the metric suite).
     """
+    if csr is None:
+        csr = CSRGraph.from_snapshot(graph)
+    return average_path_length_csr(csr, sample_size, make_rng(rng))
+
+
+def average_path_length_reference(
+    graph: GraphSnapshot,
+    sample_size: int = 1000,
+    rng: int | np.random.Generator | None = None,
+) -> float:
+    """Dict-BFS reference for :func:`average_path_length_sampled`."""
     generator = make_rng(rng)
-    if resolve_backend(backend) == "csr":
-        if csr is None:
-            csr = CSRGraph.from_snapshot(graph)
-        return average_path_length_csr(csr, sample_size, generator)
-    component = largest_component(graph, backend="python")
+    component = largest_component_reference(graph)
     if len(component) < 2:
         return float("nan")
     # Sort the sampling pool: set iteration order is an implementation

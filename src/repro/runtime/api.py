@@ -13,8 +13,8 @@ from typing import Any
 from repro.graph.events import EventStream
 from repro.metrics.timeseries import MetricTimeseries
 from repro.runtime.cache import ResultCache, stream_digest
-from repro.runtime.parallel import evaluate_timeseries
-from repro.runtime.spec import MetricSpec
+from repro.runtime.parallel import evaluate_timeseries, select_engine
+from repro.runtime.spec import MetricSpec, snapshot_times
 from repro.store.reader import EventStore
 
 __all__ = ["compute_timeseries"]
@@ -47,7 +47,15 @@ def compute_timeseries(
         key = cache.key(stream_digest(stream), spec, interval, start)
         hit = cache.load(key)
         if hit is not None:
-            hit.profile = _profile(spec, workers, hit.profile, cache)
+            times = snapshot_times(stream.end_time, interval, start)
+            hit.profile = _profile(
+                {
+                    "backend": select_engine(spec, len(times)),
+                    "workers": workers,
+                    "metric_seconds": {name: [] for name in spec.names},
+                },
+                cache,
+            )
             return hit
     store = stream if isinstance(stream, EventStore) else None
     events = stream.to_stream() if isinstance(stream, EventStore) else stream
@@ -56,16 +64,12 @@ def compute_timeseries(
     )
     if cache is not None and key is not None:
         cache.store(key, series)
-    series.profile = _profile(spec, workers, series.profile, cache)
+    assert series.profile is not None
+    series.profile = _profile(series.profile, cache)
     return series
 
 
-def _profile(
-    spec: MetricSpec,
-    workers: int,
-    base: dict[str, Any] | None,
-    cache: ResultCache | None,
-) -> dict[str, Any]:
+def _profile(profile: dict[str, Any], cache: ResultCache | None) -> dict[str, Any]:
     """Run metadata for :attr:`MetricTimeseries.profile`.
 
     A cache hit carries no timings (nothing was evaluated), so
@@ -76,13 +80,6 @@ def _profile(
     only the parent process ever touches the result cache, so per-worker
     cache columns are exact, not estimates.
     """
-    from repro.kernels.backend import resolve_backend
-
-    profile: dict[str, Any] = base if base is not None else {
-        "backend": resolve_backend(spec.backend, allow_delta=True),
-        "workers": workers,
-        "metric_seconds": {name: [] for name in spec.names},
-    }
     profile["cache_hits"] = cache.hits if cache is not None else 0
     profile["cache_misses"] = cache.misses if cache is not None else 0
     detail: list[dict[str, Any]] = profile.setdefault("worker_detail", [])

@@ -8,16 +8,15 @@ runs are bit-identical, so they share entries.  Any change to an input
 changes the key, so invalidation is automatic and stale entries are
 simply never read again.
 
-Entries are single ``.npz`` files written atomically (temp file +
-``os.replace``), so a crashed writer can never publish a torn entry and
-concurrent readers always see complete files.
+Entries are single ``.npz`` files written atomically
+(:func:`repro.util.atomic.atomic_writer`), so a crashed writer can never
+publish a torn entry and concurrent readers always see complete files.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 import zipfile
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from repro.metrics.timeseries import MetricTimeseries
 from repro.obs import get_recorder
 from repro.runtime.spec import MetricSpec
 from repro.store.reader import EventStore
+from repro.util.atomic import atomic_writer
 
 __all__ = ["ResultCache", "default_cache_dir", "stream_digest"]
 
@@ -141,13 +141,6 @@ class ResultCache:
         values = np.array(
             [np.asarray(series.values[name], dtype=np.float64) for name in names]
         ).reshape(len(names), times.size)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".npz.tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(handle, names=np.array(names), times=times, values=values)
-            os.replace(tmp, self.path(key))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with atomic_writer(self.path(key)) as handle:
+            np.savez(handle, names=np.array(names), times=times, values=values)
         return self.path(key)

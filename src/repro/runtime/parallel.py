@@ -7,6 +7,12 @@ each worker process then restores its checkpoint, replays only its slice
 of the stream, and evaluates the metric suite with per-snapshot RNGs
 (:meth:`~repro.runtime.spec.MetricSpec.build`).  Stitching the per-window
 rows back in grid order yields output bit-identical to a serial run.
+
+Each replay runs on one of two bit-identical engines, chosen by
+:func:`select_engine` from the replay's own shape: the csr kernels rebuild
+a :class:`~repro.kernels.csr.CSRGraph` per snapshot, while the delta engine
+(:mod:`repro.kernels.delta`) maintains the graph and its clustering,
+degree and assortativity accumulators event by event.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from typing import Any
 from repro.graph.checkpoint import ReplayCheckpoint
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import EventStream
-from repro.kernels.backend import resolve_backend
 from repro.kernels.csr import CSRGraph
 from repro.kernels.delta import DeltaEngineState, DeltaMetricEngine
 from repro.metrics.timeseries import MetricTimeseries
@@ -36,7 +41,15 @@ from repro.obs import (
 from repro.runtime.spec import DELTA_METRIC_NAMES, MetricSpec, snapshot_times
 from repro.store.reader import EventStore
 
-__all__ = ["evaluate_timeseries", "mp_context"]
+__all__ = ["DELTA_MIN_SNAPSHOTS", "evaluate_timeseries", "mp_context", "select_engine"]
+
+# The shortest replay, in snapshot-grid points, that runs on the delta
+# engine when the suite includes clustering.  Delta pays an event-by-event
+# replay up front and wins it back only on clustering (maintained triangle
+# counts instead of per-snapshot neighborhood intersections).  For the full
+# suite the two engines are within noise between 10 and 20 snapshots and
+# delta wins from there on (measurements in docs/incremental.md).
+DELTA_MIN_SNAPSHOTS = 20
 
 # One row per non-empty snapshot: (grid index, time, values in spec.names
 # order, per-metric wall-clock seconds in the same order).
@@ -76,6 +89,18 @@ def _init_store_worker(store_path: str, spec: MetricSpec, tracing: bool = False)
     _WORKER_TRACING = tracing
 
 
+def select_engine(spec: MetricSpec, snapshots: int) -> str:
+    """``"delta"`` or ``"csr"`` for a replay of ``spec`` over ``snapshots`` grid points.
+
+    Delta iff the suite asks for ``average_clustering`` and the grid has at
+    least :data:`DELTA_MIN_SNAPSHOTS` points.  Both engines produce
+    bit-identical series, so the choice only moves wall time.
+    """
+    if "average_clustering" in spec.names and snapshots >= DELTA_MIN_SNAPSHOTS:
+        return "delta"
+    return "csr"
+
+
 def _evaluate_rows(
     replay: DynamicGraph,
     spec: MetricSpec,
@@ -88,22 +113,17 @@ def _evaluate_rows(
     each snapshot is keyed by its *grid* index, so skipping never shifts
     downstream randomness.
 
-    Under the csr backend, the snapshot is converted to CSR once and the
-    one :class:`~repro.kernels.csr.CSRGraph` is shared by every metric —
-    the conversion cost amortizes across the suite.
+    Without an ``engine`` (the csr engine), the snapshot is converted to
+    CSR once and the one :class:`~repro.kernels.csr.CSRGraph` is shared by
+    every metric — the conversion cost amortizes across the suite.
 
-    Under the delta backend, ``engine`` (positioned exactly at the replay's
-    cursor — a fresh engine for a from-scratch replay, a checkpoint-restored
-    one for a window) consumes each window's events and serves the
+    With an ``engine`` (positioned exactly at the replay's cursor — a fresh
+    engine for a from-scratch replay, a checkpoint-restored one for a
+    window), it consumes each window's events and serves the
     delta-maintained metrics; a frozen CSR is produced only when a
     non-delta metric (sampled BFS) needs one.
     """
-    resolved = resolve_backend(spec.backend, allow_delta=True)
-    use_delta = resolved == "delta"
-    if use_delta and engine is None:
-        raise ValueError("delta backend requires an engine aligned with the replay")
-    use_csr = resolved == "csr"
-    needs_csr = use_delta and any(n not in DELTA_METRIC_NAMES for n in spec.names)
+    needs_csr = any(n not in DELTA_METRIC_NAMES for n in spec.names)
     rec = get_recorder()
     rows: list[Row] = []
     for index, time in indexed_times:
@@ -117,24 +137,24 @@ def _evaluate_rows(
                 (replay.node_cursor - node_before) + (replay.edge_cursor - edge_before),
             )
             rec.observe("replay.advance_seconds", perf_counter() - stage_began)
-        if use_delta and engine is not None:
+        if engine is not None:
             engine.apply_view(view.new_nodes, view.new_edges)
         if view.graph.num_nodes == 0:
             continue
         csr = None
-        if use_csr:
+        if engine is None:
             stage_began = perf_counter()
             with rec.span("kernels.csr_build", snapshot=index):
                 csr = CSRGraph.from_snapshot(view.graph)
             if rec.enabled:
                 rec.observe("kernels.csr_build_seconds", perf_counter() - stage_began)
-        elif needs_csr and engine is not None:
+        elif needs_csr:
             stage_began = perf_counter()
             with rec.span("delta.csr_merge", snapshot=index):
                 csr = engine.to_csr()
             if rec.enabled:
                 rec.observe("delta.csr_merge_seconds", perf_counter() - stage_began)
-        if use_delta and engine is not None:
+        if engine is not None:
             fns = spec.build_delta(index, engine)
         else:
             fns = spec.build(index)
@@ -175,8 +195,8 @@ def _traced_rows(lane: int, evaluate: Callable[[], list[Row]]) -> WindowResult:
 
 
 # Stream-window payload: the lane, the checkpoint, this window's snapshot
-# times, and (delta backend only) the engine state frozen at the window's
-# entry checkpoint, from which the worker warm-starts.
+# times, and (delta engine only) the engine state frozen at the window's
+# entry checkpoint, from which the worker resumes.
 Window = tuple[
     int, ReplayCheckpoint, list[tuple[int, float]], DeltaEngineState | None
 ]
@@ -301,7 +321,8 @@ def evaluate_timeseries(
 
     ``workers=1`` runs in-process; ``workers>1`` fans contiguous timeline
     windows out to a process pool.  Both paths produce bit-identical
-    results for the same ``(stream, spec, interval, start)``.
+    results for the same ``(stream, spec, interval, start)``, on whichever
+    engine :func:`select_engine` picks; ``profile["backend"]`` records it.
 
     ``store`` (when the stream came from a columnar store) changes only
     *how* parallel workers receive their events: instead of inheriting or
@@ -314,13 +335,14 @@ def evaluate_timeseries(
         raise ValueError(f"workers must be >= 1, got {workers}")
     times = snapshot_times(stream.end_time, interval, start)
     indexed = list(enumerate(times))
-    use_delta = resolve_backend(spec.backend, allow_delta=True) == "delta"
+    backend = select_engine(spec, len(times))
+    use_delta = backend == "delta"
     if workers == 1 or len(indexed) < 2:
         engine = DeltaMetricEngine() if use_delta else None
         rows = _evaluate_rows(DynamicGraph(stream), spec, indexed, engine)
         detail = [_worker_stat(0, "main", rows)]
     else:
-        rows, detail = _evaluate_parallel(stream, spec, indexed, workers, store)
+        rows, detail = _evaluate_parallel(stream, spec, indexed, workers, use_delta, store)
     series = MetricTimeseries(values={name: [] for name in spec.names})
     metric_seconds: dict[str, list[float]] = {name: [] for name in spec.names}
     for _, time, values, seconds in sorted(rows):
@@ -329,7 +351,7 @@ def evaluate_timeseries(
             series.values[name].append(value)
             metric_seconds[name].append(spent)
     series.profile = {
-        "backend": resolve_backend(spec.backend, allow_delta=True),
+        "backend": backend,
         "workers": workers,
         "metric_seconds": metric_seconds,
         "worker_detail": detail,
@@ -354,19 +376,19 @@ def _evaluate_parallel(
     spec: MetricSpec,
     indexed: list[tuple[int, float]],
     workers: int,
+    use_delta: bool,
     store: EventStore | None = None,
 ) -> tuple[list[Row], list[dict[str, Any]]]:
     rec = get_recorder()
     tracing = rec.enabled
-    use_delta = resolve_backend(spec.backend, allow_delta=True) == "delta"
     chunks = _partition(_window_weights(stream, [t for _, t in indexed]), workers)
     # One structural replay to place a checkpoint at each window boundary.
     # This is O(events) with no metric work, so it is cheap relative to the
     # metric evaluation it unlocks.  For store-backed runs the replay also
     # yields each window's event-index range, which is all a worker needs
-    # to pull its slice out of the store.  Under the delta backend the
-    # parent additionally feeds a metric engine so each checkpoint carries
-    # the accumulator state its window's worker warm-starts from; the
+    # to pull its slice out of the store.  On the delta engine the parent
+    # additionally feeds a metric engine so each checkpoint carries the
+    # accumulator state its window's worker resumes from; the
     # accumulators are pure functions of the edge set, so worker rows stay
     # bit-identical to a serial delta run.
     payloads: list[Any] = []

@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.graph.snapshot import GraphSnapshot
-from repro.kernels.backend import BACKENDS
 from repro.metrics.assortativity import degree_assortativity
 from repro.metrics.clustering import average_clustering
 from repro.metrics.degree import average_degree
@@ -45,7 +44,7 @@ STANDARD_METRIC_NAMES = (
     "assortativity",
 )
 
-# Metrics the incremental engine maintains as event-delta accumulators.
+# Metrics the delta engine maintains as event-delta accumulators.
 # Anything else (sampled BFS path length) is evaluated on the engine's
 # frozen CSR through the ordinary csr kernel, which is bit-identical.
 DELTA_METRIC_NAMES = frozenset(
@@ -55,18 +54,12 @@ DELTA_METRIC_NAMES = frozenset(
 _FACTORIES: dict[str, Callable[["MetricSpec", np.random.Generator], MetricFn]] = {
     "average_degree": lambda spec, rng: (lambda g, csr=None: average_degree(g)),
     "average_path_length": lambda spec, rng: (
-        lambda g, csr=None: average_path_length_sampled(
-            g, spec.path_sample, rng, backend=spec.backend, csr=csr
-        )
+        lambda g, csr=None: average_path_length_sampled(g, spec.path_sample, rng, csr=csr)
     ),
     "average_clustering": lambda spec, rng: (
-        lambda g, csr=None: average_clustering(
-            g, spec.clustering_sample, rng, backend=spec.backend, csr=csr
-        )
+        lambda g, csr=None: average_clustering(g, spec.clustering_sample, rng, csr=csr)
     ),
-    "assortativity": lambda spec, rng: (
-        lambda g, csr=None: degree_assortativity(g, backend=spec.backend, csr=csr)
-    ),
+    "assortativity": lambda spec, rng: (lambda g, csr=None: degree_assortativity(g, csr=csr)),
 }
 
 
@@ -78,25 +71,18 @@ class MetricSpec:
     ``clustering_sample`` are the paper's tractability knobs (§2).  The
     spec, not a generator object, crosses process boundaries — workers call
     :meth:`build` locally.
-
-    ``backend`` selects the kernel implementation (see
-    :mod:`repro.kernels.backend`); it never participates in cache keys
-    because every backend produces bit-identical results.
     """
 
     names: tuple[str, ...] = STANDARD_METRIC_NAMES
     path_sample: int = 400
     clustering_sample: int | None = 1500
     seed: int = 0
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "names", tuple(self.names))
         unknown = [name for name in self.names if name not in _FACTORIES]
         if unknown:
             raise ValueError(f"unknown metrics {unknown}; available: {sorted(_FACTORIES)}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
 
     def build(self, snapshot_index: int) -> dict[str, MetricFn]:
         """Metric callables for the snapshot at ``snapshot_index``.
@@ -136,13 +122,11 @@ class MetricSpec:
     def fingerprint(self) -> str:
         """A stable hex digest of the spec, for cache keys.
 
-        The backend is excluded: backends are bit-identical by contract
-        (enforced by the parity suite), so runs under either backend share
-        cache entries.
+        The engine a replay runs on is not a spec field: csr and delta are
+        bit-identical (enforced by the parity suite), so runs on either
+        share cache entries.
         """
-        fields = asdict(self)
-        del fields["backend"]
-        payload = json.dumps(fields, sort_keys=True, default=list)
+        payload = json.dumps(asdict(self), sort_keys=True, default=list)
         return hashlib.sha256(payload.encode()).hexdigest()
 
 

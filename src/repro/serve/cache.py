@@ -4,10 +4,10 @@
 ``.npz`` arrays; community tracking and merge analysis produce nested
 JSON documents instead, so the serve layer keeps them in a sibling cache
 of ``<key>.json`` files.  The concurrency story is identical — entries
-are written to a temp file in the same directory and published with
-``os.replace``, so a crashed writer can never expose a torn entry and
-two processes racing on the same key both end with a complete one (last
-writer wins; the payloads are deterministic, so the races are benign).
+are published through the same :func:`repro.util.atomic.atomic_writer`,
+so a crashed writer can never expose a torn entry and two processes
+racing on the same key both end with a complete one (last writer wins;
+the payloads are deterministic, so the races are benign).
 
 Keys are caller-built digests (store content digest + canonical query
 parameters), so invalidation is automatic: change any input and the old
@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
+
+from repro.util.atomic import atomic_writer
 
 __all__ = ["ServeCache"]
 
@@ -66,13 +66,6 @@ class ServeCache:
     def store(self, key: str, text: str) -> Path:
         """Atomically publish ``text`` under ``key``; returns the entry path."""
         self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".json.tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp, self.path(key))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with atomic_writer(self.path(key)) as handle:
+            handle.write(text.encode("utf-8"))
         return self.path(key)

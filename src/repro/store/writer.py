@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 from types import TracebackType
@@ -37,6 +36,7 @@ from repro.store.format import (
     map_chunk,
 )
 from repro.util.arrays import AnyArray, IntArray, UInt16Array
+from repro.util.atomic import atomic_writer
 
 __all__ = ["StoreWriter"]
 
@@ -305,15 +305,8 @@ class StoreWriter:
             edge_chunks=tuple(self._edges.chunks),
             content_digest=digest,
         )
-        fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".json.tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(manifest.to_json())
-            os.replace(tmp, self.path / MANIFEST_NAME)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with atomic_writer(self.path / MANIFEST_NAME) as handle:
+            handle.write(manifest.to_json().encode("utf-8"))
         self._closed = True
         return manifest
 

@@ -3,18 +3,22 @@
 ``repro serve --workers N`` points N shard processes at one
 ``--cache-dir``, and nothing stops a second server (or a batch
 ``repro metrics`` run) from sharing the same directory.  The safety
-story is the write-rename discipline: every entry is written to a
-``mkstemp`` temp file in the cache directory and published with
-``os.replace``, so a reader can only ever observe *no entry* or a
-*complete* entry — never a torn one.  These tests audit that discipline
-at the source level and then hammer it with real processes.
+story is the write-rename discipline of :func:`repro.util.atomic.atomic_writer`:
+every entry is written to a ``mkstemp`` temp file in the cache directory
+and published with ``os.replace``, so a reader can only ever observe *no
+entry* or a *complete* entry — never a torn one.  These tests audit that
+discipline at the source level, inject a failing write, and then hammer
+it with real processes.
 """
 
 from __future__ import annotations
 
 import ast
 import asyncio
+import errno
 import json
+import os
+import types
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -25,6 +29,8 @@ from repro.metrics.timeseries import MetricTimeseries
 from repro.runtime import MetricSpec, mp_context
 from repro.runtime.cache import ResultCache
 from repro.serve.cache import ServeCache
+from repro.store.writer import StoreWriter
+from repro.util import atomic
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -88,18 +94,64 @@ def result_cache_worker(args: tuple[str, int, int]) -> int:
     return torn
 
 
+def called_names(path: Path) -> list[str]:
+    """Names of every function called in the module at ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Attribute):
+                names.append(node.func.attr)
+            elif isinstance(node.func, ast.Name):
+                names.append(node.func.id)
+    return names
+
+
+class DiskFullHandle:
+    """A binary handle that takes a few bytes, then fails like a full disk."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, data):
+        self._handle.write(bytes(data)[:8])
+        self._handle.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+
+def publish_result_cache(root: Path) -> None:
+    ResultCache(root).store("k", expected_series(0))
+
+
+def publish_serve_cache(root: Path) -> None:
+    ServeCache(root).store("k", expected_payload("k"))
+
+
+def publish_manifest(root: Path) -> None:
+    with StoreWriter(root) as writer:
+        writer.append_nodes([0.0, 1.0], [0, 1], ["xiaonei", "xiaonei"])
+        writer.append_edges([1.0], [0], [1])
+
+
 class TestWriteRenameAudit:
     """Source-level audit: cache writers publish only via ``os.replace``."""
 
-    @pytest.mark.parametrize("relpath", ["runtime/cache.py", "serve/cache.py"])
+    @pytest.mark.parametrize("relpath", ["runtime/cache.py", "serve/cache.py", "store/writer.py"])
     def test_store_path_uses_mkstemp_and_replace(self, relpath):
-        source = (REPO_SRC / relpath).read_text(encoding="utf-8")
-        tree = ast.parse(source)
-        calls = [
-            node.func.attr
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        ]
+        calls = called_names(REPO_SRC / relpath)
+        # Writers stage and publish through the shared helper, which is
+        # audited in their place.
+        if "atomic_writer" in calls:
+            calls += called_names(REPO_SRC / "util" / "atomic.py")
         assert "mkstemp" in calls, f"{relpath}: writes must stage via mkstemp"
         assert "replace" in calls, f"{relpath}: writes must publish via os.replace"
         # rename() is not atomic-overwrite on all platforms; replace() is.
@@ -111,6 +163,33 @@ class TestWriteRenameAudit:
         cache = ServeCache(tmp_path / "serve")
         cache.store(ServeCache.key("k"), "{}")
         assert {p.suffix for p in (tmp_path / "serve").iterdir()} == {".json"}
+
+    @pytest.mark.parametrize(
+        ("publish", "entry"),
+        [
+            (publish_result_cache, "k.npz"),
+            (publish_serve_cache, "k.json"),
+            (publish_manifest, "manifest.json"),
+        ],
+    )
+    def test_failed_write_leaves_no_temp_file_and_no_entry(
+        self, publish, entry, tmp_path, monkeypatch
+    ):
+        failing_os = types.SimpleNamespace(
+            fdopen=lambda fd, mode: DiskFullHandle(os.fdopen(fd, mode)),
+            replace=os.replace,
+            unlink=os.unlink,
+            path=os.path,
+        )
+        monkeypatch.setattr(atomic, "os", failing_os)
+        with pytest.raises(OSError, match="No space left"):
+            publish(tmp_path)
+        assert not list(tmp_path.glob("*.tmp"))
+        assert not (tmp_path / entry).exists()
+        # The same publisher without the fault does create the entry.
+        monkeypatch.undo()
+        publish(tmp_path / "clean")
+        assert (tmp_path / "clean" / entry).exists()
 
 
 class TestServeCacheConcurrency:

@@ -98,29 +98,26 @@ class TestProfileAndBackend:
 
         args = [
             "metrics", trace_path, "--interval", "30", "--path-sample", "30",
-            "--json", "--profile", "--backend", "python",
+            "--json", "--profile",
         ]
         assert main(args) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"times", "values", "profile"}
-        assert payload["profile"]["backend"] == "python"
+        assert payload["profile"]["backend"] == "csr"
         assert len(payload["times"]) > 0
         seconds = payload["profile"]["metric_seconds"]["average_path_length"]
         assert len(seconds) == len(payload["times"])
 
-    def test_backend_flag_does_not_change_values(self, trace_path, capsys):
-        base = ["metrics", trace_path, "--interval", "30", "--path-sample", "30"]
-        assert main(base + ["--backend", "python"]) == 0
-        py_out = capsys.readouterr().out
-        assert main(base + ["--backend", "csr"]) == 0
-        assert capsys.readouterr().out == py_out
+    def test_engine_choice_does_not_change_values(self, trace_path, capsys, monkeypatch):
+        from repro.runtime import parallel
 
-    def test_communities_backend_flag(self, trace_path, capsys):
-        assert main(["communities", trace_path, "--interval", "20", "--backend", "python"]) == 0
-        py_out = capsys.readouterr().out
-        assert "modularity" in py_out
-        assert main(["communities", trace_path, "--interval", "20", "--backend", "csr"]) == 0
-        assert capsys.readouterr().out == py_out
+        base = ["metrics", trace_path, "--interval", "30", "--path-sample", "30"]
+        monkeypatch.setattr(parallel, "select_engine", lambda spec, snapshots: "delta")
+        assert main(base) == 0
+        delta_out = capsys.readouterr().out
+        monkeypatch.setattr(parallel, "select_engine", lambda spec, snapshots: "csr")
+        assert main(base) == 0
+        assert capsys.readouterr().out == delta_out
 
     def test_experiment_profile(self, capsys):
         code = main([

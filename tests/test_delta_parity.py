@@ -1,9 +1,9 @@
-"""Parity/tolerance harness for the ``"delta"`` backend (RPL005 manifest).
+"""Parity harness for the delta engine (RPL005 manifest).
 
-The incremental engine (:mod:`repro.kernels.delta`) is a third
-implementation of the metric suite.  Its contract, pinned here across ~30
-generated replays (plain and merge traces, several seeds, compaction
-thresholds from pathological to never-compacts):
+The incremental engine (:mod:`repro.kernels.delta`) is a second
+implementation of the runtime's metric suite.  Its contract, pinned here
+across ~30 generated replays (plain and merge traces, several seeds,
+compaction thresholds from pathological to never-compacts):
 
 * degree distribution, average degree, average clustering (sampled and
   full), and assortativity are **bit-identical** to the batch kernels at
@@ -11,23 +11,20 @@ thresholds from pathological to never-compacts):
   pickled checkpoint/resume cycle;
 * :meth:`DeltaCSRGraph.to_csr` reproduces the batch
   :meth:`CSRGraph.from_snapshot` arrays exactly;
-* the runtime timeseries under ``backend="delta"`` equals the csr run
+* the runtime timeseries on the delta engine equals the csr run
   bit-for-bit, serially and with a process pool;
-* warm-start Louvain follows a documented *modularity-tolerance* contract
-  (``docs/incremental.md``) rather than bit-parity.
+* the runtime picks the engine from the replay's shape
+  (:func:`repro.runtime.parallel.select_engine`).
 """
 
 import functools
 import math
 import pickle
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.community.louvain import louvain
-from repro.community.modularity import modularity
-from repro.community.tracking import track_stream
+from repro.analysis.context import AnalysisContext
 from repro.gen.config import presets
 from repro.gen.renren import generate_trace
 from repro.graph.dynamic import DynamicGraph
@@ -38,7 +35,9 @@ from repro.kernels.clustering import average_clustering_csr
 from repro.kernels.csr import CSRGraph
 from repro.kernels.delta import DeltaCSRGraph, DeltaMetricEngine
 from repro.metrics.degree import average_degree, degree_distribution
-from repro.runtime.parallel import evaluate_timeseries
+from repro.runtime import parallel
+from repro.runtime.api import compute_timeseries
+from repro.runtime.parallel import DELTA_MIN_SNAPSHOTS, evaluate_timeseries, select_engine
 from repro.runtime.spec import MetricSpec
 
 # -- replay corpus ---------------------------------------------------------
@@ -154,76 +153,51 @@ def test_delta_csr_matches_batch_build(kind: str, seed: int, cmin: int) -> None:
 # -- runtime timeseries ----------------------------------------------------
 
 
+def _force_engine(monkeypatch, name: str) -> None:
+    """Substitute the runtime's engine selector with a constant choice."""
+    monkeypatch.setattr(parallel, "select_engine", lambda spec, snapshots: name)
+
+
 @pytest.mark.parametrize("kind", ["tiny", "tiny_merge"])
-def test_timeseries_delta_bit_identical(kind: str) -> None:
+def test_timeseries_delta_bit_identical(kind: str, monkeypatch) -> None:
     """csr == delta(serial) == delta(workers=2), bit-for-bit."""
     stream = _stream(kind, 0)
     interval = _INTERVALS[kind]
-    base = MetricSpec(path_sample=60, clustering_sample=80, seed=3)
-    ts_csr = evaluate_timeseries(stream, replace(base, backend="csr"), interval=interval)
-    spec_delta = replace(base, backend="delta")
-    ts_serial = evaluate_timeseries(stream, spec_delta, interval=interval)
-    ts_parallel = evaluate_timeseries(stream, spec_delta, interval=interval, workers=2)
+    spec = MetricSpec(path_sample=60, clustering_sample=80, seed=3)
+    _force_engine(monkeypatch, "csr")
+    ts_csr = evaluate_timeseries(stream, spec, interval=interval)
+    _force_engine(monkeypatch, "delta")
+    ts_serial = evaluate_timeseries(stream, spec, interval=interval)
+    ts_parallel = evaluate_timeseries(stream, spec, interval=interval, workers=2)
     assert ts_serial.times == ts_csr.times
     assert ts_serial.values == ts_csr.values
     assert ts_parallel.times == ts_csr.times
     assert ts_parallel.values == ts_csr.values
-    assert ts_serial.profile is not None
-    assert ts_serial.profile["backend"] == "delta"
+    assert ts_csr.profile is not None and ts_csr.profile["backend"] == "csr"
+    assert ts_serial.profile is not None and ts_serial.profile["backend"] == "delta"
 
 
-# -- warm-start Louvain tolerance contract ---------------------------------
-
-# docs/incremental.md: a warm-started partition must cover every node and
-# land within this much modularity of an independent cold csr run on the
-# same snapshot.  Measured worst gap on these traces is ~0.006.
-WARM_MODULARITY_TOLERANCE = 0.05
+# -- engine selection ------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_warm_start_tolerance_contract(seed: int) -> None:
-    windows = _windows("tiny_merge", seed)
-    prev: dict[int, int] | None = None
-    pending: set[int] = set()
-    warmed = 0
-    for index, graph, new_nodes, new_edges in windows:
-        pending.update(new_nodes)
-        for u, v in new_edges:
-            pending.add(u)
-            pending.add(v)
-        if graph.num_nodes < 64:
-            continue
-        warm = louvain(
-            graph,
-            delta=0.04,
-            seed_partition=prev,
-            seed=np.random.default_rng((seed, index)),
-            backend="delta",
-            touched=tuple(sorted(pending)) if prev is not None else None,
+def test_selection_follows_replay_shape(tmp_path) -> None:
+    """Figures' metric replay runs on delta; serve's cold /metrics on csr."""
+    figures = AnalysisContext(presets.tiny(days=40.0, target_nodes=300), seed=3)
+    profile = figures.metrics.profile
+    assert profile is not None
+    assert len(figures.metrics.times) >= DELTA_MIN_SNAPSHOTS
+    assert profile["backend"] == "delta"
+    # Serve's cold shape: a few metrics over four snapshots, cache on.
+    stream = figures.stream
+    cold = MetricSpec(names=("average_degree", "average_clustering"), path_sample=50, seed=9)
+    for _ in range(2):  # a miss, then a hit: both report the same engine
+        series = compute_timeseries(
+            stream, cold, interval=stream.end_time / 4.0 + 0.1, cache_dir=tmp_path
         )
-        pending.clear()
-        # Full coverage: every node gets a community label.
-        assert set(warm.partition) == set(graph.adjacency)
-        assert warm.modularity == pytest.approx(modularity(graph, warm.partition))
-        cold = louvain(
-            graph, delta=0.04, seed=np.random.default_rng((seed, index)), backend="csr"
-        )
-        assert abs(warm.modularity - cold.modularity) <= WARM_MODULARITY_TOLERANCE
-        if prev is not None:
-            warmed += 1
-        prev = warm.partition
-    assert warmed >= 3  # the warm path actually exercised, not all cold starts
-
-
-def test_tracking_delta_backend_runs() -> None:
-    """track_stream under ``backend="delta"`` matches the csr cadence."""
-    stream = _stream("tiny_merge", 2)
-    kwargs = dict(interval=8.0, delta=0.04, min_nodes=64, seed=5)
-    delta_tracker = track_stream(stream, backend="delta", **kwargs)
-    csr_tracker = track_stream(stream, backend="csr", **kwargs)
-    assert [s.time for s in delta_tracker.snapshots] == [s.time for s in csr_tracker.snapshots]
-    assert len(delta_tracker.snapshots) >= 3
-    for ours, theirs in zip(delta_tracker.snapshots, csr_tracker.snapshots, strict=True):
-        assert not math.isnan(ours.modularity)
-        assert abs(ours.modularity - theirs.modularity) <= WARM_MODULARITY_TOLERANCE
-        assert ours.num_communities > 0
+        assert len(series.times) == 4
+        assert series.profile is not None and series.profile["backend"] == "csr"
+    # Clustering is what delta wins on: a long replay without it stays csr.
+    no_clustering = MetricSpec(names=("average_degree", "average_path_length"))
+    assert select_engine(no_clustering, 10 * DELTA_MIN_SNAPSHOTS) == "csr"
+    assert select_engine(MetricSpec(), DELTA_MIN_SNAPSHOTS) == "delta"
+    assert select_engine(MetricSpec(), DELTA_MIN_SNAPSHOTS - 1) == "csr"

@@ -6,7 +6,9 @@ from repro.graph.components import (
     bfs_distance_to_set,
     bfs_distances,
     connected_components,
+    connected_components_reference,
     largest_component,
+    largest_component_reference,
 )
 from repro.graph.snapshot import GraphSnapshot
 
@@ -33,17 +35,29 @@ class TestComponents:
         assert connected_components(GraphSnapshot()) == []
         assert largest_component(GraphSnapshot()) == set()
 
-    @pytest.mark.parametrize("backend", ["python", "csr"])
-    def test_largest_component_tie_breaks_by_smallest_member(self, backend):
+    @pytest.mark.parametrize(
+        "largest",
+        [
+            pytest.param(largest_component_reference, id="python"),
+            pytest.param(largest_component, id="csr"),
+        ],
+    )
+    def test_largest_component_tie_breaks_by_smallest_member(self, largest):
         # Two size-3 components; insertion order puts the higher-id one
         # first, so traversal order alone would pick {10, 11, 12}.
         g = GraphSnapshot.from_edges([(10, 11), (11, 12), (4, 5), (5, 6)])
-        assert largest_component(g, backend=backend) == {4, 5, 6}
+        assert largest(g) == {4, 5, 6}
 
-    @pytest.mark.parametrize("backend", ["python", "csr"])
-    def test_component_order_deterministic_under_ties(self, backend):
+    @pytest.mark.parametrize(
+        "components",
+        [
+            pytest.param(connected_components_reference, id="python"),
+            pytest.param(connected_components, id="csr"),
+        ],
+    )
+    def test_component_order_deterministic_under_ties(self, components):
         g = GraphSnapshot.from_edges([(10, 11), (4, 5), (8, 9), (0, 1)])
-        comps = connected_components(g, backend=backend)
+        comps = components(g)
         assert comps == [{0, 1}, {4, 5}, {8, 9}, {10, 11}]
 
 

@@ -1,11 +1,10 @@
-"""Tests for backend selection and the CSRGraph structure itself."""
+"""Tests for the CSRGraph structure and the metric-spec fingerprint."""
 
 import numpy as np
 import pytest
 
 from repro.graph.checkpoint import CSRAdjacency
 from repro.graph.snapshot import GraphSnapshot
-from repro.kernels.backend import BACKENDS, resolve_backend
 from repro.kernels.csr import CSRGraph, gather_neighbors
 from repro.runtime.spec import MetricSpec
 
@@ -14,40 +13,6 @@ from repro.runtime.spec import MetricSpec
 def graph() -> GraphSnapshot:
     # Node ids deliberately non-contiguous and out of order.
     return GraphSnapshot.from_edges([(7, 3), (3, 11), (7, 11), (2, 7)], nodes=[40])
-
-
-class TestResolveBackend:
-    def test_defaults_to_csr(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend() == "csr"
-        assert resolve_backend("auto") == "csr"
-
-    def test_explicit_choice_returned(self):
-        assert resolve_backend("python") == "python"
-        assert resolve_backend("csr") == "csr"
-
-    def test_env_steers_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        assert resolve_backend("auto") == "python"
-
-    def test_env_auto_is_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "auto")
-        assert resolve_backend("auto") == "csr"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        assert resolve_backend("csr") == "csr"
-
-    def test_unknown_argument_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("numba")
-
-    def test_unknown_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "fortran")
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            resolve_backend("auto")
-        # ...but only when the env var is actually consulted.
-        assert resolve_backend("python") == "python"
 
 
 class TestCSRGraph:
@@ -121,13 +86,12 @@ class TestGatherNeighbors:
 
 
 class TestSpecBackend:
-    def test_backend_validated(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            MetricSpec(backend="gpu")
-
-    def test_backend_excluded_from_fingerprint(self):
-        prints = {MetricSpec(backend=b).fingerprint() for b in BACKENDS}
-        assert len(prints) == 1
+    def test_fingerprint_pinned(self):
+        # Cache keys written before the spec lost its backend field must
+        # still hit: the default spec's digest is pinned.
+        assert MetricSpec().fingerprint() == (
+            "d4b5e9fe2f630d90c03935a5dfb240f5e794d639efc169b4d23c372597d02ace"
+        )
 
     def test_other_fields_still_fingerprint(self):
         assert MetricSpec(seed=0).fingerprint() != MetricSpec(seed=1).fingerprint()

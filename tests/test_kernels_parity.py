@@ -4,8 +4,8 @@ The kernel layer's contract is bit-identical floats for identical RNG
 draws (docs/kernels.md).  These tests sweep ~50 random graphs — an
 Erdős–Rényi grid over sizes/densities/seeds plus snapshots of a generated
 Renren trace — including empty, singleton, and disconnected graphs, and
-assert *exact* equality (``==``, never ``pytest.approx``) between the two
-backends for every kernel-enabled function.
+assert *exact* equality (``==``, never ``pytest.approx``) between every
+kernel-enabled function and its ``*_reference`` twin.
 """
 
 import functools
@@ -14,17 +14,28 @@ import math
 import numpy as np
 import pytest
 
-from repro.community.louvain import louvain
+from repro.community import tracking
+from repro.community.louvain import louvain, louvain_reference
 from repro.community.tracking import CommunityState, _match_python, track_stream
 from repro.gen.config import presets
 from repro.gen.renren import generate_trace
-from repro.graph.components import connected_components, largest_component
+from repro.graph.components import (
+    connected_components,
+    connected_components_reference,
+    largest_component,
+    largest_component_reference,
+)
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.snapshot import GraphSnapshot
 from repro.kernels.matching import match_communities_csr
-from repro.metrics.assortativity import degree_assortativity
-from repro.metrics.clustering import average_clustering, local_clustering
-from repro.metrics.paths import average_path_length_sampled
+from repro.metrics.assortativity import degree_assortativity, degree_assortativity_reference
+from repro.metrics.clustering import (
+    average_clustering,
+    average_clustering_reference,
+    local_clustering,
+    local_clustering_reference,
+)
+from repro.metrics.paths import average_path_length_reference, average_path_length_sampled
 
 # -- graph corpus ----------------------------------------------------------
 
@@ -90,21 +101,21 @@ def _identical(a: float, b: float) -> bool:
 @pytest.mark.parametrize("case", CASES)
 def test_components_parity(case):
     g = _build(case)
-    assert connected_components(g, backend="csr") == connected_components(g, backend="python")
+    assert connected_components(g) == connected_components_reference(g)
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_largest_component_parity(case):
     g = _build(case)
-    assert largest_component(g, backend="csr") == largest_component(g, backend="python")
+    assert largest_component(g) == largest_component_reference(g)
 
 
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("sample", [4, 10_000])
 def test_path_length_parity(case, sample):
     g = _build(case)
-    py = average_path_length_sampled(g, sample, rng=5, backend="python")
-    kr = average_path_length_sampled(g, sample, rng=5, backend="csr")
+    py = average_path_length_reference(g, sample, rng=5)
+    kr = average_path_length_sampled(g, sample, rng=5)
     assert _identical(py, kr), (py, kr)
 
 
@@ -112,8 +123,8 @@ def test_path_length_parity(case, sample):
 @pytest.mark.parametrize("sample", [7, None])
 def test_average_clustering_parity(case, sample):
     g = _build(case)
-    py = average_clustering(g, sample, rng=9, backend="python")
-    kr = average_clustering(g, sample, rng=9, backend="csr")
+    py = average_clustering_reference(g, sample, rng=9)
+    kr = average_clustering(g, sample, rng=9)
     assert _identical(py, kr), (py, kr)
 
 
@@ -121,16 +132,16 @@ def test_average_clustering_parity(case, sample):
 def test_local_clustering_parity(case):
     g = _build(case)
     for node in list(g.nodes())[:12]:
-        py = local_clustering(g, node, backend="python")
-        kr = local_clustering(g, node, backend="csr")
+        py = local_clustering_reference(g, node)
+        kr = local_clustering(g, node)
         assert py == kr, node
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_assortativity_parity(case):
     g = _build(case)
-    py = degree_assortativity(g, backend="python")
-    kr = degree_assortativity(g, backend="csr")
+    py = degree_assortativity_reference(g)
+    kr = degree_assortativity(g)
     assert _identical(py, kr), (py, kr)
 
 
@@ -141,8 +152,8 @@ def test_assortativity_parity(case):
 @pytest.mark.parametrize("delta", [0.0, 0.04])
 def test_louvain_parity(case, delta):
     g = _build(case)
-    py = louvain(g, delta=delta, seed=3, backend="python")
-    kr = louvain(g, delta=delta, seed=3, backend="csr")
+    py = louvain_reference(g, delta=delta, seed=3)
+    kr = louvain(g, delta=delta, seed=3)
     assert py.partition == kr.partition
     assert py.modularity == kr.modularity
     assert py.levels == kr.levels
@@ -150,17 +161,33 @@ def test_louvain_parity(case, delta):
 
 @pytest.mark.parametrize("case", CASES)
 def test_louvain_seeded_parity(case):
-    """Incremental mode: both backends must honour a seed partition identically."""
+    """Incremental mode: kernel and reference honour a seed partition identically."""
     g = _build(case)
-    seed_partition = louvain(g, delta=0.04, seed=11, backend="python").partition
-    py = louvain(g, delta=0.04, seed_partition=seed_partition, seed=4, backend="python")
-    kr = louvain(g, delta=0.04, seed_partition=seed_partition, seed=4, backend="csr")
+    seed_partition = louvain_reference(g, delta=0.04, seed=11).partition
+    py = louvain_reference(g, delta=0.04, seed_partition=seed_partition, seed=4)
+    kr = louvain(g, delta=0.04, seed_partition=seed_partition, seed=4)
     assert py.partition == kr.partition
     assert py.modularity == kr.modularity
     assert py.levels == kr.levels
 
 
 # -- community matcher -----------------------------------------------------
+
+
+def _match_reference(raw, prev_sets):
+    """``match_communities_csr``'s signature over the reference matcher."""
+    prev_states = {
+        lin: CommunityState(
+            lineage=lin,
+            time=0.0,
+            members=members,
+            internal_edges=0,
+            degree_sum=0,
+            similarity=float("nan"),
+        )
+        for lin, members in prev_sets.items()
+    }
+    return _match_python(raw, prev_states)
 
 
 def _random_membership(rng, labels, pool, max_size):
@@ -180,18 +207,7 @@ def test_matcher_parity(seed):
     pool = np.arange(120)
     raw = _random_membership(rng, [3, 7, 8, 15], pool, 30)
     prev_sets = _random_membership(rng, [0, 1, 2, 5], pool, 30)
-    prev_states = {
-        lin: CommunityState(
-            lineage=lin,
-            time=0.0,
-            members=members,
-            internal_edges=0,
-            degree_sum=0,
-            similarity=float("nan"),
-        )
-        for lin, members in prev_sets.items()
-    }
-    py_parent, py_overlaps = _match_python(raw, prev_states)
+    py_parent, py_overlaps = _match_reference(raw, prev_sets)
     kr_parent, kr_overlaps = match_communities_csr(raw, prev_sets)
     assert list(kr_parent) == list(py_parent)
     for label in raw:
@@ -213,10 +229,13 @@ def test_matcher_empty_sides():
 # -- end-to-end tracking ---------------------------------------------------
 
 
-def test_tracking_parity():
+def test_tracking_parity(monkeypatch):
+    """The tracker on the kernels equals the tracker on the references."""
     stream = generate_trace(presets.tiny(), seed=11)
-    py = track_stream(stream, interval=4.0, min_nodes=32, seed=5, backend="python")
-    kr = track_stream(stream, interval=4.0, min_nodes=32, seed=5, backend="csr")
+    kr = track_stream(stream, interval=4.0, min_nodes=32, seed=5)
+    monkeypatch.setattr(tracking, "louvain", louvain_reference)
+    monkeypatch.setattr(tracking, "match_communities_csr", _match_reference)
+    py = track_stream(stream, interval=4.0, min_nodes=32, seed=5)
     assert len(py.snapshots) == len(kr.snapshots) > 0
     for a, b in zip(py.snapshots, kr.snapshots, strict=True):
         assert a.time == b.time

@@ -16,7 +16,7 @@ from repro.graph.stream_io import write_event_stream
 from repro.obs import NULL_RECORDER, TraceRecorder, get_recorder, span_tree, use_recorder
 from repro.runtime import MetricSpec, compute_timeseries
 
-SPEC = MetricSpec(path_sample=30, clustering_sample=50, seed=0, backend="csr")
+SPEC = MetricSpec(path_sample=30, clustering_sample=50, seed=0)
 
 
 def traced_run(stream, workers=1, cache_dir=None, store=None):
