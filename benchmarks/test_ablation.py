@@ -16,8 +16,8 @@ import pytest
 
 from repro.community.louvain import louvain
 from repro.community.tracking import jaccard
+from repro.gen import generate_trace
 from repro.gen.config import presets
-from repro.gen.renren import generate_trace
 from repro.graph.dynamic import DynamicGraph
 from repro.pa.alpha import alpha_series
 from repro.pa.edge_probability import DestinationRule

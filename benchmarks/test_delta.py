@@ -33,8 +33,8 @@ import time
 
 import numpy as np
 
+from repro.gen import generate_trace
 from repro.gen.config import presets
-from repro.gen.renren import generate_trace
 from repro.graph.dynamic import DynamicGraph
 from repro.kernels.assortativity import degree_assortativity_csr
 from repro.kernels.clustering import average_clustering_csr

@@ -27,8 +27,8 @@ import math
 import time
 
 from repro.community.louvain import louvain, louvain_reference
+from repro.gen import generate_trace
 from repro.gen.config import presets
-from repro.gen.renren import generate_trace
 from repro.graph.components import connected_components, connected_components_reference
 from repro.graph.dynamic import DynamicGraph
 from repro.kernels.csr import CSRGraph

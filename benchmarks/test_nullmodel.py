@@ -7,8 +7,8 @@ same graph.
 """
 
 from repro.community.louvain import louvain
+from repro.gen import generate_trace
 from repro.gen.config import presets
-from repro.gen.renren import generate_trace
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.nullmodel import degree_preserving_rewire
 from repro.metrics.clustering import average_clustering

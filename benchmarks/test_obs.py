@@ -36,8 +36,8 @@ import time
 from contextlib import AbstractContextManager
 from typing import Any
 
+from repro.gen import generate_trace
 from repro.gen.config import presets
-from repro.gen.renren import generate_trace
 from repro.obs import NULL_RECORDER, Recorder, TraceRecorder, use_recorder, write_trace
 from repro.runtime import MetricSpec, compute_timeseries
 

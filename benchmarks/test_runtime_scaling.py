@@ -17,8 +17,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.gen import generate_trace
 from repro.gen.config import presets
-from repro.gen.renren import generate_trace
 from repro.runtime import MetricSpec, compute_timeseries, evaluate_timeseries
 
 SPEC = MetricSpec(path_sample=96, clustering_sample=600, seed=7)

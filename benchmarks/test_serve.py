@@ -41,8 +41,8 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.gen import generate_trace
 from repro.gen.config import presets
-from repro.gen.renren import generate_trace
 from repro.serve.loadgen import LoadConfig, run_loadgen
 from repro.serve.protocol import http_request, parse_response_head
 from repro.store import write_store

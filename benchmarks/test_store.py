@@ -29,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.gen import generate_trace
 from repro.gen.config import presets
-from repro.gen.renren import generate_trace
 from repro.graph.stream_io import read_event_stream, write_event_stream
 from repro.store import EventStore, write_store
 

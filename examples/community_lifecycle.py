@@ -19,8 +19,8 @@ import numpy as np
 from repro.community.merge_split import size_ratio_cdfs, strongest_tie_rate
 from repro.community.stats import community_lifetimes
 from repro.community.tracking import track_stream
+from repro.gen import generate_trace
 from repro.gen.config import presets
-from repro.gen.renren import generate_trace
 from repro.ml.prediction import predict_merges
 
 

@@ -17,13 +17,13 @@ import argparse
 
 import numpy as np
 
+from repro.gen import generate_trace
 from repro.gen.baselines import (
     barabasi_albert_stream,
     forest_fire_stream,
     uniform_attachment_stream,
 )
 from repro.gen.config import presets
-from repro.gen.renren import generate_trace
 from repro.graph.dynamic import DynamicGraph
 from repro.metrics.assortativity import degree_assortativity
 from repro.metrics.clustering import average_clustering

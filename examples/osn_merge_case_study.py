@@ -14,8 +14,8 @@ import argparse
 
 import numpy as np
 
+from repro.gen import generate_trace
 from repro.gen.config import presets
-from repro.gen.renren import generate_trace
 from repro.graph.events import ORIGIN_5Q, ORIGIN_XIAONEI
 from repro.osnmerge.activity import (
     active_users_over_time,

@@ -14,8 +14,8 @@ import argparse
 
 import numpy as np
 
+from repro.gen import generate_trace
 from repro.gen.config import presets
-from repro.gen.renren import generate_trace
 from repro.pa.alpha import alpha_series
 from repro.pa.edge_probability import DestinationRule, EdgeProbabilityTracker
 

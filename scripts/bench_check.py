@@ -43,7 +43,6 @@ TRACKED: dict[str, tuple[str, str, str, float]] = {
     # request; the ns slack absorbs scheduler noise on shared runners.
     "obs-observe": ("BENCH_obs.json", "observe_ns_per_call", "lower", 1500.0),
     "delta": ("BENCH_delta.json", "aggregate.speedup", "higher", 0.0),
-    "scale": ("BENCH_scale.json", "speedup", "higher", 0.0),
     # warm_speedup saturates at the harness's SPEEDUP_CAP on any healthy
     # run, so this gate fires only when serve's caching actually breaks.
     "serve": ("BENCH_serve.json", "aggregate.warm_speedup", "higher", 0.0),

@@ -27,7 +27,7 @@ Quickstart::
 """
 
 from repro.analysis import AnalysisContext, list_experiments, run_experiment
-from repro.gen import GeneratorConfig, MergeConfig, RenrenGenerator, generate_trace, presets
+from repro.gen import FastGenerator, GeneratorConfig, MergeConfig, generate_trace, presets
 from repro.graph import DynamicGraph, EdgeArrival, EventStream, GraphSnapshot, NodeArrival
 from repro.runtime import MetricSpec, compute_timeseries
 from repro.store import EventStore, StoreWriter
@@ -42,7 +42,7 @@ __all__ = [
     "run_experiment",
     "GeneratorConfig",
     "MergeConfig",
-    "RenrenGenerator",
+    "FastGenerator",
     "generate_trace",
     "presets",
     "DynamicGraph",

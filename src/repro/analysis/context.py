@@ -11,7 +11,7 @@ from pathlib import Path
 
 from repro.community.tracking import CommunityTracker, track_stream
 from repro.gen.config import GeneratorConfig
-from repro.gen.renren import generate_trace
+from repro.gen.fast import generate_trace
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import EventStream
 from repro.graph.snapshot import GraphSnapshot
@@ -26,6 +26,11 @@ __all__ = ["AnalysisContext"]
 
 class AnalysisContext:
     """Config + seed plus caches for everything the figures share.
+
+    The stream comes from :func:`repro.gen.generate_trace` — the same
+    vectorized engine that ``repro generate`` and the store path use — so a
+    figure and a served query over the same ``(config, seed)`` see the same
+    events.
 
     ``tracking_interval`` controls the community-snapshot cadence (the
     paper uses 3 days; compressed traces can afford the same).

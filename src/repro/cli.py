@@ -65,11 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("auto", "tsv", "store"), default="auto",
         help="output format; 'auto' writes a store when --out ends in .store",
     )
-    gen.add_argument(
-        "--engine", choices=("legacy", "fast"), default="legacy",
-        help="generation engine: 'legacy' (per-event reference) or 'fast' "
-        "(vectorized streaming; required at the 'huge' preset)",
-    )
 
     info = sub.add_parser("info", help="validate a trace and print summary statistics")
     info.add_argument("trace", help="trace path (TSV or store)")
@@ -336,7 +331,7 @@ def _load_events(path: str):
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    from repro.gen.dispatch import generate, generate_store
+    from repro.gen.fast import generate_store, generate_trace
     from repro.graph.stream_io import write_event_stream
 
     config = _resolve_config(args)
@@ -344,21 +339,21 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if fmt == "auto":
         fmt = "store" if str(args.out).endswith(".store") else "tsv"
     if fmt == "store":
-        # Stream straight into the store — with the fast engine the trace
-        # is never materialized, so 'huge' fits in a bounded memory budget.
-        manifest = generate_store(config, args.out, seed=args.seed, engine=args.engine)
+        # Stream straight into the store — the trace is never materialized,
+        # so 'huge' fits in a bounded memory budget.
+        manifest = generate_store(config, args.out, seed=args.seed)
         n_nodes = sum(c.count for c in manifest.node_chunks)
         n_edges = sum(c.count for c in manifest.edge_chunks)
         end = max(
             (c.t_max for c in (*manifest.node_chunks, *manifest.edge_chunks)), default=0.0
         )
         print(f"wrote {n_nodes} nodes / {n_edges} edges "
-              f"over {end:.1f} days to {args.out} (store, {args.engine})")
+              f"over {end:.1f} days to {args.out} (store)")
     else:
-        stream = generate(config, seed=args.seed, engine=args.engine)
+        stream = generate_trace(config, seed=args.seed)
         write_event_stream(stream, args.out)
         print(f"wrote {stream.num_nodes} nodes / {stream.num_edges} edges "
-              f"over {stream.end_time:.1f} days to {args.out} (tsv, {args.engine})")
+              f"over {stream.end_time:.1f} days to {args.out} (tsv)")
     return 0
 
 

@@ -45,18 +45,13 @@ DELTA_PARITY_COVERED: dict[str, str] = {
     "repro.runtime.parallel.evaluate_timeseries": "test_timeseries_delta_bit_identical",
 }
 
-# Generation-engine dispatchers (``engine="legacy"|"fast"``).  The two
-# engines draw random numbers in different orders, so the contract is
-# *distribution* equivalence (degree tail, clustering, burstiness) plus
-# per-engine byte determinism — not bit parity.  RPL005 flags any new
-# string-dispatch ``engine=`` function missing from this table, and
+# Generation-engine dispatchers (a string ``engine=`` parameter): none, one
+# engine produces every trace.  A reintroduced switch must register its
+# distribution-equivalence test here (RPL005 flags it otherwise), and
 # ``tests/test_devtools_lint.py`` checks each referenced test exists.
 ENGINE_EQUIVALENCE_TEST_FILE = "tests/test_gen_fast.py"
 
-ENGINE_EQUIVALENCE_COVERED: dict[str, str] = {
-    "repro.gen.dispatch.generate": "test_engines_distribution_equivalent",
-    "repro.gen.dispatch.generate_store": "test_store_digest_matches_stream_digest",
-}
+ENGINE_EQUIVALENCE_COVERED: dict[str, str] = {}
 
 # Dispatcher qualname -> why it needs no parity test of its own.
 PARITY_EXEMPT: dict[str, str] = {}

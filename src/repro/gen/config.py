@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["SeasonalDip", "MergeConfig", "GeneratorConfig", "presets"]
+__all__ = [
+    "GeneratorConfig", "MergeConfig", "SeasonalDip", "pa_weight", "presets",
+    "secondary_config", "spotlight_weight",
+]
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ class MergeConfig:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Full parameter set for :class:`~repro.gen.renren.RenrenGenerator`.
+    """Full parameter set for :class:`~repro.gen.fast.FastGenerator`.
 
     Arrival process
         ``target_nodes`` users arrive over ``days`` days following
@@ -86,7 +89,7 @@ class GeneratorConfig:
         A scheduled initiator picks its destination by triadic closure with
         probability ``triadic_probability``; otherwise globally, by
         preferential attachment with probability ``pa_weight(E)`` (decaying
-        from ``pa_start`` toward ``pa_end`` on the scale of
+        from ``pa_start`` toward ``pa_end`` with a half-life of
         ``pa_halflife_edges`` edges) or uniformly at random.  Destinations
         are drawn from the initiator's home community with probability
         ``local_probability``.
@@ -148,7 +151,7 @@ class GeneratorConfig:
     community_new_prob: float = 0.06
     # Sublinear size-attraction exponent of the community-joining process;
     # 1.0 is a pure Chinese-restaurant process (one giant community), lower
-    # values flatten the size head (see repro.gen.communities).
+    # values flatten the size head (see FastGenerator's community process).
     community_size_exponent: float = 0.85
     friend_cap: int = 500
 
@@ -170,6 +173,58 @@ class GeneratorConfig:
     def with_merge(self, merge: MergeConfig) -> "GeneratorConfig":
         """A copy of this config with ``merge`` attached."""
         return replace(self, merge=merge)
+
+
+def pa_weight(num_edges: int, config: GeneratorConfig) -> float:
+    """Probability that a (non-triadic) destination is chosen by PA.
+
+    Decays from ``pa_start`` toward ``pa_end`` with the number of edges in
+    the network, halving the remaining excess every ``pa_halflife_edges``:
+
+    ``w(E) = pa_end + (pa_start - pa_end) * 2 ** (-E / halflife)``
+
+    A true half-life, not a hyperbola: PA must die out over the growth the
+    α(t) measurement sees.  A ``1 / (1 + E / halflife)`` tail keeps a PA
+    share of ``halflife / E`` forever, which holds α nearly flat.
+    """
+    span = config.pa_start - config.pa_end
+    return config.pa_end + span * 0.5 ** (num_edges / config.pa_halflife_edges)
+
+
+def spotlight_weight(num_edges: int, config: GeneratorConfig) -> float:
+    """Probability that a PA draw is amplified to best-of-k (supernode visibility).
+
+    Halves every ``pa_halflife_edges`` like :func:`pa_weight`, so early
+    attachment is super-linear (alpha > 1) and mature attachment is at most
+    linear.
+    """
+    return config.spotlight_start * 0.5 ** (num_edges / config.pa_halflife_edges)
+
+
+def secondary_config(config: GeneratorConfig) -> GeneratorConfig:
+    """The derived config the pre-merge secondary ("5Q") network grows under."""
+    merge = config.merge
+    assert merge is not None
+    sec_days = merge.merge_day - merge.secondary_start_day
+    return GeneratorConfig(
+        days=sec_days,
+        target_nodes=merge.secondary_target_nodes,
+        growth_rate=config.growth_rate,
+        seed_nodes=min(config.seed_nodes, merge.secondary_target_nodes),
+        mean_budget=max(1.0, merge.secondary_mean_degree / 2.0),
+        budget_shape=config.budget_shape,
+        burst_mean=config.burst_mean,
+        gap_exponent=config.gap_exponent,
+        gap_min_days=config.gap_min_days,
+        triadic_probability=config.triadic_probability,
+        local_probability=config.local_probability,
+        pa_start=config.pa_start,
+        pa_end=config.pa_end,
+        pa_halflife_edges=max(1, config.pa_halflife_edges // 4),
+        community_new_prob=config.community_new_prob * 3,
+        community_size_exponent=config.community_size_exponent,
+        friend_cap=config.friend_cap,
+    )
 
 
 def expected_premerge_nodes(
@@ -257,6 +312,9 @@ class presets:
             growth_rate=growth_rate,
             seasonal_dips=dips,
             merge=merge,
+            # ~1/5 of the trace's edges (~8 per user), like tiny's 1200: PA dies out over
+            # the growth that Figure 3(c)'s α(t) checkpoints cover.
+            pa_halflife_edges=3 * target_nodes // 2,
         )
 
     @staticmethod
@@ -266,24 +324,22 @@ class presets:
         Same merge/dip proportions as :meth:`small`; the growth rate keeps
         the pre-merge population share comparable at the larger node count.
         """
-        cfg = presets.small(days=days, target_nodes=target_nodes, growth_rate=0.026)
-        return replace(cfg, pa_halflife_edges=8000)
+        return presets.small(days=days, target_nodes=target_nodes, growth_rate=0.026)
 
     @staticmethod
     def paper_scale_small(days: float = 240.0, target_nodes: int = 20000) -> GeneratorConfig:
         """Bench scale (~20K nodes); same proportions as :meth:`small`."""
-        cfg = presets.small(days=days, target_nodes=target_nodes, growth_rate=0.022)
-        return replace(cfg, pa_halflife_edges=12000)
+        return presets.small(days=days, target_nodes=target_nodes, growth_rate=0.022)
 
     @staticmethod
     def huge(days: float = 365.0, target_nodes: int = 1_050_000) -> GeneratorConfig:
-        """Million-node scale (~1M nodes, >10M edges) for the fast engine.
+        """Million-node scale (~1M nodes, >10M edges).
 
         No merge — the point is raw single-network scale for the streaming
-        engine and the columnar store; the seasonal dips keep the arrival
-        process realistic.  Intended for ``repro generate --engine fast``;
-        the legacy generator needs hours here, the vectorized engine
-        minutes (see ``benchmarks/test_scale.py``).
+        generator and the columnar store; the seasonal dips keep the arrival
+        process realistic.  Intended for ``repro generate --out t.store``,
+        which streams the trace to disk in minutes without materializing
+        it (see ``benchmarks/test_scale.py``).
         """
         dips = (
             SeasonalDip(start_day=days * 0.12, length_days=days * 0.03),

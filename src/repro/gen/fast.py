@@ -1,23 +1,26 @@
-"""Vectorized generation engine: whole-day batches straight into the store.
+"""The trace generator: whole-day batches, streamed to memory or a store.
 
-:class:`FastGenerator` is the array-at-a-time counterpart of
-:class:`~repro.gen.renren.RenrenGenerator`.  It simulates the same model —
-Poisson arrivals under an exponential envelope, Pareto activity budgets
-with arrival-day bursts and power-law gaps, the triadic/PA/uniform
-attachment mixture with community locality, loner invite clusters, and the
-one-day network merge — but samples *windows of days at a time* with numpy
-and never constructs per-event Python objects: event batches stream
-directly into a :class:`~repro.store.writer.StoreWriter` through
-``append_arrays``.
+:class:`FastGenerator` simulates a Renren-like dynamic social network and
+emits its timestamped node and edge arrivals.  The model:
 
-Semantics versus the legacy engine
-    The two engines are **distribution-equivalent, not bit-identical**:
-    they consume randomness in different orders, and the fast engine
-    commits edges in chunks (destination pools refresh every chunk of at
-    most a few thousand events rather than after every single edge).
-    ``tests/test_gen_fast.py`` gates the equivalence on degree-tail
-    exponent, clustering, inter-arrival burstiness, and post-merge edge
-    ratios at shared presets.
+* Poisson node arrivals under an exponential envelope with seasonal dips
+  (:mod:`repro.gen.arrivals`);
+* Pareto-tailed edge budgets, an arrival-day burst, background activity
+  and power-law gaps whose clock slows as the user ages, so activity is
+  front-loaded (:func:`schedule_initiations`);
+* a destination mixture of triadic closure, preferential attachment that
+  decays with the edge count (:func:`~repro.gen.config.pa_weight`), and
+  uniform attachment, drawn from the initiator's home community with
+  decaying locality;
+* home communities from a dampened Chinese-restaurant process
+  (:class:`HomeCommunities`) and loner invite clusters;
+* an optional one-day merge with a second, independently grown network.
+
+The engine samples *windows of days at a time* with numpy and never
+constructs per-event Python objects: event batches stream straight into a
+:class:`~repro.store.writer.StoreWriter` through ``append_arrays``.
+Initiations are resolved in chunks; destination pools refresh once per
+chunk of at most a few thousand events rather than after every edge.
 
 Determinism contract
     Same ``(config, seed)`` → byte-identical event arrays, and therefore a
@@ -36,10 +39,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.gen.arrivals import arrival_counts
-from repro.gen.attachment import pa_weight, spotlight_weight
-from repro.gen.config import GeneratorConfig
+from repro.gen.config import GeneratorConfig, pa_weight, secondary_config, spotlight_weight
 from repro.gen.pools import BucketPools, GrowingArray, HashKeySet, pack_edge_keys
-from repro.gen.renren import secondary_config
 from repro.gen.seasonal import seasonal_factor
 from repro.graph.events import (
     ORIGIN_5Q,
@@ -57,13 +58,16 @@ if TYPE_CHECKING:
     from repro.store.format import Manifest
     from repro.store.writer import StoreWriter
 
-__all__ = ["FastGenerator", "generate_trace_fast", "generate_store_fast"]
+__all__ = [
+    "FastGenerator", "HomeCommunities", "draw_budgets", "generate_store", "generate_trace",
+    "power_law_gaps", "schedule_initiations",
+]
 
 # Engine-internal origin codes (mapped to store codes lazily at the sink).
 _XIAONEI, _5Q, _NEW = 0, 1, 2
 _ORIGIN_LABELS = (ORIGIN_XIAONEI, ORIGIN_5Q, ORIGIN_NEW)
 
-_MAX_ATTEMPTS = 16  # proposal rounds per initiation (mirrors AttachmentState)
+_MAX_ATTEMPTS = 16  # proposal rounds per initiation before the slot is dropped
 # Unresolved initiations carried between chunks: (times, nodes, w_local, attempts).
 _Carry = tuple[FloatArray, IntArray, FloatArray, IntArray]
 # Initiations are committed in chunks: small chunks early (the PA weight
@@ -75,6 +79,189 @@ _CHUNK_MAX = 16384
 # initiations, so per-window fixed numpy overhead amortizes at any scale.
 _WINDOW_TARGET_MIN = 16384
 _WINDOW_COUNT_HINT = 256
+# Rejection rounds of the dampened CRP before a proposal is taken as is.
+_CRP_REJECTIONS = 16
+
+
+def draw_budgets(config: GeneratorConfig, count: int, rng: np.random.Generator) -> IntArray:
+    """Draw ``count`` lifetime edge-initiation budgets.
+
+    Pareto-tailed (shape ``budget_shape``) with mean ≈ ``mean_budget``,
+    clipped to ``[1, budget_cap]``.  Heavy-tailed budgets create the
+    "supernodes" whose visibility drives early preferential attachment.
+    """
+    shape = config.budget_shape
+    if shape <= 1:
+        raise ValueError("budget_shape must exceed 1 for a finite mean")
+    scale = config.mean_budget * (shape - 1) / shape
+    drawn = np.round(scale * (1.0 + rng.pareto(shape, count)))
+    return np.clip(drawn, 1, config.budget_cap).astype(np.int64)
+
+
+def power_law_gaps(
+    count: int,
+    exponent: float,
+    min_gap: float,
+    rng: np.random.Generator,
+    max_gap: float = 365.0,
+) -> FloatArray:
+    """Draw ``count`` inter-arrival gaps with PDF ∝ gap^-``exponent``.
+
+    Inverse-transform sampling of a Pareto with density exponent
+    ``exponent`` (> 1) and minimum ``min_gap``; gaps are capped at
+    ``max_gap`` so a single draw cannot stall a node past any realistic
+    trace length.
+    """
+    if exponent <= 1:
+        raise ValueError("exponent must exceed 1")
+    u = rng.random(count)
+    return np.minimum(min_gap * u ** (-1.0 / (exponent - 1.0)), max_gap)
+
+
+# The post-burst gap clock slows with age: elapsed activity time ``s`` lands
+# at trace time ``s + s**2 / (2 * tau)``, so the initiation rate falls as
+# ``1 / sqrt(1 + 2 * age / tau)``.  ``tau`` is this share of the trace
+# length, so compressed presets keep the same lifetime shape.
+_ACTIVITY_DECAY_SHARE = 0.05
+
+
+def _age_clock(elapsed: FloatArray, config: GeneratorConfig) -> FloatArray:
+    """Map post-burst activity time to time since the day after arrival."""
+    tau = _ACTIVITY_DECAY_SHARE * config.days
+    return elapsed + elapsed * elapsed / (2.0 * tau)
+
+
+def schedule_initiations(
+    arrival_times: FloatArray,
+    budgets: IntArray,
+    config: GeneratorConfig,
+    rng: np.random.Generator,
+) -> tuple[FloatArray, IntArray]:
+    """The times at which a batch of users will initiate edges.
+
+    Returns ``(times, owners)``: one entry per initiation, ``owners``
+    indexing ``arrival_times``.  Each user spends ``1 + Poisson(burst_mean)``
+    initiations (capped at its budget) on its arrival day.  Of the rest,
+    ``long_term_fraction`` is spread uniformly over the user's remaining
+    trace lifetime (background sociality between mature users, Fig 2c) and
+    the remainder follows cumulative power-law gaps from the day after
+    arrival.  The gap clock slows as the user ages (:func:`_age_clock`), so
+    the post-burst rate declines instead of running at a constant rate
+    until the budget is spent (the front-loaded lifetime of Fig 2b), so a
+    high-budget user does not stay a top initiator for the whole trace.
+    Times past the trace end are kept; the simulator drops them, so
+    truncation cannot bias early activity.
+    """
+    count = len(arrival_times)
+    burst = np.minimum(budgets, rng.poisson(config.burst_mean, count) + 1)
+    remaining = budgets - burst
+    span = np.maximum(1.0, config.days - arrival_times)
+    background = np.where(
+        remaining > 0, np.round(remaining * config.long_term_fraction).astype(np.int64), 0
+    )
+    gap_count = np.maximum(remaining - background, 0)
+
+    burst_times = np.repeat(arrival_times, burst) + rng.random(int(burst.sum()))
+    bg_total = int(background.sum())
+    bg_times = np.repeat(arrival_times, background) + np.repeat(
+        span, background
+    ) * rng.random(bg_total)
+    gaps = power_law_gaps(
+        int(gap_count.sum()), config.gap_exponent, config.gap_min_days, rng
+    )
+    elapsed = _segmented_cumsum(gaps, gap_count)
+    gap_times = np.repeat(arrival_times + 1.0, gap_count) + _age_clock(elapsed, config)
+
+    times = np.concatenate((burst_times, bg_times, gap_times))
+    owners = np.arange(count, dtype=np.int64)
+    return times, np.concatenate(
+        (np.repeat(owners, burst), np.repeat(owners, background), np.repeat(owners, gap_count))
+    )
+class HomeCommunities:
+    """Batched dampened Chinese-restaurant process over home communities.
+
+    An arriving user founds a new community with probability ``new_prob``
+    and otherwise joins an existing one with probability ∝
+    ``size ** size_exponent``: sublinear, so a power-law size head leaves
+    room for many mid-size communities (paper Fig 4c).  Joiners propose by
+    a uniform draw from the flat membership list (size-proportional) and
+    accept with probability ``size ** (size_exponent - 1)``.  A batch sees
+    the membership as of its start, except the very first one.
+    """
+
+    def __init__(
+        self, new_prob: float, size_exponent: float, rng: np.random.Generator
+    ) -> None:
+        if not 0 < new_prob <= 1:
+            raise ValueError(f"new_prob must be in (0, 1], got {new_prob}")
+        if not 0 < size_exponent <= 1:
+            raise ValueError(f"size_exponent must be in (0, 1], got {size_exponent}")
+        self.new_prob = new_prob
+        self.size_exponent = size_exponent
+        self._rng = rng
+        #: Members per community id.
+        self.sizes = np.zeros(64, dtype=np.int64)
+        #: Community ids handed out so far (founded or reserved).
+        self.num_communities = 0
+        # One entry per member, holding its community: a uniform draw is a
+        # size-proportional community choice.
+        self._draws = GrowingArray(np.int64)
+
+    def reserve(self, count: int) -> int:
+        """Hand out ``count`` ids that newcomers never join; returns the first."""
+        first = self.num_communities
+        self._grow(first + count)
+        self.num_communities += count
+        return first
+
+    def assign(self, count: int) -> IntArray:
+        """Assign ``count`` newcomers to communities; returns their ids."""
+        rng = self._rng
+        exponent = self.size_exponent - 1.0
+        out = np.empty(count, dtype=np.int64)
+        if len(self._draws) == 0:
+            # The first batch runs sequentially so its members can join
+            # communities founded earlier in the batch.
+            flat: list[int] = []
+            for i in range(count):
+                if not flat or rng.random() < self.new_prob:
+                    comm = self.reserve(1)
+                else:
+                    comm = flat[int(rng.integers(len(flat)))]
+                    for _ in range(_CRP_REJECTIONS):
+                        if rng.random() < self.sizes[comm] ** exponent:
+                            break
+                        comm = flat[int(rng.integers(len(flat)))]
+                self.sizes[comm] += 1
+                flat.append(comm)
+                out[i] = comm
+            self._draws.extend(out)
+            return out
+        new_mask = rng.random(count) < self.new_prob
+        join_idx = np.flatnonzero(~new_mask)
+        if len(join_idx):
+            # All proposals at once: each joiner takes its first accepted
+            # proposal, or its last one when every test rejects.
+            joiners = len(join_idx)
+            cand = self._draws.sample(rng.random((joiners, _CRP_REJECTIONS + 1)))
+            accept = (
+                rng.random((joiners, _CRP_REJECTIONS))
+                < self.sizes[cand[:, :-1]].astype(np.float64) ** exponent
+            )
+            pick = np.where(accept.any(axis=1), accept.argmax(axis=1), _CRP_REJECTIONS)
+            out[join_idx] = cand[np.arange(joiners), pick]
+        n_new = count - len(join_idx)
+        if n_new:
+            out[new_mask] = self.reserve(n_new) + np.arange(n_new, dtype=np.int64)
+        np.add.at(self.sizes, out, 1)
+        self._draws.extend(out)
+        return out
+
+    def _grow(self, count: int) -> None:
+        if count > len(self.sizes):
+            grown = np.zeros(max(count, 2 * len(self.sizes)), dtype=np.int64)
+            grown[: len(self.sizes)] = self.sizes
+            self.sizes = grown
 
 
 class _WindowBuffer:
@@ -184,7 +371,7 @@ class _StoreSink:
 class _FastUniverse:
     """Array-backed state of one evolving network (primary or secondary)."""
 
-    def __init__(self, config: GeneratorConfig, emit: bool) -> None:
+    def __init__(self, config: GeneratorConfig, emit: bool, rng: np.random.Generator) -> None:
         self.config = config
         self.emit = emit
         # Power-law degrees: most nodes stay near the median, so a small
@@ -194,9 +381,9 @@ class _FastUniverse:
         self.endpoint_draws = GrowingArray(np.int64)
         self.comm_nodes = BucketPools(default_cap=8)
         self.comm_endpoints = BucketPools(default_cap=8)
-        self.comm_size = np.zeros(64, dtype=np.int64)
-        self.membership_draws = GrowingArray(np.int64)
-        self.next_comm = 0
+        self.crp = HomeCommunities(
+            config.community_new_prob, config.community_size_exponent, rng
+        )
         self.clusters = BucketPools(default_cap=4)
         self.next_cluster = 0
         self._open_cluster = -1
@@ -211,8 +398,8 @@ class _FastUniverse:
         self.schedule: dict[int, list[tuple[FloatArray, IntArray]]] = defaultdict(list)
         # Arrivals are *assigned* (community, budget, schedule) as soon as a
         # window opens, but enter the sampling pools lazily, in time order —
-        # otherwise a whole window of future nodes would dilute PA targeting
-        # that legacy applies day by day.
+        # otherwise a whole window of future nodes would dilute the early,
+        # fast-decaying PA targeting.
         self._pend_reg: tuple[FloatArray, IntArray, IntArray] | None = None
         self._pend_lon: tuple[FloatArray, IntArray, IntArray] | None = None
         # Non-emitting universes record their edges for the merge import.
@@ -220,10 +407,6 @@ class _FastUniverse:
         self.edges_v = None if emit else GrowingArray(np.int64)
 
     def ensure_comms(self, count: int) -> None:
-        if count > len(self.comm_size):
-            grown = np.zeros(max(count, 2 * len(self.comm_size)), dtype=np.int64)
-            grown[: len(self.comm_size)] = self.comm_size
-            self.comm_size = grown
         self.comm_nodes.ensure_buckets(count)
         self.comm_endpoints.ensure_buckets(count)
 
@@ -297,7 +480,7 @@ class _FastUniverse:
 
 
 class FastGenerator:
-    """Vectorized Renren-trace generator with streaming store output.
+    """Renren-like trace generator with in-memory or streaming store output.
 
     Usage::
 
@@ -352,13 +535,13 @@ class FastGenerator:
         cfg = self.config
         rec = get_recorder()
         n_days = int(math.ceil(cfg.days))
-        primary = _FastUniverse(cfg, emit=True)
+        primary = _FastUniverse(cfg, emit=True, rng=self.rng)
         secondary = None
         sec_arrivals = None
         sec_start = merge_day = -1
         if cfg.merge is not None:
             sec_cfg = secondary_config(cfg)
-            secondary = _FastUniverse(sec_cfg, emit=False)
+            secondary = _FastUniverse(sec_cfg, emit=False, rng=self.rng)
             sec_start = int(cfg.merge.secondary_start_day)
             merge_day = int(cfg.merge.merge_day)
 
@@ -476,7 +659,14 @@ class FastGenerator:
         self.loner[ids] = loner_mask
         regular = ids[~loner_mask]
         if len(regular):
-            communities = self._assign_communities(uni, len(regular))
+            # One CRP batch per arrival day: a community founded today can
+            # attract tomorrow's newcomers, however long the window is.
+            days = times[~loner_mask].astype(np.int64)
+            cuts = np.flatnonzero(np.diff(days)) + 1
+            communities = np.concatenate(
+                [uni.crp.assign(len(part)) for part in np.split(regular, cuts)]
+            )
+            uni.ensure_comms(uni.crp.num_communities)
             self.community[regular] = communities
             uni.defer_regular(times[~loner_mask], regular, communities)
             self._schedule_regular(uni, regular, times[~loner_mask], n_days)
@@ -487,62 +677,8 @@ class FastGenerator:
             uni.defer_loner(times[loner_mask], loners, clusters)
             self._schedule_loners(uni, loners, times[loner_mask], n_days)
 
-    def _assign_communities(self, uni: _FastUniverse, count: int) -> IntArray:
-        """Batched dampened CRP over the universe's pre-batch membership."""
-        rng = self.rng
-        cfg = uni.config
-        exponent = cfg.community_size_exponent - 1.0
-        out = np.empty(count, dtype=np.int64)
-        if len(uni.membership_draws) == 0:
-            # Bootstrap the very first batch sequentially: the CRP needs
-            # members to join, and the seed batch creates them.
-            sizes: list[int] = []
-            flat: list[int] = []
-            for i in range(count):
-                if not sizes or rng.random() < cfg.community_new_prob:
-                    comm = len(sizes)
-                    sizes.append(0)
-                else:
-                    comm = flat[int(rng.integers(len(flat)))]
-                    for _ in range(16):
-                        if rng.random() < sizes[comm] ** exponent:
-                            break
-                        comm = flat[int(rng.integers(len(flat)))]
-                sizes[comm] += 1
-                flat.append(comm)
-                out[i] = comm
-            uni.next_comm = len(sizes)
-            uni.ensure_comms(uni.next_comm)
-            uni.comm_size[: uni.next_comm] = sizes
-            uni.membership_draws.extend(out)
-            return out
-        new_mask = rng.random(count) < cfg.community_new_prob
-        join_idx = np.flatnonzero(~new_mask)
-        if len(join_idx):
-            cand = uni.membership_draws.sample(rng.random(len(join_idx)))
-            active = np.arange(len(join_idx))
-            for _ in range(16):
-                accept = (
-                    rng.random(len(active))
-                    < uni.comm_size[cand[active]].astype(np.float64) ** exponent
-                )
-                active = active[~accept]
-                if len(active) == 0:
-                    break
-                cand[active] = uni.membership_draws.sample(rng.random(len(active)))
-            out[join_idx] = cand
-        n_new = count - len(join_idx)
-        if n_new:
-            fresh = uni.next_comm + np.arange(n_new, dtype=np.int64)
-            out[new_mask] = fresh
-            uni.next_comm += n_new
-            uni.ensure_comms(uni.next_comm)
-        np.add.at(uni.comm_size, out, 1)
-        uni.membership_draws.extend(out)
-        return out
-
     def _assign_clusters(self, uni: _FastUniverse, count: int) -> IntArray:
-        """Fill loner invite clusters exactly like the legacy open-cluster walk."""
+        """Fill loner invite clusters in arrival order, opening a new one when full."""
         rng = self.rng
         out = np.empty(count, dtype=np.int64)
         pos = 0
@@ -551,7 +687,7 @@ class FastGenerator:
                 uni._open_cluster = uni.next_cluster
                 uni.next_cluster += 1
                 # Capped at 8 members so no invite cluster ever reaches the
-                # 10-node tracking threshold (mirrors AttachmentState).
+                # 10-node tracking threshold (they stay "non-community").
                 uni._open_cap = 2 + min(int(rng.geometric(0.3)), 6)
                 uni._open_fill = 0
             take = min(count - pos, uni._open_cap - uni._open_fill)
@@ -563,40 +699,10 @@ class FastGenerator:
     def _schedule_regular(
         self, uni: _FastUniverse, ids: IntArray, times: FloatArray, n_days: int
     ) -> None:
-        """Vectorized ``draw_budget`` + ``schedule_activity`` for a batch."""
-        cfg = uni.config
-        rng = self.rng
-        count = len(ids)
-        shape = cfg.budget_shape
-        scale = cfg.mean_budget * (shape - 1) / shape
-        budget = np.clip(
-            np.round(scale * (1.0 + rng.pareto(shape, count))), 1, cfg.budget_cap
-        ).astype(np.int64)
-        burst = np.minimum(budget, rng.poisson(cfg.burst_mean, count) + 1)
-        remaining = budget - burst
-        span = np.maximum(1.0, cfg.days - times)
-        background = np.where(
-            remaining > 0, np.round(remaining * cfg.long_term_fraction).astype(np.int64), 0
-        )
-        gap_count = np.maximum(remaining - background, 0)
-
-        burst_times = np.repeat(times, burst) + rng.random(int(burst.sum()))
-        bg_total = int(background.sum())
-        bg_times = (
-            np.repeat(times, background) + np.repeat(span, background) * rng.random(bg_total)
-        )
-        gap_total = int(gap_count.sum())
-        u = rng.random(gap_total)
-        gaps = np.minimum(
-            cfg.gap_min_days * u ** (-1.0 / (cfg.gap_exponent - 1.0)), 365.0
-        )
-        gap_times = np.repeat(times + 1.0, gap_count) + _segmented_cumsum(gaps, gap_count)
-
-        all_times = np.concatenate((burst_times, bg_times, gap_times))
-        all_nodes = np.concatenate(
-            (np.repeat(ids, burst), np.repeat(ids, background), np.repeat(ids, gap_count))
-        )
-        uni.push_schedule(all_times, all_nodes, n_days)
+        """Draw budgets and schedule the initiations of a batch of regular users."""
+        budgets = draw_budgets(uni.config, len(ids), self.rng)
+        when, owners = schedule_initiations(times, budgets, uni.config, self.rng)
+        uni.push_schedule(when, ids[owners], n_days)
 
     def _schedule_loners(
         self, uni: _FastUniverse, ids: IntArray, times: FloatArray, n_days: int
@@ -614,7 +720,13 @@ class FastGenerator:
     def _seed(
         self, uni: _FastUniverse, origin: int, at_day: float, buf: _WindowBuffer | None
     ) -> None:
-        """Seed a universe with small disjoint 4-cliques (see legacy docstring)."""
+        """Seed a universe with small disjoint 4-cliques.
+
+        The paper observes that the very early network is "a large number
+        of small groups with loose connections between them" (high early
+        clustering and modularity); disjoint 4-cliques instead of one blob
+        reproduce that starting condition.
+        """
         count = uni.config.seed_nodes
         n_days = int(math.ceil(self.config.days))
         ids = self._alloc(count, origin)
@@ -657,8 +769,8 @@ class FastGenerator:
             ids = self._alloc(n_arrivals, origin)
             day_of = np.repeat(np.arange(d0, d1, dtype=np.float64), arrivals)
             times = day_of + rng.random(n_arrivals)
-            # The loner split always follows the *primary* config, like the
-            # legacy `_run_secondary_day` (budgets still use `uni.config`).
+            # The loner split always follows the *primary* config (budgets
+            # still use `uni.config`).
             loner_mask = rng.random(n_arrivals) < self.config.loner_fraction
             self._register_arrivals(uni, ids, times, loner_mask, n_days)
             if buf is not None:
@@ -700,8 +812,8 @@ class FastGenerator:
         while pos < total:
             chunk = int(np.clip(uni.num_edges // 8, _CHUNK_MIN, _CHUNK_MAX))
             end = min(total, pos + chunk)
-            # Initiations are time-sorted, so arrivals up to the chunk's end
-            # become samplable exactly when legacy would have added them.
+            # Initiations are time-sorted: arrivals up to the chunk's end
+            # become samplable for the whole chunk.
             uni.flush_pools(float(times[end - 1]))
             carry = self._attach_batch(
                 uni, times[pos:end], nodes[pos:end], w_local[pos:end], buf, carry
@@ -734,8 +846,6 @@ class FastGenerator:
         gives every straggler its remaining attempts.
         """
         cfg = uni.config
-        rng = self.rng
-        bias = self._merged and uni.emit
         if nodes is not None and len(nodes):
             assert times is not None and w_local is not None
             fresh = self.degree[nodes] < cfg.friend_cap
@@ -768,9 +878,9 @@ class FastGenerator:
             rounds_done += 1
             # Stagger a degree-0 node's repeat initiations: its second edge
             # this round would roll triadic closure against the pre-first-edge
-            # degree, which legacy never does — it resolves initiations
-            # sequentially.  Once the first edge lands the rest may share a
-            # round.  Held-back repeats do not spend attempts.
+            # degree, which a sequential simulation never does.  Once the
+            # first edge lands the rest may share a round.  Held-back repeats
+            # do not spend attempts.
             # First-occurrence mask without a sort: reversed scatter makes
             # each node's earliest index win, and we only read back slots
             # written this round, so stale scratch entries cannot leak in.
@@ -796,23 +906,7 @@ class FastGenerator:
                 keep = ~resolved & (a < _MAX_ATTEMPTS) & (self.degree[n] < cfg.friend_cap)
                 t, n, w, a = t[keep], n[keep], w[keep], a[keep]
                 continue
-            w_pa = pa_weight(uni.num_edges, cfg)
-            w_spot = spotlight_weight(uni.num_edges, cfg)
-            cand = self._propose(uni, ns, ws, w_pa, w_spot)
-            valid = cand >= 0
-            safe = np.where(valid, cand, 0)
-            valid &= safe != ns
-            deg_n, deg_s = self.degree[ns], self.degree[safe]
-            valid &= deg_s < cfg.friend_cap
-            valid &= deg_n < cfg.friend_cap
-            keys = pack_edge_keys(ns, safe)
-            # An edge can only already exist when both endpoints have one —
-            # probing just those pairs keeps the key-set search small early.
-            probe = np.flatnonzero(valid & (deg_n > 0) & (deg_s > 0))
-            if len(probe):
-                valid[probe[uni.edge_keys.contains(keys[probe])]] = False
-            if bias:
-                valid &= rng.random(len(valid)) < self._bias_of(ns, safe)
+            cand, valid, keys = self._checked_proposals(uni, ns, ws)
             resolved = np.zeros(len(n), dtype=bool)
             hits = np.flatnonzero(valid)
             if len(hits):
@@ -820,13 +914,14 @@ class FastGenerator:
                 # losers retry next round against the refreshed edge set.
                 _, first = np.unique(keys[hits], return_index=True)
                 chosen = hits[np.sort(first)]
+                chosen = chosen[self._within_cap(ns[chosen], cand[chosen], cfg.friend_cap)]
                 self._commit_edges(
                     uni, t[idx[chosen]], ns[chosen], cand[chosen], buf
                 )
                 resolved[idx[chosen]] = True
             # Failed proposals retry (here or carried into the next chunk);
-            # leftovers after the attempt budget are dropped, like the
-            # legacy `None` destination, as are newly capped initiators.
+            # leftovers after the attempt budget are dropped, as are newly
+            # capped initiators.
             a[idx] += 1
             keep = ~resolved & (a < _MAX_ATTEMPTS) & (self.degree[n] < cfg.friend_cap)
             t, n, w, a = t[keep], n[keep], w[keep], a[keep]
@@ -847,33 +942,17 @@ class FastGenerator:
         chunk already accepts).  Each initiator takes its first valid
         proposal; duplicate (u, v) pairs across initiators keep the first
         and drop the rest — at the drain tail collisions are vanishingly
-        rare, and losers have consumed their budget like legacy initiators
-        that never found a destination.  Returns indices into ``ns`` of the
+        rare, and losers have consumed their budget like initiators that
+        never found a destination.  Returns indices into ``ns`` of the
         initiators whose edge was committed.
         """
         cfg = uni.config
-        rng = self.rng
         count = len(ns)
         m = int(budget.max())
         if m <= 0 or count == 0:
             return np.empty(0, dtype=np.int64)
-        w_pa = pa_weight(uni.num_edges, cfg)
-        w_spot = spotlight_weight(uni.num_edges, cfg)
         # Layout: proposal j*count + i is attempt j of initiator i.
-        big_ns = np.tile(ns, m)
-        cand = self._propose(uni, big_ns, np.tile(ws, m), w_pa, w_spot)
-        valid = cand >= 0
-        safe = np.where(valid, cand, 0)
-        valid &= safe != big_ns
-        deg_n, deg_s = self.degree[big_ns], self.degree[safe]
-        valid &= deg_s < cfg.friend_cap
-        valid &= deg_n < cfg.friend_cap
-        keys = pack_edge_keys(big_ns, safe)
-        probe = np.flatnonzero(valid & (deg_n > 0) & (deg_s > 0))
-        if len(probe):
-            valid[probe[uni.edge_keys.contains(keys[probe])]] = False
-        if self._merged and uni.emit:
-            valid &= rng.random(len(valid)) < self._bias_of(big_ns, safe)
+        cand, valid, keys = self._checked_proposals(uni, np.tile(ns, m), np.tile(ws, m))
         # Attempts beyond an initiator's own remaining budget do not count.
         valid &= np.arange(m * count) // count < np.tile(budget, m)
         vsel = np.flatnonzero(valid)
@@ -890,8 +969,69 @@ class FastGenerator:
         _, keep = np.unique(keys[pick], return_index=True)
         keep.sort()
         winners, pick = winners[keep], pick[keep]
+        fits = self._within_cap(ns[winners], cand[pick], cfg.friend_cap)
+        winners, pick = winners[fits], pick[fits]
         self._commit_edges(uni, times[winners], ns[winners], cand[pick], buf)
         return winners
+
+    def _checked_proposals(
+        self, uni: _FastUniverse, initiators: IntArray, w_local: FloatArray
+    ) -> tuple[IntArray, BoolArray, IntArray]:
+        """One proposal per initiator: ``(candidates, valid, edge keys)``.
+
+        A proposal is valid when it names another node, neither endpoint is
+        at the friend cap, the edge does not exist yet, and (after the
+        merge) the candidate passes the origin-homophily acceptance draw.
+        """
+        cfg = uni.config
+        w_pa, w_spot = pa_weight(uni.num_edges, cfg), spotlight_weight(uni.num_edges, cfg)
+        cand = self._propose(uni, initiators, w_local, w_pa, w_spot)
+        valid = cand >= 0
+        safe = np.where(valid, cand, 0)
+        valid &= safe != initiators
+        deg_n, deg_s = self.degree[initiators], self.degree[safe]
+        valid &= deg_s < cfg.friend_cap
+        valid &= deg_n < cfg.friend_cap
+        keys = pack_edge_keys(initiators, safe)
+        # An edge can only already exist when both endpoints have one —
+        # probing just those pairs keeps the key-set search small early.
+        probe = np.flatnonzero(valid & (deg_n > 0) & (deg_s > 0))
+        if len(probe):
+            valid[probe[uni.edge_keys.contains(keys[probe])]] = False
+        if self._merged and uni.emit:
+            valid &= self.rng.random(len(valid)) < self._bias_of(initiators, safe)
+        return cand, valid, keys
+
+    def _within_cap(self, us: IntArray, vs: IntArray, cap: int) -> BoolArray:
+        """Which of a round's edges fit under ``friend_cap``, committed in order.
+
+        Proposals are validated against round-start degrees, so several
+        edges of one round can land on the same node; the cap then admits
+        only as many as the node has room for, earliest first.  The rest
+        count as failed proposals.
+        """
+        ends = np.empty(2 * len(us), dtype=np.int64)
+        ends[0::2] = us
+        ends[1::2] = vs
+        # Validated endpoints have room for one edge, so only nodes that
+        # occur again can overflow (reversed scatter marks first occurrences).
+        pos = np.arange(len(ends))
+        self._first_pos[ends[::-1]] = pos[::-1]
+        again = ends[self._first_pos[ends] != pos]
+        if len(again) == 0:
+            return np.ones(len(us), dtype=bool)
+        nodes, repeats = np.unique(again, return_counts=True)
+        if (repeats < cap - self.degree[nodes]).all():
+            return np.ones(len(us), dtype=bool)
+        nodes, inverse, counts = np.unique(ends, return_inverse=True, return_counts=True)
+        room = cap - self.degree[nodes]
+        # Rank of each endpoint occurrence among its node's occurrences.
+        order = np.argsort(inverse, kind="stable")
+        rank = np.empty(len(ends), dtype=np.int64)
+        starts = np.cumsum(counts, dtype=np.int64) - counts
+        rank[order] = np.arange(len(ends), dtype=np.int64) - np.repeat(starts, counts)
+        fits = rank < room[inverse]
+        return fits[0::2] & fits[1::2]
 
     def _bias_of(self, initiators: IntArray, candidates: IntArray) -> FloatArray:
         """Vectorized post-merge origin-homophily acceptance probabilities."""
@@ -1069,7 +1209,14 @@ class FastGenerator:
     def _execute_merge(
         self, primary: _FastUniverse, secondary: _FastUniverse, buf: _WindowBuffer
     ) -> None:
-        """Vectorized one-day import of the secondary network (legacy §5 model)."""
+        """Import the secondary network into the primary in a single day (§5).
+
+        All secondary node arrivals are emitted in the first half of the
+        merge day and their internal edges in the second half (the paper's
+        one-day database import).  Duplicate accounts are chosen, one side
+        of each pair is silenced, and every surviving pre-merge user gets a
+        post-merge activity schedule.
+        """
         merge = self.config.merge
         assert merge is not None
         rng = self.rng
@@ -1088,19 +1235,15 @@ class FastGenerator:
                 sec_loner = self.loner[sec_nodes]
                 regular = sec_nodes[~sec_loner]
                 primary.node_draws.extend(regular)
-                comm_offset = primary.next_comm
+                # Imported communities get fresh primary ids that the primary
+                # CRP never offers to newcomers.
+                comm_offset = primary.crp.reserve(secondary.crp.num_communities)
                 self.community[regular] += comm_offset
-                primary.next_comm += secondary.next_comm
-                primary.ensure_comms(primary.next_comm)
-                primary.comm_size[comm_offset : comm_offset + secondary.next_comm] = (
-                    secondary.comm_size[: secondary.next_comm]
-                )
+                primary.ensure_comms(primary.crp.num_communities)
                 buckets, values = secondary.comm_nodes.flatten()
                 primary.comm_nodes.append(buckets + comm_offset, values)
                 buckets, values = secondary.comm_endpoints.flatten()
                 primary.comm_endpoints.append(buckets + comm_offset, values)
-                # The primary CRP never learns the imported communities
-                # (membership_draws untouched), matching the legacy model.
 
                 loners = sec_nodes[sec_loner]
                 cluster_offset = primary.next_cluster
@@ -1197,19 +1340,19 @@ def _segmented_cumsum(values: FloatArray, seg_lengths: IntArray) -> FloatArray:
     return cumulative - np.repeat(base, seg_lengths)
 
 
-def generate_trace_fast(
+def generate_trace(
     config: GeneratorConfig, seed: int | np.random.Generator | None = 0
 ) -> EventStream:
     """Convenience wrapper: ``FastGenerator(config, seed).generate()``."""
     return FastGenerator(config, seed).generate()
 
 
-def generate_store_fast(
+def generate_store(
     config: GeneratorConfig,
     path: str | Path,
     seed: int | np.random.Generator | None = 0,
     *,
     chunk_events: int | None = None,
 ) -> Manifest:
-    """Generate with the fast engine straight into a store; returns the manifest."""
+    """Generate straight into a columnar store at ``path``; returns the manifest."""
     return FastGenerator(config, seed).generate_to_store(path, chunk_events=chunk_events)

@@ -1,9 +1,8 @@
-"""Vectorized pool structures backing the fast generation engine.
+"""Vectorized pool structures backing the generator.
 
-The legacy generator keeps its sampling state in Python lists and dicts
-(``AttachmentState.node_draws``, per-community pools, adjacency sets).
-:mod:`repro.gen.fast` replaces those with three array-backed structures
-that support *batch* updates and O(1) vectorized sampling:
+:mod:`repro.gen.fast` keeps its sampling state (global node and endpoint
+pools, per-community pools, adjacency, edge membership) in array-backed
+structures that support *batch* updates and O(1) vectorized sampling:
 
 * :class:`GrowingArray` — a 1-D append-only array with amortized doubling
   (the array analogue of ``list.append``), used for the global node and

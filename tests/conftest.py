@@ -9,8 +9,8 @@ from __future__ import annotations
 import pytest
 
 from repro.community.tracking import CommunityTracker, track_stream
+from repro.gen import generate_trace
 from repro.gen.config import presets
-from repro.gen.renren import generate_trace
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import EventStream
 from repro.graph.snapshot import GraphSnapshot

@@ -243,7 +243,7 @@ class TestTwoServersOneCacheDir:
         must not recompute it.
         """
         from repro.gen.config import presets
-        from repro.gen.renren import generate_trace
+        from repro.gen import generate_trace
         from repro.serve import ReproServer, ServeConfig
         from repro.serve.protocol import http_request, parse_response_head
         from repro.store.convert import write_store

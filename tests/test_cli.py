@@ -29,6 +29,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["generate", "--preset", "bogus", "--out", "x"])
 
+    def test_engine_flag_removed(self):
+        # One generator: there is no engine to choose.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["generate", "--out", "x", "--engine", "fast"])
+
 
 class TestCommands:
     def test_generate_writes_valid_trace(self, tmp_path, capsys):
@@ -40,7 +45,18 @@ class TestCommands:
         assert code == 0
         stream = read_event_stream(out)
         assert stream.num_nodes > 50
-        assert "wrote" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "wrote" in out
+        assert out.rstrip().endswith("(tsv)")
+
+    def test_generate_tsv_and_store_hold_the_same_trace(self, tmp_path):
+        from repro.store.reader import EventStore
+
+        args = ["generate", "--preset", "tiny", "--seed", "4", "--nodes", "150", "--days", "25"]
+        assert main([*args, "--out", str(tmp_path / "t.tsv")]) == 0
+        assert main([*args, "--out", str(tmp_path / "t.store")]) == 0
+        tsv_digest = read_event_stream(tmp_path / "t.tsv").content_digest()
+        assert EventStore(tmp_path / "t.store").manifest.content_digest == tsv_digest
 
     def test_info(self, trace_path, capsys):
         assert main(["info", trace_path]) == 0

@@ -25,8 +25,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.context import AnalysisContext
+from repro.gen import generate_trace
 from repro.gen.config import presets
-from repro.gen.renren import generate_trace
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import EventStream
 from repro.graph.snapshot import GraphSnapshot

@@ -1,37 +1,44 @@
-"""Tests for repro.gen.activity."""
+"""Tests for the activity model: budgets, power-law gaps, initiation schedules."""
 
 import numpy as np
 import pytest
 
-from repro.gen.activity import draw_budget, power_law_gaps, schedule_activity
 from repro.gen.config import GeneratorConfig
+from repro.gen.fast import draw_budgets, power_law_gaps, schedule_initiations
 from repro.util.rng import make_rng
+
+
+def schedule(arrival, budget, cfg, seed):
+    """Initiation times of one user arriving at ``arrival`` with ``budget``."""
+    times, owners = schedule_initiations(
+        np.array([arrival]), np.array([budget]), cfg, make_rng(seed)
+    )
+    assert (owners == 0).all()
+    return times
 
 
 class TestDrawBudget:
     def test_bounds(self):
         cfg = GeneratorConfig(budget_cap=50)
-        rng = make_rng(0)
-        budgets = [draw_budget(cfg, rng) for _ in range(500)]
-        assert all(1 <= b <= 50 for b in budgets)
+        budgets = draw_budgets(cfg, 500, make_rng(0))
+        assert budgets.min() >= 1
+        assert budgets.max() <= 50
 
     def test_mean_close_to_config(self):
         cfg = GeneratorConfig(mean_budget=10.0, budget_cap=10_000)
-        rng = make_rng(1)
-        budgets = [draw_budget(cfg, rng) for _ in range(20_000)]
+        budgets = draw_budgets(cfg, 20_000, make_rng(1))
         assert np.mean(budgets) == pytest.approx(10.0, rel=0.25)
 
     def test_heavy_tail_exists(self):
         cfg = GeneratorConfig(mean_budget=10.0, budget_cap=10_000)
-        rng = make_rng(2)
-        budgets = [draw_budget(cfg, rng) for _ in range(5_000)]
-        assert max(budgets) > 10 * np.median(budgets)
+        budgets = draw_budgets(cfg, 5_000, make_rng(2))
+        assert budgets.max() > 10 * np.median(budgets)
 
     def test_rejects_shape_below_one(self):
         cfg = GeneratorConfig(budget_shape=1.9)
         object.__setattr__(cfg, "budget_shape", 0.9)
         with pytest.raises(ValueError):
-            draw_budget(cfg, make_rng(0))
+            draw_budgets(cfg, 1, make_rng(0))
 
 
 class TestPowerLawGaps:
@@ -64,42 +71,58 @@ class TestPowerLawGaps:
 
 class TestScheduleActivity:
     def test_sorted_and_sized(self):
+        # One entry per budgeted initiation, attributed to its user; the
+        # simulator time-orders them when it buckets them by day.
         cfg = GeneratorConfig()
-        times = schedule_activity(10.0, 20, cfg, make_rng(0))
-        assert len(times) == 20
-        assert times == sorted(times)
+        times, owners = schedule_initiations(
+            np.array([10.0, 40.0]), np.array([20, 5]), cfg, make_rng(0)
+        )
+        assert len(times) == 25
+        assert np.bincount(owners).tolist() == [20, 5]
+        assert (times[owners == 1] >= 40.0).all()
 
     def test_no_event_before_arrival(self):
         cfg = GeneratorConfig()
-        times = schedule_activity(10.0, 30, cfg, make_rng(1))
-        assert min(times) >= 10.0
+        times = schedule(10.0, 30, cfg, 1)
+        assert times.min() >= 10.0
 
     def test_burst_lands_on_arrival_day(self):
         cfg = GeneratorConfig(burst_mean=3.0)
-        times = schedule_activity(5.0, 10, cfg, make_rng(2))
-        assert any(5.0 <= t < 6.0 for t in times)
+        times = schedule(5.0, 10, cfg, 2)
+        assert ((times >= 5.0) & (times < 6.0)).any()
 
     def test_budget_one(self):
         cfg = GeneratorConfig()
-        times = schedule_activity(0.0, 1, cfg, make_rng(3))
+        times = schedule(0.0, 1, cfg, 3)
         assert len(times) == 1
         assert 0.0 <= times[0] < 1.0
 
     def test_budget_zero_yields_no_events(self):
         cfg = GeneratorConfig()
-        assert schedule_activity(3.0, 0, cfg, make_rng(5)) == []
+        assert len(schedule(3.0, 0, cfg, 5)) == 0
 
     def test_arrival_at_trace_end_keeps_events_past_horizon(self):
-        # A node arriving on the last day still schedules its whole budget;
+        # A user arriving on the last day still schedules its whole budget;
         # the simulator drops the out-of-range tail, not the scheduler.
         cfg = GeneratorConfig(days=30.0)
-        times = schedule_activity(29.5, 10, cfg, make_rng(6), horizon=30.0)
+        times = schedule(29.5, 10, cfg, 6)
         assert len(times) == 10
-        assert min(times) >= 29.5
+        assert times.min() >= 29.5
 
     def test_long_term_fraction_spreads_events(self):
         cfg = GeneratorConfig(long_term_fraction=1.0, burst_mean=0.0, days=200.0)
-        rng = make_rng(4)
-        times = schedule_activity(0.0, 200, cfg, rng, horizon=200.0)
+        times = schedule(0.0, 200, cfg, 4)
         # With everything background-scheduled, events should span the trace.
-        assert max(times) > 100.0
+        assert times.max() > 100.0
+
+    def test_activity_rate_declines_with_age(self):
+        # Gap-driven initiations are front-loaded (paper Fig 2b): users
+        # create far more edges in their first ten days than in ten days
+        # taken later in life, although their budgets are far from spent.
+        cfg = GeneratorConfig(long_term_fraction=0.0, burst_mean=0.0, days=100.0)
+        times, _ = schedule_initiations(
+            np.zeros(200), np.full(200, 400), cfg, make_rng(7)
+        )
+        early = ((times >= 1.0) & (times < 11.0)).sum()
+        late = ((times >= 51.0) & (times < 61.0)).sum()
+        assert early > 2 * late > 0

@@ -1,18 +1,16 @@
-"""Tests for repro.gen.attachment."""
+"""Tests for destination choice: the attachment mixture, its weights, the §3.3 ablation."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from repro.gen.attachment import AttachmentState, pa_weight, spotlight_weight
-from repro.gen.config import GeneratorConfig
+from repro.gen.config import GeneratorConfig, pa_weight, presets, spotlight_weight
+from repro.gen.fast import FastGenerator, generate_trace
 from repro.graph.snapshot import GraphSnapshot
-from repro.util.rng import make_rng
-
-
-def build_state(config=None, seed=0):
-    cfg = config or GeneratorConfig()
-    state = AttachmentState(cfg, make_rng(seed))
-    graph = GraphSnapshot()
-    return cfg, state, graph
+from repro.metrics.clustering import average_clustering
+from repro.pa.alpha import alpha_series
+from repro.pa.edge_probability import DestinationRule
 
 
 class TestWeights:
@@ -31,150 +29,127 @@ class TestWeights:
         assert spotlight_weight(0, cfg) == pytest.approx(0.8)
         assert spotlight_weight(1000, cfg) == pytest.approx(0.4)
 
+    def test_pa_weight_is_a_true_half_life(self):
+        # Each half-life halves the remaining excess over pa_end, so PA dies
+        # out instead of keeping a halflife / E share forever.
+        cfg = GeneratorConfig(pa_start=1.0, pa_end=0.1, pa_halflife_edges=1000)
+        assert pa_weight(2000, cfg) == pytest.approx(0.1 + 0.9 / 4)
+        assert pa_weight(10_000, cfg) == pytest.approx(0.1, abs=1e-3)
+
 
 class TestChooseDestination:
+    """Destination choice, observed through whole generated traces."""
+
     def test_no_candidates_returns_none(self):
-        cfg, state, graph = build_state()
-        graph.add_node(0)
-        state.add_node(0, community=0)
-        assert state.choose_destination(0, graph) is None
+        # A lone user has nobody to befriend: its initiations find no
+        # destination and the trace simply has no edges.
+        cfg = GeneratorConfig(days=5, target_nodes=1, seed_nodes=1)
+        stream = generate_trace(cfg, seed=0)
+        assert stream.num_nodes == 1
+        assert stream.num_edges == 0
 
     def test_valid_destination(self):
-        cfg, state, graph = build_state()
-        for n in range(4):
-            graph.add_node(n)
-            state.add_node(n, community=0)
-        dest = state.choose_destination(0, graph)
-        assert dest in {1, 2, 3}
+        # Every destination is a user who has already arrived.
+        cfg = GeneratorConfig(days=10, target_nodes=40, seed_nodes=4)
+        stream = generate_trace(cfg, seed=1)
+        born = {ev.node: ev.time for ev in stream.nodes}
+        assert stream.num_edges > 6
+        assert all(born[ev.v] <= ev.time for ev in stream.edges)
 
     def test_never_returns_existing_neighbor_or_self(self):
-        cfg, state, graph = build_state()
-        for n in range(3):
-            graph.add_node(n)
-            state.add_node(n, community=0)
-        graph.add_edge(0, 1)
-        state.record_edge(0, 1)
-        for _ in range(50):
-            dest = state.choose_destination(0, graph)
-            assert dest in (None, 2)
+        # Thirty users with budgets far above the population saturate their
+        # neighborhoods, so most proposals hit self or an existing friend;
+        # none may become an edge.
+        cfg = GeneratorConfig(days=20, target_nodes=30, seed_nodes=8, mean_budget=60.0)
+        stream = generate_trace(cfg, seed=2)
+        stream.validate()  # no self-loops, no duplicate pairs
+        assert stream.num_edges > 200
 
     def test_respects_friend_cap(self):
-        cfg = GeneratorConfig(friend_cap=1)
-        _, state, graph = build_state(cfg)
-        for n in range(3):
-            graph.add_node(n)
-            state.add_node(n, community=0)
-        graph.add_edge(1, 2)
-        state.record_edge(1, 2)
-        # Candidates 1 and 2 are both at the cap.
-        assert state.choose_destination(0, graph) is None
+        # Several initiators of one round may pick the same destination;
+        # the round admits only as many as the cap leaves room for.
+        gen = FastGenerator(GeneratorConfig(), seed=0)
+        gen.degree[:5] = [0, 3, 1, 4, 0]
+        us = np.array([0, 2, 4, 0, 2], dtype=np.int64)
+        vs = np.array([1, 1, 1, 3, 3], dtype=np.int64)
+        # Under a cap of 5, node 1 has room for 2 more edges and node 3 for
+        # 1 more: the earliest proposals win.
+        assert gen._within_cap(us, vs, cap=5).tolist() == [True, True, False, True, False]
+        assert gen._within_cap(us, vs, cap=50).all()
 
     def test_accept_bias_zero_blocks(self):
-        cfg, state, graph = build_state()
-        for n in range(5):
-            graph.add_node(n)
-            state.add_node(n, community=0)
-        blocked = {1, 2, 3, 4}
-        def bias(c):
-            return 0.0 if c in blocked else 1.0
-
-        assert state.choose_destination(0, graph, accept_bias=bias) is None
+        # Silenced duplicate accounts have acceptance probability zero.
+        gen = FastGenerator(presets.tiny_merge(), seed=13)
+        gen.generate()
+        silenced = np.flatnonzero(gen.inactive)
+        assert len(silenced) > 0
+        initiators = np.zeros_like(silenced)  # node 0: a pre-merge seed user
+        assert not gen.inactive[0]
+        assert (gen._bias_of(initiators, silenced) == 0.0).all()
 
     def test_preferential_attachment_prefers_hubs(self):
-        cfg = GeneratorConfig(
-            triadic_probability=0.0,
-            local_probability=0.0,
-            pa_start=1.0,
-            pa_end=1.0,
-            spotlight_start=0.0,
-        )
-        _, state, graph = build_state(cfg, seed=3)
-        # Star around node 0, plus isolated candidates.
-        for n in range(30):
-            graph.add_node(n)
-            state.add_node(n, community=n)
-        for leaf in range(1, 20):
-            graph.add_edge(0, leaf)
-            state.record_edge(0, leaf)
-        initiator = 25
-        hits = sum(
-            1 for _ in range(200) if state.choose_destination(initiator, graph) == 0
-        )
-        # Node 0 holds half the endpoint mass; it should dominate.
-        assert hits > 60
+        # Degree-proportional destinations concentrate edges on hubs.
+        base = presets.tiny(days=50, target_nodes=900)
+        pure = {"triadic_probability": 0.0, "spotlight_start": 0.0,
+                "local_probability": 0.0, "local_decay": 0.0}
+
+        def top_share(pa):
+            stream = generate_trace(replace(base, pa_start=pa, pa_end=pa, **pure), seed=1)
+            graph = GraphSnapshot.from_edges((ev.u, ev.v) for ev in stream.edges)
+            degrees = np.sort([graph.degree(n) for n in graph.nodes()])[::-1]
+            return degrees[:10].sum() / degrees.sum()
+
+        assert top_share(1.0) > 1.5 * top_share(0.0)
 
     def test_triadic_closure_hits_friends_of_friends(self):
-        cfg = GeneratorConfig(triadic_probability=1.0, local_probability=0.0)
-        _, state, graph = build_state(cfg, seed=4)
-        for n in range(4):
-            graph.add_node(n)
-            state.add_node(n, community=n)
-        graph.add_edge(0, 1)
-        graph.add_edge(1, 2)
-        state.record_edge(0, 1)
-        state.record_edge(1, 2)
-        # Friend-of-friend of 0 through 1 is only node 2.
-        for _ in range(20):
-            dest = state.choose_destination(0, graph)
-            assert dest in (None, 2)
+        # Friend-of-friend destinations close triangles.
+        base = presets.tiny()
 
-    def test_rejection_pathology_rescued_by_fallback(self):
-        # Regression: with triadic closure forced on, an initiator whose
-        # only neighbor leads straight back to itself used to burn every
-        # blind proposal round (pivot=1, second hop={0} -> candidate ==
-        # initiator) and drop the slot, even though a valid destination
-        # existed.  The weighted-pool fallback must rescue it.
-        cfg = GeneratorConfig(triadic_probability=1.0)
-        _, state, graph = build_state(cfg, seed=9)
-        for n, comm in [(0, 0), (1, 0), (2, 1)]:
-            graph.add_node(n)
-            state.add_node(n, comm)
-        graph.add_edge(0, 1)
-        state.record_edge(0, 1)
-        # Node 2 is the only valid destination; the fallback's exhaustive
-        # shuffled scan of the small node pool must find it every time.
-        for _ in range(25):
-            assert state.choose_destination(0, graph) == 2
+        def clustering(triadic):
+            stream = generate_trace(replace(base, triadic_probability=triadic), seed=4)
+            graph = GraphSnapshot.from_edges((ev.u, ev.v) for ev in stream.edges)
+            return average_clustering(graph, sample_size=400, rng=0)
 
-    def test_fallback_is_deterministic(self):
-        def run(seed):
-            cfg = GeneratorConfig(triadic_probability=1.0)
-            _, state, graph = build_state(cfg, seed=seed)
-            for n in range(8):
-                graph.add_node(n)
-                state.add_node(n, community=n % 2)
-            graph.add_edge(0, 1)
-            state.record_edge(0, 1)
-            return [state.choose_destination(0, graph) for _ in range(40)]
-
-        assert run(7) == run(7)
-
-    def test_fallback_rescues_loner_with_exhausted_cluster(self):
-        cfg = GeneratorConfig(loner_peer_probability=1.0)
-        _, state, graph = build_state(cfg, seed=2)
-        # Two loners sharing one invite cluster, already connected.
-        for n in (0, 1):
-            graph.add_node(n)
-            state.add_node(n, community=None)
-        graph.add_edge(0, 1)
-        graph.add_node(2)
-        state.add_node(2, community=0)
-        # Peer sampling always proposes 0 or 1 (self or existing friend),
-        # so every blind round rejects.  The fallback reaches the global
-        # node pool and finds node 2.
-        assert state.choose_destination(0, graph) == 2
+        assert clustering(0.9) > 2 * clustering(0.0)
 
     def test_local_probability_override(self):
-        cfg = GeneratorConfig(triadic_probability=0.0, local_probability=1.0)
-        _, state, graph = build_state(cfg, seed=5)
-        # Two communities; initiator in community 0 with one same-community peer.
-        for n, comm in [(0, 0), (1, 0), (2, 1), (3, 1), (4, 1)]:
-            graph.add_node(n)
-            state.add_node(n, comm)
-        picks = {state.choose_destination(0, graph) for _ in range(30)}
-        assert picks <= {1, None}
-        # With locality forced off, other communities become reachable.
-        picks_global = {
-            state.choose_destination(0, graph, local_probability=0.0) for _ in range(60)
-        }
-        assert picks_global & {2, 3, 4}
+        # Full locality keeps destinations inside the initiator's home
+        # community; without it, many edges cross communities.
+        base = replace(presets.tiny(), triadic_probability=0.0, loner_fraction=0.0,
+                       local_decay=0.0)
+
+        def cross_share(local):
+            gen = FastGenerator(replace(base, local_probability=local), seed=5)
+            stream = gen.generate()
+            us = np.array([ev.u for ev in stream.edges])
+            vs = np.array([ev.v for ev in stream.edges])
+            return float(np.mean(gen.community[us] != gen.community[vs]))
+
+        assert cross_share(1.0) < 0.05
+        assert cross_share(0.0) > 0.25
+
+
+def _mean_alpha(config, seed=3):
+    stream = generate_trace(config, seed=seed)
+    series = alpha_series(
+        stream, DestinationRule.HIGHER_DEGREE, checkpoint_every=max(500, stream.num_edges // 8)
+    )
+    return float(np.nanmean(series.alphas))
+
+
+def test_attachment_ablation_orders_alpha():
+    """Pure PA > decaying mixture > pure random attachment in measured α.
+
+    The tier-1 twin of ``benchmarks/test_ablation.py``: same preset, seed
+    and bounds.  Uniform destinations must stay uniform enough that pure
+    random attachment measures well below linear PA.
+    """
+    base = presets.tiny(days=50, target_nodes=900)
+    pure = {"triadic_probability": 0.0, "spotlight_start": 0.0,
+            "local_probability": 0.0, "local_decay": 0.0}
+    pure_pa = _mean_alpha(replace(base, pa_start=1.0, pa_end=1.0, **pure))
+    pure_random = _mean_alpha(replace(base, pa_start=0.0, pa_end=0.0, **pure))
+    mixture = _mean_alpha(base)
+    assert pure_pa > mixture > pure_random
+    assert pure_pa > 0.8
+    assert pure_random < 0.6

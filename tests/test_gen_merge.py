@@ -1,11 +1,11 @@
-"""Tests for the merge machinery of repro.gen.renren."""
+"""Tests for the generator's one-day network merge (§5)."""
 
 from collections import Counter
 
 import numpy as np
 
 from repro.gen.config import presets
-from repro.gen.renren import RenrenGenerator
+from repro.gen.fast import FastGenerator
 from repro.graph.events import ORIGIN_5Q, ORIGIN_NEW, ORIGIN_XIAONEI
 
 
@@ -96,6 +96,6 @@ def test_5q_internal_structure_imported(merge_stream, merge_day):
 
 def test_deterministic_merge():
     cfg = presets.tiny_merge(days=60, target_nodes=600)
-    a = RenrenGenerator(cfg, seed=9).generate()
-    b = RenrenGenerator(cfg, seed=9).generate()
+    a = FastGenerator(cfg, seed=9).generate()
+    b = FastGenerator(cfg, seed=9).generate()
     assert a.edges == b.edges

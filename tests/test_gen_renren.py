@@ -1,10 +1,10 @@
-"""Tests for repro.gen.renren (single-network generation)."""
+"""Whole-trace tests of the generator on single-network configs."""
 
 import numpy as np
 import pytest
 
 from repro.gen.config import GeneratorConfig, presets
-from repro.gen.renren import RenrenGenerator, generate_trace
+from repro.gen.fast import _ORIGIN_LABELS, FastGenerator, generate_trace
 from repro.graph.events import ORIGIN_XIAONEI
 
 
@@ -86,9 +86,14 @@ class TestActivityShape:
 
 class TestGeneratorObject:
     def test_origin_map_populated(self):
-        gen = RenrenGenerator(presets.tiny(days=20, target_nodes=100), seed=0)
+        gen = FastGenerator(presets.tiny_merge(days=40, target_nodes=300), seed=0)
         stream = gen.generate()
-        assert len(gen.origin_of) == stream.num_nodes
+        ids = np.array([ev.node for ev in stream.nodes])
+        # The generator's per-node origin record covers every emitted node
+        # and agrees with the label the stream carries.
+        assert len(set(ids.tolist())) == stream.num_nodes
+        recorded = [_ORIGIN_LABELS[code] for code in gen.origin_code[ids]]
+        assert recorded == [ev.origin for ev in stream.nodes]
 
     def test_generate_trace_wrapper(self):
         cfg = presets.tiny(days=20, target_nodes=100)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.community.tracking import track_stream
+from repro.gen import generate_trace
 from repro.gen.config import presets
-from repro.gen.renren import generate_trace
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.stream_io import read_event_stream, write_event_stream
 from repro.metrics.degree import average_degree

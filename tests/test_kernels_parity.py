@@ -17,8 +17,8 @@ import pytest
 from repro.community import tracking
 from repro.community.louvain import louvain, louvain_reference
 from repro.community.tracking import CommunityState, _match_python, track_stream
+from repro.gen import generate_trace
 from repro.gen.config import presets
-from repro.gen.renren import generate_trace
 from repro.graph.components import (
     connected_components,
     connected_components_reference,

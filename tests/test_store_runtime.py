@@ -132,7 +132,7 @@ class TestStoreCLI:
             "--nodes", "120", "--days", "20", "--out", str(out),
         ])
         assert code == 0
-        assert "(store, legacy)" in capsys.readouterr().out
+        assert "(store)" in capsys.readouterr().out
         store = EventStore(out)
         store.verify()
         assert store.num_node_events > 0
