@@ -53,16 +53,21 @@ class TestTrainTestSplit:
             train_test_split(10, 1.5)
 
 
+@pytest.fixture(scope="module")
+def merge_tracker(merge_stream):
+    """Community tracking over the merge trace, with community merges in it.
+
+    A 3-day interval is fine enough to catch community merges on this seed;
+    the tests below need them and fail (rather than skip) without them.
+    """
+    tracker = track_stream(merge_stream, interval=3.0, delta=0.04, seed=0)
+    assert any(e.kind == "merge" for e in tracker.events)
+    return tracker
+
+
 class TestPredictMerges:
-    def test_runs_on_trace_with_merges(self, merge_stream):
-        tracker = track_stream(merge_stream, interval=4.0, delta=0.04, seed=0)
-        kinds = {e.kind for e in tracker.events}
-        if "merge" not in kinds:
-            pytest.skip("no merge events on this tiny trace")
-        try:
-            result = predict_merges(tracker, seed=0)
-        except ValueError as exc:
-            pytest.skip(f"dataset too small: {exc}")
+    def test_runs_on_trace_with_merges(self, merge_tracker):
+        result = predict_merges(merge_tracker, seed=0)
         assert 0.0 <= result.overall.no_merge_accuracy <= 1.0
         assert result.n_train + result.n_test > 0
         assert 0 < result.positive_rate < 1
@@ -80,31 +85,17 @@ class TestPredictMerges:
 
 
 class TestCrossValidation:
-    def test_folds_cover_every_sample(self, merge_stream):
-        tracker = track_stream(merge_stream, interval=4.0, delta=0.04, seed=0)
-        if not any(e.kind == "merge" for e in tracker.events):
-            pytest.skip("no merge events on this tiny trace")
-        try:
-            result = predict_merges(tracker, folds=4, seed=0)
-        except ValueError as exc:
-            pytest.skip(f"dataset too small: {exc}")
+    def test_folds_cover_every_sample(self, merge_tracker):
+        result = predict_merges(merge_tracker, folds=4, seed=0)
         # Pooled CV scores every sample exactly once.
         assert result.n_test == result.overall.n_merge + result.overall.n_no_merge
         assert result.overall.n_merge >= 1
 
-    def test_invalid_folds(self, merge_stream):
-        tracker = track_stream(merge_stream, interval=4.0, delta=0.04, seed=0)
+    def test_invalid_folds(self, merge_tracker):
         with pytest.raises(ValueError):
-            predict_merges(tracker, folds=1, seed=0)
+            predict_merges(merge_tracker, folds=1, seed=0)
 
-    def test_cv_more_stable_than_split(self, merge_stream):
+    def test_cv_more_stable_than_split(self, merge_tracker):
         """CV evaluates all positives; a single split may see none."""
-        tracker = track_stream(merge_stream, interval=4.0, delta=0.04, seed=0)
-        if not any(e.kind == "merge" for e in tracker.events):
-            pytest.skip("no merge events on this tiny trace")
-        try:
-            cv = predict_merges(tracker, folds=4, seed=0)
-        except ValueError as exc:
-            pytest.skip(f"dataset too small: {exc}")
-        import numpy as np
+        cv = predict_merges(merge_tracker, folds=4, seed=0)
         assert np.isfinite(cv.overall.merge_accuracy)
