@@ -76,10 +76,11 @@ def _assert_window_parity(
         sub = stream.slice(start, end)
         node_times, node_ids, _ = store.nodes_in(start, end)
         edge_times, us, vs = store.edges_in(start, end)
-        assert node_times.tolist() == [ev.time for ev in sub.nodes]
-        assert node_ids.tolist() == [ev.node for ev in sub.nodes]
-        assert edge_times.tolist() == [ev.time for ev in sub.edges]
-        assert list(zip(us.tolist(), vs.tolist())) == [(ev.u, ev.v) for ev in sub.edges]
+        assert node_times.tolist() == sub.nodes.time.tolist()
+        assert node_ids.tolist() == sub.nodes.node.tolist()
+        assert edge_times.tolist() == sub.edges.time.tolist()
+        assert us.tolist() == sub.edges.u.tolist()
+        assert vs.tolist() == sub.edges.v.tolist()
 
 
 _PRESETS = {

@@ -363,7 +363,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
     with _traced(args.trace_out):
         stream = materialize(_load_events(args.trace))
-        origins = Counter(ev.origin for ev in stream.nodes)
+        origins = Counter(stream.nodes.origin_labels())
         graph = DynamicGraph(stream).final()
         degrees = np.array([len(nbrs) for nbrs in graph.adjacency.values()])
     print(f"trace      : {args.trace} (valid)")

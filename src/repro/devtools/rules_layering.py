@@ -72,11 +72,6 @@ LAYERS: dict[str, int] = {
 #: Declared upward *deferred* seams: (src_package, dst_package) -> reason.
 #: Each is a deliberate, documented inversion kept out of load time.
 DEFERRED_EDGES: dict[tuple[str, str], str] = {
-    ("kernels", "graph"): (
-        "CSRGraph ingests GraphSnapshot/CSRAdjacency inside its "
-        "constructors; deferring keeps the kernel layer loadable without "
-        "the graph layer"
-    ),
     ("metrics", "runtime"): (
         "compute_metric_timeseries is a stable facade that delegates "
         "MetricSpec runs upward to the runtime scheduler"

@@ -58,9 +58,10 @@ def scaled_age_buckets(days: float, count: int = 4) -> tuple[tuple[str, float, f
 def node_edge_times(stream: EventStream) -> dict[int, list[float]]:
     """Map each node to the sorted times of its edge creations."""
     times: dict[int, list[float]] = defaultdict(list)
-    for ev in stream.edges:
-        times[ev.u].append(ev.time)
-        times[ev.v].append(ev.time)
+    edges = stream.edges
+    for t, u, v in zip(edges.time.tolist(), edges.u.tolist(), edges.v.tolist(), strict=True):
+        times[u].append(t)
+        times[v].append(t)
     for values in times.values():
         values.sort()
     return times

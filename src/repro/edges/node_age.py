@@ -37,9 +37,10 @@ def minimal_age_fractions(
     n_days = int(math.floor(stream.end_time)) + 1
     totals = np.zeros(n_days)
     below = {thr: np.zeros(n_days) for thr in thresholds}
-    for ev in stream.edges:
-        day = int(ev.time)
-        min_age = ev.time - max(arrival[ev.u], arrival[ev.v])
+    edges = stream.edges
+    for t, u, v in zip(edges.time.tolist(), edges.u.tolist(), edges.v.tolist(), strict=True):
+        day = int(t)
+        min_age = t - max(arrival[u], arrival[v])
         totals[day] += 1
         for thr in thresholds:
             if min_age <= thr:

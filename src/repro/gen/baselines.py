@@ -23,7 +23,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.graph.events import EdgeArrival, EventStream, NodeArrival
+from repro.graph.events import EventStream
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -31,6 +31,10 @@ __all__ = [
     "uniform_attachment_stream",
     "forest_fire_stream",
 ]
+
+# Event records as EventStream.from_records takes them.
+_Node = tuple[float, int]
+_Edge = tuple[float, int, int]
 
 
 def barabasi_albert_stream(
@@ -51,17 +55,17 @@ def barabasi_albert_stream(
         raise ValueError("m must be >= 1")
     rng = make_rng(seed)
     nodes, edges = _seed_clique(m + 1, days, n)
-    endpoints: list[int] = [e for edge in edges for e in (edge.u, edge.v)]
+    endpoints: list[int] = [e for _, u, v in edges for e in (u, v)]
     for node in range(m + 1, n):
         t = days * node / n
-        nodes.append(NodeArrival(time=t, node=node))
+        nodes.append((t, node))
         chosen: set[int] = set()
         while len(chosen) < m:
             candidate = endpoints[int(rng.integers(len(endpoints)))]
             if candidate != node:
                 chosen.add(candidate)
         for dest in sorted(chosen):
-            edges.append(EdgeArrival(time=t, u=node, v=dest))
+            edges.append((t, node, dest))
             endpoints.append(node)
             endpoints.append(dest)
     return _finalize(nodes, edges)
@@ -82,10 +86,10 @@ def uniform_attachment_stream(
     nodes, edges = _seed_clique(m + 1, days, n)
     for node in range(m + 1, n):
         t = days * node / n
-        nodes.append(NodeArrival(time=t, node=node))
+        nodes.append((t, node))
         targets = rng.choice(node, size=m, replace=False)
         for dest in sorted(int(d) for d in targets):
-            edges.append(EdgeArrival(time=t, u=node, v=dest))
+            edges.append((t, node, dest))
     return _finalize(nodes, edges)
 
 
@@ -110,12 +114,12 @@ def forest_fire_stream(
         raise ValueError("need at least 2 nodes")
     rng = make_rng(seed)
     adjacency: dict[int, set[int]] = {0: set()}
-    nodes = [NodeArrival(time=0.0, node=0)]
-    edges: list[EdgeArrival] = []
+    nodes: list[_Node] = [(0.0, 0)]
+    edges: list[_Edge] = []
     p = forward_probability
     for node in range(1, n):
         t = days * node / n
-        nodes.append(NodeArrival(time=t, node=node))
+        nodes.append((t, node))
         adjacency[node] = set()
         ambassador = int(rng.integers(node))
         burned = {node, ambassador}
@@ -139,23 +143,18 @@ def forest_fire_stream(
         for dest in links:
             adjacency[node].add(dest)
             adjacency[dest].add(node)
-            edges.append(EdgeArrival(time=t, u=node, v=dest))
+            edges.append((t, node, dest))
     return _finalize(nodes, edges)
 
 
-def _seed_clique(size: int, days: float, n: int) -> tuple[list[NodeArrival], list[EdgeArrival]]:
-    nodes = [NodeArrival(time=days * i / max(n, 1) , node=i) for i in range(size)]
-    last = nodes[-1].time
-    edges = [
-        EdgeArrival(time=last, u=i, v=j)
-        for i in range(size)
-        for j in range(i + 1, size)
-    ]
+def _seed_clique(size: int, days: float, n: int) -> tuple[list[_Node], list[_Edge]]:
+    nodes = [(days * i / max(n, 1), i) for i in range(size)]
+    last = nodes[-1][0]
+    edges = [(last, i, j) for i in range(size) for j in range(i + 1, size)]
     return nodes, edges
 
 
-def _finalize(nodes: list[NodeArrival], edges: list[EdgeArrival]) -> EventStream:
-    stream = EventStream()
-    stream.extend(nodes, edges)
+def _finalize(nodes: list[_Node], edges: list[_Edge]) -> EventStream:
+    stream = EventStream.from_records(nodes, edges)
     stream.validate()
     return stream

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from collections.abc import Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -46,12 +47,12 @@ from repro.graph.events import (
     ORIGIN_5Q,
     ORIGIN_NEW,
     ORIGIN_XIAONEI,
-    EdgeArrival,
+    EdgeColumns,
     EventStream,
-    NodeArrival,
+    NodeColumns,
 )
 from repro.obs import get_recorder
-from repro.util.arrays import BoolArray, FloatArray, IntArray, UInt16Array
+from repro.util.arrays import AnyArray, BoolArray, FloatArray, IntArray, UInt16Array
 from repro.util.rng import make_rng
 
 if TYPE_CHECKING:
@@ -323,20 +324,25 @@ class _StreamSink:
         self._edges.append((times, us, vs))
 
     def build(self) -> EventStream:
-        nodes = [
-            NodeArrival(time=float(t), node=int(n), origin=_ORIGIN_LABELS[c])
-            for times, ids, codes in self._nodes
-            for t, n, c in zip(times.tolist(), ids.tolist(), codes.tolist(), strict=True)
-        ]
-        edges = [
-            EdgeArrival(time=float(t), u=int(u), v=int(v))
-            for times, us, vs in self._edges
-            for t, u, v in zip(times.tolist(), us.tolist(), vs.tolist(), strict=True)
-        ]
-        stream = EventStream()
-        stream.extend(nodes, edges)
+        # Batches arrive time-sorted and in time order (the store sink's
+        # writer enforces the same), so concatenation keeps emission order.
+        times, ids, codes = _concat(self._nodes, (np.float64, np.int64, np.uint16))
+        edge_times, us, vs = _concat(self._edges, (np.float64, np.int64, np.int64))
+        stream = EventStream(
+            nodes=NodeColumns(times, ids, codes, _ORIGIN_LABELS),
+            edges=EdgeColumns(edge_times, us, vs),
+        )
         stream.validate()
         return stream
+
+
+def _concat(
+    batches: Sequence[tuple[AnyArray, ...]], dtypes: tuple[type[np.generic], ...]
+) -> list[AnyArray]:
+    """Each column of ``batches`` concatenated (empty with ``dtypes`` if none)."""
+    if not batches:
+        return [np.empty(0, dtype=dtype) for dtype in dtypes]
+    return [np.concatenate([batch[i] for batch in batches]) for i in range(len(dtypes))]
 
 
 class _StoreSink:

@@ -4,9 +4,9 @@ The paper's dataset is "an anonymized stream of timestamped events" — node
 creations and edge creations — from which daily static snapshots are derived
 (§2).  This subpackage provides exactly that substrate:
 
-* :class:`~repro.graph.events.NodeArrival` / :class:`~repro.graph.events.EdgeArrival`
-  — the two event record types;
-* :class:`~repro.graph.events.EventStream` — a time-ordered event sequence;
+* :class:`~repro.graph.events.EventStream` — a time-ordered event sequence,
+  held as :class:`~repro.graph.events.NodeColumns` /
+  :class:`~repro.graph.events.EdgeColumns` arrays;
 * :class:`~repro.graph.snapshot.GraphSnapshot` — a static undirected graph;
 * :class:`~repro.graph.dynamic.DynamicGraph` — replays a stream into
   snapshots at any cadence;
@@ -15,25 +15,24 @@ creations and edge creations — from which daily static snapshots are derived
 * :mod:`~repro.graph.components` — connected components, from scratch.
 """
 
-from repro.graph.checkpoint import CSRAdjacency, ReplayCheckpoint
+from repro.graph.checkpoint import ReplayCheckpoint
 from repro.graph.components import connected_components, largest_component
 from repro.graph.dynamic import DynamicGraph, SnapshotView
-from repro.graph.events import EdgeArrival, EventStream, NodeArrival
+from repro.graph.events import EdgeColumns, EventStream, NodeColumns
 from repro.graph.nullmodel import degree_preserving_rewire
 from repro.graph.snapshot import GraphSnapshot
 from repro.graph.stream_io import read_event_stream, write_event_stream
 from repro.graph.transform import relabel_nodes, rescale_time, subsample_nodes, truncate
 
 __all__ = [
-    "CSRAdjacency",
     "ReplayCheckpoint",
     "degree_preserving_rewire",
     "relabel_nodes",
     "rescale_time",
     "subsample_nodes",
     "truncate",
-    "NodeArrival",
-    "EdgeArrival",
+    "NodeColumns",
+    "EdgeColumns",
     "EventStream",
     "GraphSnapshot",
     "DynamicGraph",

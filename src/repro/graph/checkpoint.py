@@ -2,14 +2,15 @@
 
 A checkpoint freezes the replayer mid-stream so that a later process can
 resume replay without re-applying every prior event.  The adjacency
-structure is stored CSR-style (node ids, row pointers, flattened neighbor
-ids) in three int64 arrays — compact to hold, cheap to pickle across
-process boundaries, and exact to restore.
+structure is stored as a :class:`~repro.kernels.csr.CSRGraph` — three
+int64 arrays that are compact to hold, cheap to pickle across process
+boundaries, exact to restore, and directly usable by the numpy kernels.
 
 Two invariants make restored replays *bit-identical* to uninterrupted ones:
 
-* ``node_ids`` preserves the adjacency dict's insertion order, so analyses
-  that iterate ``GraphSnapshot.nodes()`` see the same sequence; and
+* ``csr.node_ids`` preserves the adjacency dict's insertion order, so
+  analyses that iterate ``GraphSnapshot.nodes()`` see the same sequence;
+  and
 * the cursor indices (``node_index`` / ``edge_index``) are recorded
   exactly, so a resumed :class:`~repro.graph.dynamic.DynamicGraph` applies
   precisely the events an uninterrupted replay would have applied next.
@@ -19,64 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.graph.snapshot import GraphSnapshot
+from repro.kernels.csr import CSRGraph
 
-__all__ = ["CSRAdjacency", "ReplayCheckpoint"]
-
-
-@dataclass(frozen=True)
-class CSRAdjacency:
-    """A :class:`GraphSnapshot` frozen into three flat int64 arrays.
-
-    ``node_ids[i]`` is the i-th node in adjacency insertion order;
-    its neighbors are ``neighbors[indptr[i]:indptr[i + 1]]``.
-    """
-
-    node_ids: np.ndarray
-    indptr: np.ndarray
-    neighbors: np.ndarray
-    num_edges: int
-
-    @classmethod
-    def from_snapshot(cls, graph: GraphSnapshot) -> "CSRAdjacency":
-        """Encode ``graph`` (insertion order preserved)."""
-        n = graph.num_nodes
-        node_ids = np.fromiter(graph.adjacency.keys(), dtype=np.int64, count=n)
-        degrees = np.fromiter(
-            (len(nbrs) for nbrs in graph.adjacency.values()), dtype=np.int64, count=n
-        )
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        neighbors = np.empty(int(indptr[-1]), dtype=np.int64)
-        pos = 0
-        # Row *content*, not order, is the contract here: every consumer
-        # canonicalizes (CSRGraph.from_adjacency lexsorts rows; snapshot
-        # restore rebuilds sets), so encoding order is immaterial.
-        for nbrs in graph.adjacency.values():
-            k = len(nbrs)
-            neighbors[pos : pos + k] = np.fromiter(  # repro: noqa[RPL001] -- rows canonicalized
-                nbrs, dtype=np.int64, count=k
-            )
-            pos += k
-        return cls(
-            node_ids=node_ids, indptr=indptr, neighbors=neighbors, num_edges=graph.num_edges
-        )
-
-    def to_snapshot(self) -> GraphSnapshot:
-        """Decode into a fresh, fully independent :class:`GraphSnapshot`."""
-        indptr = self.indptr
-        neighbors = self.neighbors
-        adjacency: dict[int, set[int]] = {}
-        for i, node in enumerate(self.node_ids.tolist()):
-            adjacency[node] = set(neighbors[indptr[i] : indptr[i + 1]].tolist())
-        return GraphSnapshot.from_adjacency(adjacency, self.num_edges)
-
-    @property
-    def num_nodes(self) -> int:
-        """Number of nodes in the frozen snapshot."""
-        return int(self.node_ids.size)
+__all__ = ["ReplayCheckpoint"]
 
 
 @dataclass(frozen=True)
@@ -91,8 +38,13 @@ class ReplayCheckpoint:
     time: float
     node_index: int
     edge_index: int
-    csr: CSRAdjacency
+    csr: CSRGraph
 
     def restore_graph(self) -> GraphSnapshot:
         """A fresh mutable snapshot equal to the graph at checkpoint time."""
-        return self.csr.to_snapshot()
+        csr = self.csr
+        ids = csr.node_ids.tolist()
+        neighbors = csr.node_ids[csr.indices].tolist()
+        bounds = csr.indptr.tolist()
+        adjacency = {node: set(neighbors[bounds[i] : bounds[i + 1]]) for i, node in enumerate(ids)}
+        return GraphSnapshot.from_adjacency(adjacency, csr.num_edges)

@@ -12,9 +12,12 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
-from repro.graph.checkpoint import CSRAdjacency, ReplayCheckpoint
+import numpy as np
+
+from repro.graph.checkpoint import ReplayCheckpoint
 from repro.graph.events import EventStream
 from repro.graph.snapshot import GraphSnapshot
+from repro.kernels.csr import CSRGraph
 
 __all__ = ["DynamicGraph", "SnapshotView"]
 
@@ -38,12 +41,10 @@ class SnapshotView:
     def materialize(self) -> "SnapshotView":
         """A view whose graph is decoupled from the live replay.
 
-        The graph is round-tripped through a checkpoint encoding, so the
-        copy shares no mutable state with the replayer and is safe to
-        retain while the replay advances.
+        The graph is deep-copied, so the copy shares no mutable state with
+        the replayer and is safe to retain while the replay advances.
         """
-        frozen = CSRAdjacency.from_snapshot(self.graph)
-        return replace(self, graph=frozen.to_snapshot())
+        return replace(self, graph=self.graph.copy())
 
 
 class DynamicGraph:
@@ -85,7 +86,7 @@ class DynamicGraph:
             time=self.time_cursor,
             node_index=self._node_idx,
             edge_index=self._edge_idx,
-            csr=CSRAdjacency.from_snapshot(self.graph),
+            csr=CSRGraph.from_snapshot(self.graph),
         )
 
     @property
@@ -103,9 +104,9 @@ class DynamicGraph:
         """The time up to which events have been applied (exclusive of future)."""
         times = []
         if self._node_idx > 0:
-            times.append(self.stream.nodes[self._node_idx - 1].time)
+            times.append(float(self.stream.nodes.time[self._node_idx - 1]))
         if self._edge_idx > 0:
-            times.append(self.stream.edges[self._edge_idx - 1].time)
+            times.append(float(self.stream.edges.time[self._edge_idx - 1]))
         return max(times, default=0.0)
 
     @property
@@ -117,18 +118,19 @@ class DynamicGraph:
         """Apply all events with ``event.time <= time`` and return a view."""
         nodes = self.stream.nodes
         edges = self.stream.edges
-        new_nodes: list[int] = []
-        new_edges: list[tuple[int, int]] = []
-        while self._node_idx < len(nodes) and nodes[self._node_idx].time <= time:
-            node = nodes[self._node_idx].node
+        node_lo, edge_lo = self._node_idx, self._edge_idx
+        node_hi = max(node_lo, int(np.searchsorted(nodes.time, time, side="right")))
+        edge_hi = max(edge_lo, int(np.searchsorted(edges.time, time, side="right")))
+        new_nodes = nodes.node[node_lo:node_hi].tolist()
+        for node in new_nodes:
             self.graph.add_node(node)
-            new_nodes.append(node)
-            self._node_idx += 1
-        while self._edge_idx < len(edges) and edges[self._edge_idx].time <= time:
-            ev = edges[self._edge_idx]
-            if self.graph.add_edge(ev.u, ev.v):
-                new_edges.append((ev.u, ev.v))
-            self._edge_idx += 1
+        new_edges: list[tuple[int, int]] = []
+        for u, v in zip(
+            edges.u[edge_lo:edge_hi].tolist(), edges.v[edge_lo:edge_hi].tolist(), strict=True
+        ):
+            if self.graph.add_edge(u, v):
+                new_edges.append((u, v))
+        self._node_idx, self._edge_idx = node_hi, edge_hi
         return SnapshotView(
             time=time,
             graph=self.graph,

@@ -1,82 +1,177 @@
-"""Timestamped graph-evolution events and the event stream container.
+"""Timestamped graph-evolution events, held as columns.
 
 Times are floats measured in **days** since the network launch (the paper's
 "Day 0" is 2005-11-21).  Node identifiers are non-negative integers.  Each
 node carries an ``origin`` label so that merge analyses (§5) can distinguish
 the two pre-merge populations ("xiaonei", "fivq") from post-merge arrivals
 ("new"); generators that model a single network leave it as ``"xiaonei"``.
+
+An :class:`EventStream` is the same struct-of-arrays the columnar store
+persists (:mod:`repro.store`): node ``time``/``node``/``origin`` columns plus
+the origin label table, and edge ``time``/``u``/``v`` columns.  Consumers
+read the columns directly; iterate them with ``.tolist()`` so downstream
+code sees Python scalars, never numpy ones.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["NodeArrival", "EdgeArrival", "EventStream", "ORIGIN_XIAONEI", "ORIGIN_5Q", "ORIGIN_NEW"]
+from repro.util.arrays import BoolArray, FloatArray, IntArray, UInt16Array
+
+__all__ = [
+    "ORIGIN_5Q",
+    "ORIGIN_NEW",
+    "ORIGIN_XIAONEI",
+    "EdgeColumns",
+    "EventStream",
+    "NodeColumns",
+    "content_digest",
+]
 
 ORIGIN_XIAONEI = "xiaonei"
 ORIGIN_5Q = "fivq"
 ORIGIN_NEW = "new"
 
-
-@dataclass(frozen=True, slots=True)
-class NodeArrival:
-    """Creation of a user account at time ``time`` (days since launch)."""
-
-    time: float
-    node: int
-    origin: str = ORIGIN_XIAONEI
+#: Origin codes are uint16, as in the store's ``origin`` column.
+_MAX_LABELS = 1 << 16
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeArrival:
-    """Creation of an undirected friendship edge ``(u, v)`` at ``time``.
+@dataclass(frozen=True, eq=False)
+class NodeColumns:
+    """Node arrivals: ``time`` (float64), ``node`` (int64), ``origin`` codes.
+
+    ``origin`` holds uint16 indices into ``labels``.  Two bundles compare
+    equal when their times, ids and decoded origin labels agree, whatever
+    their label tables' order.
+    """
+
+    time: FloatArray
+    node: IntArray
+    origin: UInt16Array
+    labels: tuple[str, ...]
+
+    @classmethod
+    def build(
+        cls,
+        times: Sequence[float] | FloatArray,
+        nodes: Sequence[int] | IntArray,
+        origins: Sequence[str],
+    ) -> NodeColumns:
+        """Columns from per-event values, interning labels in first-seen order."""
+        labels = tuple(dict.fromkeys(origins))
+        if len(labels) > _MAX_LABELS:
+            raise ValueError(f"{len(labels)} origin labels exceed the uint16 code space")
+        code = {label: i for i, label in enumerate(labels)}
+        return cls(
+            time=np.asarray(times, dtype=np.float64),
+            node=np.asarray(nodes, dtype=np.int64),
+            origin=np.fromiter((code[o] for o in origins), dtype=np.uint16, count=len(origins)),
+            labels=labels,
+        )
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __getitem__(self, rows: slice | IntArray | BoolArray) -> NodeColumns:
+        return NodeColumns(self.time[rows], self.node[rows], self.origin[rows], self.labels)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NodeColumns):
+            return NotImplemented
+        return (
+            np.array_equal(self.time, other.time)
+            and np.array_equal(self.node, other.node)
+            and self.origin_labels() == other.origin_labels()
+        )
+
+    def origin_labels(self) -> list[str]:
+        """The origin label of every row, in order."""
+        labels = self.labels
+        return [labels[c] for c in self.origin.tolist()]
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeColumns:
+    """Undirected edge arrivals: ``time`` (float64) and endpoints ``u``, ``v``.
 
     The dataset does not record which endpoint initiated the friendship
     (§3.2), so the pair is unordered; analyses that need a "destination"
     choose one per their own rule.
     """
 
-    time: float
-    u: int
-    v: int
+    time: FloatArray
+    u: IntArray
+    v: IntArray
 
-    def endpoints(self) -> tuple[int, int]:
-        """The edge's endpoints as a (min, max) ordered tuple."""
-        return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
+    @classmethod
+    def build(
+        cls,
+        times: Sequence[float] | FloatArray,
+        us: Sequence[int] | IntArray,
+        vs: Sequence[int] | IntArray,
+    ) -> EdgeColumns:
+        """Columns from per-event values."""
+        return cls(
+            time=np.asarray(times, dtype=np.float64),
+            u=np.asarray(us, dtype=np.int64),
+            v=np.asarray(vs, dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __getitem__(self, rows: slice | IntArray | BoolArray) -> EdgeColumns:
+        return EdgeColumns(self.time[rows], self.u[rows], self.v[rows])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EdgeColumns):
+            return NotImplemented
+        return (
+            np.array_equal(self.time, other.time)
+            and np.array_equal(self.u, other.u)
+            and np.array_equal(self.v, other.v)
+        )
 
 
-@dataclass
+@dataclass(frozen=True)
 class EventStream:
-    """A time-ordered sequence of node and edge arrival events.
+    """An immutable, time-ordered sequence of node and edge arrivals.
 
     Node and edge events are kept in separate, individually time-sorted
-    lists; :meth:`merged` interleaves them when a single chronological pass
-    is needed.  Invariants (checked by :meth:`validate`):
+    column bundles.  Invariants (checked by :meth:`validate`):
 
-    * both lists are sorted by time;
+    * both kinds are sorted by time;
     * every edge endpoint was created at or before the edge's time;
     * no duplicate nodes and no duplicate or self-loop edges.
 
-    Derived data (the per-kind time lists and the content digest) is cached
-    on first use and invalidated by :meth:`extend`.  Mutating ``nodes`` or
-    ``edges`` directly bypasses that invalidation — use :meth:`extend`.
+    Streams compare equal by content.  The content digest is computed once
+    and cached; the stream never changes, so the cache never goes stale.
     """
 
-    nodes: list[NodeArrival] = field(default_factory=list)
-    edges: list[EdgeArrival] = field(default_factory=list)
+    nodes: NodeColumns = field(default_factory=lambda: NodeColumns.build((), (), ()))
+    edges: EdgeColumns = field(default_factory=lambda: EdgeColumns.build((), (), ()))
+    _digest: str | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self._invalidate_caches()
+    @classmethod
+    def from_records(
+        cls,
+        nodes: Iterable[tuple[float, int] | tuple[float, int, str]] = (),
+        edges: Iterable[tuple[float, int, int]] = (),
+    ) -> EventStream:
+        """Build a stream from ``(time, node[, origin])`` and ``(time, u, v)`` records.
 
-    def _invalidate_caches(self) -> None:
-        self._node_times: list[float] | None = None
-        self._edge_times: list[float] | None = None
-        self._digest: str | None = None
+        Records are taken in the given order (no sorting); the origin
+        defaults to ``"xiaonei"``.
+        """
+        rows = [(r[0], r[1], r[2] if len(r) > 2 else ORIGIN_XIAONEI) for r in nodes]
+        node_cols = list(zip(*rows)) or [(), (), ()]
+        edge_cols = list(zip(*edges)) or [(), (), ()]
+        return cls(NodeColumns.build(*node_cols), EdgeColumns.build(*edge_cols))
 
     @property
     def num_nodes(self) -> int:
@@ -91,68 +186,24 @@ class EventStream:
     @property
     def end_time(self) -> float:
         """Time of the last event, or 0.0 for an empty stream."""
-        last_node = self.nodes[-1].time if self.nodes else 0.0
-        last_edge = self.edges[-1].time if self.edges else 0.0
+        last_node = float(self.nodes.time[-1]) if len(self.nodes) else 0.0
+        last_edge = float(self.edges.time[-1]) if len(self.edges) else 0.0
         return max(last_node, last_edge)
-
-    def merged(self) -> Iterator[NodeArrival | EdgeArrival]:
-        """Iterate over all events in chronological order.
-
-        Ties are resolved with node arrivals first, so an edge created "at
-        the same instant" as its endpoint is always valid.
-        """
-        ni, ei = 0, 0
-        nodes, edges = self.nodes, self.edges
-        while ni < len(nodes) and ei < len(edges):
-            if nodes[ni].time <= edges[ei].time:
-                yield nodes[ni]
-                ni += 1
-            else:
-                yield edges[ei]
-                ei += 1
-        yield from nodes[ni:]
-        yield from edges[ei:]
 
     def node_arrival_times(self) -> dict[int, float]:
         """Map each node id to its arrival time."""
-        return {ev.node: ev.time for ev in self.nodes}
+        return dict(zip(self.nodes.node.tolist(), self.nodes.time.tolist(), strict=True))
 
     def node_origins(self) -> dict[int, str]:
         """Map each node id to its origin label."""
-        return {ev.node: ev.origin for ev in self.nodes}
+        return dict(zip(self.nodes.node.tolist(), self.nodes.origin_labels(), strict=True))
 
-    def node_times(self) -> list[float]:
-        """The node-arrival times in order (cached until :meth:`extend`)."""
-        if self._node_times is None:
-            self._node_times = [ev.time for ev in self.nodes]
-        return self._node_times
-
-    def edge_times(self) -> list[float]:
-        """The edge-arrival times in order (cached until :meth:`extend`)."""
-        if self._edge_times is None:
-            self._edge_times = [ev.time for ev in self.edges]
-        return self._edge_times
-
-    def edges_before(self, time: float) -> list[EdgeArrival]:
-        """All edge events with ``event.time <= time``."""
-        idx = bisect.bisect_right(self.edge_times(), time)
-        return self.edges[:idx]
-
-    def slice(self, start: float, end: float) -> "EventStream":
+    def slice(self, start: float, end: float) -> EventStream:
         """Return the sub-stream of events with ``start <= time <= end``."""
-        node_times = self.node_times()
-        edge_times = self.edge_times()
-        n_lo, n_hi = bisect.bisect_left(node_times, start), bisect.bisect_right(node_times, end)
-        e_lo, e_hi = bisect.bisect_left(edge_times, start), bisect.bisect_right(edge_times, end)
+        nt, et = self.nodes.time, self.edges.time
+        n_lo, n_hi = np.searchsorted(nt, start, "left"), np.searchsorted(nt, end, "right")
+        e_lo, e_hi = np.searchsorted(et, start, "left"), np.searchsorted(et, end, "right")
         return EventStream(nodes=self.nodes[n_lo:n_hi], edges=self.edges[e_lo:e_hi])
-
-    def extend(self, nodes: Iterable[NodeArrival], edges: Iterable[EdgeArrival]) -> None:
-        """Append events and restore time order."""
-        self.nodes.extend(nodes)
-        self.edges.extend(edges)
-        self.nodes.sort(key=lambda ev: ev.time)
-        self.edges.sort(key=lambda ev: ev.time)
-        self._invalidate_caches()
 
     def content_digest(self) -> str:
         """SHA-256 over the stream's full event content (cached).
@@ -164,44 +215,105 @@ class EventStream:
         ``repro.store`` manifests, so a stream and its columnar encoding
         share one digest.
         """
-        if self._digest is None:
-            h = hashlib.sha256()
-            h.update(np.array([ev.time for ev in self.nodes], dtype=np.float64).tobytes())
-            h.update(np.array([ev.node for ev in self.nodes], dtype=np.int64).tobytes())
-            h.update("\x00".join(ev.origin for ev in self.nodes).encode())
-            h.update(np.array([ev.time for ev in self.edges], dtype=np.float64).tobytes())
-            h.update(np.array([(ev.u, ev.v) for ev in self.edges], dtype=np.int64).tobytes())
-            self._digest = h.hexdigest()
-        return self._digest
+        digest = self._digest
+        if digest is None:
+            digest = content_digest([self.nodes], [self.edges])
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
     def validate(self) -> None:
-        """Check stream invariants; raise :class:`ValueError` on violation."""
-        _check_sorted(self.nodes, "nodes")
-        _check_sorted(self.edges, "edges")
-        born: dict[int, float] = {}
-        for ev in self.nodes:
-            if ev.node in born:
-                raise ValueError(f"duplicate node arrival for node {ev.node}")
-            born[ev.node] = ev.time
-        seen: set[tuple[int, int]] = set()
-        for ev in self.edges:
-            if ev.u == ev.v:
-                raise ValueError(f"self-loop edge at time {ev.time}: node {ev.u}")
-            key = ev.endpoints()
-            if key in seen:
-                raise ValueError(f"duplicate edge {key} at time {ev.time}")
-            seen.add(key)
-            for endpoint in key:
-                if endpoint not in born:
-                    raise ValueError(f"edge {key} references unknown node {endpoint}")
-                if born[endpoint] > ev.time:
-                    raise ValueError(
-                        f"edge {key} at time {ev.time} predates node {endpoint} "
-                        f"(born {born[endpoint]})"
-                    )
+        """Check stream invariants; raise :class:`ValueError` on violation.
+
+        Reports the first violation in event order, as a per-event scan
+        over nodes, then edges, would.
+        """
+        nodes, edges = self.nodes, self.edges
+        _check_sorted(nodes.time, "nodes")
+        _check_sorted(edges.time, "edges")
+        by_id = np.argsort(nodes.node, kind="stable")
+        ids = nodes.node[by_id]
+        repeats = by_id[1:][ids[1:] == ids[:-1]]
+        if repeats.size:
+            first = int(repeats.min())
+            raise ValueError(f"duplicate node arrival for node {int(nodes.node[first])}")
+        born = nodes.time[by_id]
+        lo = np.minimum(edges.u, edges.v)
+        hi = np.maximum(edges.u, edges.v)
+        by_key = np.lexsort((hi, lo))
+        same = (lo[by_key][1:] == lo[by_key][:-1]) & (hi[by_key][1:] == hi[by_key][:-1])
+        duplicate = np.zeros(len(edges), dtype=bool)
+        duplicate[by_key[1:][same]] = True
+        loop = edges.u == edges.v
+        unknown_lo, late_lo = _endpoint_checks(ids, born, lo, edges.time)
+        unknown_hi, late_hi = _endpoint_checks(ids, born, hi, edges.time)
+        bad = np.logical_or.reduce((loop, duplicate, unknown_lo, late_lo, unknown_hi, late_hi))
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+        time = float(edges.time[i])
+        key = (int(lo[i]), int(hi[i]))
+        if loop[i]:
+            raise ValueError(f"self-loop edge at time {time}: node {key[0]}")
+        if duplicate[i]:
+            raise ValueError(f"duplicate edge {key} at time {time}")
+        for endpoint, unknown, late in (
+            (key[0], unknown_lo, late_lo),
+            (key[1], unknown_hi, late_hi),
+        ):
+            if unknown[i]:
+                raise ValueError(f"edge {key} references unknown node {endpoint}")
+            if late[i]:
+                when = float(born[np.searchsorted(ids, endpoint)])
+                raise ValueError(
+                    f"edge {key} at time {time} predates node {endpoint} (born {when})"
+                )
 
 
-def _check_sorted(events: Sequence[NodeArrival] | Sequence[EdgeArrival], label: str) -> None:
-    for prev, cur in zip(events, events[1:], strict=False):
-        if cur.time < prev.time:
-            raise ValueError(f"{label} not sorted by time at t={cur.time}")
+def content_digest(nodes: Iterable[NodeColumns], edges: Iterable[EdgeColumns]) -> str:
+    """SHA-256 over event columns given as consecutive chunks.
+
+    Hashes, in order: node times (float64), node ids (int64), the node
+    origin labels joined with ``\x00``, edge times, then interleaved
+    ``(u, v)`` pairs (int64).  The chunking does not change the digest, so
+    a stream and its chunked store encoding share one.
+    """
+    nodes, edges = list(nodes), list(edges)
+    h = hashlib.sha256()
+    for chunk in nodes:
+        h.update(chunk.time.astype(np.float64, copy=False).tobytes())
+    for chunk in nodes:
+        h.update(chunk.node.astype(np.int64, copy=False).tobytes())
+    first = True
+    for chunk in nodes:
+        if not len(chunk):
+            continue
+        if not first:
+            h.update(b"\x00")
+        encoded = [label.encode() for label in chunk.labels]
+        h.update(b"\x00".join(encoded[code] for code in chunk.origin.tolist()))
+        first = False
+    for chunk in edges:
+        h.update(chunk.time.astype(np.float64, copy=False).tobytes())
+    for chunk in edges:
+        h.update(np.column_stack((chunk.u, chunk.v)).astype(np.int64, copy=False).tobytes())
+    return h.hexdigest()
+
+
+def _check_sorted(times: FloatArray, label: str) -> None:
+    drops = np.flatnonzero(np.diff(times) < 0)
+    if drops.size:
+        raise ValueError(f"{label} not sorted by time at t={float(times[drops[0] + 1])}")
+
+
+def _endpoint_checks(
+    ids: IntArray, born: FloatArray, endpoints: IntArray, times: FloatArray
+) -> tuple[BoolArray, BoolArray]:
+    """Per edge: is ``endpoint`` unknown, and was it born after the edge?
+
+    ``ids`` are the sorted node ids and ``born`` their arrival times.
+    """
+    if not len(ids):
+        return np.ones(len(endpoints), dtype=bool), np.zeros(len(endpoints), dtype=bool)
+    pos = np.minimum(np.searchsorted(ids, endpoints), len(ids) - 1)
+    known = ids[pos] == endpoints
+    return ~known, known & (born[pos] > times)

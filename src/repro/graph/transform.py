@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.events import EdgeArrival, EventStream, NodeArrival
+from repro.graph.events import EdgeColumns, EventStream, NodeColumns
 from repro.util.rng import make_rng
 
 __all__ = ["rescale_time", "subsample_nodes", "relabel_nodes", "truncate"]
@@ -20,9 +20,10 @@ def rescale_time(stream: EventStream, factor: float) -> EventStream:
     """Multiply every event time by ``factor`` (> 0)."""
     if factor <= 0:
         raise ValueError(f"factor must be positive, got {factor}")
+    nodes, edges = stream.nodes, stream.edges
     out = EventStream(
-        nodes=[NodeArrival(ev.time * factor, ev.node, ev.origin) for ev in stream.nodes],
-        edges=[EdgeArrival(ev.time * factor, ev.u, ev.v) for ev in stream.edges],
+        nodes=NodeColumns(nodes.time * factor, nodes.node, nodes.origin, nodes.labels),
+        edges=EdgeColumns(edges.time * factor, edges.u, edges.v),
     )
     out.validate()
     return out
@@ -42,10 +43,12 @@ def subsample_nodes(
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     rng = make_rng(seed)
-    keep = {ev.node for ev in stream.nodes if rng.random() < fraction}
+    nodes, edges = stream.nodes, stream.edges
+    # One vector draw yields the same doubles as one scalar draw per node.
+    keep = np.unique(nodes.node[rng.random(len(nodes)) < fraction])
     out = EventStream(
-        nodes=[ev for ev in stream.nodes if ev.node in keep],
-        edges=[ev for ev in stream.edges if ev.u in keep and ev.v in keep],
+        nodes=nodes[np.isin(nodes.node, keep)],
+        edges=edges[np.isin(edges.u, keep) & np.isin(edges.v, keep)],
     )
     out.validate()
     return out
@@ -57,10 +60,15 @@ def relabel_nodes(stream: EventStream) -> tuple[EventStream, dict[int, int]]:
     Returns ``(new_stream, old_id -> new_id)``.  Useful after
     :func:`subsample_nodes`, and for anonymizing arbitrary ids.
     """
-    mapping = {ev.node: idx for idx, ev in enumerate(stream.nodes)}
+    nodes, edges = stream.nodes, stream.edges
+    mapping = {node: idx for idx, node in enumerate(nodes.node.tolist())}
+
+    def relabel(ids: np.ndarray) -> np.ndarray:
+        return np.fromiter((mapping[i] for i in ids.tolist()), dtype=np.int64, count=len(ids))
+
     out = EventStream(
-        nodes=[NodeArrival(ev.time, mapping[ev.node], ev.origin) for ev in stream.nodes],
-        edges=[EdgeArrival(ev.time, mapping[ev.u], mapping[ev.v]) for ev in stream.edges],
+        nodes=NodeColumns(nodes.time, relabel(nodes.node), nodes.origin, nodes.labels),
+        edges=EdgeColumns(edges.time, relabel(edges.u), relabel(edges.v)),
     )
     out.validate()
     return out, mapping
@@ -69,8 +77,8 @@ def relabel_nodes(stream: EventStream) -> tuple[EventStream, dict[int, int]]:
 def truncate(stream: EventStream, end_time: float) -> EventStream:
     """Drop every event after ``end_time`` (inclusive cut)."""
     out = EventStream(
-        nodes=[ev for ev in stream.nodes if ev.time <= end_time],
-        edges=[ev for ev in stream.edges if ev.time <= end_time],
+        nodes=stream.nodes[stream.nodes.time <= end_time],
+        edges=stream.edges[stream.edges.time <= end_time],
     )
     out.validate()
     return out

@@ -12,15 +12,16 @@ reference implementation visits nodes in dict order: a kernel that
 re-ordered nodes would permute the RNG-shuffled visit sequence and break
 bit-for-bit parity with the Python backend.
 
-Construction reuses :class:`~repro.graph.checkpoint.CSRAdjacency` (the
-replay checkpoint encoding), so a worker that just restored a checkpoint
-can build the kernel view without round-tripping through Python sets.
+Replay checkpoints (:class:`~repro.graph.checkpoint.ReplayCheckpoint`)
+carry a :class:`CSRGraph` as their frozen adjacency, so there is one array
+form of a snapshot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,7 +29,6 @@ import numpy as np
 from repro.util.arrays import IntArray
 
 if TYPE_CHECKING:
-    from repro.graph.checkpoint import CSRAdjacency
     from repro.graph.snapshot import GraphSnapshot
 
 __all__ = ["CSRGraph", "gather_neighbors"]
@@ -51,34 +51,29 @@ class CSRGraph:
 
     @classmethod
     def from_snapshot(cls, graph: GraphSnapshot) -> "CSRGraph":
-        """Freeze ``graph`` (via the checkpoint CSR encoding).
-
-        The graph-layer import is deferred: the kernel layer sits below
-        the graph layer in the architecture contract, and this ingestion
-        seam is declared in ``repro.devtools.rules_layering``.
-        """
-        from repro.graph.checkpoint import CSRAdjacency
-
-        return cls.from_adjacency(CSRAdjacency.from_snapshot(graph))
-
-    @classmethod
-    def from_adjacency(cls, adjacency: CSRAdjacency) -> "CSRGraph":
-        """Re-index a checkpoint :class:`CSRAdjacency` into position space."""
-        node_ids = adjacency.node_ids
-        n = int(node_ids.size)
-        if adjacency.neighbors.size:
+        """Freeze ``graph``, keeping its node insertion order."""
+        adjacency = graph.adjacency
+        n = len(adjacency)
+        node_ids = np.fromiter(adjacency.keys(), dtype=np.int64, count=n)
+        degrees = np.fromiter(map(len, adjacency.values()), dtype=np.int64, count=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        total = int(indptr[-1])
+        if total:
+            # Row *content*, not set iteration order, is what survives: the
+            # lexsort below canonicalizes every row to ascending positions.
+            neighbors = np.fromiter(
+                chain.from_iterable(adjacency.values()),
+                dtype=np.int64,
+                count=total,
+            )
             id_order = np.argsort(node_ids, kind="stable")
-            positions = id_order[np.searchsorted(node_ids[id_order], adjacency.neighbors)]
-            rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(adjacency.indptr))
+            positions = id_order[np.searchsorted(node_ids[id_order], neighbors)]
+            rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
             indices = positions[np.lexsort((positions, rows))]
         else:
             indices = np.empty(0, dtype=np.int64)
-        return cls(
-            node_ids=node_ids,
-            indptr=adjacency.indptr,
-            indices=indices,
-            num_edges=adjacency.num_edges,
-        )
+        return cls(node_ids=node_ids, indptr=indptr, indices=indices, num_edges=graph.num_edges)
 
     # -- queries ------------------------------------------------------
 

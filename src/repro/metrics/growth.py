@@ -42,10 +42,10 @@ def daily_growth(stream: EventStream) -> GrowthSeries:
     n_days = int(math.floor(stream.end_time)) + 1
     new_nodes = np.zeros(n_days, dtype=np.int64)
     new_edges = np.zeros(n_days, dtype=np.int64)
-    for ev in stream.nodes:
-        new_nodes[int(ev.time)] += 1
-    for ev in stream.edges:
-        new_edges[int(ev.time)] += 1
+    for day in stream.nodes.time.tolist():
+        new_nodes[int(day)] += 1
+    for day in stream.edges.time.tolist():
+        new_edges[int(day)] += 1
     cum_nodes = np.cumsum(new_nodes)
     cum_edges = np.cumsum(new_edges)
     prev_nodes = np.concatenate(([0], cum_nodes[:-1])).astype(float)

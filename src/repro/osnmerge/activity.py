@@ -97,9 +97,9 @@ def active_users_over_time(
         EdgeClass.INTERNAL: "internal",
         EdgeClass.EXTERNAL: "external",
     }
-    for edge, kind in classify_edges(stream, after=merge_day):
-        rel = edge.time - merge_day
-        for endpoint in (edge.u, edge.v):
+    for time, u, v, kind in classify_edges(stream, after=merge_day):
+        rel = time - merge_day
+        for endpoint in (u, v):
             if endpoint in group:
                 activity["all"][endpoint].append(rel)
                 activity[kind_key[kind]][endpoint].append(rel)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping
 
-from repro.graph.events import ORIGIN_NEW, EdgeArrival, EventStream
+from repro.graph.events import ORIGIN_NEW, EventStream
 
 __all__ = ["EdgeClass", "classify_edge", "classify_edges"]
 
@@ -28,10 +28,10 @@ class EdgeClass(str, enum.Enum):
     NEW = "new"
 
 
-def classify_edge(edge: EdgeArrival, origin_of: Mapping[int, str]) -> EdgeClass:
-    """Classify one edge given the node→origin map."""
-    ou = origin_of[edge.u]
-    ov = origin_of[edge.v]
+def classify_edge(u: int, v: int, origin_of: Mapping[int, str]) -> EdgeClass:
+    """Classify the edge ``(u, v)`` given the node→origin map."""
+    ou = origin_of[u]
+    ov = origin_of[v]
     if ou == ORIGIN_NEW or ov == ORIGIN_NEW:
         return EdgeClass.NEW
     if ou == ov:
@@ -43,8 +43,8 @@ def classify_edges(
     stream: EventStream,
     after: float,
     organic_after: float | None = None,
-) -> list[tuple[EdgeArrival, EdgeClass]]:
-    """Classify all edges with ``time > after``.
+) -> list[tuple[float, int, int, EdgeClass]]:
+    """Classify all edges with ``time > after`` as ``(time, u, v, class)`` rows.
 
     ``organic_after`` (defaults to ``after + 1``, i.e. skipping the import
     day) drops the bulk-imported edges so only organic post-merge activity
@@ -52,8 +52,9 @@ def classify_edges(
     """
     cutoff = after + 1.0 if organic_after is None else organic_after
     origin_of = stream.node_origins()
+    edges = stream.edges
     return [
-        (ev, classify_edge(ev, origin_of))
-        for ev in stream.edges
-        if ev.time > cutoff
+        (t, u, v, classify_edge(u, v, origin_of))
+        for t, u, v in zip(edges.time.tolist(), edges.u.tolist(), edges.v.tolist(), strict=True)
+        if t > cutoff
     ]

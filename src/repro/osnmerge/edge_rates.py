@@ -54,11 +54,11 @@ def edges_per_day_by_type(stream: EventStream, merge_day: float) -> EdgeRateSeri
     new = {o: np.zeros(horizon + 1) for o in (ORIGIN_XIAONEI, ORIGIN_5Q)}
     external = np.zeros(horizon + 1)
     new_total = np.zeros(horizon + 1)
-    for edge, kind in classify_edges(stream, after=merge_day):
-        day = int(edge.time - merge_day)
+    for t, u, v, kind in classify_edges(stream, after=merge_day):
+        day = int(t - merge_day)
         if day > horizon:
             continue
-        ou, ov = origins[edge.u], origins[edge.v]
+        ou, ov = origins[u], origins[v]
         if kind is EdgeClass.INTERNAL:
             if ou in internal:
                 internal[ou][day] += 1

@@ -101,7 +101,7 @@ class EdgeProbabilityTracker:
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         size = self.max_degree + 1
-        degree = dict.fromkeys((ev.node for ev in stream.nodes), 0)
+        degree = dict.fromkeys(stream.nodes.node.tolist(), 0)
         degree_count = np.zeros(size, dtype=np.int64)
         numerator = np.zeros(size, dtype=np.float64)
         denominator = np.zeros(size, dtype=np.float64)
@@ -109,23 +109,26 @@ class EdgeProbabilityTracker:
         # edges chronologically so degree-0 counts are correct.
         checkpoints: list[PeCheckpoint] = []
         edges_seen = 0
-        node_iter = iter(stream.nodes)
-        pending_node = next(node_iter, None)
-        for ev in stream.edges:
-            while pending_node is not None and pending_node.time <= ev.time:
-                degree_count[0] += 1
-                pending_node = next(node_iter, None)
-            dest_degree = self._destination_degree(degree[ev.u], degree[ev.v])
+        edges = stream.edges
+        born_by_edge = np.searchsorted(stream.nodes.time, edges.time, side="right").tolist()
+        arrived = 0
+        for t, u, v, n_born in zip(
+            edges.time.tolist(), edges.u.tolist(), edges.v.tolist(), born_by_edge, strict=True
+        ):
+            if n_born > arrived:
+                degree_count[0] += n_born - arrived
+                arrived = n_born
+            dest_degree = self._destination_degree(degree[u], degree[v])
             d = min(dest_degree, self.max_degree)
             numerator[d] += 1
             denominator += degree_count
-            self._bump(degree, degree_count, ev.u)
-            self._bump(degree, degree_count, ev.v)
+            self._bump(degree, degree_count, u)
+            self._bump(degree, degree_count, v)
             edges_seen += 1
             if edges_seen % checkpoint_every == 0 and edges_seen >= min_edges:
                 node_count = int(degree_count.sum())
                 checkpoints.append(
-                    self._checkpoint(edges_seen, ev.time, numerator, denominator, node_count)
+                    self._checkpoint(edges_seen, t, numerator, denominator, node_count)
                 )
                 if self.mode == "window":
                     numerator[:] = 0

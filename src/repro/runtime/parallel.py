@@ -17,12 +17,13 @@ degree and assortativity accumulators event by event.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import multiprocessing
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any
+
+import numpy as np
 
 from repro.graph.checkpoint import ReplayCheckpoint
 from repro.graph.dynamic import DynamicGraph
@@ -259,8 +260,8 @@ def _window_weights(stream: EventStream, times: list[float]) -> list[float]:
     count of the snapshot — so the edge count at each grid time (plus a
     constant floor) is a good balance weight.
     """
-    edge_times = [ev.time for ev in stream.edges]
-    return [1.0 + bisect.bisect_right(edge_times, t) for t in times]
+    counts = np.searchsorted(stream.edges.time, times, side="right")
+    return [1.0 + n for n in counts.tolist()]
 
 
 def _partition(weights: list[float], parts: int) -> list[list[int]]:

@@ -1,45 +1,28 @@
 """Adapters between event streams, TSV traces, and columnar stores.
 
 ``convert_tsv_to_store`` streams: it parses the TSV one event at a time
-(:func:`repro.graph.stream_io.iter_events`), batches events, and appends
-them to a :class:`~repro.store.writer.StoreWriter` — peak memory is one
-chunk per event kind, independent of trace size.  ``store_to_tsv`` streams
-the other way, chunk by chunk, and emits bytes identical to
-:func:`~repro.graph.stream_io.write_event_stream` of the decoded stream.
+(:func:`repro.graph.stream_io.iter_events`), batches events into columns,
+and appends them to a :class:`~repro.store.writer.StoreWriter` — peak
+memory is one chunk per event kind, independent of trace size.
+``store_to_tsv`` streams the other way, chunk by chunk, and emits bytes
+identical to :func:`~repro.graph.stream_io.write_event_stream` of the
+decoded stream.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from repro.graph.events import EventStream, NodeArrival
-from repro.graph.stream_io import _HEADER, iter_events
+from repro.graph.events import EventStream, NodeColumns
+from repro.graph.stream_io import _HEADER, _collect, _write_rows, iter_events
 from repro.store.format import DEFAULT_CHUNK_EVENTS, Manifest
 from repro.store.reader import EventStore
 from repro.store.writer import StoreWriter
 from repro.util.arrays import IntArray
-
-
-class _OriginInterner:
-    """Caches writer origin codes so labels intern once, not once per event."""
-
-    def __init__(self, writer: StoreWriter) -> None:
-        self._writer = writer
-        self._codes: dict[str, int] = {}
-
-    def codes_for(self, labels: list[str]) -> IntArray:
-        fresh = list(dict.fromkeys(lb for lb in labels if lb not in self._codes))
-        if fresh:
-            for label, code in zip(fresh, self._writer.intern_origins(fresh), strict=True):
-                self._codes[label] = int(code)
-        # int64, not uint16: append_arrays owns the bounds-checked cast to
-        # the column dtype, so a cache bug here raises instead of wrapping.
-        return np.fromiter(
-            (self._codes[lb] for lb in labels), dtype=np.int64, count=len(labels)
-        )
 
 __all__ = [
     "convert_tsv_to_store",
@@ -50,6 +33,33 @@ __all__ = [
 ]
 
 
+def _writer_codes(writer: StoreWriter, nodes: NodeColumns) -> IntArray:
+    """``nodes``' origin codes translated into ``writer``'s string table.
+
+    Only the labels in use are interned, in first-appearance order, so the
+    store's table does not depend on the stream's unused labels.
+    """
+    used, first = np.unique(nodes.origin, return_index=True)
+    used = used[np.argsort(first)]
+    # int64, not uint16: append_arrays owns the bounds-checked cast to the
+    # column dtype, so a stale entry here raises instead of wrapping.
+    table = np.full(len(nodes.labels), -1, dtype=np.int64)
+    table[used] = writer.intern_origins([nodes.labels[c] for c in used.tolist()])
+    return table[nodes.origin]
+
+
+def _append(writer: StoreWriter, stream: EventStream) -> None:
+    nodes, edges = stream.nodes, stream.edges
+    writer.append_arrays(
+        node_times=nodes.time,
+        node_ids=nodes.node,
+        node_origins=_writer_codes(writer, nodes),
+        edge_times=edges.time,
+        edge_us=edges.u,
+        edge_vs=edges.v,
+    )
+
+
 def write_store(
     stream: EventStream,
     path: str | os.PathLike[str],
@@ -58,23 +68,7 @@ def write_store(
 ) -> Manifest:
     """Encode an in-memory :class:`EventStream` as a store at ``path``."""
     with StoreWriter(path, chunk_events=chunk_events) as writer:
-        interner = _OriginInterner(writer)
-        for start in range(0, len(stream.nodes), chunk_events):
-            batch = stream.nodes[start : start + chunk_events]
-            count = len(batch)
-            writer.append_arrays(
-                node_times=np.fromiter((ev.time for ev in batch), dtype="<f8", count=count),
-                node_ids=np.fromiter((ev.node for ev in batch), dtype="<i8", count=count),
-                node_origins=interner.codes_for([ev.origin for ev in batch]),
-            )
-        for start in range(0, len(stream.edges), chunk_events):
-            batch = stream.edges[start : start + chunk_events]
-            count = len(batch)
-            writer.append_arrays(
-                edge_times=np.fromiter((ev.time for ev in batch), dtype="<f8", count=count),
-                edge_us=np.fromiter((ev.u for ev in batch), dtype="<i8", count=count),
-                edge_vs=np.fromiter((ev.v for ev in batch), dtype="<i8", count=count),
-            )
+        _append(writer, stream)
         return writer.close()
 
 
@@ -91,63 +85,28 @@ def convert_tsv_to_store(
     valid trace already satisfies); out-of-order input fails the writer's
     monotonicity check rather than producing an unscannable store.
     """
+    records = iter_events(tsv_path)
     with StoreWriter(store_path, chunk_events=chunk_events) as writer:
-        interner = _OriginInterner(writer)
-        node_cols: tuple[list[float], list[int], list[str]] = ([], [], [])
-        edge_cols: tuple[list[float], list[int], list[int]] = ([], [], [])
-
-        def flush() -> None:
-            times, ids, labels = node_cols
-            if times:
-                writer.append_arrays(
-                    node_times=np.array(times, dtype="<f8"),
-                    node_ids=np.array(ids, dtype="<i8"),
-                    node_origins=interner.codes_for(labels),
-                )
-                for col in node_cols:
-                    col.clear()
-            etimes, us, vs = edge_cols
-            if etimes:
-                writer.append_arrays(
-                    edge_times=np.array(etimes, dtype="<f8"),
-                    edge_us=np.array(us, dtype="<i8"),
-                    edge_vs=np.array(vs, dtype="<i8"),
-                )
-                for col in edge_cols:
-                    col.clear()
-
-        for ev in iter_events(tsv_path):
-            if isinstance(ev, NodeArrival):
-                node_cols[0].append(ev.time)
-                node_cols[1].append(ev.node)
-                node_cols[2].append(ev.origin)
-            else:
-                edge_cols[0].append(ev.time)
-                edge_cols[1].append(ev.u)
-                edge_cols[2].append(ev.v)
-            if len(node_cols[0]) + len(edge_cols[0]) >= batch_events:
-                flush()
-        flush()
-        return writer.close()
+        while True:
+            batch = _collect(islice(records, batch_events))
+            if not batch.num_nodes + batch.num_edges:
+                return writer.close()
+            _append(writer, batch)
 
 
 def store_to_tsv(store: EventStore, tsv_path: str | os.PathLike[str]) -> None:
     """Write a store back out as a TSV trace, chunk by chunk."""
-    labels = store.origins
+    manifest = store.manifest
     with open(Path(tsv_path), "w", encoding="utf-8") as fh:
         fh.write(_HEADER + "\n")
-        for index in range(len(store.manifest.node_chunks)):
-            cols = store._nodes.map(index)
-            for t, n, c in zip(
-                cols["time"].tolist(), cols["node"].tolist(), cols["origin"].tolist(), strict=True
-            ):
-                fh.write(f"N\t{t!r}\t{n}\t{labels[c]}\n")
-        for index in range(len(store.manifest.edge_chunks)):
-            cols = store._edges.map(index)
-            for t, u, v in zip(
-                cols["time"].tolist(), cols["u"].tolist(), cols["v"].tolist(), strict=True
-            ):
-                fh.write(f"E\t{t!r}\t{u}\t{v}\n")
+        lo = 0
+        for chunk in manifest.node_chunks:
+            _write_rows(fh, store.slice_events(lo, lo + chunk.count, 0, 0))
+            lo += chunk.count
+        lo = 0
+        for chunk in manifest.edge_chunks:
+            _write_rows(fh, store.slice_events(0, 0, lo, lo + chunk.count))
+            lo += chunk.count
 
 
 def load_event_source(path: str | os.PathLike[str]) -> EventStream | EventStore:

@@ -35,7 +35,6 @@ never a garbage array.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.graph.events import EdgeColumns, NodeColumns, content_digest
 from repro.util.arrays import AnyArray
 
 __all__ = [
@@ -233,29 +233,10 @@ def content_digest_of_chunks(
 
     Byte-for-byte identical to
     :meth:`repro.graph.events.EventStream.content_digest` of the decoded
-    stream: node times, node ids, ``\\x00``-joined origin labels, edge
-    times, then interleaved ``(u, v)`` pairs, all hashed in order.
+    stream: both are :func:`repro.graph.events.content_digest`.
     """
-    node_chunks = list(node_chunks)
-    edge_chunks = list(edge_chunks)
-    h = hashlib.sha256()
-    for cols in node_chunks:
-        h.update(cols["time"].astype(np.float64, copy=False).tobytes())
-    for cols in node_chunks:
-        h.update(cols["node"].astype(np.int64, copy=False).tobytes())
-    encoded = [label.encode() for label in origins]
-    first = True
-    for cols in node_chunks:
-        codes = cols["origin"]
-        if codes.size == 0:
-            continue
-        if not first:
-            h.update(b"\x00")
-        h.update(b"\x00".join(encoded[code] for code in codes.tolist()))
-        first = False
-    for cols in edge_chunks:
-        h.update(cols["time"].astype(np.float64, copy=False).tobytes())
-    for cols in edge_chunks:
-        pairs = np.column_stack((cols["u"], cols["v"])).astype(np.int64, copy=False)
-        h.update(np.ascontiguousarray(pairs).tobytes())
-    return h.hexdigest()
+    labels = tuple(origins)
+    return content_digest(
+        (NodeColumns(c["time"], c["node"], c["origin"], labels) for c in node_chunks),
+        (EdgeColumns(c["time"], c["u"], c["v"]) for c in edge_chunks),
+    )

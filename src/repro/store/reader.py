@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.graph.events import EdgeArrival, EventStream, NodeArrival
+from repro.graph.events import EdgeColumns, EventStream, NodeColumns
 from repro.obs import get_recorder
 from repro.store.format import (
     EDGE_COLUMNS,
@@ -190,7 +190,11 @@ class _ChunkIndex:
         }
 
     def rows(self, lo: int, hi: int) -> dict[str, AnyArray]:
-        """All columns for events with global index in ``[lo, hi)``."""
+        """All columns for events with global index in ``[lo, hi)``.
+
+        The arrays are fresh copies, never views of the mapped chunk files,
+        so they outlive the store directory.
+        """
         lo = max(0, lo)
         hi = min(self.total, hi)
         parts: list[dict[str, AnyArray]] = []
@@ -205,8 +209,6 @@ class _ChunkIndex:
             index += 1
         if not parts:
             return {name: np.empty(0, dtype=dtype) for name, dtype in self.columns}
-        if len(parts) == 1:
-            return parts[0]
         return {
             name: np.concatenate([part[name] for part in parts]) for name, _ in self.columns
         }
@@ -346,7 +348,7 @@ class EventStore:
     # -- EventStream interop -------------------------------------------
 
     def slice_events(self, node_lo: int, node_hi: int, edge_lo: int, edge_hi: int) -> EventStream:
-        """Materialize events by global index range into an :class:`EventStream`.
+        """Copy events by global index range into an :class:`EventStream`.
 
         This is what parallel replay workers use: each worker pulls only
         the chunk rows of its own window instead of receiving a pickled
@@ -373,9 +375,12 @@ class EventStore:
         with rec.span(
             "store.decode", node_events=self._nodes.total, edge_events=self._edges.total
         ):
+            # A full decode is content-equivalent to the store, so it
+            # inherits the manifest digest; partial slices hash themselves.
             stream = self._build_stream(
                 self._nodes.rows(0, self._nodes.total),
                 self._edges.rows(0, self._edges.total),
+                digest=self.manifest.content_digest,
             )
             if rec.enabled:
                 rec.count("store.events_decoded", len(stream.nodes) + len(stream.edges))
@@ -384,39 +389,23 @@ class EventStore:
             return stream
 
     def _build_stream(
-        self, node_cols: dict[str, AnyArray], edge_cols: dict[str, AnyArray]
+        self,
+        node_cols: dict[str, AnyArray],
+        edge_cols: dict[str, AnyArray],
+        digest: str | None = None,
     ) -> EventStream:
         labels = self.manifest.origins
-        try:
-            nodes = [
-                NodeArrival(time=t, node=n, origin=labels[c])
-                for t, n, c in zip(
-                    node_cols["time"].tolist(),
-                    node_cols["node"].tolist(),
-                    node_cols["origin"].tolist(),
-                    strict=True,
-                )
-            ]
-        except IndexError as exc:
+        codes = node_cols["origin"]
+        if codes.size and int(codes.max()) >= len(labels):
             raise StoreError(
                 f"node chunk references origin code outside the {len(labels)}-entry "
                 "string table — corrupt store (run verify)"
-            ) from exc
-        edges = [
-            EdgeArrival(time=t, u=u, v=v)
-            for t, u, v in zip(
-                edge_cols["time"].tolist(),
-                edge_cols["u"].tolist(),
-                edge_cols["v"].tolist(),
-                strict=True,
             )
-        ]
-        stream = EventStream(nodes=nodes, edges=edges)
-        if len(nodes) == self._nodes.total and len(edges) == self._edges.total:
-            # A full decode is content-equivalent to the store, so it
-            # inherits the manifest digest; partial slices hash themselves.
-            stream._digest = self.manifest.content_digest
-        return stream
+        return EventStream(
+            nodes=NodeColumns(node_cols["time"], node_cols["node"], codes, labels),
+            edges=EdgeColumns(edge_cols["time"], edge_cols["u"], edge_cols["v"]),
+            _digest=digest,
+        )
 
     # -- integrity -----------------------------------------------------
 

@@ -1,9 +1,10 @@
 """Append-only writer for the columnar event store.
 
-:class:`StoreWriter` accepts node and edge events in time-ordered batches
-(arrays or event dataclasses), interns origin labels, and spills exactly
-``chunk_events``-sized column chunks to disk as they fill — so converting
-an arbitrarily large trace holds at most one chunk of each kind in memory.
+:class:`StoreWriter` accepts node and edge events in time-ordered column
+batches (:meth:`StoreWriter.append_arrays`), interns origin labels, and
+spills exactly ``chunk_events``-sized column chunks to disk as they fill —
+so converting an arbitrarily large trace holds at most one chunk of each
+kind in memory.
 ``close()`` flushes the final partial chunks, re-reads the written columns
 to compute the store's content digest (identical to the decoded stream's
 :meth:`~repro.graph.events.EventStream.content_digest`), and publishes the
@@ -21,7 +22,6 @@ from types import TracebackType
 
 import numpy as np
 
-from repro.graph.events import EdgeArrival, NodeArrival
 from repro.store.format import (
     DEFAULT_CHUNK_EVENTS,
     EDGE_COLUMNS,
@@ -233,56 +233,6 @@ class StoreWriter:
                     np.asarray(edge_us, dtype="<i8"),
                     np.asarray(edge_vs, dtype="<i8"),
                 )
-            )
-
-    def append_nodes(
-        self,
-        times: Sequence[float] | AnyArray,
-        nodes: Sequence[int] | AnyArray,
-        origins: Sequence[str],
-    ) -> None:
-        """Append one time-sorted batch of node arrivals."""
-        codes = self.intern_origins(origins)
-        self._nodes.append(
-            (np.asarray(times, dtype="<f8"), np.asarray(nodes, dtype="<i8"), codes)
-        )
-
-    def append_edges(
-        self,
-        times: Sequence[float] | AnyArray,
-        us: Sequence[int] | AnyArray,
-        vs: Sequence[int] | AnyArray,
-    ) -> None:
-        """Append one time-sorted batch of edge arrivals."""
-        self._ensure_open()
-        self._edges.append(
-            (
-                np.asarray(times, dtype="<f8"),
-                np.asarray(us, dtype="<i8"),
-                np.asarray(vs, dtype="<i8"),
-            )
-        )
-
-    def append_events(self, events: Iterable[NodeArrival | EdgeArrival]) -> None:
-        """Append a batch of event dataclasses (each kind time-sorted)."""
-        node_batch: list[NodeArrival] = []
-        edge_batch: list[EdgeArrival] = []
-        for ev in events:
-            if isinstance(ev, NodeArrival):
-                node_batch.append(ev)
-            else:
-                edge_batch.append(ev)
-        if node_batch:
-            self.append_nodes(
-                [ev.time for ev in node_batch],
-                [ev.node for ev in node_batch],
-                [ev.origin for ev in node_batch],
-            )
-        if edge_batch:
-            self.append_edges(
-                [ev.time for ev in edge_batch],
-                [ev.u for ev in edge_batch],
-                [ev.v for ev in edge_batch],
             )
 
     # -- lifecycle -----------------------------------------------------

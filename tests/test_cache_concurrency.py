@@ -138,8 +138,14 @@ def publish_serve_cache(root: Path) -> None:
 
 def publish_manifest(root: Path) -> None:
     with StoreWriter(root) as writer:
-        writer.append_nodes([0.0, 1.0], [0, 1], ["xiaonei", "xiaonei"])
-        writer.append_edges([1.0], [0], [1])
+        writer.append_arrays(
+            node_times=np.array([0.0, 1.0]),
+            node_ids=np.array([0, 1]),
+            node_origins=writer.intern_origins(["xiaonei", "xiaonei"]),
+            edge_times=np.array([1.0]),
+            edge_us=np.array([0]),
+            edge_vs=np.array([1]),
+        )
 
 
 class TestWriteRenameAudit:

@@ -747,11 +747,11 @@ class TestLayeringRule:
         assert "'serve'" in finding.message and "'cli'" in finding.message
 
     def test_declared_deferred_seam_allowed(self, tmp_path):
-        # (kernels, graph) is a declared seam in DEFERRED_EDGES.
-        src = "def f():\n    from graph.snap import S\n    return S\n"
+        # (metrics, runtime) is a declared seam in DEFERRED_EDGES.
+        src = "def f():\n    from runtime.api import S\n    return S\n"
         result = lint_tree(
             tmp_path,
-            {"kernels/csrish.py": src, "graph/snap.py": "S = 1\n"},
+            {"metrics/facade.py": src, "runtime/api.py": "S = 1\n"},
             [LayeringRule()],
         )
         assert codes(result) == []

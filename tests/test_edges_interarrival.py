@@ -11,14 +11,14 @@ from repro.edges.interarrival import (
     node_interarrival_times,
     scaled_age_buckets,
 )
-from repro.graph.events import EdgeArrival, EventStream, NodeArrival
+from repro.graph.events import EventStream
 
 
 def stream_with_known_gaps() -> EventStream:
     # Node 0 creates edges at t=1, 3, 8 → gaps 2 and 5.
-    return EventStream(
-        nodes=[NodeArrival(0.0, 0), NodeArrival(0.0, 1), NodeArrival(0.0, 2), NodeArrival(0.0, 3)],
-        edges=[EdgeArrival(1.0, 0, 1), EdgeArrival(3.0, 0, 2), EdgeArrival(8.0, 0, 3)],
+    return EventStream.from_records(
+        nodes=[(0.0, 0), (0.0, 1), (0.0, 2), (0.0, 3)],
+        edges=[(1.0, 0, 1), (3.0, 0, 2), (8.0, 0, 3)],
     )
 
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.edges.lifetime import edge_creation_over_lifetime, node_lifetimes
-from repro.graph.events import EdgeArrival, EventStream, NodeArrival
+from repro.graph.events import EventStream
 
 
 def simple_stream() -> EventStream:
-    return EventStream(
-        nodes=[NodeArrival(0.0, 0), NodeArrival(1.0, 1), NodeArrival(2.0, 2)],
-        edges=[EdgeArrival(2.0, 0, 1), EdgeArrival(5.0, 0, 2)],
+    return EventStream.from_records(
+        nodes=[(0.0, 0), (1.0, 1), (2.0, 2)],
+        edges=[(2.0, 0, 1), (5.0, 0, 2)],
     )
 
 
@@ -24,8 +24,10 @@ class TestNodeLifetimes:
         assert records[0].degree == 2
 
     def test_edgeless_nodes_absent(self):
-        stream = simple_stream()
-        stream.extend([NodeArrival(3.0, 9)], [])
+        stream = EventStream.from_records(
+            nodes=[(0.0, 0), (1.0, 1), (2.0, 2), (3.0, 9)],
+            edges=[(2.0, 0, 1), (5.0, 0, 2)],
+        )
         assert 9 not in node_lifetimes(stream)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.edges.node_age import PAPER_AGE_THRESHOLDS, minimal_age_fractions
-from repro.graph.events import EdgeArrival, EventStream, NodeArrival
+from repro.graph.events import EventStream
 
 
 def test_paper_thresholds():
@@ -12,18 +12,18 @@ def test_paper_thresholds():
 
 
 def test_minimal_age_uses_younger_endpoint():
-    stream = EventStream(
-        nodes=[NodeArrival(0.0, 0), NodeArrival(9.5, 1)],
-        edges=[EdgeArrival(10.0, 0, 1)],  # ages 10 and 0.5 → minimal 0.5
+    stream = EventStream.from_records(
+        nodes=[(0.0, 0), (9.5, 1)],
+        edges=[(10.0, 0, 1)],  # ages 10 and 0.5 → minimal 0.5
     )
     days, fractions = minimal_age_fractions(stream, thresholds=(1.0, 5.0))
     assert fractions[1.0][10] == 1.0
 
 
 def test_day_without_edges_is_nan():
-    stream = EventStream(
-        nodes=[NodeArrival(0.0, 0), NodeArrival(0.0, 1)],
-        edges=[EdgeArrival(2.0, 0, 1)],
+    stream = EventStream.from_records(
+        nodes=[(0.0, 0), (0.0, 1)],
+        edges=[(2.0, 0, 1)],
     )
     _, fractions = minimal_age_fractions(stream, thresholds=(1.0,))
     assert np.isnan(fractions[1.0][1])
@@ -31,7 +31,7 @@ def test_day_without_edges_is_nan():
 
 
 def test_thresholds_must_ascend():
-    stream = EventStream(nodes=[NodeArrival(0.0, 0)])
+    stream = EventStream.from_records(nodes=[(0.0, 0)])
     with pytest.raises(ValueError):
         minimal_age_fractions(stream, thresholds=(5.0, 1.0))
 

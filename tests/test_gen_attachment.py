@@ -52,9 +52,10 @@ class TestChooseDestination:
         # Every destination is a user who has already arrived.
         cfg = GeneratorConfig(days=10, target_nodes=40, seed_nodes=4)
         stream = generate_trace(cfg, seed=1)
-        born = {ev.node: ev.time for ev in stream.nodes}
+        born = stream.node_arrival_times()
+        edges = stream.edges
         assert stream.num_edges > 6
-        assert all(born[ev.v] <= ev.time for ev in stream.edges)
+        assert all(born[v] <= t for t, v in zip(edges.time.tolist(), edges.v.tolist()))
 
     def test_never_returns_existing_neighbor_or_self(self):
         # Thirty users with budgets far above the population saturate their
@@ -95,7 +96,7 @@ class TestChooseDestination:
 
         def top_share(pa):
             stream = generate_trace(replace(base, pa_start=pa, pa_end=pa, **pure), seed=1)
-            graph = GraphSnapshot.from_edges((ev.u, ev.v) for ev in stream.edges)
+            graph = GraphSnapshot.from_edges(zip(stream.edges.u.tolist(), stream.edges.v.tolist()))
             degrees = np.sort([graph.degree(n) for n in graph.nodes()])[::-1]
             return degrees[:10].sum() / degrees.sum()
 
@@ -107,7 +108,7 @@ class TestChooseDestination:
 
         def clustering(triadic):
             stream = generate_trace(replace(base, triadic_probability=triadic), seed=4)
-            graph = GraphSnapshot.from_edges((ev.u, ev.v) for ev in stream.edges)
+            graph = GraphSnapshot.from_edges(zip(stream.edges.u.tolist(), stream.edges.v.tolist()))
             return average_clustering(graph, sample_size=400, rng=0)
 
         assert clustering(0.9) > 2 * clustering(0.0)
@@ -121,8 +122,7 @@ class TestChooseDestination:
         def cross_share(local):
             gen = FastGenerator(replace(base, local_probability=local), seed=5)
             stream = gen.generate()
-            us = np.array([ev.u for ev in stream.edges])
-            vs = np.array([ev.v for ev in stream.edges])
+            us, vs = stream.edges.u, stream.edges.v
             return float(np.mean(gen.community[us] != gen.community[vs]))
 
         assert cross_share(1.0) < 0.05

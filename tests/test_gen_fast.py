@@ -50,7 +50,7 @@ def test_fast_stream_valid_and_deterministic():
     first = generate_trace(cfg, seed=5)
     second = generate_trace(cfg, seed=5)
     assert first.content_digest() == second.content_digest()
-    origins = {ev.origin for ev in first.nodes}
+    origins = set(first.nodes.origin_labels())
     assert origins == {ORIGIN_XIAONEI, ORIGIN_5Q, ORIGIN_NEW}
     # A different seed must actually change the trace.
     assert generate_trace(cfg, seed=6).content_digest() != first.content_digest()
@@ -81,7 +81,7 @@ def test_generate_to_store_streams_without_stream_build(tmp_path):
 def test_engines_distribution_equivalent(small_trace):
     _, stream = small_trace
     ref = _REFERENCE
-    graph = GraphSnapshot.from_edges((ev.u, ev.v) for ev in stream.edges)
+    graph = GraphSnapshot.from_edges(zip(stream.edges.u.tolist(), stream.edges.v.tolist()))
 
     # Population and density.
     assert _relative_gap(stream.num_nodes, ref["nodes"]) < 0.05
@@ -98,7 +98,7 @@ def test_engines_distribution_equivalent(small_trace):
 
     # Arrival burstiness: coefficient of variation of node inter-arrivals
     # (batched sampling must not smooth the seasonal/Poisson gaps).
-    gaps = np.diff(np.array([ev.time for ev in stream.nodes]))
+    gaps = np.diff(stream.nodes.time)
     gaps = gaps[gaps > 0]
     assert _relative_gap(float(gaps.std() / gaps.mean()), ref["burst_cv"]) < 0.25
 

@@ -30,7 +30,7 @@ class TestBasicGeneration:
         assert tiny_stream.num_nodes == pytest.approx(target, rel=0.15)
 
     def test_all_origins_xiaonei_without_merge(self, tiny_stream):
-        assert set(ev.origin for ev in tiny_stream.nodes) == {ORIGIN_XIAONEI}
+        assert set(tiny_stream.nodes.origin_labels()) == {ORIGIN_XIAONEI}
 
     def test_events_within_trace(self, tiny_stream):
         assert tiny_stream.end_time <= presets.tiny().days + 1.0
@@ -39,11 +39,10 @@ class TestBasicGeneration:
         cfg = GeneratorConfig(days=30, target_nodes=100, seed_nodes=8)
         stream = generate_trace(cfg, seed=1)
         # The 8 seeds form two disjoint 4-cliques: 12 seed edges at t~0.
-        seed_edges = [e for e in stream.edges if e.time < 0.02]
-        assert len(seed_edges) == 12
+        assert int((stream.edges.time < 0.02).sum()) == 12
 
     def test_exponential_growth_shape(self, tiny_stream):
-        days = np.array([int(ev.time) for ev in tiny_stream.nodes])
+        days = tiny_stream.nodes.time.astype(np.int64)
         first_half = (days < 30).sum()
         second_half = (days >= 30).sum()
         assert second_half > 2 * first_half
@@ -56,9 +55,8 @@ class TestActivityShape:
 
     def test_no_isolated_majority(self, tiny_stream):
         touched = set()
-        for ev in tiny_stream.edges:
-            touched.add(ev.u)
-            touched.add(ev.v)
+        touched.update(tiny_stream.edges.u.tolist())
+        touched.update(tiny_stream.edges.v.tolist())
         assert len(touched) > 0.8 * tiny_stream.num_nodes
 
     def test_friend_cap_respected(self):
@@ -67,9 +65,8 @@ class TestActivityShape:
         from collections import Counter
 
         degree = Counter()
-        for ev in stream.edges:
-            degree[ev.u] += 1
-            degree[ev.v] += 1
+        degree.update(stream.edges.u.tolist())
+        degree.update(stream.edges.v.tolist())
         assert max(degree.values()) <= 11  # cap + the one edge that reaches it
 
     def test_seasonal_dip_suppresses_arrivals(self):
@@ -78,7 +75,7 @@ class TestActivityShape:
         dip = SeasonalDip(start_day=20, length_days=10, factor=0.1)
         cfg = GeneratorConfig(days=60, target_nodes=2000, growth_rate=0.0, seasonal_dips=(dip,))
         stream = generate_trace(cfg, seed=3)
-        days = np.array([int(ev.time) for ev in stream.nodes])
+        days = stream.nodes.time.astype(np.int64)
         in_dip = ((days >= 20) & (days < 30)).sum()
         before = ((days >= 5) & (days < 15)).sum()
         assert in_dip < before * 0.5
@@ -88,12 +85,12 @@ class TestGeneratorObject:
     def test_origin_map_populated(self):
         gen = FastGenerator(presets.tiny_merge(days=40, target_nodes=300), seed=0)
         stream = gen.generate()
-        ids = np.array([ev.node for ev in stream.nodes])
+        ids = stream.nodes.node
         # The generator's per-node origin record covers every emitted node
         # and agrees with the label the stream carries.
         assert len(set(ids.tolist())) == stream.num_nodes
         recorded = [_ORIGIN_LABELS[code] for code in gen.origin_code[ids]]
-        assert recorded == [ev.origin for ev in stream.nodes]
+        assert recorded == stream.nodes.origin_labels()
 
     def test_generate_trace_wrapper(self):
         cfg = presets.tiny(days=20, target_nodes=100)

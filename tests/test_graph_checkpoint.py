@@ -2,54 +2,65 @@
 
 import pytest
 
-from repro.graph.checkpoint import CSRAdjacency, ReplayCheckpoint
+from repro.graph.checkpoint import ReplayCheckpoint
 from repro.graph.dynamic import DynamicGraph
-from repro.graph.events import EdgeArrival, EventStream, NodeArrival
+from repro.graph.events import EventStream
 from repro.graph.snapshot import GraphSnapshot
+from repro.kernels.csr import CSRGraph
 
 
 def make_stream() -> EventStream:
-    return EventStream(
-        nodes=[NodeArrival(float(i), i) for i in range(6)],
+    return EventStream.from_records(
+        nodes=[(float(i), i) for i in range(6)],
         edges=[
-            EdgeArrival(1.5, 0, 1),
-            EdgeArrival(2.5, 1, 2),
-            EdgeArrival(3.5, 2, 3),
-            EdgeArrival(4.5, 3, 4),
-            EdgeArrival(5.5, 4, 5),
-            EdgeArrival(5.75, 0, 5),
+            (1.5, 0, 1),
+            (2.5, 1, 2),
+            (3.5, 2, 3),
+            (4.5, 3, 4),
+            (5.5, 4, 5),
+            (5.75, 0, 5),
         ],
     )
 
 
+def roundtrip(graph: GraphSnapshot) -> GraphSnapshot:
+    """Freeze ``graph`` into a checkpoint's CSRGraph and restore it."""
+    checkpoint = ReplayCheckpoint(
+        time=0.0, node_index=0, edge_index=0, csr=CSRGraph.from_snapshot(graph)
+    )
+    return checkpoint.restore_graph()
+
+
 class TestCSRAdjacency:
+    """The checkpoint's frozen adjacency (a CSRGraph) restores exactly."""
+
     def test_roundtrip_preserves_structure(self, tiny_graph):
-        restored = CSRAdjacency.from_snapshot(tiny_graph).to_snapshot()
+        restored = roundtrip(tiny_graph)
         assert restored.adjacency == tiny_graph.adjacency
         assert restored.num_edges == tiny_graph.num_edges
 
     def test_roundtrip_preserves_node_order(self, tiny_graph):
-        restored = CSRAdjacency.from_snapshot(tiny_graph).to_snapshot()
+        restored = roundtrip(tiny_graph)
         assert list(restored.nodes()) == list(tiny_graph.nodes())
 
     def test_restored_graph_is_independent(self):
         graph = GraphSnapshot.from_edges([(0, 1), (1, 2)])
-        restored = CSRAdjacency.from_snapshot(graph).to_snapshot()
+        restored = roundtrip(graph)
         graph.add_node(3)
         graph.add_edge(2, 3)
         assert 3 not in restored
         assert restored.num_edges == 2
 
     def test_empty_graph(self):
-        csr = CSRAdjacency.from_snapshot(GraphSnapshot())
+        csr = CSRGraph.from_snapshot(GraphSnapshot())
         assert csr.num_nodes == 0
-        restored = csr.to_snapshot()
+        restored = roundtrip(GraphSnapshot())
         assert restored.num_nodes == 0
         assert restored.num_edges == 0
 
     def test_isolated_nodes_survive(self):
         graph = GraphSnapshot.from_edges([(0, 1)], nodes=[7, 9])
-        restored = CSRAdjacency.from_snapshot(graph).to_snapshot()
+        restored = roundtrip(graph)
         assert set(restored.nodes()) == {0, 1, 7, 9}
         assert restored.degree(7) == 0
 

@@ -3,17 +3,17 @@
 import pytest
 
 from repro.graph.dynamic import DynamicGraph
-from repro.graph.events import EdgeArrival, EventStream, NodeArrival
+from repro.graph.events import EventStream
 
 
 def make_stream() -> EventStream:
-    return EventStream(
-        nodes=[NodeArrival(float(i), i) for i in range(5)],
+    return EventStream.from_records(
+        nodes=[(float(i), i) for i in range(5)],
         edges=[
-            EdgeArrival(1.5, 0, 1),
-            EdgeArrival(2.5, 1, 2),
-            EdgeArrival(3.5, 2, 3),
-            EdgeArrival(4.5, 3, 4),
+            (1.5, 0, 1),
+            (2.5, 1, 2),
+            (3.5, 2, 3),
+            (4.5, 3, 4),
         ],
     )
 
@@ -52,9 +52,9 @@ class TestAdvance:
         assert replay.exhausted
 
     def test_duplicate_edges_in_stream_counted_once(self):
-        stream = EventStream(
-            nodes=[NodeArrival(0.0, 0), NodeArrival(0.0, 1)],
-            edges=[EdgeArrival(1.0, 0, 1), EdgeArrival(2.0, 1, 0)],
+        stream = EventStream.from_records(
+            nodes=[(0.0, 0), (0.0, 1)],
+            edges=[(1.0, 0, 1), (2.0, 1, 0)],
         )
         replay = DynamicGraph(stream)
         view = replay.advance_to(10.0)

@@ -1,21 +1,18 @@
 """Tests for repro.graph.events."""
 
-import pytest
+import dataclasses
 
-from repro.graph.events import EdgeArrival, EventStream, NodeArrival
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.graph.events import EventStream
 
 
 def make_stream() -> EventStream:
-    return EventStream(
-        nodes=[
-            NodeArrival(time=0.0, node=0),
-            NodeArrival(time=0.5, node=1),
-            NodeArrival(time=2.0, node=2, origin="fivq"),
-        ],
-        edges=[
-            EdgeArrival(time=1.0, u=0, v=1),
-            EdgeArrival(time=2.5, u=2, v=0),
-        ],
+    return EventStream.from_records(
+        nodes=[(0.0, 0), (0.5, 1), (2.0, 2, "fivq")],
+        edges=[(1.0, 0, 1), (2.5, 2, 0)],
     )
 
 
@@ -39,61 +36,22 @@ class TestEventStreamBasics:
         assert origins[2] == "fivq"
         assert origins[0] == "xiaonei"
 
-    def test_endpoints_ordered(self):
-        assert EdgeArrival(time=0.0, u=5, v=2).endpoints() == (2, 5)
-
-
-class TestMerged:
-    def test_chronological_order(self):
-        times = [ev.time for ev in make_stream().merged()]
-        assert times == sorted(times)
-
-    def test_node_before_edge_on_tie(self):
-        s = EventStream(
-            nodes=[NodeArrival(time=0.0, node=0), NodeArrival(time=1.0, node=1)],
-            edges=[EdgeArrival(time=1.0, u=0, v=1)],
-        )
-        events = list(s.merged())
-        assert isinstance(events[1], NodeArrival)
-        assert isinstance(events[2], EdgeArrival)
-
-    def test_total_count(self):
-        assert len(list(make_stream().merged())) == 5
-
 
 class TestSliceAndFilter:
-    def test_edges_before(self):
-        s = make_stream()
-        assert len(s.edges_before(1.0)) == 1
-        assert len(s.edges_before(0.5)) == 0
-        assert len(s.edges_before(10.0)) == 2
-
     def test_slice(self):
         sub = make_stream().slice(0.5, 2.0)
-        assert [ev.node for ev in sub.nodes] == [1, 2]
+        assert sub.nodes.node.tolist() == [1, 2]
         assert len(sub.edges) == 1
 
     def test_slice_boundaries_inclusive(self):
         s = make_stream()
         sub = s.slice(1.0, 2.5)
-        assert [ev.time for ev in sub.edges] == [1.0, 2.5]
-        assert [ev.node for ev in sub.nodes] == [2]
+        assert sub.edges.time.tolist() == [1.0, 2.5]
+        assert sub.nodes.node.tolist() == [2]
 
     def test_slice_empty_window(self):
         sub = make_stream().slice(3.0, 9.0)
         assert sub.num_nodes == 0 and sub.num_edges == 0
-
-    def test_extend_restores_order(self):
-        s = make_stream()
-        s.extend([NodeArrival(time=0.25, node=9)], [])
-        assert [ev.node for ev in s.nodes] == [0, 9, 1, 2]
-
-    def test_extend_invalidates_time_caches(self):
-        s = make_stream()
-        assert len(s.edges_before(1.0)) == 1  # populate the cached times
-        s.extend([], [EdgeArrival(time=0.75, u=1, v=0)])
-        assert len(s.edges_before(1.0)) == 2
-        assert [ev.time for ev in s.slice(0.5, 1.0).edges] == [0.75, 1.0]
 
 
 class TestContentDigest:
@@ -106,23 +64,22 @@ class TestContentDigest:
 
     def test_sensitive_to_timestamp(self):
         a = make_stream()
-        b = make_stream()
-        b.nodes[0] = NodeArrival(time=0.001, node=0)
-        b._invalidate_caches()
+        b = EventStream.from_records(
+            nodes=[(0.001, 0), (0.5, 1), (2.0, 2, "fivq")], edges=[(1.0, 0, 1), (2.5, 2, 0)]
+        )
         assert a.content_digest() != b.content_digest()
 
     def test_sensitive_to_origin_label(self):
         a = make_stream()
-        b = make_stream()
-        b.nodes[2] = NodeArrival(time=2.0, node=2, origin="new")
-        b._invalidate_caches()
+        b = EventStream.from_records(
+            nodes=[(0.0, 0), (0.5, 1), (2.0, 2, "new")], edges=[(1.0, 0, 1), (2.5, 2, 0)]
+        )
         assert a.content_digest() != b.content_digest()
 
-    def test_extend_invalidates_digest(self):
+    def test_stream_is_immutable(self):
         s = make_stream()
-        before = s.content_digest()
-        s.extend([NodeArrival(time=3.0, node=9)], [])
-        assert s.content_digest() != before
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.nodes = s.nodes  # type: ignore[misc]
 
 
 class TestValidate:
@@ -130,37 +87,83 @@ class TestValidate:
         make_stream().validate()
 
     def test_unsorted_nodes(self):
-        s = EventStream(nodes=[NodeArrival(1.0, 0), NodeArrival(0.0, 1)])
+        s = EventStream.from_records(nodes=[(1.0, 0), (0.0, 1)])
         with pytest.raises(ValueError, match="not sorted"):
             s.validate()
 
     def test_duplicate_node(self):
-        s = EventStream(nodes=[NodeArrival(0.0, 0), NodeArrival(1.0, 0)])
+        s = EventStream.from_records(nodes=[(0.0, 0), (1.0, 0)])
         with pytest.raises(ValueError, match="duplicate node"):
             s.validate()
 
     def test_self_loop(self):
-        s = EventStream(nodes=[NodeArrival(0.0, 0)], edges=[EdgeArrival(1.0, 0, 0)])
+        s = EventStream.from_records(nodes=[(0.0, 0)], edges=[(1.0, 0, 0)])
         with pytest.raises(ValueError, match="self-loop"):
             s.validate()
 
     def test_duplicate_edge(self):
-        s = EventStream(
-            nodes=[NodeArrival(0.0, 0), NodeArrival(0.0, 1)],
-            edges=[EdgeArrival(1.0, 0, 1), EdgeArrival(2.0, 1, 0)],
-        )
+        s = EventStream.from_records(nodes=[(0.0, 0), (0.0, 1)], edges=[(1.0, 0, 1), (2.0, 1, 0)])
         with pytest.raises(ValueError, match="duplicate edge"):
             s.validate()
 
     def test_unknown_endpoint(self):
-        s = EventStream(nodes=[NodeArrival(0.0, 0)], edges=[EdgeArrival(1.0, 0, 7)])
+        s = EventStream.from_records(nodes=[(0.0, 0)], edges=[(1.0, 0, 7)])
         with pytest.raises(ValueError, match="unknown node"):
             s.validate()
 
     def test_edge_predates_node(self):
-        s = EventStream(
-            nodes=[NodeArrival(0.0, 0), NodeArrival(5.0, 1)],
-            edges=[EdgeArrival(1.0, 0, 1)],
-        )
+        s = EventStream.from_records(nodes=[(0.0, 0), (5.0, 1)], edges=[(1.0, 0, 1)])
         with pytest.raises(ValueError, match="predates"):
             s.validate()
+
+
+def _per_event_violation(nodes, edges):
+    """The first invariant violation, found by a plain per-event scan."""
+    for label, rows in (("nodes", nodes), ("edges", edges)):
+        for prev, cur in zip(rows, rows[1:]):
+            if cur[0] < prev[0]:
+                return f"{label} not sorted by time at t={cur[0]}"
+    born = {}
+    for t, node in nodes:
+        if node in born:
+            return f"duplicate node arrival for node {node}"
+        born[node] = t
+    seen = set()
+    for t, u, v in edges:
+        if u == v:
+            return f"self-loop edge at time {t}: node {u}"
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            return f"duplicate edge {key} at time {t}"
+        seen.add(key)
+        for endpoint in key:
+            if endpoint not in born:
+                return f"edge {key} references unknown node {endpoint}"
+            if born[endpoint] > t:
+                return f"edge {key} at time {t} predates node {endpoint} (born {born[endpoint]})"
+    return None
+
+
+_times = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5])
+_ids = st.integers(min_value=0, max_value=6)
+
+
+class TestValidateMatchesPerEventScan:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        nodes=st.lists(st.tuples(_times, _ids), max_size=8),
+        edges=st.lists(st.tuples(_times, _ids, _ids), max_size=8),
+        sort=st.booleans(),
+    )
+    def test_same_verdict_and_message(self, nodes, edges, sort):
+        if sort:  # mostly-valid streams reach the edge checks more often
+            nodes = sorted(nodes, key=lambda r: r[0])
+            edges = sorted(edges, key=lambda r: r[0])
+        expected = _per_event_violation(nodes, edges)
+        stream = EventStream.from_records(nodes, edges)
+        if expected is None:
+            stream.validate()
+        else:
+            with pytest.raises(ValueError) as excinfo:
+                stream.validate()
+            assert str(excinfo.value) == expected

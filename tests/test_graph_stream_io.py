@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.graph.events import EdgeArrival, EventStream, NodeArrival
+from repro.graph.events import EventStream
 from repro.graph.stream_io import iter_events, read_event_stream, write_event_stream
 
 
@@ -15,13 +15,13 @@ def test_roundtrip(tmp_path, tiny_stream):
 
 
 def test_roundtrip_preserves_origin(tmp_path):
-    stream = EventStream(
-        nodes=[NodeArrival(0.0, 0, origin="fivq"), NodeArrival(0.5, 1)],
-        edges=[EdgeArrival(1.0, 0, 1)],
+    stream = EventStream.from_records(
+        nodes=[(0.0, 0, "fivq"), (0.5, 1)],
+        edges=[(1.0, 0, 1)],
     )
     path = tmp_path / "t.tsv"
     write_event_stream(stream, path)
-    assert read_event_stream(path).nodes[0].origin == "fivq"
+    assert read_event_stream(path).nodes.origin_labels()[0] == "fivq"
 
 
 def test_comments_and_blank_lines_ignored(tmp_path):
@@ -74,8 +74,8 @@ def test_comment_only_file_is_valid_empty_stream(tmp_path):
 def test_iter_events_preserves_file_order(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text("N\t0.0\t0\txiaonei\nE\t1.0\t0\t1\nN\t2.0\t1\txiaonei\n")
-    kinds = [type(ev).__name__ for ev in iter_events(path)]
-    assert kinds == ["NodeArrival", "EdgeArrival", "NodeArrival"]
+    records = list(iter_events(path))
+    assert records == [("N", 0.0, 0, "xiaonei"), ("E", 1.0, 0, 1), ("N", 2.0, 1, "xiaonei")]
 
 
 def test_validation_catches_invalid_stream(tmp_path):

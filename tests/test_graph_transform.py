@@ -49,16 +49,15 @@ class TestRelabel:
     def test_dense_ids(self, tiny_stream):
         sub = subsample_nodes(tiny_stream, 0.5, seed=0)
         out, mapping = relabel_nodes(sub)
-        ids = [ev.node for ev in out.nodes]
+        ids = out.nodes.node.tolist()
         assert ids == list(range(len(ids)))
         assert len(mapping) == out.num_nodes
 
     def test_edges_follow_mapping(self, tiny_stream):
         out, mapping = relabel_nodes(tiny_stream)
-        original_first = tiny_stream.edges[0]
-        relabeled_first = out.edges[0]
-        assert relabeled_first.u == mapping[original_first.u]
-        assert relabeled_first.v == mapping[original_first.v]
+        original, relabeled = tiny_stream.edges, out.edges
+        assert int(relabeled.u[0]) == mapping[int(original.u[0])]
+        assert int(relabeled.v[0]) == mapping[int(original.v[0])]
 
 
 class TestTruncate:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.graph.checkpoint import CSRAdjacency
 from repro.graph.snapshot import GraphSnapshot
 from repro.kernels.csr import CSRGraph, gather_neighbors
 from repro.runtime.spec import MetricSpec
@@ -46,14 +45,6 @@ class TestCSRGraph:
         ids = csr.node_ids
         positions = csr.positions_of(np.array([11, 7, 40]))
         assert [int(ids[p]) for p in positions.tolist()] == [11, 7, 40]
-
-    def test_from_adjacency_matches_from_snapshot(self, graph):
-        direct = CSRGraph.from_snapshot(graph)
-        via_checkpoint = CSRGraph.from_adjacency(CSRAdjacency.from_snapshot(graph))
-        assert direct.node_ids.tolist() == via_checkpoint.node_ids.tolist()
-        assert direct.indptr.tolist() == via_checkpoint.indptr.tolist()
-        assert direct.indices.tolist() == via_checkpoint.indices.tolist()
-        assert direct.num_edges == via_checkpoint.num_edges
 
     def test_empty_graph(self):
         csr = CSRGraph.from_snapshot(GraphSnapshot())

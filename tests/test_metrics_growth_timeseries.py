@@ -3,19 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.graph.events import EdgeArrival, EventStream, NodeArrival
+from repro.graph.events import EventStream
 from repro.metrics.growth import daily_growth
 from repro.metrics.timeseries import compute_metric_timeseries, standard_metrics
 
 
 def small_stream() -> EventStream:
-    return EventStream(
-        nodes=[NodeArrival(0.1, 0), NodeArrival(0.2, 1), NodeArrival(1.5, 2), NodeArrival(2.5, 3)],
+    return EventStream.from_records(
+        nodes=[(0.1, 0), (0.2, 1), (1.5, 2), (2.5, 3)],
         edges=[
-            EdgeArrival(0.5, 0, 1),
-            EdgeArrival(1.7, 1, 2),
-            EdgeArrival(2.6, 2, 3),
-            EdgeArrival(2.9, 0, 3),
+            (0.5, 0, 1),
+            (1.7, 1, 2),
+            (2.6, 2, 3),
+            (2.9, 0, 3),
         ],
     )
 

@@ -36,6 +36,10 @@ class TestActiveUsers:
             assert values.size == series.days.size
             assert np.all((0 <= values) & (values <= 100))
 
+    def test_series_reports_the_threshold_it_used(self, merge_stream, merge_day, threshold):
+        series = active_users_over_time(merge_stream, merge_day, ORIGIN_XIAONEI, threshold)
+        assert series.threshold == threshold
+
     def test_all_bounds_component_kinds(self, merge_stream, merge_day, threshold):
         series = active_users_over_time(merge_stream, merge_day, ORIGIN_XIAONEI, threshold)
         for kind in ("new", "internal", "external"):

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.graph.events import EdgeArrival, EventStream, NodeArrival
+from repro.graph.events import EventStream
 from repro.pa.edge_probability import DestinationRule, EdgeProbabilityTracker
 
 
 def star_stream(leaves: int = 40) -> EventStream:
     """All nodes at t=0; hub 0 gains edges sequentially (pure PA target)."""
-    nodes = [NodeArrival(0.0, n) for n in range(leaves + 1)]
-    edges = [EdgeArrival(1.0 + i, 0, i + 1) for i in range(leaves)]
-    return EventStream(nodes=nodes, edges=edges)
+    nodes = [(0.0, n) for n in range(leaves + 1)]
+    edges = [(1.0 + i, 0, i + 1) for i in range(leaves)]
+    return EventStream.from_records(nodes=nodes, edges=edges)
 
 
 class TestTrackerMechanics:

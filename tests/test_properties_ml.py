@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.events import EdgeArrival, EventStream, NodeArrival
+from repro.graph.events import EventStream
 from repro.graph.transform import relabel_nodes, rescale_time, truncate
 from repro.ml.scaling import StandardScaler
 from repro.ml.svm import LinearSVM
@@ -32,7 +32,7 @@ def event_streams(draw):
     times = sorted(draw(st.lists(
         st.floats(0, 50, allow_nan=False), min_size=n, max_size=n,
     )))
-    nodes = [NodeArrival(t, i) for i, t in enumerate(times)]
+    nodes = [(t, i) for i, t in enumerate(times)]
     n_edges = draw(st.integers(0, 25))
     edges = []
     seen = set()
@@ -43,9 +43,9 @@ def event_streams(draw):
             continue
         seen.add((min(u, v), max(u, v)))
         t = max(times[u], times[v]) + draw(st.floats(0, 10, allow_nan=False))
-        edges.append(EdgeArrival(t, u, v))
-    edges.sort(key=lambda e: e.time)
-    return EventStream(nodes=nodes, edges=edges)
+        edges.append((t, u, v))
+    edges.sort(key=lambda e: e[0])
+    return EventStream.from_records(nodes=nodes, edges=edges)
 
 
 # -- scaler ------------------------------------------------------------------
@@ -127,5 +127,5 @@ def test_truncate_never_grows(stream, cut):
     out = truncate(stream, cut)
     assert out.num_nodes <= stream.num_nodes
     assert out.num_edges <= stream.num_edges
-    assert all(ev.time <= cut for ev in out.nodes)
+    assert all(t <= cut for t in out.nodes.time.tolist())
     out.validate()

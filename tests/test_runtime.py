@@ -167,13 +167,17 @@ class TestResultCache:
         assert base != cache.key("0" * 64, SPEC, INTERVAL, None)
 
     def test_stream_digest_sensitive_to_content(self, tiny_stream):
-        from repro.graph.events import EventStream, NodeArrival
+        import dataclasses
+
+        from repro.graph.events import EventStream
 
         base = stream_digest(tiny_stream)
         assert base == stream_digest(tiny_stream)
+        nodes = tiny_stream.nodes
+        relabeled = nodes.node.copy()
+        relabeled[-1] = 10**9
         tweaked = EventStream(
-            nodes=list(tiny_stream.nodes[:-1]) + [NodeArrival(tiny_stream.nodes[-1].time, 10**9)],
-            edges=tiny_stream.edges,
+            nodes=dataclasses.replace(nodes, node=relabeled), edges=tiny_stream.edges
         )
         assert base != stream_digest(tweaked)
 

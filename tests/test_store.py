@@ -1,13 +1,14 @@
 """Tests for repro.store: format, writer, reader, converters, integrity."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.events import EdgeArrival, EventStream, NodeArrival
+from repro.graph.events import EventStream
 from repro.graph.stream_io import write_event_stream
 from repro.store import (
     EventStore,
@@ -24,19 +25,24 @@ from repro.store.format import MANIFEST_NAME, MAX_ORIGINS
 
 
 def small_stream() -> EventStream:
-    return EventStream(
-        nodes=[
-            NodeArrival(0.0, 0),
-            NodeArrival(0.5, 1, origin="fivq"),
-            NodeArrival(1.0, 2),
-            NodeArrival(2.0, 3, origin="new"),
-        ],
-        edges=[
-            EdgeArrival(1.0, 0, 1),
-            EdgeArrival(1.5, 1, 2),
-            EdgeArrival(2.5, 0, 3),
-        ],
+    return EventStream.from_records(
+        nodes=[(0.0, 0), (0.5, 1, "fivq"), (1.0, 2), (2.0, 3, "new")],
+        edges=[(1.0, 0, 1), (1.5, 1, 2), (2.5, 0, 3)],
     )
+
+
+def no_nodes() -> dict:
+    """An empty node batch for ``StoreWriter.append_arrays``."""
+    return {
+        "node_times": np.array([]),
+        "node_ids": np.array([], dtype=np.int64),
+        "node_origins": np.array([], dtype=np.int64),
+    }
+
+
+def edge_batch(times, us, vs) -> dict:
+    """An edge batch for ``StoreWriter.append_arrays``."""
+    return {"edge_times": np.array(times), "edge_us": np.array(us), "edge_vs": np.array(vs)}
 
 
 # -- round-trip --------------------------------------------------------------
@@ -126,15 +132,9 @@ class TestDigestParity:
 # -- property-based ----------------------------------------------------------
 
 event_streams = st.builds(
-    lambda node_times, edge_times, origins: EventStream(
-        nodes=[
-            NodeArrival(time=t, node=i, origin=origins[i % len(origins)])
-            for i, t in enumerate(sorted(node_times))
-        ],
-        edges=[
-            EdgeArrival(time=t, u=2 * i, v=2 * i + 1)
-            for i, t in enumerate(sorted(edge_times))
-        ],
+    lambda node_times, edge_times, origins: EventStream.from_records(
+        nodes=[(t, i, origins[i % len(origins)]) for i, t in enumerate(sorted(node_times))],
+        edges=[(t, 2 * i, 2 * i + 1) for i, t in enumerate(sorted(edge_times))],
     ),
     node_times=st.lists(
         st.floats(min_value=0.0, max_value=100.0, allow_nan=False), min_size=0, max_size=40
@@ -182,19 +182,58 @@ class TestProperties:
         write_store(stream, root / "s.store", chunk_events=chunk_events)
         store = EventStore(root / "s.store")
         times, nodes, _ = store.nodes_in(start, end)
-        expected = [ev for ev in stream.nodes if start <= ev.time <= end]
-        assert times.tolist() == [ev.time for ev in expected]
-        assert nodes.tolist() == [ev.node for ev in expected]
+        expected = [
+            (t, n)
+            for t, n in zip(stream.nodes.time.tolist(), stream.nodes.node.tolist())
+            if start <= t <= end
+        ]
+        assert list(zip(times.tolist(), nodes.tolist())) == expected
         etimes, us, vs = store.edges_in(start, end)
-        eexpected = [ev for ev in stream.edges if start <= ev.time <= end]
-        assert etimes.tolist() == [ev.time for ev in eexpected]
-        assert list(zip(us.tolist(), vs.tolist())) == [(ev.u, ev.v) for ev in eexpected]
+        edges = stream.edges
+        eexpected = [
+            (t, u, v)
+            for t, u, v in zip(edges.time.tolist(), edges.u.tolist(), edges.v.tolist())
+            if start <= t <= end
+        ]
+        assert list(zip(etimes.tolist(), us.tolist(), vs.tolist())) == eexpected
         node_count, edge_count = store.index_at(end)
-        assert node_count == sum(1 for ev in stream.nodes if ev.time <= end)
-        assert edge_count == sum(1 for ev in stream.edges if ev.time <= end)
+        assert node_count == sum(1 for t in stream.nodes.time.tolist() if t <= end)
+        assert edge_count == sum(1 for t in stream.edges.time.tolist() if t <= end)
 
 
 # -- index scans -------------------------------------------------------------
+
+
+class TestDecodeOwnership:
+    """Decoded streams own their arrays: no view into a mapped chunk file."""
+
+    def test_decoded_streams_share_no_memory_with_the_store(self, tmp_path, tiny_stream):
+        path = tmp_path / "s.store"
+        write_store(tiny_stream, path, chunk_events=1 << 20)  # one chunk per kind
+        store = EventStore(path)
+        full = store.to_stream()
+        part = store.slice_events(3, 40, 5, 60)  # a range inside one chunk
+        mapped = [*store._nodes.map(0).values(), *store._edges.map(0).values()]
+        for stream in (full, part):
+            nodes, edges = stream.nodes, stream.edges
+            for col in (nodes.time, nodes.node, nodes.origin, edges.time, edges.u, edges.v):
+                assert not any(np.shares_memory(col, view) for view in mapped)
+
+    def test_decoded_streams_survive_the_store(self, tmp_path, tiny_stream):
+        path = tmp_path / "s.store"
+        manifest = write_store(tiny_stream, path, chunk_events=1 << 20)
+        store = EventStore(path)
+        full = store.to_stream()
+        part = store.slice_events(3, 40, 5, 60)
+        # Zero every chunk in place (a mapping would see it), then delete.
+        for chunk in (*manifest.node_chunks, *manifest.edge_chunks):
+            chunk_path = path / chunk.file
+            chunk_path.write_bytes(bytes(chunk_path.stat().st_size))
+        shutil.rmtree(path)
+        assert full == tiny_stream
+        assert EventStream(full.nodes, full.edges).content_digest() == manifest.content_digest
+        assert part.nodes == tiny_stream.nodes[3:40]
+        assert part.edges == tiny_stream.edges[5:60]
 
 
 class TestScans:
@@ -228,14 +267,14 @@ class TestScans:
         write_store(stream, tmp_path / "s.store", chunk_events=2)
         store = EventStore(tmp_path / "s.store")
         times, nodes, codes = store.node_arrays()
-        assert times.tolist() == [ev.time for ev in stream.nodes]
-        assert nodes.tolist() == [ev.node for ev in stream.nodes]
+        assert times.tolist() == stream.nodes.time.tolist()
+        assert nodes.tolist() == stream.nodes.node.tolist()
         labels = store.origins
-        assert [labels[c] for c in codes.tolist()] == [ev.origin for ev in stream.nodes]
+        assert [labels[c] for c in codes.tolist()] == stream.nodes.origin_labels()
         etimes, us, vs = store.edge_arrays()
-        assert etimes.tolist() == [ev.time for ev in stream.edges]
-        assert us.tolist() == [ev.u for ev in stream.edges]
-        assert vs.tolist() == [ev.v for ev in stream.edges]
+        assert etimes.tolist() == stream.edges.time.tolist()
+        assert us.tolist() == stream.edges.u.tolist()
+        assert vs.tolist() == stream.edges.v.tolist()
 
 
 # -- writer misuse -----------------------------------------------------------
@@ -244,26 +283,29 @@ class TestScans:
 class TestWriter:
     def test_out_of_order_batch_rejected(self, tmp_path):
         with StoreWriter(tmp_path / "s.store") as writer:
+            codes = writer.intern_origins(["xiaonei", "xiaonei"])
             with pytest.raises(ValueError, match="not sorted"):
-                writer.append_nodes([2.0, 1.0], [0, 1], ["xiaonei", "xiaonei"])
-            writer.append_nodes([], [], [])
+                writer.append_arrays(
+                    node_times=np.array([2.0, 1.0]), node_ids=np.array([0, 1]), node_origins=codes
+                )
+            writer.append_arrays(**no_nodes())
 
     def test_batch_predating_previous_rejected(self, tmp_path):
         with StoreWriter(tmp_path / "s.store") as writer:
-            writer.append_edges([5.0], [0], [1])
+            writer.append_arrays(**edge_batch([5.0], [0], [1]))
             with pytest.raises(ValueError, match="time order"):
-                writer.append_edges([4.0], [1], [2])
+                writer.append_arrays(**edge_batch([4.0], [1], [2]))
 
     def test_mismatched_column_lengths_rejected(self, tmp_path):
         with StoreWriter(tmp_path / "s.store") as writer:
             with pytest.raises(ValueError, match="mismatched lengths"):
-                writer.append_edges([1.0, 2.0], [0], [1])
+                writer.append_arrays(**edge_batch([1.0, 2.0], [0], [1]))
 
     def test_closed_writer_rejects_appends(self, tmp_path):
         writer = StoreWriter(tmp_path / "s.store")
         writer.close()
         with pytest.raises(StoreError, match="closed"):
-            writer.append_nodes([0.0], [0], ["xiaonei"])
+            writer.append_arrays(**edge_batch([0.0], [0], [1]))
         with pytest.raises(StoreError, match="closed"):
             writer.close()
 
@@ -279,7 +321,7 @@ class TestWriter:
     def test_aborted_writer_leaves_no_manifest(self, tmp_path):
         with pytest.raises(RuntimeError, match="boom"):
             with StoreWriter(tmp_path / "s.store", chunk_events=1) as writer:
-                writer.append_nodes([0.0], [0], ["xiaonei"])
+                writer.append_arrays(**edge_batch([0.0], [0], [1]))
                 raise RuntimeError("boom")
         assert not EventStore.is_store(tmp_path / "s.store")
         with pytest.raises(StoreError, match="not an event store"):
@@ -295,7 +337,7 @@ class TestWriter:
             assert int(codes[-1]) == MAX_ORIGINS - 1
             with pytest.raises(StoreError, match="string table is full"):
                 writer.intern_origins(["one-label-too-many"])
-            writer.append_nodes([], [], [])
+            writer.append_arrays(**no_nodes())
 
     def test_append_arrays_rejects_uninterned_codes(self, tmp_path):
         # Regression: the uint16 cast used to happen *before* the range
@@ -310,7 +352,7 @@ class TestWriter:
                         node_ids=np.array([0]),
                         node_origins=np.array(bad, dtype=np.int64),
                     )
-            writer.append_nodes([], [], [])
+            writer.append_arrays(**no_nodes())
 
     def test_append_arrays_roundtrips_interned_codes(self, tmp_path):
         with StoreWriter(tmp_path / "s.store") as writer:
@@ -321,7 +363,7 @@ class TestWriter:
                 node_origins=codes,
             )
         decoded = EventStore(tmp_path / "s.store").to_stream()
-        assert [n.origin for n in decoded.nodes] == ["xiaonei", "fivq", "xiaonei"]
+        assert decoded.nodes.origin_labels() == ["xiaonei", "fivq", "xiaonei"]
 
     def test_chunk_files_are_exactly_sized(self, tmp_path, tiny_stream):
         manifest = write_store(tiny_stream, tmp_path / "s.store", chunk_events=100)
