@@ -137,6 +137,10 @@ def bfs_distance_to_set(
     the cross-OSN distance experiment (§5.2, Fig 9c) uses this to exclude
     post-merge users and their edges from the search.  Returns ``None``
     when no target is reachable.
+
+    This per-source dict BFS is the parity oracle for
+    :func:`repro.kernels.traversal.distance_to_set_csr`, which the
+    experiment runs; only tests call it.
     """
     target_set = set(targets)
     blocked = set(forbidden)

@@ -11,7 +11,8 @@ Layout:
 * :mod:`~repro.kernels.csr` — :class:`CSRGraph`, the frozen array view all
   kernels consume, plus the multi-slice neighbor gather;
 * :mod:`~repro.kernels.traversal` — frontier-array BFS: components,
-  largest component, sampled path lengths;
+  largest component, bit-parallel sampled path lengths, multi-source
+  distance to a node set;
 * :mod:`~repro.kernels.clustering` — mask-intersection clustering
   coefficients;
 * :mod:`~repro.kernels.assortativity` — vectorized degree assortativity;
@@ -34,9 +35,9 @@ from repro.kernels.louvain import louvain_csr
 from repro.kernels.matching import match_communities_csr
 from repro.kernels.traversal import (
     average_path_length_csr,
-    bfs_distance_sum,
     component_labels,
     connected_components_csr,
+    distance_to_set_csr,
     largest_component_csr,
 )
 
@@ -47,11 +48,11 @@ __all__ = [
     "DeltaMetricEngine",
     "average_clustering_csr",
     "average_path_length_csr",
-    "bfs_distance_sum",
     "clustering_coefficients",
     "component_labels",
     "connected_components_csr",
     "degree_assortativity_csr",
+    "distance_to_set_csr",
     "gather_neighbors",
     "largest_component_csr",
     "local_clustering_csr",

@@ -1,10 +1,11 @@
-"""Frontier-array BFS kernels: components and sampled path lengths.
+"""Frontier-array BFS kernels: components, sampled path lengths, set distance.
 
 The reference implementations walk Python dicts one neighbor at a time;
 these kernels advance a whole BFS frontier per step with fancy indexing,
-so each level costs a handful of numpy calls over int64 arrays.  All
-accumulation is integer arithmetic, so results are exactly equal to the
-reference — no float tolerance needed.
+so each level costs a handful of numpy calls over int64 arrays.  Sampled
+path lengths go further and run 64 sources per traversal as bits of one
+``uint64`` word per node.  All accumulation is integer arithmetic, so
+results are exactly equal to the reference — no float tolerance needed.
 """
 
 from __future__ import annotations
@@ -13,15 +14,22 @@ import numpy as np
 
 from repro.kernels.csr import CSRGraph, gather_neighbors
 from repro.obs import get_recorder
-from repro.util.arrays import IntArray
+from repro.util.arrays import BoolArray, IntArray
 
 __all__ = [
     "component_labels",
     "connected_components_csr",
     "largest_component_csr",
-    "bfs_distance_sum",
     "average_path_length_csr",
+    "distance_to_set_csr",
 ]
+
+#: Sources per bit-parallel BFS: one ``uint64`` word per position holds a
+#: block, so working memory stays O(n + m) words for any sample size.
+_BLOCK = 64
+
+#: Set bits per byte value; ``np.bitwise_count`` needs numpy >= 2.0.
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1, dtype=np.uint8)
 
 
 def component_labels(csr: CSRGraph) -> tuple[IntArray, IntArray]:
@@ -101,37 +109,6 @@ def _largest_component(csr: CSRGraph) -> IntArray:
     return members
 
 
-def bfs_distance_sum(csr: CSRGraph, source: int) -> tuple[int, int]:
-    """``(sum of hop distances, number of reached nodes)`` from position ``source``.
-
-    The source itself is excluded from both, matching the path-length
-    reference's ``node != source`` filter.
-    """
-    indptr, indices = csr.indptr, csr.indices
-    unvisited = np.ones(csr.num_nodes, dtype=bool)
-    unvisited[source] = False
-    scratch = np.zeros(csr.num_nodes, dtype=bool)
-    frontier = np.array([source], dtype=np.int64)
-    total = 0
-    count = 0
-    depth = 0
-    while frontier.size:
-        depth += 1
-        neighbors = gather_neighbors(indptr, indices, frontier)
-        # Dedup-and-filter through boolean masks instead of np.unique:
-        # scatter-mark every neighbor, intersect in place with the
-        # unvisited mask, and read the next frontier off the scratch —
-        # O(m + n) per level vs an O(m log m) sort, frontier still sorted.
-        scratch[neighbors] = True
-        np.logical_and(scratch, unvisited, out=scratch)
-        frontier = np.flatnonzero(scratch)
-        scratch[frontier] = False
-        unvisited[frontier] = False
-        total += depth * int(frontier.size)
-        count += int(frontier.size)
-    return total, count
-
-
 def average_path_length_csr(
     csr: CSRGraph,
     sample_size: int,
@@ -141,6 +118,7 @@ def average_path_length_csr(
 
     Draws the same sources (same sorted pool, same ``rng.choice`` call) and
     accumulates the same integer sums, so the returned float is identical.
+    Sources are traversed :data:`_BLOCK` at a time by :func:`_block_distance_sum`.
     """
     rec = get_recorder()
     with rec.span("kernels.path_length", nodes=csr.num_nodes):
@@ -152,8 +130,8 @@ def average_path_length_csr(
         positions = csr.positions_of(sources)
         total = 0
         count = 0
-        for position in positions:
-            t, c = bfs_distance_sum(csr, int(position))
+        for start in range(0, k, _BLOCK):
+            t, c = _block_distance_sum(csr, positions[start : start + _BLOCK])
             total += t
             count += c
         if rec.enabled:
@@ -162,3 +140,62 @@ def average_path_length_csr(
         if count == 0:
             return float("nan")
         return total / count
+
+
+def _block_distance_sum(csr: CSRGraph, sources: IntArray) -> tuple[int, int]:
+    """``(sum of hop distances, reached pairs)`` over BFSs from distinct ``sources``.
+
+    Bit ``i`` of ``frontier[p]`` says that source ``i`` reached position
+    ``p`` at the current depth, so one ``bitwise_or.reduceat`` over the
+    neighbor rows advances every source a level at once.  Only rows of
+    degree > 0 are reduced: ``reduceat`` misreads empty rows.  Each source
+    is excluded from its own sums, as in the reference.
+    """
+    rows = np.flatnonzero(csr.degrees)
+    starts = csr.indptr[rows]
+    frontier = np.zeros(csr.num_nodes, dtype=np.uint64)
+    frontier[sources] = np.left_shift(np.uint64(1), np.arange(sources.size, dtype=np.uint64))
+    visited = frontier.copy()
+    reached = np.zeros_like(frontier)
+    total = 0
+    count = 0
+    depth = 0
+    while True:
+        depth += 1
+        reached[rows] = np.bitwise_or.reduceat(frontier[csr.indices], starts)
+        reached &= ~visited
+        newly = int(_POPCOUNT[reached.view(np.uint8)].sum())
+        if newly == 0:
+            return total, count
+        visited |= reached
+        frontier, reached = reached, frontier
+        total += depth * newly
+        count += newly
+
+
+def distance_to_set_csr(csr: CSRGraph, target_mask: BoolArray, allowed_mask: BoolArray) -> IntArray:
+    """Hop distance from every position to the nearest allowed target, ``-1`` if none.
+
+    One BFS starts from every position in ``target_mask & allowed_mask`` and
+    enters allowed positions only.  A shortest path to the nearest target
+    never passes another target, and distance is symmetric, so entry ``p``
+    equals :func:`repro.graph.components.bfs_distance_to_set` from ``p``
+    with the disallowed nodes forbidden (−1 where that returns ``None``).
+    """
+    with get_recorder().span("kernels.distance_to_set", nodes=csr.num_nodes):
+        distance = np.full(csr.num_nodes, -1, dtype=np.int64)
+        frontier = np.flatnonzero(target_mask & allowed_mask)
+        distance[frontier] = 0
+        unvisited = allowed_mask.copy()
+        unvisited[frontier] = False
+        scratch = np.zeros(csr.num_nodes, dtype=bool)
+        depth = 0
+        while frontier.size:
+            depth += 1
+            scratch[gather_neighbors(csr.indptr, csr.indices, frontier)] = True
+            np.logical_and(scratch, unvisited, out=scratch)
+            frontier = np.flatnonzero(scratch)
+            scratch[frontier] = False
+            unvisited[frontier] = False
+            distance[frontier] = depth
+        return distance

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.community import tracking
 from repro.community.louvain import louvain, louvain_reference
@@ -20,14 +22,18 @@ from repro.community.tracking import CommunityState, _match_python, track_stream
 from repro.gen import generate_trace
 from repro.gen.config import presets
 from repro.graph.components import (
+    bfs_distance_to_set,
     connected_components,
     connected_components_reference,
     largest_component,
     largest_component_reference,
 )
 from repro.graph.dynamic import DynamicGraph
+from repro.graph.events import ORIGIN_5Q, ORIGIN_NEW, ORIGIN_XIAONEI
 from repro.graph.snapshot import GraphSnapshot
+from repro.kernels.csr import CSRGraph
 from repro.kernels.matching import match_communities_csr
+from repro.kernels.traversal import distance_to_set_csr
 from repro.metrics.assortativity import degree_assortativity, degree_assortativity_reference
 from repro.metrics.clustering import (
     average_clustering,
@@ -36,6 +42,7 @@ from repro.metrics.clustering import (
     local_clustering_reference,
 )
 from repro.metrics.paths import average_path_length_reference, average_path_length_sampled
+from repro.obs import TraceRecorder, use_recorder
 
 # -- graph corpus ----------------------------------------------------------
 
@@ -143,6 +150,142 @@ def test_assortativity_parity(case):
     py = degree_assortativity_reference(g)
     kr = degree_assortativity(g)
     assert _identical(py, kr), (py, kr)
+
+
+# -- bit-parallel path length: word and block edges ------------------------
+
+#: Sample sizes around the 64-source word: one bit, a word less one, a
+#: full word, a word plus one, and multi-block samples.
+_BLOCK_SAMPLES = (1, 63, 64, 65, 130, 200)
+
+
+def _ring_with_chords(ids: range, seed: int) -> list[tuple[int, int]]:
+    rng = np.random.default_rng(seed)
+    nodes = list(ids)
+    edges = list(zip(nodes, nodes[1:] + nodes[:1], strict=True))
+    for _ in range(len(nodes) // 3):
+        u, v = rng.choice(nodes, size=2, replace=False).tolist()
+        edges.append((u, v))
+    return edges
+
+
+def _isolated_tail(n: int, isolates: int) -> GraphSnapshot:
+    """A connected ring whose last positions are isolated nodes."""
+    g = GraphSnapshot.from_edges(_ring_with_chords(range(n), seed=n))
+    for node in range(n, n + isolates):
+        g.add_node(node)
+    return g
+
+
+def _tied_components() -> GraphSnapshot:
+    """Two 90-node components; the one inserted second has the smaller ids."""
+    return GraphSnapshot.from_edges(
+        _ring_with_chords(range(1000, 1090), seed=1) + _ring_with_chords(range(90), seed=2)
+    )
+
+
+_BLOCK_GRAPHS = {
+    "renren-45": lambda: _renren_snapshot(45.0),
+    "ring-300": lambda: _isolated_tail(300, 0),
+    # 130 and 200 sources exceed this component: every member is drawn.
+    "ring-100-isolated-tail": lambda: _isolated_tail(100, 4),
+    "tied-90": _tied_components,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCK_GRAPHS))
+@pytest.mark.parametrize("sample", _BLOCK_SAMPLES)
+def test_path_length_parity_at_block_edges(case, sample):
+    g = _BLOCK_GRAPHS[case]()
+    for seed in (5, 17):
+        py = average_path_length_reference(g, sample, rng=seed)
+        kr = average_path_length_sampled(g, sample, rng=seed)
+        assert _identical(py, kr), (seed, py, kr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edges=st.lists(
+        st.tuples(st.integers(0, 40), st.integers(0, 40)).filter(lambda e: e[0] != e[1]),
+        max_size=120,
+    ),
+    isolates=st.integers(0, 3),
+    sample=st.integers(1, 90),
+    seed=st.integers(0, 2**16),
+)
+def test_path_length_parity_property(edges, isolates, sample, seed):
+    g = GraphSnapshot.from_edges(edges)
+    for node in range(100, 100 + isolates):
+        g.add_node(node)
+    py = average_path_length_reference(g, sample, rng=seed)
+    kr = average_path_length_sampled(g, sample, rng=seed)
+    assert _identical(py, kr), (py, kr)
+
+
+@pytest.mark.parametrize(
+    ("sample", "sources", "pairs"), [(130, 130, 33_280), (10_000, 257, 65_792)]
+)
+def test_path_length_counters_pinned(sample, sources, pairs):
+    """The trace counters keep their per-source meaning: sources and reached pairs."""
+    with use_recorder(TraceRecorder()) as rec:
+        average_path_length_sampled(_renren_snapshot(45.0), sample, rng=5)
+    assert rec.counters["kernels.bfs_sources"] == sources
+    assert rec.counters["kernels.bfs_frontier_nodes"] == pairs
+
+
+# -- distance to a node set (F9c) ------------------------------------------
+
+
+def _distance_pair(g: GraphSnapshot, targets, forbidden):
+    """Kernel and oracle distances per node, in position order (None = unreachable)."""
+    csr = CSRGraph.from_snapshot(g)
+    target_mask = np.isin(csr.node_ids, np.fromiter(targets, dtype=np.int64))
+    allowed = ~np.isin(csr.node_ids, np.fromiter(forbidden, dtype=np.int64))
+    kernel = [None if d < 0 else d for d in distance_to_set_csr(csr, target_mask, allowed).tolist()]
+    oracle = [bfs_distance_to_set(g, node, targets, forbidden) for node in csr.node_ids.tolist()]
+    return kernel, oracle
+
+
+@pytest.mark.parametrize("seed", [13, 14])
+def test_distance_to_set_parity_per_node(seed):
+    stream = generate_trace(presets.tiny_merge(), seed=seed)
+    merge_day = presets.tiny_merge().merge.merge_day
+    origins = stream.node_origins()
+    sides = {
+        label: {n for n, o in origins.items() if o == label}
+        for label in (ORIGIN_XIAONEI, ORIGIN_5Q, ORIGIN_NEW)
+    }
+    replay = DynamicGraph(stream)
+    for offset in (1.0, 8.0, 30.0):
+        g = replay.advance_to(merge_day + offset).graph
+        for target in (ORIGIN_XIAONEI, ORIGIN_5Q):
+            kernel, oracle = _distance_pair(g, sides[target], sides[ORIGIN_NEW])
+            assert kernel == oracle, (offset, target)
+            assert any(d is None for d in oracle) and any(d and d > 1 for d in oracle)
+
+
+_PATH = [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+
+@pytest.mark.parametrize(
+    ("targets", "forbidden", "expected"),
+    [
+        # A forbidden node cuts the only path, and is unreachable itself.
+        ({4}, {2}, [None, None, None, 1, 0]),
+        # Sources inside the target set are at distance 0.
+        ({0, 3}, set(), [0, 1, 1, 0, 1]),
+        # Every target forbidden: nothing is reachable.
+        ({1, 3}, {1, 3}, [None] * 5),
+        # Targets absent from the snapshot are ignored.
+        ({4, 99}, set(), [4, 3, 2, 1, 0]),
+        ({99}, set(), [None] * 5),
+    ],
+)
+def test_distance_to_set_hand_cases(targets, forbidden, expected):
+    with use_recorder(TraceRecorder()) as rec:
+        kernel, oracle = _distance_pair(GraphSnapshot.from_edges(_PATH), targets, forbidden)
+    assert kernel == oracle == expected
+    assert [span.name for span in rec.spans] == ["kernels.distance_to_set"]
 
 
 # -- Louvain ---------------------------------------------------------------
