@@ -70,8 +70,8 @@ def test_ablation_incremental_louvain(benchmark, ablation_config):
     stably than independent runs (the paper's §4.1 design choice)."""
     stream = generate_trace(ablation_config, seed=5)
     replay = DynamicGraph(stream)
-    g1 = replay.advance_to(35.0).graph.copy()
-    g2 = replay.advance_to(40.0).graph.copy()
+    g1 = replay.advance_to(35.0).graph
+    g2 = replay.advance_to(40.0).graph
 
     def similarity(seeded: bool) -> float:
         base = louvain(g1, delta=0.04, seed=0)

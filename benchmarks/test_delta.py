@@ -5,12 +5,16 @@ snapshot per simulated day) and times the per-snapshot metric suite —
 degree distribution, average degree, sampled clustering, assortativity —
 two ways:
 
-* **csr**: rebuild a :class:`~repro.kernels.csr.CSRGraph` from scratch at
-  every snapshot and run the batch kernels (what the csr engine pays);
-* **delta**: feed the window's arrival events to a
-  :class:`~repro.kernels.delta.DeltaMetricEngine` and read the maintained
-  accumulators (what the delta engine pays, event application charged to
-  the delta side).
+* **csr**: advance the replay, which builds each snapshot's
+  :class:`~repro.kernels.csr.CSRGraph` from the event columns, and run the
+  batch kernels (what the csr engine pays);
+* **delta**: advance the same replay, feed the window's arrival events to
+  a :class:`~repro.kernels.delta.DeltaMetricEngine` and read the
+  maintained accumulators (what the delta engine pays, event application
+  charged to the delta side).
+
+The replay is timed on both sides: the runtime advances it — and so
+builds every snapshot's CSR — whichever engine evaluates the suite.
 
 Every metric value is asserted bit-identical between the two sides while
 timing, and the metric-suite aggregate is gated.
@@ -38,9 +42,9 @@ from repro.gen.config import presets
 from repro.graph.dynamic import DynamicGraph
 from repro.kernels.assortativity import degree_assortativity_csr
 from repro.kernels.clustering import average_clustering_csr
-from repro.kernels.csr import CSRGraph
-from repro.kernels.delta import DeltaCSRGraph, DeltaMetricEngine
-from repro.metrics.degree import average_degree, degree_distribution
+from repro.kernels.delta import DeltaMetricEngine
+from repro.metrics.degree import average_degree
+from repro.util.binning import histogram_counts
 
 SPEEDUP_FLOOR = 3.0  # default scale (presets.small, 1-day windows)
 QUICK_FLOOR = 1.0  # smoke workload: delta must simply not be slower
@@ -68,31 +72,29 @@ def run_bench(quick: bool = False, seed: int = 7, preset: str | None = None) -> 
 
     suite_names = ("degree_distribution", "average_degree", "average_clustering", "assortativity")
     suite = {name: {"csr_s": 0.0, "delta_s": 0.0} for name in suite_names}
-    build_s = 0.0
+    replay_s = {"csr": 0.0, "delta": 0.0}
     apply_s = 0.0
 
-    # -- csr pass: rebuild + batch kernels at every snapshot ---------------
+    # -- csr pass: replay CSR + batch kernels at every snapshot ------------
     csr_values: list[dict[str, object]] = []
     replay = DynamicGraph(stream)
     snapshots = 0
     final_nodes = final_edges = 0
     for i, t in enumerate(times):
-        view = replay.advance_to(t)
-        graph = view.graph
-        if graph.num_nodes == 0:
+        began = time.perf_counter()
+        csr = replay.advance_to(t).graph
+        replay_s["csr"] += time.perf_counter() - began
+        if csr.num_nodes == 0:
             csr_values.append({})
             continue
         snapshots += 1
-        began = time.perf_counter()
-        csr = CSRGraph.from_snapshot(graph)
-        build_s += time.perf_counter() - began
 
         row: dict[str, object] = {}
         began = time.perf_counter()
-        row["degree_distribution"] = degree_distribution(graph)
+        row["degree_distribution"] = histogram_counts(csr.degrees.tolist())
         suite["degree_distribution"]["csr_s"] += time.perf_counter() - began
         began = time.perf_counter()
-        row["average_degree"] = average_degree(graph)
+        row["average_degree"] = average_degree(csr)
         suite["average_degree"]["csr_s"] += time.perf_counter() - began
         began = time.perf_counter()
         row["average_clustering"] = average_clustering_csr(
@@ -103,13 +105,15 @@ def run_bench(quick: bool = False, seed: int = 7, preset: str | None = None) -> 
         row["assortativity"] = degree_assortativity_csr(csr)
         suite["assortativity"]["csr_s"] += time.perf_counter() - began
         csr_values.append(row)
-        final_nodes, final_edges = graph.num_nodes, graph.num_edges
+        final_nodes, final_edges = csr.num_nodes, csr.num_edges
 
     # -- delta pass: incremental engine over the same windows --------------
     replay = DynamicGraph(stream)
-    engine = DeltaMetricEngine(graph=DeltaCSRGraph())
+    engine = DeltaMetricEngine()
     for i, t in enumerate(times):
+        began = time.perf_counter()
         view = replay.advance_to(t)
+        replay_s["delta"] += time.perf_counter() - began
         began = time.perf_counter()
         engine.apply_view(view.new_nodes, view.new_edges)
         apply_s += time.perf_counter() - began
@@ -136,8 +140,8 @@ def run_bench(quick: bool = False, seed: int = 7, preset: str | None = None) -> 
 
     for row in suite.values():
         row["speedup"] = row["csr_s"] / row["delta_s"] if row["delta_s"] > 0 else float("inf")
-    csr_total = sum(row["csr_s"] for row in suite.values()) + build_s
-    delta_total = sum(row["delta_s"] for row in suite.values()) + apply_s
+    csr_total = sum(row["csr_s"] for row in suite.values()) + replay_s["csr"]
+    delta_total = sum(row["delta_s"] for row in suite.values()) + replay_s["delta"] + apply_s
     return {
         "preset": preset,
         "seed": seed,
@@ -145,9 +149,9 @@ def run_bench(quick: bool = False, seed: int = 7, preset: str | None = None) -> 
         "clustering_sample": clustering_sample,
         "snapshots": snapshots,
         "final_graph": {"nodes": final_nodes, "edges": final_edges},
-        "compactions": engine.graph.compactions,
         "suite": suite,
-        "csr_build_s": build_s,
+        "csr_replay_s": replay_s["csr"],
+        "delta_replay_s": replay_s["delta"],
         "delta_apply_s": apply_s,
         "aggregate": {
             "csr_s": csr_total,
@@ -162,7 +166,7 @@ def print_report(report: dict) -> None:
     final = report["final_graph"]
     print(
         f"[delta] preset={report['preset']} snapshots={report['snapshots']} "
-        f"final={final['nodes']}n/{final['edges']}e compactions={report['compactions']}"
+        f"final={final['nodes']}n/{final['edges']}e"
     )
     print(f"[delta] {'metric':<24}{'csr s':>12}{'delta s':>12}{'speedup':>10}")
     for name, row in report["suite"].items():
@@ -170,7 +174,10 @@ def print_report(report: dict) -> None:
             f"[delta] {name:<24}{row['csr_s']:>12.3f}{row['delta_s']:>12.3f}"
             f"{row['speedup']:>9.1f}x"
         )
-    print(f"[delta] {'csr graph build':<24}{report['csr_build_s']:>12.3f}")
+    print(
+        f"[delta] {'replay (CSR build)':<24}{report['csr_replay_s']:>12.3f}"
+        f"{report['delta_replay_s']:>12.3f}"
+    )
     print(f"[delta] {'delta event apply':<24}{'':>12}{report['delta_apply_s']:>12.3f}")
     agg = report["aggregate"]
     print(

@@ -14,9 +14,9 @@ Two entry points:
   fails (exit 1) if CSR is slower than the references in aggregate; ``--out``
   writes the measurements as JSON.
 
-The CSR timings charge the per-snapshot ``CSRGraph`` build to the CSR
-side (as ``csr_build``), mirroring how the runtime amortizes one build
-across the metric suite.
+The references run on a dict-of-sets snapshot of the stream prefix; the
+CSR timings charge that snapshot's ``CSRGraph.from_snapshot`` freeze to
+the CSR side (as ``csr_build``), once per snapshot for the whole suite.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from repro.community.louvain import louvain, louvain_reference
 from repro.gen import generate_trace
 from repro.gen.config import presets
 from repro.graph.components import connected_components, connected_components_reference
-from repro.graph.dynamic import DynamicGraph
+from repro.graph.events import EventStream
+from repro.graph.snapshot import GraphSnapshot
 from repro.kernels.csr import CSRGraph
 from repro.metrics.assortativity import degree_assortativity, degree_assortativity_reference
 from repro.metrics.clustering import average_clustering, average_clustering_reference
@@ -48,29 +49,34 @@ _PRESETS = {
 
 
 def _kernel_suite(path_sample: int, clustering_sample: int):
-    """name → (reference fn(graph), kernel fn(graph, csr)) per kernel-enabled function."""
+    """name → (reference fn(graph), kernel fn(csr)) per kernel-enabled function."""
     return {
         "average_path_length": (
             lambda g: average_path_length_reference(g, path_sample, rng=7),
-            lambda g, csr: average_path_length_sampled(g, path_sample, rng=7, csr=csr),
+            lambda csr: average_path_length_sampled(csr, path_sample, rng=7),
         ),
         "average_clustering": (
             lambda g: average_clustering_reference(g, clustering_sample, rng=7),
-            lambda g, csr: average_clustering(g, clustering_sample, rng=7, csr=csr),
+            lambda csr: average_clustering(csr, clustering_sample, rng=7),
         ),
-        "assortativity": (
-            degree_assortativity_reference,
-            lambda g, csr: degree_assortativity(g, csr=csr),
-        ),
+        "assortativity": (degree_assortativity_reference, degree_assortativity),
         "connected_components": (
             lambda g: float(len(connected_components_reference(g))),
-            lambda g, csr: float(len(connected_components(g, csr=csr))),
+            lambda csr: float(len(connected_components(csr))),
         ),
         "louvain": (
             lambda g: louvain_reference(g, delta=0.04, seed=7).modularity,
-            lambda g, csr: louvain(g, delta=0.04, seed=7, csr=csr).modularity,
+            lambda csr: louvain(csr, delta=0.04, seed=7).modularity,
         ),
     }
+
+
+def _prefix_snapshot(stream: EventStream, time: float) -> GraphSnapshot:
+    """The dict-of-sets graph of every event up to ``time``, nodes in arrival order."""
+    nodes = stream.nodes.node[stream.nodes.time <= time].tolist()
+    edges = stream.edges[stream.edges.time <= time]
+    pairs = zip(edges.u.tolist(), edges.v.tolist(), strict=True)
+    return GraphSnapshot.from_edges(pairs, nodes=nodes)
 
 
 def run_bench(quick: bool = False, seed: int = 7, preset: str | None = None) -> dict:
@@ -85,11 +91,10 @@ def run_bench(quick: bool = False, seed: int = 7, preset: str | None = None) -> 
         fractions = (0.5, 1.0)
     config = _PRESETS[preset]()
     stream = generate_trace(config, seed=seed)
-    replay = DynamicGraph(stream)
     snapshots = []
     for fraction in fractions:
-        graph = replay.advance_to(fraction * stream.end_time).graph.copy()
-        snapshots.append((fraction * stream.end_time, graph))
+        time_t = fraction * stream.end_time
+        snapshots.append((time_t, _prefix_snapshot(stream, time_t)))
 
     suite = _kernel_suite(path_sample, clustering_sample)
     kernels = {name: {"python_s": 0.0, "csr_s": 0.0} for name in suite}
@@ -103,7 +108,7 @@ def run_bench(quick: bool = False, seed: int = 7, preset: str | None = None) -> 
             py_value = reference(graph)
             kernels[name]["python_s"] += time.perf_counter() - began
             began = time.perf_counter()
-            csr_value = kernel(graph, csr)
+            csr_value = kernel(csr)
             kernels[name]["csr_s"] += time.perf_counter() - began
             identical = py_value == csr_value or (math.isnan(py_value) and math.isnan(csr_value))
             assert identical, f"{name}: kernel disagrees ({py_value} != {csr_value})"

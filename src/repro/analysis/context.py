@@ -14,11 +14,12 @@ from repro.gen.config import GeneratorConfig
 from repro.gen.fast import generate_trace
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import EventStream
-from repro.graph.snapshot import GraphSnapshot
-from repro.metrics.timeseries import MetricTimeseries, compute_metric_timeseries
+from repro.kernels.csr import CSRGraph
+from repro.metrics.timeseries import MetricTimeseries
 from repro.obs import get_recorder
 from repro.osnmerge.activity import activity_threshold
 from repro.osnmerge.edge_rates import EdgeRateSeries, edges_per_day_by_type
+from repro.runtime.api import compute_timeseries
 from repro.runtime.spec import MetricSpec
 
 __all__ = ["AnalysisContext"]
@@ -61,7 +62,7 @@ class AnalysisContext:
         self.cache_dir = cache_dir
         self._stream: EventStream | None = None
         self._tracker: CommunityTracker | None = None
-        self._final_graph: GraphSnapshot | None = None
+        self._final_graph: CSRGraph | None = None
         self._edge_rates: EdgeRateSeries | None = None
         self._activity_threshold: float | None = None
         self._metrics: MetricTimeseries | None = None
@@ -96,7 +97,7 @@ class AnalysisContext:
         return self._tracker
 
     @property
-    def final_graph(self) -> GraphSnapshot:
+    def final_graph(self) -> CSRGraph:
         """The full graph at the end of the trace (cached)."""
         if self._final_graph is None:
             self._final_graph = DynamicGraph(self.stream).final()
@@ -118,7 +119,7 @@ class AnalysisContext:
             spec = MetricSpec(path_sample=200, clustering_sample=800, seed=self.seed)
             stream = self.stream
             with get_recorder().span("analysis.metrics", interval=interval):
-                self._metrics = compute_metric_timeseries(
+                self._metrics = compute_timeseries(
                     stream,
                     spec,
                     interval=interval,

@@ -13,7 +13,6 @@ from repro.community.stats import (
     top_k_coverage,
 )
 from repro.edges.powerlaw import fit_power_law_mle
-from repro.graph.dynamic import DynamicGraph
 
 __all__ = []
 
@@ -52,14 +51,12 @@ def fig5a(ctx: AnalysisContext) -> ExperimentResult:
 def fig5b(ctx: AnalysisContext) -> ExperimentResult:
     """Coverage of the top-5 communities grows as the network matures."""
     tracker = ctx.tracker
-    # Total network size at each tracked snapshot, from a fresh replay.
-    replay = DynamicGraph(ctx.stream)
-    coverage_rows: list[list[float]] = []
-    times: list[float] = []
-    for snap in tracker.snapshots:
-        view = replay.advance_to(snap.time)
-        coverage_rows.append(top_k_coverage(snap, view.graph.num_nodes, k=5))
-        times.append(snap.time)
+    # Total network size at each tracked snapshot: the node-arrival cursor.
+    times = [snap.time for snap in tracker.snapshots]
+    sizes = np.searchsorted(ctx.stream.nodes.time, times, side="right").tolist()
+    coverage_rows = [
+        top_k_coverage(snap, size, k=5) for snap, size in zip(tracker.snapshots, sizes, strict=True)
+    ]
     arr = np.asarray(coverage_rows)
     result = ExperimentResult(
         experiment="F5b",

@@ -11,7 +11,7 @@ from repro.community.impact import (
     in_degree_ratio_by_size,
     interarrival_by_membership,
     lifetime_by_community_size,
-    membership_from_snapshot,
+    membership_of,
 )
 from repro.util.binning import empirical_cdf
 
@@ -33,7 +33,7 @@ def scaled_size_buckets(total_nodes: int) -> tuple[tuple[int, float], ...]:
 def _membership(ctx: AnalysisContext) -> CommunityMembership:
     if not ctx.tracker.snapshots:
         raise ValueError("tracking run produced no snapshots")
-    return membership_from_snapshot(ctx.tracker.snapshots[-1])
+    return membership_of(ctx.tracker.snapshots[-1])
 
 
 @register("F7a")

@@ -364,8 +364,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
     with _traced(args.trace_out):
         stream = materialize(_load_events(args.trace))
         origins = Counter(stream.nodes.origin_labels())
-        graph = DynamicGraph(stream).final()
-        degrees = np.array([len(nbrs) for nbrs in graph.adjacency.values()])
+        # An empty trace is valid: its degree sequence is a single zero.
+        degrees = DynamicGraph(stream).final().degrees
+        if not degrees.size:
+            degrees = np.zeros(1, dtype=np.int64)
     print(f"trace      : {args.trace} (valid)")
     print(f"nodes      : {stream.num_nodes}  (origins: {dict(origins)})")
     print(f"edges      : {stream.num_edges}")
@@ -375,8 +377,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.metrics.timeseries import compute_metric_timeseries
-    from repro.runtime import MetricSpec
+    from repro.runtime import MetricSpec, compute_timeseries
 
     spec = MetricSpec(
         path_sample=args.path_sample,
@@ -385,7 +386,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     )
     with _traced(args.trace_out):
         stream = _load_events(args.trace)
-        series = compute_metric_timeseries(
+        series = compute_timeseries(
             stream,
             spec,
             interval=args.interval,

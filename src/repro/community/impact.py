@@ -19,12 +19,12 @@ import numpy as np
 from repro.community.tracking import TrackedSnapshot
 from repro.edges.interarrival import node_edge_times, node_interarrival_times
 from repro.graph.events import EventStream
-from repro.graph.snapshot import GraphSnapshot
+from repro.kernels.csr import CSRGraph
 
 __all__ = [
     "SIZE_BUCKETS_PAPER",
     "CommunityMembership",
-    "membership_from_snapshot",
+    "membership_of",
     "interarrival_by_membership",
     "lifetime_by_community_size",
     "in_degree_ratio_by_size",
@@ -66,7 +66,7 @@ def _bucket_label(lo: int, hi: float) -> str:
     return f"[{lo},{int(hi)}]" if np.isfinite(hi) else f"{lo}+"
 
 
-def membership_from_snapshot(snapshot: TrackedSnapshot) -> CommunityMembership:
+def membership_of(snapshot: TrackedSnapshot) -> CommunityMembership:
     """Extract node→community membership from a tracked snapshot."""
     community_of: dict[int, int] = {}
     size_of: dict[int, int] = {}
@@ -115,25 +115,36 @@ def lifetime_by_community_size(
 
 
 def in_degree_ratio_by_size(
-    graph: GraphSnapshot,
+    graph: CSRGraph,
     membership: CommunityMembership,
     buckets: tuple[tuple[int, float], ...] = SIZE_BUCKETS_PAPER,
 ) -> dict[str, np.ndarray]:
     """Per-user in-degree ratios grouped by community-size bucket (Fig 7c).
 
     A user's in-degree ratio is the fraction of their edges that stay
-    inside their own community; zero-degree users are skipped.
+    inside their own community; zero-degree users and users absent from
+    ``graph`` are skipped.
     """
     groups: dict[str, list[float]] = {}
     for lo, hi in buckets:
         groups[_bucket_label(lo, hi)] = []
-    for node, community in membership.community_of.items():
-        neighbors = graph.adjacency.get(node)
-        if not neighbors:
+    nodes = np.fromiter(membership.community_of, dtype=np.int64, count=len(membership.community_of))
+    present = np.isin(nodes, graph.node_ids)
+    # Position -> community id, -1 outside every community.
+    community = np.full(graph.num_nodes, -1, dtype=np.int64)
+    labels = np.fromiter(membership.community_of.values(), dtype=np.int64, count=nodes.size)
+    positions = graph.positions_of(nodes[present])
+    community[positions] = labels[present]
+    row = np.repeat(np.arange(graph.num_nodes), graph.degrees)
+    same = community[row] == community[graph.indices]
+    inside = np.bincount(row[same], minlength=graph.num_nodes)
+    degree = graph.degrees[positions].tolist()
+    kept = inside[positions].tolist()
+    for node, k, own in zip(nodes[present].tolist(), degree, kept, strict=True):
+        if k == 0:
             continue
         label = membership.bucket_of(node, buckets)
         if label is None:
             continue
-        inside = sum(1 for nbr in neighbors if membership.community_of.get(nbr) == community)
-        groups[label].append(inside / len(neighbors))
+        groups[label].append(own / k)
     return {key: np.asarray(vals) for key, vals in groups.items()}

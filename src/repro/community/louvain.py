@@ -17,9 +17,11 @@ Node visit order is shuffled with a seeded RNG, and modularity-gain ties
 resolve to the smallest community label, so results are deterministic for
 a given seed — independent of dict/set iteration order.
 
-:func:`louvain` runs the flat-array kernel from :mod:`repro.kernels.louvain`;
-:func:`louvain_reference` keeps the dict-of-dicts implementation the
-kernel is pinned against, bit-identical for identical RNG draws.
+:func:`louvain` runs the flat-array kernel from :mod:`repro.kernels.louvain`
+on a :class:`~repro.kernels.csr.CSRGraph`, and takes the partition's
+modularity from the same arrays; :func:`louvain_reference` keeps the
+dict-of-dicts implementation the kernel is pinned against, bit-identical
+for identical RNG draws.
 """
 
 from __future__ import annotations
@@ -68,33 +70,20 @@ class LouvainResult:
 
 
 def louvain(
-    graph: GraphSnapshot,
+    csr: CSRGraph,
     delta: float = 0.01,
     seed_partition: Mapping[int, int] | None = None,
     seed: int | np.random.Generator | None = 0,
-    *,
-    csr: CSRGraph | None = None,
 ) -> LouvainResult:
-    """Run Louvain on ``graph`` with stopping threshold ``delta``.
+    """Run Louvain on ``csr`` with stopping threshold ``delta``.
 
     ``seed_partition`` (incremental mode) provides initial community
-    labels; nodes missing from it start as singletons.  ``csr`` optionally
-    reuses a prebuilt :class:`~repro.kernels.csr.CSRGraph` of the same
-    snapshot.
+    labels; nodes missing from it start as singletons.
     """
     if delta < 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
-    partition, levels = louvain_csr(
-        csr if csr is not None else CSRGraph.from_snapshot(graph),
-        delta,
-        seed_partition,
-        make_rng(seed),
-    )
-    return LouvainResult(
-        partition=partition,
-        modularity=modularity(graph, partition),
-        levels=levels,
-    )
+    partition, quality, levels = louvain_csr(csr, delta, seed_partition, make_rng(seed))
+    return LouvainResult(partition=partition, modularity=quality, levels=levels)
 
 
 def louvain_reference(

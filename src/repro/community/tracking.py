@@ -25,15 +25,16 @@ predictor).
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from repro.community.louvain import louvain
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import EventStream
-from repro.graph.snapshot import GraphSnapshot
+from repro.kernels.csr import CSRGraph, label_edge_counts
 from repro.kernels.matching import match_communities_csr
 from repro.util.rng import make_rng
 
@@ -157,7 +158,7 @@ class CommunityTracker:
         self._rng = make_rng(seed)
         self._prev_partition: dict[int, int] | None = None
         self._prev_states: dict[int, CommunityState] = {}
-        self._prev_graph: GraphSnapshot | None = None
+        self._prev_graph: CSRGraph | None = None
         self._next_lineage = 0
         self.lineages: dict[int, CommunityLineage] = {}
         self.events: list[CommunityEvent] = []
@@ -165,7 +166,7 @@ class CommunityTracker:
 
     # -- public API -----------------------------------------------------
 
-    def step(self, time: float, graph: GraphSnapshot) -> TrackedSnapshot:
+    def step(self, time: float, graph: CSRGraph) -> TrackedSnapshot:
         """Process the next snapshot and return its tracked view."""
         result = louvain(
             graph,
@@ -194,7 +195,7 @@ class CommunityTracker:
         self.snapshots.append(snapshot)
         self._prev_partition = result.partition
         self._prev_states = assigned
-        self._prev_graph = graph.copy()
+        self._prev_graph = graph
         return snapshot
 
     # -- matching core ----------------------------------------------------
@@ -202,7 +203,7 @@ class CommunityTracker:
     def _match(
         self,
         time: float,
-        graph: GraphSnapshot,
+        graph: CSRGraph,
         raw: Mapping[int, frozenset[int]],
     ) -> tuple[dict[int, CommunityState], list[float]]:
         prev_states = self._prev_states
@@ -295,9 +296,9 @@ class CommunityTracker:
         # Build states and extend lineages.
         assigned: dict[int, CommunityState] = {}
         similarities: list[float] = []
-        for label, members in raw.items():
+        stats = zip(*_community_edge_stats(graph, list(raw.values())), strict=True)
+        for (label, members), (internal, degree_sum) in zip(raw.items(), stats, strict=True):
             lin = lineage_of[label]
-            internal, degree_sum = _community_edge_stats(graph, members)
             state = CommunityState(
                 lineage=lin,
                 time=time,
@@ -345,7 +346,7 @@ class CommunityTracker:
         }
         ties: Counter = Counter()
         for node in dying.members:
-            for nbr in graph.adjacency.get(node, ()):
+            for nbr in _neighbor_set(graph, node):
                 lin = node_lineage.get(nbr)
                 if lin is not None and lin != dying.lineage:
                     ties[lin] += 1
@@ -420,17 +421,33 @@ def track_stream(
     return tracker
 
 
-def _community_edge_stats(graph: GraphSnapshot, members: Iterable[int]) -> tuple[int, int]:
-    """(internal edge count, total degree sum) for a member set."""
-    member_set = set(members)
-    internal2 = 0
-    degree_sum = 0
-    # Pure integer counting over both loops: totals are independent of
-    # the sets' iteration order, so sorting would only add cost.
-    for node in member_set:  # repro: noqa[RPL001] -- int counting, order-free
-        neighbors = graph.adjacency[node]
-        degree_sum += len(neighbors)
-        internal2 += sum(  # repro: noqa[RPL003] -- int sum, order-free
-            1 for nbr in neighbors if nbr in member_set  # repro: noqa[RPL001] -- int count
-        )
-    return internal2 // 2, degree_sum
+def _community_edge_stats(
+    graph: CSRGraph, communities: list[frozenset[int]]
+) -> tuple[list[int], list[int]]:
+    """(internal edge counts, total degree sums) of disjoint member sets."""
+    k = len(communities)
+    sizes = [len(members) for members in communities]
+    members = np.fromiter(chain.from_iterable(communities), dtype=np.int64, count=sum(sizes))
+    # Position -> index of its community; ``k`` marks "in none".
+    label = np.full(graph.num_nodes, k, dtype=np.int64)
+    label[graph.positions_of(members)] = np.repeat(np.arange(k, dtype=np.int64), sizes)
+    internal2, degree_sum = label_edge_counts(graph, label, k + 1)
+    return (internal2[:k] // 2).tolist(), degree_sum[:k].tolist()
+
+
+def _neighbor_set(graph: CSRGraph, node: int) -> set[int]:
+    """``node``'s neighbor ids as the set the strongest-tie count iterates.
+
+    The count's tie-break is ``Counter.most_common`` insertion order, which
+    follows the iteration order of these sets.  The tracker used to keep a
+    ``copy()`` of the replay's dict-of-sets graph, whose sets had grown by
+    one ``add`` per edge in arrival order; ``set(set(...))`` of the
+    neighbors in arrival order rebuilds that copy's layout, and with it
+    the same tie-breaks.
+    """
+    p = int(graph.positions_of(np.array([node], dtype=np.int64))[0])
+    lo, hi = int(graph.indptr[p]), int(graph.indptr[p + 1])
+    neighbors = graph.indices[lo:hi]
+    if graph.arrival is not None:
+        neighbors = neighbors[np.argsort(graph.arrival[lo:hi], kind="stable")]
+    return set(set(graph.node_ids[neighbors].tolist()))

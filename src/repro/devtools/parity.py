@@ -35,12 +35,13 @@ PARITY_COVERED: dict[str, str] = {}
 # The delta engine's parity harness.  The engine is a second
 # implementation of the runtime suite: degree / clustering / assortativity
 # (and the whole MetricSpec timeseries) must be *bit-identical* to the
-# csr kernels.  Cross-checked against DELTA_PARITY_TEST_FILE by
+# csr kernels, and the replay CSR the engine reads must equal the dict
+# replay's.  Cross-checked against DELTA_PARITY_TEST_FILE by
 # ``tests/test_devtools_lint.py`` exactly like PARITY_COVERED.
 DELTA_PARITY_TEST_FILE = "tests/test_delta_parity.py"
 
 DELTA_PARITY_COVERED: dict[str, str] = {
-    "repro.kernels.delta.DeltaCSRGraph.to_csr": "test_delta_csr_matches_batch_build",
+    "repro.graph.dynamic.DynamicGraph.advance_to": "test_delta_csr_matches_batch_build",
     "repro.kernels.delta.DeltaMetricEngine": "test_engine_metrics_bit_identical",
     "repro.runtime.parallel.evaluate_timeseries": "test_timeseries_delta_bit_identical",
 }

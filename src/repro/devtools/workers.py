@@ -37,7 +37,6 @@ PICKLE_WHITELIST: frozenset[str] = frozenset(
         "ReplayCheckpoint",
         "DeltaEngineState",
         "Window",
-        "StoreWindow",
         "WindowResult",
     }
 )
@@ -48,7 +47,6 @@ WORKER_MANIFEST: dict[str, tuple[str, ...]] = {
     "repro.runtime.parallel._init_worker": ("EventStream", "MetricSpec", "bool"),
     "repro.runtime.parallel._init_store_worker": ("str", "MetricSpec", "bool"),
     "repro.runtime.parallel._run_window": ("Window", "WindowResult"),
-    "repro.runtime.parallel._run_store_window": ("StoreWindow", "WindowResult"),
     # repro.serve shard workers: every request/response payload is a plain
     # JSON string, the cheapest possible pickle.
     "repro.serve.workers._init_serve_worker": ("str", "NoneType", "int", "bool"),

@@ -13,7 +13,7 @@ structures that support *batch* updates and O(1) vectorized sampling:
   across many buckets at once;
 * :class:`SortedKeySet` — membership testing for packed ``(u, v)`` edge
   keys via a sorted base array plus a small unsorted pending tail, merged
-  amortized (the same compaction idea as the delta-CSR edge log).
+  amortized.
 
 Everything here is deterministic and allocation-amortized: no per-event
 Python objects, no hashing, no dict churn.

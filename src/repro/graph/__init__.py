@@ -7,12 +7,15 @@ creations and edge creations — from which daily static snapshots are derived
 * :class:`~repro.graph.events.EventStream` — a time-ordered event sequence,
   held as :class:`~repro.graph.events.NodeColumns` /
   :class:`~repro.graph.events.EdgeColumns` arrays;
-* :class:`~repro.graph.snapshot.GraphSnapshot` — a static undirected graph;
-* :class:`~repro.graph.dynamic.DynamicGraph` — replays a stream into
-  snapshots at any cadence;
+* :class:`~repro.graph.dynamic.DynamicGraph` — a cursor over the stream's
+  columns that yields each snapshot as an immutable
+  :class:`~repro.kernels.csr.CSRGraph`, the one graph representation the
+  analyses read;
 * :class:`~repro.graph.checkpoint.ReplayCheckpoint` — compact mid-stream
   replay state, so workers can resume without re-applying history;
-* :mod:`~repro.graph.components` — connected components, from scratch.
+* :mod:`~repro.graph.components` — connected components, from scratch;
+* :class:`~repro.graph.snapshot.GraphSnapshot` — a dict-of-sets graph,
+  kept for the ``*_reference`` parity oracles and off-path utilities.
 """
 
 from repro.graph.checkpoint import ReplayCheckpoint

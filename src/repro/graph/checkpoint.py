@@ -1,26 +1,26 @@
 """Compact checkpoints of the evolving graph and the replay cursor.
 
 A checkpoint freezes the replayer mid-stream so that a later process can
-resume replay without re-applying every prior event.  The adjacency
-structure is stored as a :class:`~repro.kernels.csr.CSRGraph` — three
-int64 arrays that are compact to hold, cheap to pickle across process
-boundaries, exact to restore, and directly usable by the numpy kernels.
+resume replay without re-applying every prior event.  The graph is the
+replay's own immutable :class:`~repro.kernels.csr.CSRGraph` — three int64
+arrays that are compact to hold and cheap to pickle across process
+boundaries.  A resumed :class:`~repro.graph.dynamic.DynamicGraph` indexes
+that graph plus the columns past the cursor, so it reads none of the
+events before it.
 
-Two invariants make restored replays *bit-identical* to uninterrupted ones:
+Two invariants make resumed replays *bit-identical* to uninterrupted ones:
 
-* ``csr.node_ids`` preserves the adjacency dict's insertion order, so
-  analyses that iterate ``GraphSnapshot.nodes()`` see the same sequence;
-  and
+* ``csr.node_ids`` keeps node arrival order, so positions (and every
+  position-order traversal) match the uninterrupted replay; and
 * the cursor indices (``node_index`` / ``edge_index``) are recorded
-  exactly, so a resumed :class:`~repro.graph.dynamic.DynamicGraph` applies
-  precisely the events an uninterrupted replay would have applied next.
+  exactly, so a resumed replay applies precisely the events an
+  uninterrupted replay would have applied next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.graph.snapshot import GraphSnapshot
 from repro.kernels.csr import CSRGraph
 
 __all__ = ["ReplayCheckpoint"]
@@ -39,12 +39,3 @@ class ReplayCheckpoint:
     node_index: int
     edge_index: int
     csr: CSRGraph
-
-    def restore_graph(self) -> GraphSnapshot:
-        """A fresh mutable snapshot equal to the graph at checkpoint time."""
-        csr = self.csr
-        ids = csr.node_ids.tolist()
-        neighbors = csr.node_ids[csr.indices].tolist()
-        bounds = csr.indptr.tolist()
-        adjacency = {node: set(neighbors[bounds[i] : bounds[i + 1]]) for i, node in enumerate(ids)}
-        return GraphSnapshot.from_adjacency(adjacency, csr.num_edges)

@@ -11,8 +11,9 @@ component" never depends on traversal order — a requirement for sampled
 metrics to be reproducible across serial, restored, and parallel replays.
 
 ``connected_components`` and ``largest_component`` run the frontier-array
-BFS from :mod:`repro.kernels.traversal`; their ``*_reference`` twins keep
-the dict BFS the parity suite pins them against.  Kernel imports stay
+BFS from :mod:`repro.kernels.traversal` on a
+:class:`~repro.kernels.csr.CSRGraph`; their ``*_reference`` twins keep the
+dict BFS the parity suite pins them against.  Kernel imports stay
 inside the functions because ``repro.graph.__init__`` imports this module
 while :mod:`repro.kernels` imports the graph package.
 """
@@ -38,33 +39,22 @@ __all__ = [
 ]
 
 
-def connected_components(
-    graph: GraphSnapshot,
-    *,
-    csr: "CSRGraph | None" = None,
-) -> list[set[int]]:
+def connected_components(csr: CSRGraph) -> list[set[int]]:
     """All connected components, largest first (ties: smallest member id)."""
-    from repro.kernels.csr import CSRGraph
     from repro.kernels.traversal import connected_components_csr
 
-    return connected_components_csr(csr if csr is not None else CSRGraph.from_snapshot(graph))
+    return connected_components_csr(csr)
 
 
-def largest_component(
-    graph: GraphSnapshot,
-    *,
-    csr: "CSRGraph | None" = None,
-) -> set[int]:
+def largest_component(csr: CSRGraph) -> set[int]:
     """The node set of the largest component (empty graph → empty set).
 
     Equal-size components tie-break on the smallest member id, not on
     traversal order.
     """
-    from repro.kernels.csr import CSRGraph
     from repro.kernels.traversal import largest_component_csr
 
-    members = largest_component_csr(csr if csr is not None else CSRGraph.from_snapshot(graph))
-    return set(members.tolist())
+    return set(largest_component_csr(csr).tolist())
 
 
 def connected_components_reference(graph: GraphSnapshot) -> list[set[int]]:

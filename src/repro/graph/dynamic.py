@@ -2,22 +2,28 @@
 
 The paper derives 771 daily static snapshots from its event stream (§2) and
 3-day snapshots for community tracking (§4.1).  :class:`DynamicGraph` does
-the same: it holds one cursor over the stream and advances a single mutable
-:class:`~repro.graph.snapshot.GraphSnapshot` forward in time, yielding
-lightweight :class:`SnapshotView` records.
+the same: it holds one cursor over the stream's columns and yields
+:class:`SnapshotView` records, each carrying the snapshot as an immutable
+:class:`~repro.kernels.csr.CSRGraph`.
+
+The first advance indexes the replay once: every edge event becomes two
+directed entries in position space, sorted by (row, column) with the
+event index kept beside each.  The snapshot after ``k`` edge events is
+then the entries whose event index is below ``k`` — one mask, a
+``bincount`` for the row pointers and a slice of node ids.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.graph.checkpoint import ReplayCheckpoint
 from repro.graph.events import EventStream
-from repro.graph.snapshot import GraphSnapshot
 from repro.kernels.csr import CSRGraph
+from repro.util.arrays import BoolArray, IntArray
 
 __all__ = ["DynamicGraph", "SnapshotView"]
 
@@ -26,25 +32,104 @@ __all__ = ["DynamicGraph", "SnapshotView"]
 class SnapshotView:
     """A point-in-time view of the evolving graph.
 
-    ``graph`` is the replayer's **live** snapshot: it will keep mutating as
-    the replay advances.  Callers that retain it across steps must call
-    :meth:`materialize` (or ``graph.copy()``).  ``new_edges`` lists the
+    ``graph`` is immutable, so a view stays valid however far the replay
+    advances.  ``new_nodes`` lists the node arrivals and ``new_edges`` the
     (u, v) pairs added since the previous view, which the incremental
-    analyses (pe(d), community tracking) consume.
+    delta engine consumes.
     """
 
     time: float
-    graph: GraphSnapshot
+    graph: CSRGraph
     new_nodes: tuple[int, ...]
     new_edges: tuple[tuple[int, int], ...]
 
-    def materialize(self) -> "SnapshotView":
-        """A view whose graph is decoupled from the live replay.
 
-        The graph is deep-copied, so the copy shares no mutable state with
-        the replayer and is safe to retain while the replay advances.
-        """
-        return replace(self, graph=self.graph.copy())
+class _PrefixIndex:
+    """Sorted directed entries of a replay: start graph plus later edge events.
+
+    ``start`` is where the replay begins (its graph and cursors); only
+    columns from its cursors on are read.
+    Semantics match applying the events one by one to a dict-of-sets graph:
+    a repeated node or edge is counted once, a self-loop raises
+    :class:`ValueError` and an endpoint that has not arrived raises
+    :class:`KeyError` — both only once a snapshot includes that edge.
+    """
+
+    def __init__(self, stream: EventStream, start: ReplayCheckpoint) -> None:
+        nodes, edges = stream.nodes, stream.edges
+        base, node_lo, edge_lo = start.csr, start.node_index, start.edge_index
+        self.node_lo, self.edge_lo = node_lo, edge_lo
+        # Positions: base nodes first, then each new id at its first arrival.
+        all_ids = np.concatenate([base.node_ids, nodes.node[node_lo:]])
+        uniq, first_index = np.unique(all_ids, return_index=True)
+        first = np.zeros(all_ids.size, dtype=bool)
+        first[first_index] = True
+        base_n = base.num_nodes
+        #: Nodes present after each number of node events past ``node_lo``.
+        self.count_at = base_n + np.concatenate(([0], np.cumsum(first[base_n:], dtype=np.int64)))
+        self.node_ids = all_ids[first]
+        missing = self.node_ids.size  # a position past every node: never arrives
+        uniq_pos = (np.cumsum(first, dtype=np.int64) - 1)[first_index]
+
+        def positions(ids: IntArray) -> IntArray:
+            if not missing:
+                return np.full_like(ids, missing)
+            at = np.minimum(np.searchsorted(uniq, ids), missing - 1)
+            return np.where(uniq[at] == ids, uniq_pos[at], missing)
+
+        u, v = edges.u[edge_lo:], edges.v[edge_lo:]
+        pu, pv = positions(u), positions(v)
+        self.loop: BoolArray = u == v
+        #: Per edge event: the node count its endpoints need.
+        self.need = np.maximum(pu, pv) + 1
+        event = np.flatnonzero(~self.loop & (self.need <= missing))
+        # Interleave both directions of each event so a stable sort keeps
+        # the earliest event of every repeated (row, col) pair first.
+        base_rows = np.repeat(np.arange(base_n), base.degrees)
+        rows = np.concatenate([base_rows, np.column_stack((pu[event], pv[event])).ravel()])
+        cols = np.concatenate([base.indices, np.column_stack((pv[event], pu[event])).ravel()])
+        if base.arrival is None:
+            inherited = np.full(base.indices.size, -1, dtype=np.int64)
+        else:
+            # Below every event index of this replay, in the base's order: a
+            # worker's window restarts its event indices at zero.
+            inherited = base.arrival - (int(base.arrival.max(initial=-1)) + 1)
+        arrival = np.concatenate([inherited, np.repeat(event + edge_lo, 2)])
+        order = np.argsort(rows * max(missing, 1) + cols, kind="stable")
+        rows, cols, arrival = rows[order], cols[order], arrival[order]
+        keep = np.ones(rows.size, dtype=bool)
+        keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        self.rows, self.cols, self.arrival = rows[keep], cols[keep], arrival[keep]
+        #: Per edge event: whether it added an edge (not a repeat).
+        self.fresh = np.zeros(u.size, dtype=bool)
+        self.fresh[self.arrival[self.arrival >= edge_lo] - edge_lo] = True
+
+    def check(self, stream: EventStream, edge_lo: int, edge_hi: int, nodes: int) -> None:
+        """Raise as the per-event replay would on the first bad edge in the range."""
+        lo, hi = edge_lo - self.edge_lo, edge_hi - self.edge_lo
+        bad = self.loop[lo:hi] | (self.need[lo:hi] > nodes)
+        if not bad.any():
+            return
+        k = edge_lo + int(np.argmax(bad))
+        u, v = int(stream.edges.u[k]), int(stream.edges.v[k])
+        if u == v:
+            raise ValueError(f"self-loop on node {u} not allowed")
+        present = self.node_ids[:nodes]
+        raise KeyError(u if not np.isin(u, present) else v)
+
+    def graph(self, nodes: int, edge_hi: int) -> CSRGraph:
+        """The snapshot holding ``nodes`` nodes and the edges of events before ``edge_hi``."""
+        mask = self.arrival < edge_hi
+        indptr = np.zeros(nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.rows[mask], minlength=nodes), out=indptr[1:])
+        indices = self.cols[mask]
+        return CSRGraph(
+            node_ids=self.node_ids[:nodes],
+            indptr=indptr,
+            indices=indices,
+            num_edges=indices.size // 2,
+            arrival=self.arrival[mask],
+        )
 
 
 class DynamicGraph:
@@ -57,16 +142,19 @@ class DynamicGraph:
 
     def __init__(self, stream: EventStream) -> None:
         self.stream = stream
-        self.graph = GraphSnapshot()
+        self._start = ReplayCheckpoint(time=0.0, node_index=0, edge_index=0, csr=CSRGraph.empty())
+        self.graph = self._start.csr
         self._node_idx = 0
         self._edge_idx = 0
+        self._index: _PrefixIndex | None = None
 
     @classmethod
     def from_checkpoint(cls, stream: EventStream, checkpoint: ReplayCheckpoint) -> "DynamicGraph":
         """Resume replay of ``stream`` from ``checkpoint``.
 
-        The checkpoint must have been taken from a replay of the same
-        stream; cursor indices out of range raise :class:`ValueError`.
+        The checkpoint's graph is the replay's base; only the columns past
+        its cursors are read.  Cursor indices out of range raise
+        :class:`ValueError`.
         """
         if checkpoint.node_index > len(stream.nodes) or checkpoint.edge_index > len(stream.edges):
             raise ValueError(
@@ -75,7 +163,8 @@ class DynamicGraph:
                 f"{len(stream.edges)} edge events"
             )
         replay = cls(stream)
-        replay.graph = checkpoint.restore_graph()
+        replay._start = checkpoint
+        replay.graph = checkpoint.csr
         replay._node_idx = checkpoint.node_index
         replay._edge_idx = checkpoint.edge_index
         return replay
@@ -86,7 +175,7 @@ class DynamicGraph:
             time=self.time_cursor,
             node_index=self._node_idx,
             edge_index=self._edge_idx,
-            csr=CSRGraph.from_snapshot(self.graph),
+            csr=self.graph,
         )
 
     @property
@@ -121,21 +210,22 @@ class DynamicGraph:
         node_lo, edge_lo = self._node_idx, self._edge_idx
         node_hi = max(node_lo, int(np.searchsorted(nodes.time, time, side="right")))
         edge_hi = max(edge_lo, int(np.searchsorted(edges.time, time, side="right")))
-        new_nodes = nodes.node[node_lo:node_hi].tolist()
-        for node in new_nodes:
-            self.graph.add_node(node)
-        new_edges: list[tuple[int, int]] = []
-        for u, v in zip(
-            edges.u[edge_lo:edge_hi].tolist(), edges.v[edge_lo:edge_hi].tolist(), strict=True
-        ):
-            if self.graph.add_edge(u, v):
-                new_edges.append((u, v))
+        if (node_hi, edge_hi) == (node_lo, edge_lo):
+            return SnapshotView(time=time, graph=self.graph, new_nodes=(), new_edges=())
+        index = self._index
+        if index is None:
+            index = self._index = _PrefixIndex(self.stream, self._start)
+        count = int(index.count_at[node_hi - index.node_lo])
+        index.check(self.stream, edge_lo, edge_hi, count)
+        self.graph = index.graph(count, edge_hi)
+        fresh = index.fresh[edge_lo - index.edge_lo : edge_hi - index.edge_lo]
+        added = edge_lo + np.flatnonzero(fresh)
         self._node_idx, self._edge_idx = node_hi, edge_hi
         return SnapshotView(
             time=time,
             graph=self.graph,
-            new_nodes=tuple(new_nodes),
-            new_edges=tuple(new_edges),
+            new_nodes=tuple(nodes.node[node_lo:node_hi].tolist()),
+            new_edges=tuple(zip(edges.u[added].tolist(), edges.v[added].tolist(), strict=True)),
         )
 
     def snapshots(
@@ -159,7 +249,7 @@ class DynamicGraph:
             t += interval
         yield self.advance_to(stop)
 
-    def final(self) -> GraphSnapshot:
-        """Apply all remaining events and return the live snapshot."""
+    def final(self) -> CSRGraph:
+        """Apply all remaining events and return the final snapshot."""
         self.advance_to(float("inf"))
         return self.graph

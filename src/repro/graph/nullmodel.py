@@ -35,7 +35,7 @@ def degree_preserving_rewire(
     if swaps_per_edge < 0:
         raise ValueError("swaps_per_edge must be non-negative")
     rng = make_rng(seed)
-    result = graph.copy()
+    result = GraphSnapshot.from_edges(graph.edges(), nodes=graph.nodes())
     edges = list(result.edges())
     m = len(edges)
     if m < 2 or swaps_per_edge == 0:

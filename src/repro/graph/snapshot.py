@@ -1,8 +1,11 @@
 """A static, undirected, simple-graph snapshot backed by adjacency sets.
 
-:class:`GraphSnapshot` is the workhorse structure every metric and community
-algorithm in the library consumes.  It is deliberately minimal: integer node
-ids, set-based adjacency, O(1) degree lookups, and an exact edge count kept
+Replay and every hot-path analysis use :class:`~repro.kernels.csr.CSRGraph`.
+:class:`GraphSnapshot` is the dict-of-sets form the ``*_reference`` parity
+oracles, the tests and a few off-path utilities (the null model, the
+effective diameter, degree-tail fits) work on; ``CSRGraph.from_snapshot``
+bridges the two.  It is deliberately minimal: integer node ids, set-based
+adjacency, O(1) degree lookups, and an exact edge count kept
 incrementally.
 """
 
@@ -28,23 +31,6 @@ class GraphSnapshot:
         self._num_edges = 0
 
     # -- construction -------------------------------------------------
-
-    @classmethod
-    def from_adjacency(
-        cls,
-        adjacency: dict[int, set[int]],
-        num_edges: int,
-    ) -> "GraphSnapshot":
-        """Adopt a prebuilt adjacency dict (trusted, not validated).
-
-        The dict is taken by reference — callers hand over ownership.  Used
-        by checkpoint restore, where the structure was produced by encoding
-        a valid snapshot and re-validating would dominate restore cost.
-        """
-        snap = cls()
-        snap.adjacency = adjacency
-        snap._num_edges = num_edges
-        return snap
 
     @classmethod
     def from_edges(
@@ -84,13 +70,6 @@ class GraphSnapshot:
         neighbors_v.add(u)
         self._num_edges += 1
         return True
-
-    def copy(self) -> "GraphSnapshot":
-        """Deep copy (adjacency sets are duplicated)."""
-        dup = GraphSnapshot()
-        dup.adjacency = {node: set(nbrs) for node, nbrs in self.adjacency.items()}
-        dup._num_edges = self._num_edges
-        return dup
 
     # -- queries ------------------------------------------------------
 

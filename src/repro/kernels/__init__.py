@@ -8,17 +8,19 @@ documented in ``docs/kernels.md``.
 
 Layout:
 
-* :mod:`~repro.kernels.csr` — :class:`CSRGraph`, the frozen array view all
-  kernels consume, plus the multi-slice neighbor gather;
+* :mod:`~repro.kernels.csr` — :class:`CSRGraph`, the one graph
+  representation: replay builds it and every kernel consumes it; plus the
+  multi-slice neighbor gather;
 * :mod:`~repro.kernels.traversal` — frontier-array BFS: components,
   largest component, bit-parallel sampled path lengths, multi-source
   distance to a node set;
 * :mod:`~repro.kernels.clustering` — mask-intersection clustering
   coefficients;
 * :mod:`~repro.kernels.assortativity` — vectorized degree assortativity;
-* :mod:`~repro.kernels.louvain` — flat-array Louvain local moves;
-* :mod:`~repro.kernels.delta` — the incremental delta engine:
-  append-friendly CSR and event-delta metric accumulators;
+* :mod:`~repro.kernels.louvain` — flat-array Louvain local moves and
+  modularity;
+* :mod:`~repro.kernels.delta` — the incremental delta engine: event-delta
+  metric accumulators;
 * :mod:`~repro.kernels.matching` — contingency-count Jaccard matching for
   community tracking.
 """
@@ -30,8 +32,8 @@ from repro.kernels.clustering import (
     local_clustering_csr,
 )
 from repro.kernels.csr import CSRGraph, gather_neighbors
-from repro.kernels.delta import DeltaCSRGraph, DeltaEngineState, DeltaMetricEngine
-from repro.kernels.louvain import louvain_csr
+from repro.kernels.delta import DeltaEngineState, DeltaMetricEngine
+from repro.kernels.louvain import louvain_csr, modularity_csr
 from repro.kernels.matching import match_communities_csr
 from repro.kernels.traversal import (
     average_path_length_csr,
@@ -43,7 +45,6 @@ from repro.kernels.traversal import (
 
 __all__ = [
     "CSRGraph",
-    "DeltaCSRGraph",
     "DeltaEngineState",
     "DeltaMetricEngine",
     "average_clustering_csr",
@@ -58,4 +59,5 @@ __all__ = [
     "local_clustering_csr",
     "louvain_csr",
     "match_communities_csr",
+    "modularity_csr",
 ]

@@ -1,20 +1,22 @@
-"""A compact CSR view of a snapshot, shared by every numpy kernel.
+"""The one graph representation: a snapshot as immutable CSR arrays.
 
-:class:`CSRGraph` freezes a :class:`~repro.graph.snapshot.GraphSnapshot`
-into three int64 arrays — ``node_ids`` (position → node id, adjacency
-insertion order), ``indptr`` (row pointers), ``indices`` (neighbor
-*positions*, sorted within each row).  Working in position space makes
-every downstream kernel a chain of fancy-indexing operations; the sorted
-rows are what the merge-intersection clustering kernels rely on.
+:class:`CSRGraph` holds a snapshot as three int64 arrays — ``node_ids``
+(position → node id, node arrival order), ``indptr`` (row pointers),
+``indices`` (neighbor *positions*, sorted within each row).  Working in
+position space makes every downstream kernel a chain of fancy-indexing
+operations; the sorted rows are what the merge-intersection clustering
+kernels rely on.
 
-Positions preserve the snapshot's insertion order because the Louvain
-reference implementation visits nodes in dict order: a kernel that
+Positions follow node arrival order because the Louvain reference
+implementation visits nodes in dict insertion order: a kernel that
 re-ordered nodes would permute the RNG-shuffled visit sequence and break
-bit-for-bit parity with the Python backend.
+bit-for-bit parity with the reference.
 
-Replay checkpoints (:class:`~repro.graph.checkpoint.ReplayCheckpoint`)
-carry a :class:`CSRGraph` as their frozen adjacency, so there is one array
-form of a snapshot.
+Replay (:class:`~repro.graph.dynamic.DynamicGraph`) builds one per
+snapshot straight from the event columns, and replay checkpoints carry
+one as their frozen graph.  :meth:`CSRGraph.from_snapshot` is the bridge
+from the dict-of-sets :class:`~repro.graph.snapshot.GraphSnapshot` that
+the ``*_reference`` oracles and the off-path utilities use.
 """
 
 from __future__ import annotations
@@ -22,16 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
+from numpy.typing import NDArray
 
 from repro.util.arrays import IntArray
 
 if TYPE_CHECKING:
     from repro.graph.snapshot import GraphSnapshot
 
-__all__ = ["CSRGraph", "gather_neighbors"]
+__all__ = ["CSRGraph", "gather_neighbors", "label_edge_counts"]
 
 
 @dataclass(frozen=True)
@@ -42,12 +45,25 @@ class CSRGraph:
     order); its neighbors are ``indices[indptr[p]:indptr[p + 1]]``, as
     positions, ascending.  ``indices`` holds both directions of every
     edge, so ``indices.size == 2 * num_edges``.
+
+    ``arrival`` is set on graphs built by replay: ``arrival[i]`` is the
+    stream index of the edge event that created entry ``i``.  Entries
+    inherited from a checkpoint graph get negative values in their
+    original order (all ``-1`` if that graph carries no arrivals).  It lets
+    a consumer list a node's neighbors in the order they arrived.
     """
 
     node_ids: IntArray
     indptr: IntArray
     indices: IntArray
     num_edges: int
+    arrival: IntArray | None = None
+
+    @classmethod
+    def empty(cls) -> "CSRGraph":
+        """The graph with no nodes."""
+        none = np.empty(0, dtype=np.int64)
+        return cls(node_ids=none, indptr=np.zeros(1, dtype=np.int64), indices=none, num_edges=0)
 
     @classmethod
     def from_snapshot(cls, graph: GraphSnapshot) -> "CSRGraph":
@@ -102,6 +118,19 @@ class CSRGraph:
 
     def __repr__(self) -> str:
         return f"CSRGraph(nodes={self.num_nodes}, edges={self.num_edges})"
+
+
+def label_edge_counts(
+    csr: CSRGraph, labels: NDArray[np.integer[Any]], count: int
+) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
+    """Per label in ``range(count)``: directed entries inside it, and its degree sum.
+
+    ``labels[p]`` is the label of position ``p``.  An edge inside a label
+    counts twice in the first array, once per direction.
+    """
+    rows = np.repeat(labels, csr.degrees)
+    inside = np.bincount(rows[rows == labels[csr.indices]], minlength=count)
+    return inside, np.bincount(rows, minlength=count)
 
 
 def gather_neighbors(

@@ -35,11 +35,17 @@ from collections.abc import Iterable, Mapping
 
 import numpy as np
 
-from repro.kernels.csr import CSRGraph
+from repro.kernels.csr import CSRGraph, label_edge_counts
 from repro.obs import get_recorder
 from repro.util.arrays import FloatArray, IntArray
 
-__all__ = ["MAX_LEVELS", "MAX_PASSES_PER_LEVEL", "initial_assignment", "louvain_csr"]
+__all__ = [
+    "MAX_LEVELS",
+    "MAX_PASSES_PER_LEVEL",
+    "initial_assignment",
+    "louvain_csr",
+    "modularity_csr",
+]
 
 # Shared level/pass caps: the kernel and the reference must stop
 # identically, so the constants live here in the kernel layer and the
@@ -88,11 +94,11 @@ def louvain_csr(
     delta: float,
     seed_partition: Mapping[int, int] | None,
     rng: np.random.Generator,
-) -> tuple[dict[int, int], int]:
-    """Run the Louvain level loop on ``csr``; returns ``(partition, levels)``.
+) -> tuple[dict[int, int], float, int]:
+    """Run the Louvain level loop on ``csr``.
 
-    The caller (:func:`repro.community.louvain.louvain`) validates
-    arguments and computes the final modularity.
+    Returns ``(partition, modularity, levels)``; the caller
+    (:func:`repro.community.louvain.louvain`) validates arguments.
     """
     node_ids = csr.node_ids
     n = csr.num_nodes
@@ -134,7 +140,31 @@ def louvain_csr(
         label = int(node_label[position])
         for original in members.tolist():
             partition[ids_list[original]] = label
-    return partition, levels
+    labels = np.empty(n, dtype=np.int64)
+    if n:
+        labels[np.concatenate(carried)] = np.repeat(node_label, [m.size for m in carried])
+    return partition, modularity_csr(csr, labels), levels
+
+
+def modularity_csr(csr: CSRGraph, labels: IntArray) -> float:
+    """Modularity of the partition giving each position ``labels[p]``.
+
+    Bit-identical to :func:`repro.community.modularity.modularity`: the
+    per-community counts are exact integers, and the float terms are
+    summed with the same expression in the same order — communities by
+    their first position, as the reference's dict acquires them.
+    """
+    m = csr.num_edges
+    if m == 0:
+        return 0.0
+    _, first, community = np.unique(labels, return_index=True, return_inverse=True)
+    internal2, degree_sums = label_edge_counts(csr, community, first.size)
+    internal = (internal2 // 2).tolist()
+    degree_sum = degree_sums.tolist()
+    q = 0.0
+    for c in np.argsort(first).tolist():
+        q += internal[c] / m - (degree_sum[c] / (2.0 * m)) ** 2
+    return q
 
 
 def _one_level_arrays(

@@ -1,7 +1,7 @@
 """Network-level graph metrics over time (paper §2, Figure 1).
 
 Each metric module exposes a pure function over a
-:class:`~repro.graph.snapshot.GraphSnapshot`;
+:class:`~repro.kernels.csr.CSRGraph` snapshot;
 :class:`~repro.metrics.timeseries.MetricTimeseries` drives them across a
 snapshot series at a chosen cadence.
 """

@@ -19,20 +19,12 @@ from repro.kernels.csr import CSRGraph
 __all__ = ["degree_assortativity", "degree_assortativity_reference"]
 
 
-def degree_assortativity(
-    graph: GraphSnapshot,
-    *,
-    csr: CSRGraph | None = None,
-) -> float:
+def degree_assortativity(csr: CSRGraph) -> float:
     """Degree correlation over edges; ``nan`` when undefined (e.g. regular graphs).
 
     Accumulates the Pearson sums in exact integer arithmetic, so the result
-    is independent of edge iteration order — a requirement for checkpointed
-    parallel replay, whose rebuilt adjacency sets may iterate differently
-    than serially grown ones.
+    is independent of edge iteration order.
     """
-    if csr is None:
-        csr = CSRGraph.from_snapshot(graph)
     return degree_assortativity_csr(csr)
 
 

@@ -11,9 +11,8 @@ intersections against a boolean membership mask instead of probing
 implementation the parity suite pins the kernel against; counts are exact
 integers, so both return identical floats.
 
-Sampling draws from the *sorted* node pool (not dict insertion order), so
-restored and parallel replays — which rebuild adjacency in a different
-insertion order — sample exactly the same nodes as a serial run.
+Sampling draws from the *sorted* node pool (not insertion order), so the
+sample is a function of the node set alone.
 """
 
 from __future__ import annotations
@@ -33,32 +32,21 @@ __all__ = [
 ]
 
 
-def local_clustering(
-    graph: GraphSnapshot,
-    node: int,
-    *,
-    csr: CSRGraph | None = None,
-) -> float:
+def local_clustering(csr: CSRGraph, node: int) -> float:
     """Clustering coefficient of one node (0.0 when degree < 2)."""
-    if csr is None:
-        csr = CSRGraph.from_snapshot(graph)
     return local_clustering_csr(csr, node)
 
 
 def average_clustering(
-    graph: GraphSnapshot,
+    csr: CSRGraph,
     sample_size: int | None = None,
     rng: int | np.random.Generator | None = None,
-    *,
-    csr: CSRGraph | None = None,
 ) -> float:
     """Mean local clustering over all nodes (or a uniform sample).
 
     ``sample_size`` bounds the work on large snapshots; ``None`` computes
     the exact average.  Returns ``nan`` for an empty graph.
     """
-    if csr is None:
-        csr = CSRGraph.from_snapshot(graph)
     return average_clustering_csr(csr, sample_size, rng)
 
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from repro.edges.powerlaw import PowerLawFit, fit_power_law_mle
 from repro.graph.snapshot import GraphSnapshot
+from repro.kernels.csr import CSRGraph
 from repro.util.binning import histogram_counts
 
 __all__ = [
@@ -21,7 +22,7 @@ __all__ = [
 ]
 
 
-def average_degree(graph: GraphSnapshot) -> float:
+def average_degree(graph: CSRGraph) -> float:
     """Mean node degree, ``2E / N``; 0.0 for an empty graph."""
     if graph.num_nodes == 0:
         return 0.0

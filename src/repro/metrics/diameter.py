@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.graph.components import bfs_distances, largest_component
 from repro.graph.snapshot import GraphSnapshot
+from repro.kernels.csr import CSRGraph
 from repro.util.rng import make_rng
 
 __all__ = ["effective_diameter_sampled"]
@@ -32,7 +33,7 @@ def effective_diameter_sampled(
     if not 0 < quantile <= 1:
         raise ValueError("quantile must be in (0, 1]")
     generator = make_rng(rng)
-    component = largest_component(graph)
+    component = largest_component(CSRGraph.from_snapshot(graph))
     if len(component) < 2:
         return float("nan")
     members = np.fromiter(component, dtype=np.int64, count=len(component))

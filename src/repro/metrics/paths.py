@@ -26,22 +26,16 @@ __all__ = ["average_path_length_reference", "average_path_length_sampled"]
 
 
 def average_path_length_sampled(
-    graph: GraphSnapshot,
+    csr: CSRGraph,
     sample_size: int = 1000,
     rng: int | np.random.Generator | None = None,
-    *,
-    csr: CSRGraph | None = None,
 ) -> float:
     """Average hop distance from sampled sources to all reachable nodes.
 
     Sources are drawn (without replacement) from the largest connected
     component.  Returns ``nan`` when the component has fewer than two
-    nodes.  ``csr`` optionally reuses a prebuilt :class:`CSRGraph` of the
-    same snapshot (the runtime builds one per snapshot and shares it
-    across the metric suite).
+    nodes.
     """
-    if csr is None:
-        csr = CSRGraph.from_snapshot(graph)
     return average_path_length_csr(csr, sample_size, make_rng(rng))
 
 

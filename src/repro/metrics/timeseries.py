@@ -2,13 +2,12 @@
 
 The paper computes cheap metrics daily and expensive ones (path length) at a
 3-day cadence on sampled nodes (§2).  :func:`compute_metric_timeseries`
-replays a stream once and evaluates a set of named metric callables at a
-chosen interval.
+replays a stream once and evaluates a :class:`~repro.runtime.spec.MetricSpec`
+at a chosen interval.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -17,21 +16,11 @@ import numpy as np
 if TYPE_CHECKING:
     from pathlib import Path
 
+    from repro.graph.events import EventStream
     from repro.runtime.spec import MetricSpec
     from repro.store.reader import EventStore
 
-from repro.graph.dynamic import DynamicGraph
-from repro.graph.events import EventStream
-from repro.graph.snapshot import GraphSnapshot
-from repro.metrics.assortativity import degree_assortativity
-from repro.metrics.clustering import average_clustering
-from repro.metrics.degree import average_degree
-from repro.metrics.paths import average_path_length_sampled
-from repro.util.rng import make_rng
-
-__all__ = ["MetricTimeseries", "compute_metric_timeseries", "standard_metrics"]
-
-MetricFn = Callable[[GraphSnapshot], float]
+__all__ = ["MetricTimeseries", "compute_metric_timeseries"]
 
 
 @dataclass
@@ -58,28 +47,9 @@ class MetricTimeseries:
         )
 
 
-def standard_metrics(
-    path_sample: int = 400,
-    clustering_sample: int | None = 1500,
-    seed: int = 0,
-) -> dict[str, MetricFn]:
-    """The paper's four Figure-1 metrics, with sampling knobs.
-
-    The returned callables share one seeded RNG, so a full timeseries run
-    is reproducible.
-    """
-    rng = make_rng(seed)
-    return {
-        "average_degree": average_degree,
-        "average_path_length": lambda g: average_path_length_sampled(g, path_sample, rng),
-        "average_clustering": lambda g: average_clustering(g, clustering_sample, rng),
-        "assortativity": degree_assortativity,
-    }
-
-
 def compute_metric_timeseries(
     stream: EventStream | EventStore,
-    metrics: Mapping[str, MetricFn] | MetricSpec,
+    metrics: MetricSpec,
     interval: float = 3.0,
     start: float | None = None,
     *,
@@ -89,43 +59,14 @@ def compute_metric_timeseries(
     """Evaluate ``metrics`` on snapshots every ``interval`` days.
 
     ``start`` defaults to the first interval boundary; snapshots with no
-    nodes are skipped.
-
-    ``metrics`` is either a mapping of named callables (the original API,
-    always evaluated serially in-process) or a declarative
-    :class:`repro.runtime.MetricSpec`, which unlocks the runtime layer:
-    ``workers > 1`` evaluates contiguous snapshot windows in a process
-    pool (bit-identical to serial), and ``cache_dir`` enables the
-    content-addressed on-disk result cache.
-
-    ``stream`` may also be an open :class:`~repro.store.reader.EventStore`
-    (the columnar on-disk format).  With a :class:`MetricSpec` the store is
-    handed to the runtime, which serves cache hits from the manifest digest
-    without decoding; with plain callables it is decoded here.
+    nodes are skipped.  ``workers > 1`` evaluates contiguous snapshot
+    windows in a process pool (bit-identical to serial), and ``cache_dir``
+    enables the content-addressed on-disk result cache.  ``stream`` may
+    also be an open :class:`~repro.store.reader.EventStore` (the columnar
+    on-disk format).  This is :func:`repro.runtime.compute_timeseries`.
     """
-    from repro.runtime.spec import MetricSpec
+    from repro.runtime.api import compute_timeseries
 
-    if isinstance(metrics, MetricSpec):
-        from repro.runtime.api import compute_timeseries
-
-        return compute_timeseries(
-            stream, metrics, interval=interval, start=start, workers=workers, cache_dir=cache_dir
-        )
-    if workers != 1 or cache_dir is not None:
-        raise ValueError(
-            "workers/cache_dir require a repro.runtime.MetricSpec; ad-hoc metric "
-            "callables cannot be re-seeded per snapshot or shipped to worker processes"
-        )
-    from repro.store.reader import EventStore as _EventStore
-
-    if isinstance(stream, _EventStore):
-        stream = stream.to_stream()
-    replay = DynamicGraph(stream)
-    series = MetricTimeseries(values={name: [] for name in metrics})
-    for view in replay.snapshots(interval=interval, start=start):
-        if view.graph.num_nodes == 0:
-            continue
-        series.times.append(view.time)
-        for name, fn in metrics.items():
-            series.values[name].append(fn(view.graph))
-    return series
+    return compute_timeseries(
+        stream, metrics, interval=interval, start=start, workers=workers, cache_dir=cache_dir
+    )

@@ -65,7 +65,7 @@ def cross_network_distance(
     for view in replay.snapshots(interval=interval, start=merge_day + 1.0):
         if view.time <= merge_day:
             continue
-        csr = CSRGraph.from_snapshot(view.graph)
+        csr = view.graph
         allowed = ~np.isin(csr.node_ids, new_users)
         to_fivq = distance_to_set_csr(csr, np.isin(csr.node_ids, fivq), allowed)
         to_xiaonei = distance_to_set_csr(csr, np.isin(csr.node_ids, xiaonei), allowed)

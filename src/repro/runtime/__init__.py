@@ -8,7 +8,7 @@ driver.  This subpackage makes the same computation scale:
   description whose RNGs are derived per snapshot index, making results
   independent of which process evaluates which snapshot;
 * :mod:`~repro.runtime.parallel` — splits the snapshot timeline into
-  contiguous windows, restores a replay checkpoint per window, and
+  contiguous windows, resumes a replay checkpoint per window, and
   evaluates windows in a process pool, bit-identical to serial;
 * :mod:`~repro.runtime.cache` — a content-addressed on-disk result cache
   keyed by stream content + spec + cadence;

@@ -1,8 +1,8 @@
 """The runtime front door: cache lookup around parallel evaluation.
 
-:func:`compute_timeseries` is what the CLI, :class:`AnalysisContext`, and
-:func:`repro.metrics.timeseries.compute_metric_timeseries` (when handed a
-:class:`~repro.runtime.spec.MetricSpec`) all call.
+:func:`compute_timeseries` is what the CLI, :class:`AnalysisContext`,
+serve and :func:`repro.metrics.timeseries.compute_metric_timeseries` all
+call.
 """
 
 from __future__ import annotations

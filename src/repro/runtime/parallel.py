@@ -3,16 +3,17 @@
 The snapshot timeline is split into ``workers`` contiguous windows.  A
 single cheap structural replay (no metric evaluation) records a
 :class:`~repro.graph.checkpoint.ReplayCheckpoint` at each window boundary;
-each worker process then restores its checkpoint, replays only its slice
-of the stream, and evaluates the metric suite with per-snapshot RNGs
+each worker process then resumes from its checkpoint's graph, replays only
+its slice of the stream, and evaluates the metric suite with per-snapshot RNGs
 (:meth:`~repro.runtime.spec.MetricSpec.build`).  Stitching the per-window
 rows back in grid order yields output bit-identical to a serial run.
 
 Each replay runs on one of two bit-identical engines, chosen by
-:func:`select_engine` from the replay's own shape: the csr kernels rebuild
-a :class:`~repro.kernels.csr.CSRGraph` per snapshot, while the delta engine
-(:mod:`repro.kernels.delta`) maintains the graph and its clustering,
-degree and assortativity accumulators event by event.
+:func:`select_engine` from the replay's own shape: the csr kernels read
+the :class:`~repro.kernels.csr.CSRGraph` the replay yields per snapshot,
+while the delta engine (:mod:`repro.kernels.delta`) maintains clustering,
+degree and assortativity accumulators event by event and reads the
+replay's CSR only for sampled path length.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 from repro.graph.checkpoint import ReplayCheckpoint
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import EventStream
-from repro.kernels.csr import CSRGraph
 from repro.kernels.delta import DeltaEngineState, DeltaMetricEngine
 from repro.metrics.timeseries import MetricTimeseries
 from repro.obs import (
@@ -39,7 +39,7 @@ from repro.obs import (
     perf_counter,
     use_recorder,
 )
-from repro.runtime.spec import DELTA_METRIC_NAMES, MetricSpec, snapshot_times
+from repro.runtime.spec import MetricSpec, snapshot_times
 from repro.store.reader import EventStore
 
 __all__ = ["DELTA_MIN_SNAPSHOTS", "evaluate_timeseries", "mp_context", "select_engine"]
@@ -114,17 +114,12 @@ def _evaluate_rows(
     each snapshot is keyed by its *grid* index, so skipping never shifts
     downstream randomness.
 
-    Without an ``engine`` (the csr engine), the snapshot is converted to
-    CSR once and the one :class:`~repro.kernels.csr.CSRGraph` is shared by
-    every metric — the conversion cost amortizes across the suite.
-
-    With an ``engine`` (positioned exactly at the replay's cursor — a fresh
-    engine for a from-scratch replay, a checkpoint-restored one for a
-    window), it consumes each window's events and serves the
-    delta-maintained metrics; a frozen CSR is produced only when a
-    non-delta metric (sampled BFS) needs one.
+    Every metric reads the replay's :class:`~repro.kernels.csr.CSRGraph`
+    of the snapshot.  With an ``engine`` (positioned exactly at the
+    replay's cursor — a fresh engine for a from-scratch replay, a
+    checkpoint-restored one for a window), it consumes each window's
+    events and serves the delta-maintained metrics.
     """
-    needs_csr = any(n not in DELTA_METRIC_NAMES for n in spec.names)
     rec = get_recorder()
     rows: list[Row] = []
     for index, time in indexed_times:
@@ -142,19 +137,6 @@ def _evaluate_rows(
             engine.apply_view(view.new_nodes, view.new_edges)
         if view.graph.num_nodes == 0:
             continue
-        csr = None
-        if engine is None:
-            stage_began = perf_counter()
-            with rec.span("kernels.csr_build", snapshot=index):
-                csr = CSRGraph.from_snapshot(view.graph)
-            if rec.enabled:
-                rec.observe("kernels.csr_build_seconds", perf_counter() - stage_began)
-        elif needs_csr:
-            stage_began = perf_counter()
-            with rec.span("delta.csr_merge", snapshot=index):
-                csr = engine.to_csr()
-            if rec.enabled:
-                rec.observe("delta.csr_merge_seconds", perf_counter() - stage_began)
         if engine is not None:
             fns = spec.build_delta(index, engine)
         else:
@@ -166,7 +148,7 @@ def _evaluate_rows(
         for name in spec.names:
             with rec.span(f"metric.{name}", snapshot=index):
                 began = perf_counter()
-                values.append(fns[name](view.graph, csr))
+                values.append(fns[name](view.graph))
                 seconds.append(perf_counter() - began)
             if rec.enabled:
                 rec.observe(f"metric.{name}.seconds", seconds[-1])
@@ -195,31 +177,10 @@ def _traced_rows(lane: int, evaluate: Callable[[], list[Row]]) -> WindowResult:
     return rows, recorder.shard()
 
 
-# Stream-window payload: the lane, the checkpoint, this window's snapshot
-# times, and (delta engine only) the engine state frozen at the window's
-# entry checkpoint, from which the worker resumes.
+# Window payload: the lane, the checkpoint at window entry, this window's
+# half-open event-index ranges [node_lo, node_hi) / [edge_lo, edge_hi), its
+# snapshot times, and (delta engine only) the engine state at window entry.
 Window = tuple[
-    int, ReplayCheckpoint, list[tuple[int, float]], DeltaEngineState | None
-]
-
-
-def _run_window(payload: Window) -> WindowResult:
-    lane, checkpoint, indexed_times, estate = payload
-    assert _WORKER_STREAM is not None and _WORKER_SPEC is not None
-    stream, spec = _WORKER_STREAM, _WORKER_SPEC
-
-    def evaluate() -> list[Row]:
-        replay = DynamicGraph.from_checkpoint(stream, checkpoint)
-        engine = None if estate is None else DeltaMetricEngine.from_state(estate)
-        return _evaluate_rows(replay, spec, indexed_times, engine)
-
-    return _traced_rows(lane, evaluate)
-
-
-# Store-window payload: the lane, the checkpoint, this window's half-open
-# event-index ranges [node_lo, node_hi) / [edge_lo, edge_hi), its snapshot
-# times, and the optional delta engine state at window entry.
-StoreWindow = tuple[
     int,
     ReplayCheckpoint,
     tuple[int, int],
@@ -229,25 +190,33 @@ StoreWindow = tuple[
 ]
 
 
-def _run_store_window(payload: StoreWindow) -> WindowResult:
-    """Evaluate one window reading only its own chunk rows from the store.
+def _run_window(payload: Window) -> WindowResult:
+    """Evaluate one window from its entry checkpoint and its own event rows.
 
-    The checkpoint's cursors are rebased to zero against the window-local
-    sub-stream: the events it skips are exactly the events the checkpoint
-    graph already contains, so replay — and therefore every metric value —
-    is bit-identical to the full-stream path.
+    The worker reads only the window's rows — from the inherited stream,
+    or from its own chunks when store-backed — and replays them on top of
+    the checkpoint's graph, with the cursors rebased to the window: the
+    events it skips are exactly the events the checkpoint graph already
+    contains, so every metric value is bit-identical to a serial run.
     """
     lane, checkpoint, (node_lo, node_hi), (edge_lo, edge_hi), indexed_times, estate = payload
-    assert _WORKER_STORE is not None and _WORKER_SPEC is not None
-    store, spec = _WORKER_STORE, _WORKER_SPEC
+    assert _WORKER_SPEC is not None
+    spec = _WORKER_SPEC
 
     def evaluate() -> list[Row]:
-        substream = store.slice_events(node_lo, node_hi, edge_lo, edge_hi)
-        rebased = ReplayCheckpoint(
+        if _WORKER_STORE is not None:
+            rows = _WORKER_STORE.slice_events(node_lo, node_hi, edge_lo, edge_hi)
+        else:
+            assert _WORKER_STREAM is not None
+            rows = EventStream(
+                nodes=_WORKER_STREAM.nodes[node_lo:node_hi],
+                edges=_WORKER_STREAM.edges[edge_lo:edge_hi],
+            )
+        entry = ReplayCheckpoint(
             time=checkpoint.time, node_index=0, edge_index=0, csr=checkpoint.csr
         )
-        replay = DynamicGraph.from_checkpoint(substream, rebased)
-        engine = None if estate is None else DeltaMetricEngine.from_state(estate)
+        replay = DynamicGraph.from_checkpoint(rows, entry)
+        engine = None if estate is None else DeltaMetricEngine.from_state(estate, checkpoint.csr)
         return _evaluate_rows(replay, spec, indexed_times, engine)
 
     return _traced_rows(lane, evaluate)
@@ -384,15 +353,15 @@ def _evaluate_parallel(
     tracing = rec.enabled
     chunks = _partition(_window_weights(stream, [t for _, t in indexed]), workers)
     # One structural replay to place a checkpoint at each window boundary.
-    # This is O(events) with no metric work, so it is cheap relative to the
-    # metric evaluation it unlocks.  For store-backed runs the replay also
-    # yields each window's event-index range, which is all a worker needs
-    # to pull its slice out of the store.  On the delta engine the parent
+    # It builds one CSR per window and runs no metric, so it is cheap
+    # relative to the metric evaluation it unlocks.  The replay also yields
+    # each window's event-index range, which is all a worker needs to pull
+    # its rows out of the stream or the store.  On the delta engine the parent
     # additionally feeds a metric engine so each checkpoint carries the
     # accumulator state its window's worker resumes from; the
     # accumulators are pure functions of the edge set, so worker rows stay
     # bit-identical to a serial delta run.
-    payloads: list[Any] = []
+    payloads: list[Window] = []
     parent_engine = DeltaMetricEngine() if use_delta else None
     with rec.span("replay.checkpoints", windows=len(chunks)):
         replay = DynamicGraph(stream)
@@ -403,37 +372,29 @@ def _evaluate_parallel(
             view = replay.advance_to(indexed[chunk[-1]][1])
             if parent_engine is not None:
                 parent_engine.apply_view(view.new_nodes, view.new_edges)
-            window_times = [indexed[i] for i in chunk]
-            if store is not None:
-                payloads.append(
-                    (
-                        lane,
-                        checkpoint,
-                        (checkpoint.node_index, replay.node_cursor),
-                        (checkpoint.edge_index, replay.edge_cursor),
-                        window_times,
-                        estate,
-                    )
+            payloads.append(
+                (
+                    lane,
+                    checkpoint,
+                    (checkpoint.node_index, replay.node_cursor),
+                    (checkpoint.edge_index, replay.edge_cursor),
+                    [indexed[i] for i in chunk],
+                    estate,
                 )
-            else:
-                payloads.append((lane, checkpoint, window_times, estate))
+            )
     context = _mp_context()
     pool_kwargs: dict[str, Any] = {}
     handoff: contextlib.AbstractContextManager[None] = contextlib.nullcontext()
-    run: Callable[[Any], WindowResult]
     if store is not None:
         # The store path is tiny and the chunk pages are shared through the
         # page cache, so both fork and spawn use the same initializer.
-        run = _run_store_window
         pool_kwargs = {
             "initializer": _init_store_worker,
             "initargs": (str(store.path), spec, tracing),
         }
     elif context.get_start_method() == "fork":
-        run = _run_window
         handoff = _inherited_globals(stream, spec, tracing)
     else:
-        run = _run_window
         pool_kwargs = {"initializer": _init_worker, "initargs": (stream, spec, tracing)}
     rows: list[Row] = []
     detail: list[dict[str, Any]] = []
@@ -443,7 +404,7 @@ def _evaluate_parallel(
             with ProcessPoolExecutor(
                 max_workers=len(payloads), mp_context=context, **pool_kwargs
             ) as pool:
-                for lane0, (window_rows, shard) in enumerate(pool.map(run, payloads)):
+                for lane0, (window_rows, shard) in enumerate(pool.map(_run_window, payloads)):
                     rows.extend(window_rows)
                     detail.append(_worker_stat(1 + lane0, f"worker-{1 + lane0}", window_rows))
                     if shard is not None:

@@ -1,13 +1,11 @@
 """Declarative metric suites with per-snapshot seeding.
 
-:func:`repro.metrics.timeseries.standard_metrics` returns closures that
-share one RNG whose state threads through the whole replay — inherently
-serial.  :class:`MetricSpec` replaces the closures with a picklable
-description: metric *names* plus sampling parameters plus a seed.  The
-callables are rebuilt per snapshot with an RNG seeded by
-``(seed, snapshot_index)``, so any process evaluating any snapshot draws
-the same random numbers — the property that makes windowed parallel
-replay bit-identical to a serial run.
+:class:`MetricSpec` is a picklable description of a metric suite: metric
+*names* plus sampling parameters plus a seed.  The callables are rebuilt
+per snapshot with an RNG seeded by ``(seed, snapshot_index)``, so any
+process evaluating any snapshot draws the same random numbers — the
+property that makes windowed parallel replay bit-identical to a serial
+run.
 """
 
 from __future__ import annotations
@@ -20,22 +18,20 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.graph.snapshot import GraphSnapshot
+from repro.kernels.csr import CSRGraph
 from repro.metrics.assortativity import degree_assortativity
 from repro.metrics.clustering import average_clustering
 from repro.metrics.degree import average_degree
 from repro.metrics.paths import average_path_length_sampled
 
 if TYPE_CHECKING:
-    from repro.kernels.csr import CSRGraph
     from repro.kernels.delta import DeltaMetricEngine
 
 __all__ = ["DELTA_METRIC_NAMES", "MetricSpec", "STANDARD_METRIC_NAMES", "snapshot_times"]
 
-# Metric callables take the snapshot plus an optional prebuilt CSRGraph of
-# the same snapshot; the runtime builds one per snapshot and shares it
-# across the whole suite.
-MetricFn = Callable[[GraphSnapshot, "CSRGraph | None"], float]
+# Metric callables take the replay's CSR snapshot, which the runtime
+# shares across the whole suite.
+MetricFn = Callable[[CSRGraph], float]
 
 STANDARD_METRIC_NAMES = (
     "average_degree",
@@ -45,21 +41,21 @@ STANDARD_METRIC_NAMES = (
 )
 
 # Metrics the delta engine maintains as event-delta accumulators.
-# Anything else (sampled BFS path length) is evaluated on the engine's
-# frozen CSR through the ordinary csr kernel, which is bit-identical.
+# Anything else (sampled BFS path length) is evaluated on the replay's
+# CSR through the ordinary csr kernel.
 DELTA_METRIC_NAMES = frozenset(
     {"average_degree", "average_clustering", "assortativity"}
 )
 
 _FACTORIES: dict[str, Callable[["MetricSpec", np.random.Generator], MetricFn]] = {
-    "average_degree": lambda spec, rng: (lambda g, csr=None: average_degree(g)),
+    "average_degree": lambda spec, rng: average_degree,
     "average_path_length": lambda spec, rng: (
-        lambda g, csr=None: average_path_length_sampled(g, spec.path_sample, rng, csr=csr)
+        lambda csr: average_path_length_sampled(csr, spec.path_sample, rng)
     ),
     "average_clustering": lambda spec, rng: (
-        lambda g, csr=None: average_clustering(g, spec.clustering_sample, rng, csr=csr)
+        lambda csr: average_clustering(csr, spec.clustering_sample, rng)
     ),
-    "assortativity": lambda spec, rng: (lambda g, csr=None: degree_assortativity(g, csr=csr)),
+    "assortativity": lambda spec, rng: degree_assortativity,
 }
 
 
@@ -131,7 +127,7 @@ class MetricSpec:
 
 
 def _delta_average_degree(engine: "DeltaMetricEngine") -> MetricFn:
-    def fn(g: GraphSnapshot, csr: "CSRGraph | None" = None) -> float:
+    def fn(csr: CSRGraph) -> float:
         return engine.average_degree()
 
     return fn
@@ -140,14 +136,14 @@ def _delta_average_degree(engine: "DeltaMetricEngine") -> MetricFn:
 def _delta_average_clustering(
     engine: "DeltaMetricEngine", sample: int | None, rng: np.random.Generator
 ) -> MetricFn:
-    def fn(g: GraphSnapshot, csr: "CSRGraph | None" = None) -> float:
+    def fn(csr: CSRGraph) -> float:
         return engine.average_clustering(sample, rng)
 
     return fn
 
 
 def _delta_assortativity(engine: "DeltaMetricEngine") -> MetricFn:
-    def fn(g: GraphSnapshot, csr: "CSRGraph | None" = None) -> float:
+    def fn(csr: CSRGraph) -> float:
         return engine.assortativity()
 
     return fn

@@ -14,6 +14,8 @@ from repro.gen.config import presets
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import EventStream
 from repro.graph.snapshot import GraphSnapshot
+from repro.kernels.csr import CSRGraph
+from tests.oracles import dict_replay
 
 
 @pytest.fixture(scope="session")
@@ -36,7 +38,13 @@ def merge_day() -> float:
 
 @pytest.fixture(scope="session")
 def tiny_graph(tiny_stream: EventStream) -> GraphSnapshot:
-    """The final snapshot of the tiny trace."""
+    """The final snapshot of the tiny trace, as the dict-of-sets oracle graph."""
+    return dict_replay(tiny_stream)
+
+
+@pytest.fixture(scope="session")
+def tiny_csr(tiny_stream: EventStream) -> CSRGraph:
+    """The final snapshot of the tiny trace, as replay builds it."""
     return DynamicGraph(tiny_stream).final()
 
 

@@ -64,6 +64,15 @@ class TestCommands:
         assert "valid" in out
         assert "avg degree" in out
 
+    def test_info_on_empty_trace(self, tmp_path, capsys):
+        # An empty file is a valid empty stream: zero degrees, no crash.
+        path = tmp_path / "empty.tsv"
+        path.write_text("")
+        assert main(["info", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "nodes      : 0" in out
+        assert "avg degree : 0.00  (max 0)" in out
+
     def test_metrics(self, trace_path, capsys):
         assert main(["metrics", trace_path, "--interval", "30", "--path-sample", "30"]) == 0
         out = capsys.readouterr().out

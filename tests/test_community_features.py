@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.community.features import FEATURE_NAMES, build_merge_dataset
 from repro.community.tracking import CommunityTracker
-from repro.graph.snapshot import GraphSnapshot
+from tests.oracles import csr_of
 
 
 def clique(base: int, size: int) -> list[tuple[int, int]]:
@@ -14,7 +14,7 @@ def clique(base: int, size: int) -> list[tuple[int, int]]:
 def tracked_sequence() -> CommunityTracker:
     tracker = CommunityTracker(min_size=10, seed=0)
     for t, size_a in ((1.0, 12), (2.0, 14), (3.0, 18)):
-        g = GraphSnapshot.from_edges(clique(0, size_a) + clique(100, 12))
+        g = csr_of(clique(0, size_a) + clique(100, 12))
         tracker.step(t, g)
     return tracker
 
@@ -64,7 +64,7 @@ class TestBuildDataset:
 
     def test_short_run_empty(self):
         tracker = CommunityTracker(min_size=10, seed=0)
-        tracker.step(1.0, GraphSnapshot.from_edges(clique(0, 12)))
+        tracker.step(1.0, csr_of(clique(0, 12)))
         assert build_merge_dataset(tracker) == []
 
     def test_merge_label_positive_on_trace(self, tiny_tracker):

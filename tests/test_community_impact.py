@@ -8,13 +8,13 @@ from repro.community.impact import (
     in_degree_ratio_by_size,
     interarrival_by_membership,
     lifetime_by_community_size,
-    membership_from_snapshot,
+    membership_of,
 )
 
 
 @pytest.fixture(scope="module")
 def membership(tiny_tracker):
-    return membership_from_snapshot(tiny_tracker.snapshots[-1])
+    return membership_of(tiny_tracker.snapshots[-1])
 
 
 class TestMembership:
@@ -71,21 +71,35 @@ class TestLifetime:
 
 
 class TestInDegreeRatio:
-    def test_values_in_unit_interval(self, tiny_stream, tiny_graph, membership):
-        groups = in_degree_ratio_by_size(tiny_graph, membership)
+    def test_matches_dict_graph_count(self, tiny_graph, tiny_csr, membership):
+        """Each user's share of neighbors in their own community, exactly."""
+        buckets = ((10, 60), (60, float("inf")))
+        want: dict[str, list[float]] = {"[10,60]": [], "60+": []}
+        for node, community in membership.community_of.items():
+            neighbors = tiny_graph.adjacency.get(node)
+            label = membership.bucket_of(node, buckets)
+            if not neighbors or label is None:
+                continue
+            inside = sum(1 for nbr in neighbors if membership.community_of.get(nbr) == community)
+            want[label].append(inside / len(neighbors))
+        got = in_degree_ratio_by_size(tiny_csr, membership, buckets=buckets)
+        assert {key: values.tolist() for key, values in got.items()} == want
+
+    def test_values_in_unit_interval(self, tiny_stream, tiny_csr, membership):
+        groups = in_degree_ratio_by_size(tiny_csr, membership)
         for values in groups.values():
             if values.size:
                 assert values.min() >= 0.0
                 assert values.max() <= 1.0
 
-    def test_larger_buckets_more_internal(self, tiny_graph, membership):
+    def test_larger_buckets_more_internal(self, tiny_csr, membership):
         """Fig 7(c)'s direction across the buckets that have data.
 
         Noise-tolerant at this 700-node scale; the strict direction is
         asserted at bench scale (benchmarks/test_fig7.py).
         """
         buckets = ((10, 60), (60, float("inf")))
-        groups = in_degree_ratio_by_size(tiny_graph, membership, buckets=buckets)
+        groups = in_degree_ratio_by_size(tiny_csr, membership, buckets=buckets)
         small, large = groups["[10,60]"], groups["60+"]
         if small.size >= 20 and large.size >= 20:
             assert large.mean() > small.mean() - 0.15

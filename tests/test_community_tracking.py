@@ -1,14 +1,22 @@
 """Tests for repro.community.tracking."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.community.tracking import (
     CommunityTracker,
+    _neighbor_set,
     jaccard,
     track_stream,
 )
-from repro.graph.snapshot import GraphSnapshot
+from repro.gen import generate_trace
+from repro.gen.config import presets
+from repro.graph.checkpoint import ReplayCheckpoint
+from repro.graph.dynamic import DynamicGraph
+from repro.graph.events import EventStream
+from tests.oracles import DictReplay, csr_of, dict_replay
 
 
 def clique(base: int, size: int) -> list[tuple[int, int]]:
@@ -31,7 +39,7 @@ class TestJaccard:
 
 class TestStepMechanics:
     def test_first_snapshot_births(self):
-        g = GraphSnapshot.from_edges(clique(0, 12) + clique(100, 12))
+        g = csr_of(clique(0, 12) + clique(100, 12))
         tracker = CommunityTracker(min_size=10, seed=0)
         snap = tracker.step(1.0, g)
         assert snap.num_communities == 2
@@ -39,7 +47,7 @@ class TestStepMechanics:
         assert np.isnan(snap.avg_similarity)
 
     def test_stable_communities_tracked(self):
-        g = GraphSnapshot.from_edges(clique(0, 12) + clique(100, 12))
+        g = csr_of(clique(0, 12) + clique(100, 12))
         tracker = CommunityTracker(min_size=10, seed=0)
         first = tracker.step(1.0, g)
         second = tracker.step(2.0, g)
@@ -48,8 +56,8 @@ class TestStepMechanics:
         assert all(e.kind == "birth" for e in tracker.events)
 
     def test_growth_keeps_lineage(self):
-        g1 = GraphSnapshot.from_edges(clique(0, 12))
-        g2 = GraphSnapshot.from_edges(clique(0, 16))
+        g1 = csr_of(clique(0, 12))
+        g2 = csr_of(clique(0, 16))
         tracker = CommunityTracker(min_size=10, seed=0)
         s1 = tracker.step(1.0, g1)
         s2 = tracker.step(2.0, g2)
@@ -59,9 +67,9 @@ class TestStepMechanics:
         assert 0 < state.similarity < 1
 
     def test_dissolution_death(self):
-        g1 = GraphSnapshot.from_edges(clique(0, 12) + clique(100, 12))
+        g1 = csr_of(clique(0, 12) + clique(100, 12))
         # Second snapshot: the 100-clique disappears entirely.
-        g2 = GraphSnapshot.from_edges(clique(0, 12))
+        g2 = csr_of(clique(0, 12))
         tracker = CommunityTracker(min_size=10, seed=0)
         tracker.step(1.0, g1)
         tracker.step(2.0, g2)
@@ -69,13 +77,13 @@ class TestStepMechanics:
         assert len(deaths) == 1
 
     def test_merge_event_detected(self):
-        g1 = GraphSnapshot.from_edges(clique(0, 14) + clique(100, 12))
+        g1 = csr_of(clique(0, 14) + clique(100, 12))
         # The 100-group dissolves into community 0's membership (cross edges).
         merged_edges = clique(0, 14) + clique(100, 12)
         for i in range(12):
             for j in range(6):
                 merged_edges.append((100 + i, j))
-        g2 = GraphSnapshot.from_edges(merged_edges)
+        g2 = csr_of(merged_edges)
         tracker = CommunityTracker(min_size=10, seed=0)
         tracker.step(1.0, g1)
         snap = tracker.step(2.0, g2)
@@ -87,8 +95,8 @@ class TestStepMechanics:
     def test_split_event_detected(self):
         # One blob that separates into two cliques.
         blob = clique(0, 12) + clique(100, 12) + [(i, 100 + i) for i in range(12)]
-        g1 = GraphSnapshot.from_edges(blob)
-        g2 = GraphSnapshot.from_edges(clique(0, 12) + clique(100, 12))
+        g1 = csr_of(blob)
+        g2 = csr_of(clique(0, 12) + clique(100, 12))
         tracker = CommunityTracker(min_size=10, seed=0)
         s1 = tracker.step(1.0, g1)
         if s1.num_communities == 1:
@@ -99,7 +107,7 @@ class TestStepMechanics:
             assert splits[0].size_ratio == pytest.approx(1.0)
 
     def test_min_size_filter(self):
-        g = GraphSnapshot.from_edges(clique(0, 5) + clique(100, 12))
+        g = csr_of(clique(0, 5) + clique(100, 12))
         tracker = CommunityTracker(min_size=10, seed=0)
         snap = tracker.step(1.0, g)
         assert snap.num_communities == 1
@@ -107,7 +115,7 @@ class TestStepMechanics:
 
 class TestCommunityState:
     def test_in_degree_ratio_of_clique(self):
-        g = GraphSnapshot.from_edges(clique(0, 12))
+        g = csr_of(clique(0, 12))
         tracker = CommunityTracker(min_size=10, seed=0)
         snap = tracker.step(1.0, g)
         (state,) = snap.states.values()
@@ -144,3 +152,101 @@ class TestTrackStream:
         for lineage in tiny_tracker.lineages.values():
             if lineage.states:
                 assert lineage.lifetime() >= 0
+
+
+# -- strongest tie (Fig 6c) -------------------------------------------------
+
+#: Traces whose merges include ties for the most edges to the dying
+#: community: (config, seed, tied merges, tied merges an order-free rule
+#: would answer differently).  "small2500-4" is the main tracker of
+#: perfbench's figures workload at seed 4.
+TIE_CASES = {
+    "tiny_merge-14": (presets.tiny_merge(), 14, 2, 2),
+    "tiny_merge-25": (presets.tiny_merge(), 25, 1, 1),
+    "merge_study-7": (presets.merge_study(), 7, 2, 0),
+    "small2500-4": (presets.small(target_nodes=2500), 4, 1, 1),
+}
+
+
+def _copied_graph_ties(stream, tracker, event) -> Counter:
+    """Edge counts from the dying community, as the tracker once counted them.
+
+    The tracker used to keep ``copy()`` of the replay's dict-of-sets graph;
+    the counts iterate that copy's neighbor sets, so ``most_common`` breaks
+    ties in the copy's set order.
+    """
+    times = [snap.time for snap in tracker.snapshots]
+    prev = tracker.snapshots[times.index(event.time) - 1]
+    graph = dict_replay(stream, prev.time)
+    copy = {node: set(nbrs) for node, nbrs in graph.adjacency.items()}
+    lineage_of = {node: st.lineage for st in prev.states.values() for node in st.members}
+    dying = prev.states[event.subject]
+    ties: Counter = Counter()
+    for node in dying.members:
+        for nbr in copy[node]:
+            lin = lineage_of.get(nbr)
+            if lin is not None and lin != dying.lineage:
+                ties[lin] += 1
+    return ties
+
+
+@pytest.mark.parametrize("case", sorted(TIE_CASES))
+def test_strongest_tie_matches_copied_graph_order(case):
+    """Merges whose top count is tied keep the dict-of-sets tie-break.
+
+    An order-free rule ("the survivor has the maximum count") would answer
+    True on the tied merges where the copy's set order puts another lineage
+    first; those are counted here so the corpus stays meaningful.
+    """
+    config, seed, tied, flipped = TIE_CASES[case]
+    stream = generate_trace(config, seed=seed)
+    tracker = track_stream(stream, interval=3.0, delta=0.04, seed=seed)
+    merges = [event for event in tracker.events if event.kind == "merge"]
+    flips = 0
+    tied_merges = 0
+    for event in merges:
+        ties = _copied_graph_ties(stream, tracker, event)
+        (first, top), *rest = ties.most_common()
+        assert event.strongest_tie == (first == event.other)
+        if rest and rest[0][1] == top:
+            tied_merges += 1
+            flips += event.strongest_tie != (ties[event.other] == top)
+    assert (tied_merges, flips) == (tied, flipped)
+
+
+@pytest.mark.parametrize("seed", [14, 25])
+def test_neighbor_sets_iterate_like_the_copied_graph(seed):
+    """The rebuilt neighbor sets iterate exactly as the dict graph's copy did."""
+    stream = generate_trace(presets.tiny_merge(), seed=seed)
+    replay, oracle = DynamicGraph(stream), DictReplay(stream)
+    for time in (stream.end_time / 2, stream.end_time):
+        graph = replay.advance_to(time).graph
+        oracle.advance_to(time)
+        for node, neighbors in oracle.graph.adjacency.items():
+            assert list(_neighbor_set(graph, node)) == list(set(neighbors)), node
+
+
+@pytest.mark.parametrize("seed", [14, 25])
+def test_neighbor_sets_keep_arrival_order_after_resume(seed):
+    """A replay resumed from a mid-stream checkpoint keeps the inherited arrivals.
+
+    Resumed both over the whole stream and, as a parallel worker does, over
+    only the window's columns with the cursors rebased to zero.
+    """
+    stream = generate_trace(presets.tiny_merge(), seed=seed)
+    first = DynamicGraph(stream)
+    first.advance_to(0.8 * stream.end_time)
+    entry = first.checkpoint()
+    window = EventStream(
+        nodes=stream.nodes[entry.node_index :], edges=stream.edges[entry.edge_index :]
+    )
+    rebased = ReplayCheckpoint(time=entry.time, node_index=0, edge_index=0, csr=entry.csr)
+    oracle = DictReplay(stream)
+    oracle.advance_to(stream.end_time)
+    for resumed in (
+        DynamicGraph.from_checkpoint(stream, entry),
+        DynamicGraph.from_checkpoint(window, rebased),
+    ):
+        graph = resumed.final()
+        for node, neighbors in oracle.graph.adjacency.items():
+            assert list(_neighbor_set(graph, node)) == list(set(neighbors)), node

@@ -2,15 +2,16 @@
 
 The incremental engine (:mod:`repro.kernels.delta`) is a second
 implementation of the runtime's metric suite.  Its contract, pinned here
-across ~30 generated replays (plain and merge traces, several seeds,
-compaction thresholds from pathological to never-compacts):
+across 30 generated replays (plain and merge traces, several seeds,
+three checkpoint positions):
 
 * degree distribution, average degree, average clustering (sampled and
   full), and assortativity are **bit-identical** to the batch kernels at
-  every snapshot — including across compaction boundaries and across a
-  pickled checkpoint/resume cycle;
-* :meth:`DeltaCSRGraph.to_csr` reproduces the batch
-  :meth:`CSRGraph.from_snapshot` arrays exactly;
+  every snapshot — including across a pickled checkpoint/resume cycle;
+* the replay's CSR, which the engine reads for sampled path length,
+  equals the per-event dict replay frozen by ``CSRGraph.from_snapshot``,
+  for a fresh replay and for a window resumed from a checkpoint graph
+  plus the window's own columns;
 * the runtime timeseries on the delta engine equals the csr run
   bit-for-bit, serially and with a process pool;
 * the runtime picks the engine from the replay's shape
@@ -27,35 +28,37 @@ import pytest
 from repro.analysis.context import AnalysisContext
 from repro.gen import generate_trace
 from repro.gen.config import presets
+from repro.graph.checkpoint import ReplayCheckpoint
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import EventStream
-from repro.graph.snapshot import GraphSnapshot
 from repro.kernels.assortativity import degree_assortativity_csr
 from repro.kernels.clustering import average_clustering_csr
 from repro.kernels.csr import CSRGraph
-from repro.kernels.delta import DeltaCSRGraph, DeltaMetricEngine
-from repro.metrics.degree import average_degree, degree_distribution
+from repro.kernels.delta import DeltaMetricEngine
+from repro.metrics.degree import average_degree
 from repro.runtime import parallel
 from repro.runtime.api import compute_timeseries
 from repro.runtime.parallel import DELTA_MIN_SNAPSHOTS, evaluate_timeseries, select_engine
 from repro.runtime.spec import MetricSpec
+from repro.util.binning import histogram_counts
+from tests.oracles import DictReplay, assert_same_csr
 
 # -- replay corpus ---------------------------------------------------------
 #
-# 2 trace shapes x 5 seeds x 3 compaction thresholds = 30 replays.
-# compact_min=8 forces a compaction every few events (boundary churn),
-# 64 compacts a handful of times, 4096 never compacts at this scale
-# (pure log-overlay path).
+# 2 trace shapes x 5 seeds x 3 checkpoint positions = 30 replays.  Case
+# ``c{n}`` checkpoints at the first snapshot holding at least n edges: 8
+# is the first few windows, 64 a little later, 4096 late in the merge
+# traces and the middle window of the plain ones, which never reach it.
 
-_COMPACT_MINS = (8, 64, 4096)
+_CHECKPOINT_EDGES = (8, 64, 4096)
 _SEEDS = (0, 1, 2, 3, 4)
 CASES = [
-    (kind, seed, cmin)
+    (kind, seed, edges)
     for kind in ("tiny", "tiny_merge")
     for seed in _SEEDS
-    for cmin in _COMPACT_MINS
+    for edges in _CHECKPOINT_EDGES
 ]
-CASE_IDS = [f"{kind}-s{seed}-c{cmin}" for kind, seed, cmin in CASES]
+CASE_IDS = [f"{kind}-s{seed}-c{edges}" for kind, seed, edges in CASES]
 
 _INTERVALS = {"tiny": 6.0, "tiny_merge": 8.0}
 
@@ -75,8 +78,16 @@ def _windows(kind: str, seed: int):
     out = []
     for index, view in enumerate(replay.snapshots(interval=_INTERVALS[kind])):
         if view.graph.num_nodes:
-            out.append((index, view.graph.copy(), view.new_nodes, view.new_edges))
+            out.append((index, view))
     return out
+
+
+def _checkpoint_step(windows, edges: int) -> int:
+    """The first window holding at least ``edges`` edges, else the middle one."""
+    return next(
+        (step for step, (_, view) in enumerate(windows) if view.graph.num_edges >= edges),
+        len(windows) // 2,
+    )
 
 
 def _feq(a: float, b: float) -> bool:
@@ -84,14 +95,11 @@ def _feq(a: float, b: float) -> bool:
     return (math.isnan(a) and math.isnan(b)) or a == b
 
 
-def _assert_engine_matches_batch(
-    engine: DeltaMetricEngine, graph: GraphSnapshot, index: int
-) -> None:
+def _assert_engine_matches_batch(engine: DeltaMetricEngine, csr: CSRGraph, index: int) -> None:
     """Every engine metric must equal its batch twin bit-for-bit."""
-    assert engine.average_degree() == average_degree(graph)
-    assert engine.degree_distribution() == degree_distribution(graph)
-    csr = CSRGraph.from_snapshot(graph)
-    sample = min(40, max(1, graph.num_nodes // 3))
+    assert engine.average_degree() == average_degree(csr)
+    assert engine.degree_distribution() == histogram_counts(csr.degrees.tolist())
+    sample = min(40, max(1, csr.num_nodes // 3))
     got = engine.average_clustering(sample, np.random.default_rng((77, index)))
     want = average_clustering_csr(csr, sample, np.random.default_rng((77, index)))
     assert _feq(got, want)
@@ -99,55 +107,58 @@ def _assert_engine_matches_batch(
     assert _feq(engine.assortativity(), degree_assortativity_csr(csr))
 
 
-# -- engine metric parity (incl. compaction boundaries + checkpoint) -------
+# -- engine metric parity (incl. checkpoint/resume) --------------------------
 
 
-@pytest.mark.parametrize(("kind", "seed", "cmin"), CASES, ids=CASE_IDS)
-def test_engine_metrics_bit_identical(kind: str, seed: int, cmin: int) -> None:
+@pytest.mark.parametrize(("kind", "seed", "edges"), CASES, ids=CASE_IDS)
+def test_engine_metrics_bit_identical(kind: str, seed: int, edges: int) -> None:
     windows = _windows(kind, seed)
-    engine = DeltaMetricEngine(graph=DeltaCSRGraph(compact_min=cmin))
-    mid = len(windows) // 2
+    engine = DeltaMetricEngine()
+    mid = _checkpoint_step(windows, edges)
     frozen = None
-    for step, (index, graph, new_nodes, new_edges) in enumerate(windows):
-        engine.apply_view(new_nodes, new_edges)
-        _assert_engine_matches_batch(engine, graph, index)
+    for step, (index, view) in enumerate(windows):
+        engine.apply_view(view.new_nodes, view.new_edges)
+        _assert_engine_matches_batch(engine, view.graph, index)
         if step == mid:
-            frozen = pickle.dumps(engine.state())
-    if cmin == min(_COMPACT_MINS):
-        assert engine.graph.compactions > 0  # the boundary path really ran
-    # Checkpoint/resume: an engine revived from the mid-replay pickle and
-    # fed the remaining windows must land bit-identical to the continuous
-    # run — metrics *and* frozen CSR arrays.
+            frozen = pickle.dumps((engine.state(), view.graph))
+    # Checkpoint/resume: an engine revived from the pickled accumulators
+    # and the checkpoint's graph, fed the remaining windows, must land
+    # bit-identical to the continuous run.
     assert frozen is not None
-    resumed = DeltaMetricEngine.from_state(pickle.loads(frozen))
-    for index, graph, new_nodes, new_edges in windows[mid + 1 :]:
-        resumed.apply_view(new_nodes, new_edges)
-    final_index, final_graph, _, _ = windows[-1]
-    _assert_engine_matches_batch(resumed, final_graph, final_index)
-    a, b = engine.to_csr(), resumed.to_csr()
-    assert np.array_equal(a.node_ids, b.node_ids)
-    assert np.array_equal(a.indptr, b.indptr)
-    assert np.array_equal(a.indices, b.indices)
-    assert a.num_edges == b.num_edges
+    resumed = DeltaMetricEngine.from_state(*pickle.loads(frozen))
+    for _, view in windows[mid + 1 :]:
+        resumed.apply_view(view.new_nodes, view.new_edges)
+    final_index, final_view = windows[-1]
+    _assert_engine_matches_batch(resumed, final_view.graph, final_index)
+    assert resumed.degree_distribution() == engine.degree_distribution()
 
 
-@pytest.mark.parametrize(("kind", "seed", "cmin"), CASES, ids=CASE_IDS)
-def test_delta_csr_matches_batch_build(kind: str, seed: int, cmin: int) -> None:
-    """to_csr() == CSRGraph.from_snapshot, mid-replay and at the end."""
-    windows = _windows(kind, seed)
-    delta = DeltaCSRGraph(compact_min=cmin)
-    checkpoints = {len(windows) // 2, len(windows) - 1}
-    for step, (_, graph, new_nodes, new_edges) in enumerate(windows):
-        for node in new_nodes:
-            delta.add_node(node)
-        for u, v in new_edges:
-            delta.add_edge(u, v)
-        if step in checkpoints:
-            got, want = delta.to_csr(), CSRGraph.from_snapshot(graph)
-            assert np.array_equal(got.node_ids, want.node_ids)
-            assert np.array_equal(got.indptr, want.indptr)
-            assert np.array_equal(got.indices, want.indices)
-            assert got.num_edges == want.num_edges
+@pytest.mark.parametrize(("kind", "seed", "edges"), CASES, ids=CASE_IDS)
+def test_delta_csr_matches_batch_build(kind: str, seed: int, edges: int) -> None:
+    """The replay CSR the engine reads == dict replay + from_snapshot.
+
+    Checked on a fresh replay at every snapshot, and on a window resumed
+    from the checkpoint at step ``c`` with only the window's own columns,
+    as a parallel worker runs it.
+    """
+    stream = _stream(kind, seed)
+    interval = _INTERVALS[kind]
+    replay, oracle = DynamicGraph(stream), DictReplay(stream)
+    views = []
+    for view in replay.snapshots(interval=interval):
+        new_nodes, new_edges = oracle.advance_to(view.time)
+        assert_same_csr(view.graph, CSRGraph.from_snapshot(oracle.graph))
+        assert (view.new_nodes, view.new_edges) == (new_nodes, new_edges)
+        views.append((view, oracle.node_cursor, oracle.edge_cursor))
+    step = _checkpoint_step([(None, v) for v, _, _ in views], edges)
+    entry, node_lo, edge_lo = views[step]
+    window = EventStream(nodes=stream.nodes[node_lo:], edges=stream.edges[edge_lo:])
+    checkpoint = ReplayCheckpoint(time=entry.time, node_index=0, edge_index=0, csr=entry.graph)
+    resumed = DynamicGraph.from_checkpoint(window, checkpoint)
+    for view, _, _ in views[step + 1 :]:
+        got = resumed.advance_to(view.time)
+        assert_same_csr(got.graph, view.graph)
+        assert (got.new_nodes, got.new_edges) == (view.new_nodes, view.new_edges)
 
 
 # -- runtime timeseries ----------------------------------------------------

@@ -7,10 +7,10 @@ import pytest
 
 from repro.gen.config import GeneratorConfig, pa_weight, presets, spotlight_weight
 from repro.gen.fast import FastGenerator, generate_trace
-from repro.graph.snapshot import GraphSnapshot
 from repro.metrics.clustering import average_clustering
 from repro.pa.alpha import alpha_series
 from repro.pa.edge_probability import DestinationRule
+from tests.oracles import csr_of
 
 
 class TestWeights:
@@ -96,8 +96,8 @@ class TestChooseDestination:
 
         def top_share(pa):
             stream = generate_trace(replace(base, pa_start=pa, pa_end=pa, **pure), seed=1)
-            graph = GraphSnapshot.from_edges(zip(stream.edges.u.tolist(), stream.edges.v.tolist()))
-            degrees = np.sort([graph.degree(n) for n in graph.nodes()])[::-1]
+            graph = csr_of(zip(stream.edges.u.tolist(), stream.edges.v.tolist(), strict=True))
+            degrees = np.sort(graph.degrees)[::-1]
             return degrees[:10].sum() / degrees.sum()
 
         assert top_share(1.0) > 1.5 * top_share(0.0)
@@ -108,7 +108,7 @@ class TestChooseDestination:
 
         def clustering(triadic):
             stream = generate_trace(replace(base, triadic_probability=triadic), seed=4)
-            graph = GraphSnapshot.from_edges(zip(stream.edges.u.tolist(), stream.edges.v.tolist()))
+            graph = csr_of(zip(stream.edges.u.tolist(), stream.edges.v.tolist(), strict=True))
             return average_clustering(graph, sample_size=400, rng=0)
 
         assert clustering(0.9) > 2 * clustering(0.0)

@@ -18,6 +18,7 @@ from repro.gen import presets
 from repro.gen.fast import FastGenerator, generate_store, generate_trace
 from repro.graph.events import ORIGIN_5Q, ORIGIN_NEW, ORIGIN_XIAONEI
 from repro.graph.snapshot import GraphSnapshot
+from repro.kernels.csr import CSRGraph
 from repro.metrics.clustering import average_clustering
 from repro.metrics.degree import average_degree, fit_degree_tail
 from repro.osnmerge.edge_rates import edges_per_day_by_type
@@ -82,17 +83,18 @@ def test_engines_distribution_equivalent(small_trace):
     _, stream = small_trace
     ref = _REFERENCE
     graph = GraphSnapshot.from_edges(zip(stream.edges.u.tolist(), stream.edges.v.tolist()))
+    csr = CSRGraph.from_snapshot(graph)
 
     # Population and density.
     assert _relative_gap(stream.num_nodes, ref["nodes"]) < 0.05
-    assert _relative_gap(average_degree(graph), ref["average_degree"]) < 0.15
+    assert _relative_gap(average_degree(csr), ref["average_degree"]) < 0.15
 
     # Degree-tail exponent (paper Fig 1c regime).
     assert abs(fit_degree_tail(graph).exponent - ref["tail_exponent"]) < 0.35
 
     # Clustering (paper Fig 1e regime) — triadic closure must survive
     # vectorization, not collapse toward a random graph's ~1e-3.
-    clustering = average_clustering(graph, sample_size=2000, rng=3)
+    clustering = average_clustering(csr, sample_size=2000, rng=3)
     assert _relative_gap(clustering, ref["clustering"]) < 0.30
     assert clustering > 0.05
 

@@ -1,5 +1,6 @@
 """Tests for repro.graph.checkpoint and the DynamicGraph checkpoint API."""
 
+import numpy as np
 import pytest
 
 from repro.graph.checkpoint import ReplayCheckpoint
@@ -7,6 +8,7 @@ from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import EventStream
 from repro.graph.snapshot import GraphSnapshot
 from repro.kernels.csr import CSRGraph
+from tests.oracles import assert_same_csr
 
 
 def make_stream() -> EventStream:
@@ -23,33 +25,47 @@ def make_stream() -> EventStream:
     )
 
 
-def roundtrip(graph: GraphSnapshot) -> GraphSnapshot:
-    """Freeze ``graph`` into a checkpoint's CSRGraph and restore it."""
+def roundtrip(graph: GraphSnapshot) -> CSRGraph:
+    """Resume a replay from ``graph``'s CSR and let it index the graph.
+
+    The resumed stream adds one isolated node, which forces the replay to
+    build its index from the checkpoint graph; the graph it returns is the
+    final snapshot minus that node.
+    """
+    extra = max(graph.nodes(), default=-1) + 1
     checkpoint = ReplayCheckpoint(
         time=0.0, node_index=0, edge_index=0, csr=CSRGraph.from_snapshot(graph)
     )
-    return checkpoint.restore_graph()
+    stream = EventStream.from_records(nodes=[(0.0, extra)])
+    final = DynamicGraph.from_checkpoint(stream, checkpoint).final()
+    assert final.node_ids[-1] == extra and final.degrees[-1] == 0
+    return CSRGraph(
+        node_ids=final.node_ids[:-1],
+        indptr=final.indptr[:-1],
+        indices=final.indices,
+        num_edges=final.num_edges,
+    )
 
 
 class TestCSRAdjacency:
-    """The checkpoint's frozen adjacency (a CSRGraph) restores exactly."""
+    """The checkpoint's frozen graph (a CSRGraph) resumes exactly."""
 
     def test_roundtrip_preserves_structure(self, tiny_graph):
-        restored = roundtrip(tiny_graph)
-        assert restored.adjacency == tiny_graph.adjacency
-        assert restored.num_edges == tiny_graph.num_edges
+        assert_same_csr(roundtrip(tiny_graph), CSRGraph.from_snapshot(tiny_graph))
 
     def test_roundtrip_preserves_node_order(self, tiny_graph):
-        restored = roundtrip(tiny_graph)
-        assert list(restored.nodes()) == list(tiny_graph.nodes())
+        assert roundtrip(tiny_graph).node_ids.tolist() == list(tiny_graph.nodes())
 
     def test_restored_graph_is_independent(self):
-        graph = GraphSnapshot.from_edges([(0, 1), (1, 2)])
-        restored = roundtrip(graph)
-        graph.add_node(3)
-        graph.add_edge(2, 3)
-        assert 3 not in restored
-        assert restored.num_edges == 2
+        base = CSRGraph.from_snapshot(GraphSnapshot.from_edges([(0, 1), (1, 2)]))
+        arrays = (base.node_ids.copy(), base.indptr.copy(), base.indices.copy())
+        checkpoint = ReplayCheckpoint(time=0.0, node_index=0, edge_index=0, csr=base)
+        stream = EventStream.from_records(nodes=[(1.0, 3)], edges=[(1.0, 2, 3)])
+        final = DynamicGraph.from_checkpoint(stream, checkpoint).final()
+        assert final.num_edges == 3
+        assert base.num_edges == 2
+        for before, after in zip(arrays, (base.node_ids, base.indptr, base.indices), strict=True):
+            assert np.array_equal(before, after)
 
     def test_empty_graph(self):
         csr = CSRGraph.from_snapshot(GraphSnapshot())
@@ -61,8 +77,8 @@ class TestCSRAdjacency:
     def test_isolated_nodes_survive(self):
         graph = GraphSnapshot.from_edges([(0, 1)], nodes=[7, 9])
         restored = roundtrip(graph)
-        assert set(restored.nodes()) == {0, 1, 7, 9}
-        assert restored.degree(7) == 0
+        assert set(restored.node_ids.tolist()) == {0, 1, 7, 9}
+        assert restored.degrees[restored.positions_of(np.array([7]))[0]] == 0
 
 
 class TestReplayCheckpoint:
@@ -71,9 +87,7 @@ class TestReplayCheckpoint:
         replay = DynamicGraph(make_stream())
         replay.advance_to(3.0)
         resumed = DynamicGraph.from_checkpoint(make_stream(), replay.checkpoint())
-        final = resumed.final()
-        assert final.adjacency == baseline.adjacency
-        assert final.num_edges == baseline.num_edges
+        assert_same_csr(resumed.final(), baseline)
 
     def test_resume_emits_only_remaining_events(self):
         replay = DynamicGraph(make_stream())
@@ -94,7 +108,7 @@ class TestReplayCheckpoint:
         mid = tiny_stream.end_time / 2.0
         replay.advance_to(mid)
         resumed = DynamicGraph.from_checkpoint(tiny_stream, replay.checkpoint())
-        assert resumed.final().adjacency == DynamicGraph(tiny_stream).final().adjacency
+        assert_same_csr(resumed.final(), DynamicGraph(tiny_stream).final())
 
     def test_out_of_range_cursor_rejected(self):
         stream = make_stream()
@@ -115,25 +129,16 @@ class TestReplayCheckpoint:
 
 class TestMaterialize:
     def test_retained_view_no_longer_mutates_under_replay(self):
-        """Regression: the documented aliasing hazard of SnapshotView."""
-        replay = DynamicGraph(make_stream())
-        live = replay.advance_to(2.0)
-        frozen = live.materialize()
-        nodes_then = frozen.graph.num_nodes
-        edges_then = frozen.graph.num_edges
-        replay.final()
-        # The live view aliases the replayer's graph and has mutated ...
-        assert live.graph.num_nodes > nodes_then
-        # ... but the materialized view is stable.
-        assert frozen.graph.num_nodes == nodes_then
-        assert frozen.graph.num_edges == edges_then
-        assert 5 not in frozen.graph
+        """Regression: views used to alias the replayer's live graph.
 
-    def test_materialize_preserves_view_fields(self):
+        A view now holds an immutable CSR, so retaining one needs no copy.
+        """
         replay = DynamicGraph(make_stream())
         view = replay.advance_to(2.0)
-        frozen = view.materialize()
-        assert frozen.time == view.time
-        assert frozen.new_nodes == view.new_nodes
-        assert frozen.new_edges == view.new_edges
-        assert frozen.graph.adjacency == view.graph.adjacency
+        nodes_then = view.graph.num_nodes
+        edges_then = view.graph.num_edges
+        final = replay.final()
+        assert final.num_nodes > nodes_then
+        assert view.graph.num_nodes == nodes_then
+        assert view.graph.num_edges == edges_then
+        assert 5 not in view.graph.node_ids

@@ -11,6 +11,7 @@ from repro.graph.components import (
     largest_component_reference,
 )
 from repro.graph.snapshot import GraphSnapshot
+from repro.kernels.csr import CSRGraph
 
 
 @pytest.fixture()
@@ -21,25 +22,25 @@ def disjoint_graph() -> GraphSnapshot:
 
 class TestComponents:
     def test_finds_all(self, disjoint_graph):
-        comps = connected_components(disjoint_graph)
+        comps = connected_components(CSRGraph.from_snapshot(disjoint_graph))
         assert sorted(len(c) for c in comps) == [1, 2, 3]
 
     def test_largest_first(self, disjoint_graph):
-        comps = connected_components(disjoint_graph)
+        comps = connected_components(CSRGraph.from_snapshot(disjoint_graph))
         assert len(comps[0]) == 3
 
     def test_largest_component(self, disjoint_graph):
-        assert largest_component(disjoint_graph) == {0, 1, 2}
+        assert largest_component(CSRGraph.from_snapshot(disjoint_graph)) == {0, 1, 2}
 
     def test_empty_graph(self):
-        assert connected_components(GraphSnapshot()) == []
-        assert largest_component(GraphSnapshot()) == set()
+        assert connected_components(CSRGraph.from_snapshot(GraphSnapshot())) == []
+        assert largest_component(CSRGraph.from_snapshot(GraphSnapshot())) == set()
 
     @pytest.mark.parametrize(
         "largest",
         [
             pytest.param(largest_component_reference, id="python"),
-            pytest.param(largest_component, id="csr"),
+            pytest.param(lambda g: largest_component(CSRGraph.from_snapshot(g)), id="csr"),
         ],
     )
     def test_largest_component_tie_breaks_by_smallest_member(self, largest):
@@ -52,7 +53,7 @@ class TestComponents:
         "components",
         [
             pytest.param(connected_components_reference, id="python"),
-            pytest.param(connected_components, id="csr"),
+            pytest.param(lambda g: connected_components(CSRGraph.from_snapshot(g)), id="csr"),
         ],
     )
     def test_component_order_deterministic_under_ties(self, components):
@@ -81,7 +82,7 @@ class TestBfsDistances:
         G = nx.Graph()
         G.add_nodes_from(tiny_graph.nodes())
         G.add_edges_from(tiny_graph.edges())
-        source = next(iter(largest_component(tiny_graph)))
+        source = next(iter(largest_component(CSRGraph.from_snapshot(tiny_graph))))
         expected = nx.single_source_shortest_path_length(G, source)
         assert bfs_distances(tiny_graph, source) == dict(expected)
 

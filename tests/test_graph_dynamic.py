@@ -1,9 +1,14 @@
 """Tests for repro.graph.dynamic."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.graph.checkpoint import ReplayCheckpoint
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import EventStream
+from repro.kernels.csr import CSRGraph
+from tests.oracles import DictReplay, assert_same_csr
 
 
 def make_stream() -> EventStream:
@@ -83,6 +88,90 @@ class TestSnapshots:
         assert views[-1].time == 4.0
 
     def test_generated_trace_replay_consistent(self, tiny_stream):
-        final = DynamicGraph(tiny_stream).final()
+        views = list(DynamicGraph(tiny_stream).snapshots(interval=10.0))
+        edges = [view.graph.num_edges for view in views]
+        assert edges == sorted(edges)
+        final = views[-1].graph
         assert final.num_nodes == tiny_stream.num_nodes
         assert final.num_edges == tiny_stream.num_edges
+
+
+# -- prefix builder vs the per-event dict replay -----------------------------
+
+
+@st.composite
+def streams(draw) -> EventStream:
+    """Small streams with repeated nodes and edges, late or missing
+    endpoints, self-loops and trailing isolated nodes."""
+    ids = draw(st.lists(st.integers(0, 12), max_size=12))
+    node_times = sorted(draw(st.lists(st.integers(0, 10), min_size=len(ids), max_size=len(ids))))
+    missing = [99] if draw(st.booleans()) else []
+    pool = [*ids, *missing] or [0]
+    endpoint = st.sampled_from(pool)
+    pairs = draw(st.lists(st.tuples(endpoint, endpoint), max_size=30))
+    if not draw(st.booleans()):
+        pairs = [(u, v) for u, v in pairs if u != v]
+    edge_times = sorted(
+        draw(st.lists(st.integers(0, 10), min_size=len(pairs), max_size=len(pairs)))
+    )
+    return EventStream.from_records(
+        nodes=[(float(t), node) for t, node in zip(node_times, ids, strict=True)],
+        edges=[(float(t), u, v) for t, (u, v) in zip(edge_times, pairs, strict=True)],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stream=streams(),
+    times=st.lists(st.integers(-2, 24).map(lambda t: t / 2.0), max_size=6).map(sorted),
+    resume_at=st.integers(0, 5),
+)
+def test_prefix_builder_matches_dict_replay(stream, times, resume_at):
+    """Every view equals the dict replay's, errors included, fresh or resumed.
+
+    After the advance at ``resume_at`` a second replay resumes from that
+    view's graph plus only the columns past its cursor, as a parallel
+    window does, and must agree from then on.
+    """
+    oracle = DictReplay(stream)
+    replays = [DynamicGraph(stream)]
+    for step, time in enumerate(times):
+        try:
+            want = oracle.advance_to(time)
+        except (KeyError, ValueError) as exc:
+            for replay in replays:
+                with pytest.raises(type(exc)) as raised:
+                    replay.advance_to(time)
+                assert raised.value.args == exc.args
+            return
+        for replay in replays:
+            view = replay.advance_to(time)
+            assert_same_csr(view.graph, CSRGraph.from_snapshot(oracle.graph))
+            assert (view.new_nodes, view.new_edges) == want
+        if step == resume_at:
+            window = EventStream(
+                nodes=stream.nodes[oracle.node_cursor :], edges=stream.edges[oracle.edge_cursor :]
+            )
+            entry = ReplayCheckpoint(time=time, node_index=0, edge_index=0, csr=view.graph)
+            replays.append(DynamicGraph.from_checkpoint(window, entry))
+
+
+class TestReplayErrors:
+    def test_self_loop_raises_once_included(self):
+        stream = EventStream.from_records(nodes=[(0.0, 0)], edges=[(2.0, 0, 0)])
+        replay = DynamicGraph(stream)
+        assert replay.advance_to(1.0).graph.num_nodes == 1
+        with pytest.raises(ValueError, match="self-loop"):
+            replay.advance_to(2.0)
+
+    def test_endpoint_not_yet_arrived_raises(self):
+        stream = EventStream.from_records(nodes=[(0.0, 0), (3.0, 1)], edges=[(1.0, 0, 1)])
+        with pytest.raises(KeyError):
+            DynamicGraph(stream).advance_to(2.0)
+        # Applied together with the node's arrival, the edge is fine.
+        assert DynamicGraph(stream).advance_to(3.0).graph.num_edges == 1
+
+    def test_empty_prefix(self):
+        view = DynamicGraph(make_stream()).advance_to(-1.0)
+        assert view.graph.num_nodes == view.graph.num_edges == 0
+        assert view.graph.indptr.tolist() == [0]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.graph.nullmodel import degree_preserving_rewire
 from repro.graph.snapshot import GraphSnapshot
+from repro.kernels.csr import CSRGraph
 from repro.metrics.clustering import average_clustering
 
 
@@ -37,10 +38,9 @@ class TestDegreePreservingRewire:
 
     def test_destroys_clustering(self, tiny_graph):
         """The headline use: observed clustering >> degree-sequence null."""
-        observed = average_clustering(tiny_graph, 400, rng=0)
-        null = average_clustering(
-            degree_preserving_rewire(tiny_graph, swaps_per_edge=3.0, seed=4), 400, rng=0
-        )
+        observed = average_clustering(CSRGraph.from_snapshot(tiny_graph), 400, rng=0)
+        rewired = degree_preserving_rewire(tiny_graph, swaps_per_edge=3.0, seed=4)
+        null = average_clustering(CSRGraph.from_snapshot(rewired), 400, rng=0)
         assert observed > 2.0 * null
 
     def test_zero_swaps_identity(self, tiny_graph):

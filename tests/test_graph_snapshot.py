@@ -66,13 +66,6 @@ class TestQueries:
 
 
 class TestCopySubgraph:
-    def test_copy_independent(self, path_graph):
-        dup = path_graph.copy()
-        dup.add_node(100)
-        dup.add_edge(0, 100)
-        assert 100 not in path_graph
-        assert path_graph.num_edges == 4
-        assert dup.num_edges == 5
 
     def test_subgraph_induced(self, two_clique_graph):
         sub = two_clique_graph.subgraph(range(6))

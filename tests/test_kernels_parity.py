@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.community import tracking
 from repro.community.louvain import louvain, louvain_reference
+from repro.community.modularity import modularity
 from repro.community.tracking import CommunityState, _match_python, track_stream
 from repro.gen import generate_trace
 from repro.gen.config import presets
@@ -43,6 +44,7 @@ from repro.metrics.clustering import (
 )
 from repro.metrics.paths import average_path_length_reference, average_path_length_sampled
 from repro.obs import TraceRecorder, use_recorder
+from tests.oracles import DictReplay, dict_replay, snapshot_of
 
 # -- graph corpus ----------------------------------------------------------
 
@@ -74,7 +76,7 @@ def _erdos_renyi(n: int, p: float, seed: int) -> GraphSnapshot:
 @functools.lru_cache(maxsize=None)
 def _renren_snapshot(time: float) -> GraphSnapshot:
     stream = generate_trace(presets.tiny(), seed=23)
-    return DynamicGraph(stream).advance_to(time).graph.copy()
+    return dict_replay(stream, time)
 
 
 @functools.lru_cache(maxsize=None)
@@ -97,6 +99,10 @@ def _build(case: str) -> GraphSnapshot:
     raise AssertionError(case)
 
 
+def _csr(g: GraphSnapshot) -> CSRGraph:
+    return CSRGraph.from_snapshot(g)
+
+
 def _identical(a: float, b: float) -> bool:
     """Exact equality, with nan == nan (both undefined is parity too)."""
     return a == b or (math.isnan(a) and math.isnan(b))
@@ -108,13 +114,13 @@ def _identical(a: float, b: float) -> bool:
 @pytest.mark.parametrize("case", CASES)
 def test_components_parity(case):
     g = _build(case)
-    assert connected_components(g) == connected_components_reference(g)
+    assert connected_components(_csr(g)) == connected_components_reference(g)
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_largest_component_parity(case):
     g = _build(case)
-    assert largest_component(g) == largest_component_reference(g)
+    assert largest_component(_csr(g)) == largest_component_reference(g)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -122,7 +128,7 @@ def test_largest_component_parity(case):
 def test_path_length_parity(case, sample):
     g = _build(case)
     py = average_path_length_reference(g, sample, rng=5)
-    kr = average_path_length_sampled(g, sample, rng=5)
+    kr = average_path_length_sampled(_csr(g), sample, rng=5)
     assert _identical(py, kr), (py, kr)
 
 
@@ -131,7 +137,7 @@ def test_path_length_parity(case, sample):
 def test_average_clustering_parity(case, sample):
     g = _build(case)
     py = average_clustering_reference(g, sample, rng=9)
-    kr = average_clustering(g, sample, rng=9)
+    kr = average_clustering(_csr(g), sample, rng=9)
     assert _identical(py, kr), (py, kr)
 
 
@@ -140,7 +146,7 @@ def test_local_clustering_parity(case):
     g = _build(case)
     for node in list(g.nodes())[:12]:
         py = local_clustering_reference(g, node)
-        kr = local_clustering(g, node)
+        kr = local_clustering(_csr(g), node)
         assert py == kr, node
 
 
@@ -148,7 +154,7 @@ def test_local_clustering_parity(case):
 def test_assortativity_parity(case):
     g = _build(case)
     py = degree_assortativity_reference(g)
-    kr = degree_assortativity(g)
+    kr = degree_assortativity(_csr(g))
     assert _identical(py, kr), (py, kr)
 
 
@@ -199,7 +205,7 @@ def test_path_length_parity_at_block_edges(case, sample):
     g = _BLOCK_GRAPHS[case]()
     for seed in (5, 17):
         py = average_path_length_reference(g, sample, rng=seed)
-        kr = average_path_length_sampled(g, sample, rng=seed)
+        kr = average_path_length_sampled(_csr(g), sample, rng=seed)
         assert _identical(py, kr), (seed, py, kr)
 
 
@@ -218,7 +224,7 @@ def test_path_length_parity_property(edges, isolates, sample, seed):
     for node in range(100, 100 + isolates):
         g.add_node(node)
     py = average_path_length_reference(g, sample, rng=seed)
-    kr = average_path_length_sampled(g, sample, rng=seed)
+    kr = average_path_length_sampled(_csr(g), sample, rng=seed)
     assert _identical(py, kr), (py, kr)
 
 
@@ -228,7 +234,7 @@ def test_path_length_parity_property(edges, isolates, sample, seed):
 def test_path_length_counters_pinned(sample, sources, pairs):
     """The trace counters keep their per-source meaning: sources and reached pairs."""
     with use_recorder(TraceRecorder()) as rec:
-        average_path_length_sampled(_renren_snapshot(45.0), sample, rng=5)
+        average_path_length_sampled(_csr(_renren_snapshot(45.0)), sample, rng=5)
     assert rec.counters["kernels.bfs_sources"] == sources
     assert rec.counters["kernels.bfs_frontier_nodes"] == pairs
 
@@ -255,9 +261,8 @@ def test_distance_to_set_parity_per_node(seed):
         label: {n for n, o in origins.items() if o == label}
         for label in (ORIGIN_XIAONEI, ORIGIN_5Q, ORIGIN_NEW)
     }
-    replay = DynamicGraph(stream)
     for offset in (1.0, 8.0, 30.0):
-        g = replay.advance_to(merge_day + offset).graph
+        g = dict_replay(stream, merge_day + offset)
         for target in (ORIGIN_XIAONEI, ORIGIN_5Q):
             kernel, oracle = _distance_pair(g, sides[target], sides[ORIGIN_NEW])
             assert kernel == oracle, (offset, target)
@@ -296,7 +301,7 @@ def test_distance_to_set_hand_cases(targets, forbidden, expected):
 def test_louvain_parity(case, delta):
     g = _build(case)
     py = louvain_reference(g, delta=delta, seed=3)
-    kr = louvain(g, delta=delta, seed=3)
+    kr = louvain(_csr(g), delta=delta, seed=3)
     assert py.partition == kr.partition
     assert py.modularity == kr.modularity
     assert py.levels == kr.levels
@@ -308,10 +313,27 @@ def test_louvain_seeded_parity(case):
     g = _build(case)
     seed_partition = louvain_reference(g, delta=0.04, seed=11).partition
     py = louvain_reference(g, delta=0.04, seed_partition=seed_partition, seed=4)
-    kr = louvain(g, delta=0.04, seed_partition=seed_partition, seed=4)
+    kr = louvain(_csr(g), delta=0.04, seed_partition=seed_partition, seed=4)
     assert py.partition == kr.partition
     assert py.modularity == kr.modularity
     assert py.levels == kr.levels
+
+
+@pytest.mark.parametrize("seed", [11, 13])
+def test_louvain_modularity_matches_dict_on_tracker_partitions(seed):
+    """The kernel's Q equals dict ``modularity`` on each tracked partition.
+
+    The partitions chain as the tracker's do (each seeds the next), over
+    3-day replay snapshots; equality is exact.
+    """
+    stream = generate_trace(presets.tiny_merge(), seed=seed)
+    oracle = DictReplay(stream)
+    previous = None
+    for view in DynamicGraph(stream).snapshots(interval=3.0):
+        oracle.advance_to(view.time)
+        result = louvain(view.graph, delta=0.04, seed_partition=previous, seed=seed)
+        assert result.modularity == modularity(oracle.graph, result.partition)
+        previous = result.partition
 
 
 # -- community matcher -----------------------------------------------------
@@ -376,7 +398,9 @@ def test_tracking_parity(monkeypatch):
     """The tracker on the kernels equals the tracker on the references."""
     stream = generate_trace(presets.tiny(), seed=11)
     kr = track_stream(stream, interval=4.0, min_nodes=32, seed=5)
-    monkeypatch.setattr(tracking, "louvain", louvain_reference)
+    monkeypatch.setattr(
+        tracking, "louvain", lambda csr, **kwargs: louvain_reference(snapshot_of(csr), **kwargs)
+    )
     monkeypatch.setattr(tracking, "match_communities_csr", _match_reference)
     py = track_stream(stream, interval=4.0, min_nodes=32, seed=5)
     assert len(py.snapshots) == len(kr.snapshots) > 0

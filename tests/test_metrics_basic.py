@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.graph.snapshot import GraphSnapshot
+from repro.kernels.csr import CSRGraph
 from repro.metrics.assortativity import degree_assortativity
 from repro.metrics.clustering import average_clustering, local_clustering
 from repro.metrics.degree import average_degree, degree_distribution
@@ -21,15 +22,15 @@ def to_networkx(graph: GraphSnapshot):
 
 class TestAverageDegree:
     def test_empty(self):
-        assert average_degree(GraphSnapshot()) == 0.0
+        assert average_degree(CSRGraph.from_snapshot(GraphSnapshot())) == 0.0
 
     def test_path(self, path_graph):
-        assert average_degree(path_graph) == pytest.approx(8 / 5)
+        assert average_degree(CSRGraph.from_snapshot(path_graph)) == pytest.approx(8 / 5)
 
     def test_matches_networkx(self, tiny_graph):
         G = to_networkx(tiny_graph)
         expected = sum(dict(G.degree).values()) / G.number_of_nodes()
-        assert average_degree(tiny_graph) == pytest.approx(expected)
+        assert average_degree(CSRGraph.from_snapshot(tiny_graph)) == pytest.approx(expected)
 
 
 class TestDegreeDistribution:
@@ -44,25 +45,25 @@ class TestDegreeDistribution:
 class TestClustering:
     def test_triangle(self):
         g = GraphSnapshot.from_edges([(0, 1), (1, 2), (0, 2)])
-        assert local_clustering(g, 0) == 1.0
-        assert average_clustering(g) == 1.0
+        assert local_clustering(CSRGraph.from_snapshot(g), 0) == 1.0
+        assert average_clustering(CSRGraph.from_snapshot(g)) == 1.0
 
     def test_path_zero(self, path_graph):
-        assert average_clustering(path_graph) == 0.0
+        assert average_clustering(CSRGraph.from_snapshot(path_graph)) == 0.0
 
     def test_degree_one_zero(self, star_graph):
-        assert local_clustering(star_graph, 1) == 0.0
+        assert local_clustering(CSRGraph.from_snapshot(star_graph), 1) == 0.0
 
     def test_empty_nan(self):
-        assert math.isnan(average_clustering(GraphSnapshot()))
+        assert math.isnan(average_clustering(CSRGraph.from_snapshot(GraphSnapshot())))
 
     def test_matches_networkx(self, tiny_graph):
         expected = nx.average_clustering(to_networkx(tiny_graph))
-        assert average_clustering(tiny_graph) == pytest.approx(expected)
+        assert average_clustering(CSRGraph.from_snapshot(tiny_graph)) == pytest.approx(expected)
 
     def test_sampled_close_to_exact(self, tiny_graph):
-        exact = average_clustering(tiny_graph)
-        sampled = average_clustering(tiny_graph, sample_size=400, rng=0)
+        exact = average_clustering(CSRGraph.from_snapshot(tiny_graph))
+        sampled = average_clustering(CSRGraph.from_snapshot(tiny_graph), sample_size=400, rng=0)
         assert sampled == pytest.approx(exact, abs=0.08)
 
 
@@ -70,13 +71,14 @@ class TestAssortativity:
     def test_star_negative(self, star_graph):
         # Star is degree-anticorrelated but degenerate per-side variance is
         # fine here: hub degree 6 vs leaves degree 1.
-        value = degree_assortativity(star_graph)
+        value = degree_assortativity(CSRGraph.from_snapshot(star_graph))
         assert value == -1.0 or math.isnan(value)
 
     def test_matches_networkx(self, tiny_graph):
         expected = nx.degree_assortativity_coefficient(to_networkx(tiny_graph))
-        assert degree_assortativity(tiny_graph) == pytest.approx(expected, abs=1e-6)
+        value = degree_assortativity(CSRGraph.from_snapshot(tiny_graph))
+        assert value == pytest.approx(expected, abs=1e-6)
 
     def test_regular_graph_nan(self):
         g = GraphSnapshot.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])  # 4-cycle
-        assert math.isnan(degree_assortativity(g))
+        assert math.isnan(degree_assortativity(CSRGraph.from_snapshot(g)))

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.gen.baselines import barabasi_albert_stream
-from repro.graph.dynamic import DynamicGraph
 from repro.graph.snapshot import GraphSnapshot
 from repro.metrics.degree import degree_ccdf, fit_degree_tail
+from tests.oracles import dict_replay
 
 
 class TestDegreeCcdf:
@@ -32,8 +32,7 @@ class TestDegreeTailFit:
     def test_ba_exponent_near_three(self):
         # BA's degree exponent is 3 in the large-n limit.
         stream = barabasi_albert_stream(8000, m=4, seed=1)
-        graph = DynamicGraph(stream).final()
-        fit = fit_degree_tail(graph)
+        fit = fit_degree_tail(dict_replay(stream))
         assert 2.2 < fit.exponent < 4.0
 
     def test_generated_trace_heavy_tailed(self, tiny_graph):

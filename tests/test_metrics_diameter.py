@@ -6,6 +6,7 @@ import pytest
 
 from repro.graph.snapshot import GraphSnapshot
 from repro.metrics.diameter import effective_diameter_sampled
+from tests.oracles import dict_replay
 
 
 def test_clique_diameter():
@@ -52,11 +53,8 @@ def test_deterministic(tiny_graph):
 
 def test_densification_shrinks_diameter(tiny_stream):
     """[Leskovec 2005]'s shrinking-diameter context for Figure 1(d)."""
-    from repro.graph.dynamic import DynamicGraph
-
-    replay = DynamicGraph(tiny_stream)
-    mid = replay.advance_to(tiny_stream.end_time / 2).graph.copy()
-    final = replay.advance_to(tiny_stream.end_time).graph
+    mid = dict_replay(tiny_stream, tiny_stream.end_time / 2)
+    final = dict_replay(tiny_stream, tiny_stream.end_time)
     d_mid = effective_diameter_sampled(mid, sample_size=150, rng=0)
     d_final = effective_diameter_sampled(final, sample_size=150, rng=0)
     # Densification keeps the diameter from growing with N.

@@ -5,7 +5,8 @@ import pytest
 
 from repro.graph.events import EventStream
 from repro.metrics.growth import daily_growth
-from repro.metrics.timeseries import compute_metric_timeseries, standard_metrics
+from repro.metrics.timeseries import compute_metric_timeseries
+from repro.runtime import MetricSpec
 
 
 def small_stream() -> EventStream:
@@ -50,8 +51,8 @@ class TestDailyGrowth:
 
 class TestMetricTimeseries:
     def test_names_and_lengths(self, tiny_stream):
-        metrics = standard_metrics(path_sample=30, clustering_sample=100, seed=0)
-        ts = compute_metric_timeseries(tiny_stream, metrics, interval=15.0)
+        spec = MetricSpec(path_sample=30, clustering_sample=100, seed=0)
+        ts = compute_metric_timeseries(tiny_stream, spec, interval=15.0)
         times, values = ts.as_arrays()
         assert set(values) == {
             "average_degree",
@@ -63,11 +64,6 @@ class TestMetricTimeseries:
             assert series.size == times.size
 
     def test_times_increasing(self, tiny_stream):
-        ts = compute_metric_timeseries(tiny_stream, {"deg": lambda g: g.num_edges}, interval=10.0)
+        spec = MetricSpec(names=("average_degree",))
+        ts = compute_metric_timeseries(tiny_stream, spec, interval=10.0)
         assert ts.times == sorted(ts.times)
-
-    def test_edge_count_monotone(self, tiny_stream):
-        ts = compute_metric_timeseries(tiny_stream, {"edges": lambda g: g.num_edges}, interval=10.0)
-        series = ts.values["edges"]
-        assert series == sorted(series)
-        assert series[-1] == tiny_stream.num_edges

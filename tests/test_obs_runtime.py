@@ -61,7 +61,6 @@ class TestTraceCoverage:
         paths = set(span_tree(payload)[0])
         names = {path.rsplit("/", 1)[-1] for path in paths}
         assert "replay.advance" in names
-        assert "kernels.csr_build" in names
         # Every kernel family of the csr backend appears.
         for kernel in (
             "kernels.path_length",

@@ -36,12 +36,12 @@ class TestMetricSpec:
         with pytest.raises(ValueError, match="unknown metrics"):
             MetricSpec(names=("average_degree", "nope"))
 
-    def test_build_is_deterministic_per_index(self, tiny_graph):
+    def test_build_is_deterministic_per_index(self, tiny_csr):
         for index in (0, 7):
             a = SPEC.build(index)
             b = SPEC.build(index)
             for name in SPEC.names:
-                va, vb = a[name](tiny_graph), b[name](tiny_graph)
+                va, vb = a[name](tiny_csr), b[name](tiny_csr)
                 assert va == vb or (np.isnan(va) and np.isnan(vb))
 
     def test_names_coerced_to_tuple(self):
@@ -88,12 +88,6 @@ class TestParallelDeterminism:
         direct = evaluate_timeseries(tiny_stream, SPEC, interval=INTERVAL, workers=1)
         via_facade = compute_metric_timeseries(tiny_stream, SPEC, interval=INTERVAL, workers=2)
         assert_series_identical(direct, via_facade)
-
-    def test_facade_rejects_workers_with_callables(self, tiny_stream):
-        with pytest.raises(ValueError, match="MetricSpec"):
-            compute_metric_timeseries(
-                tiny_stream, {"edges": lambda g: float(g.num_edges)}, workers=2
-            )
 
 
 class TestStartMethodContract:
