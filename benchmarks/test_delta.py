@@ -48,6 +48,10 @@ from repro.util.binning import histogram_counts
 
 SPEEDUP_FLOOR = 3.0  # default scale (presets.small, 1-day windows)
 QUICK_FLOOR = 1.0  # smoke workload: delta must simply not be slower
+#: Rows ``repro obs diff`` gates this report on against its committed
+#: baseline (``benchmarks/baselines/``): dotted key -> direction and slack.
+#: "higher" ratios regress by falling, "lower" ratios by rising.
+GATE = {"aggregate.speedup": {"better": "higher", "slack": 0.0}}
 
 _PRESETS = {
     "tiny": presets.tiny,
@@ -158,6 +162,7 @@ def run_bench(quick: bool = False, seed: int = 7, preset: str | None = None) -> 
             "delta_s": delta_total,
             "speedup": csr_total / delta_total if delta_total > 0 else float("inf"),
         },
+        "gate": GATE,
     }
 
 

@@ -39,6 +39,10 @@ from repro.metrics.paths import average_path_length_reference, average_path_leng
 
 SPEEDUP_FLOOR = 5.0  # default scale
 QUICK_FLOOR = 1.0  # smoke workload: CSR must simply not be slower
+#: Rows ``repro obs diff`` gates this report on against its committed
+#: baseline (``benchmarks/baselines/``): dotted key -> direction and slack.
+#: "higher" ratios regress by falling, "lower" ratios by rising.
+GATE = {"aggregate.speedup": {"better": "higher", "slack": 0.0}}
 
 _PRESETS = {
     "tiny": presets.tiny,
@@ -133,6 +137,7 @@ def run_bench(quick: bool = False, seed: int = 7, preset: str | None = None) -> 
             "csr_s": csr_total,
             "speedup": python_total / csr_total if csr_total > 0 else float("inf"),
         },
+        "gate": GATE,
     }
 
 

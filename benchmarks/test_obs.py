@@ -46,6 +46,18 @@ MAX_OVERHEAD = 0.02  # disabled-path budget: <= 2% of workload wall time
 #: serve hot path calls it once per request, so one observation must stay
 #: cheap — a bucket-index bisect plus a handful of attribute updates.
 OBSERVE_BUDGET_NS = 3000.0
+#: Rows ``repro obs diff`` gates this report on against its committed
+#: baseline (``benchmarks/baselines/``): dotted key -> direction and slack.
+#: "higher" ratios regress by falling, "lower" ratios by rising.
+#: ``slack`` is an absolute change additionally required to fail — it
+#: keeps noise-dominated near-zero ratios (the obs overhead fraction is
+#: ~3e-4) from flapping the gate on relative change alone.
+GATE = {
+    "overhead_fraction": {"better": "lower", "slack": 0.005},
+    # The enabled-path histogram ingest the serve hot loop pays once per
+    # request; the ns slack absorbs scheduler noise on shared runners.
+    "observe_ns_per_call": {"better": "lower", "slack": 1500.0},
+}
 
 
 class _CountingRecorder(Recorder):
@@ -171,6 +183,7 @@ def run_bench(quick: bool = False, seed: int = 7, preset: str | None = None) -> 
         "observe_budget_ns": OBSERVE_BUDGET_NS,
         "values_identical": values_identical,
         "traced_spans": sum(len(lane["spans"]) for lane in payload["lanes"]),
+        "gate": GATE,
         "_trace_payload": payload,  # stripped before JSON output
     }
 

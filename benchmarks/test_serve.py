@@ -53,6 +53,17 @@ from repro.store import write_store
 SPEEDUP_CAP = 10.0
 #: Warmed /metrics p99 budget (the acceptance criterion), default scale.
 P99_BUDGET_MS = 250.0
+#: Rows ``repro obs diff`` gates this report on against its committed
+#: baseline (``benchmarks/baselines/``): dotted key -> direction and slack.
+#: "higher" ratios regress by falling, "lower" ratios by rising.
+GATE = {
+    # warm_speedup saturates at the harness's SPEEDUP_CAP on any healthy
+    # run, so this gate fires only when serve's caching actually breaks.
+    "aggregate.warm_speedup": {"better": "higher", "slack": 0.0},
+    # Server-side /metrics p99 from the end-of-run /telemetry snapshot;
+    # the generous ms slack means this fires on collapse, not jitter.
+    "aggregate.telemetry_metrics_p99_ms": {"better": "lower", "slack": 100.0},
+}
 
 _READY = re.compile(r"serve: listening on ([0-9.]+):(\d+)")
 
@@ -228,6 +239,7 @@ def run_bench(
         },
         "loadgen": load,
         "telemetry": telemetry,
+        "gate": GATE,
         "_telemetry_prom": prom_body.decode("utf-8"),  # stripped before JSON output
     }
 

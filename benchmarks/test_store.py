@@ -36,6 +36,10 @@ from repro.store import EventStore, write_store
 
 SPEEDUP_FLOOR = 10.0  # default scale
 QUICK_FLOOR = 1.0  # smoke workload: the store must simply not be slower
+#: Rows ``repro obs diff`` gates this report on against its committed
+#: baseline (``benchmarks/baselines/``): dotted key -> direction and slack.
+#: "higher" ratios regress by falling, "lower" ratios by rising.
+GATE = {"speedup": {"better": "higher", "slack": 0.0}}
 
 _WINDOWS = 16  # evenly spaced windows, each 5% of the trace span
 
@@ -139,6 +143,7 @@ def run_bench(quick: bool = False, seed: int = 7, preset: str | None = None) -> 
         "tsv_parse_scan_s": best_tsv,
         "store_open_scan_s": best_store,
         "speedup": best_tsv / best_store if best_store > 0 else float("inf"),
+        "gate": GATE,
     }
 
 

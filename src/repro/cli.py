@@ -13,12 +13,13 @@
     python -m repro store info trace.store
     python -m repro store verify trace.store
     python -m repro metrics trace.tsv --trace run.trace.jsonl
-    python -m repro trace summarize run.trace.jsonl
-    python -m repro trace export run.trace.jsonl run.json
+    python -m repro obs summarize run.trace.jsonl
+    python -m repro obs export run.trace.jsonl run.json
     python -m repro serve trace.store --port 8787 --workers 4 --warm metrics
     python -m repro loadgen --port 8787 --users 200 --duration 10
     python -m repro obs scrape --port 8787 --format json --out snap.json
     python -m repro obs diff before.json after.json --fail-above 0.10
+    python -m repro obs diff benchmarks/baselines/BENCH_obs.json BENCH_obs.json --fail-above 0.20
 
 Commands that read a trace (``info``, ``metrics``, ``communities``)
 accept either a TSV file or a columnar store directory and detect which
@@ -26,9 +27,11 @@ one they were given.
 
 Every command that replays events accepts ``--trace PATH`` to record a
 structured execution trace (spans, counters, per-worker lanes — see
-:mod:`repro.obs`); ``repro trace`` summarizes or re-exports a recorded
-trace (a ``.json`` destination produces Chrome trace-event JSON loadable
-in Perfetto / ``chrome://tracing``).
+:mod:`repro.obs`); ``repro obs summarize|export`` summarizes or
+re-exports a recorded trace (a ``.json`` destination produces Chrome
+trace-event JSON loadable in Perfetto / ``chrome://tracing``), and
+``repro obs diff`` compares two traces, telemetry snapshots or BENCH
+reports.
 
 Installed as the ``repro`` console script.
 """
@@ -180,24 +183,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_trace_arg(loadgen)
 
-    trace = sub.add_parser("trace", help="inspect or re-export a recorded execution trace")
-    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
+    obs = sub.add_parser(
+        "obs", help="summarize, export, scrape and compare traces, telemetry and BENCH reports"
+    )
+    obs_sub = obs.add_subparsers(dest="obs_command", required=True)
 
-    summarize = trace_sub.add_parser(
+    summarize = obs_sub.add_parser(
         "summarize", help="print span/counter/lane tables for a JSONL trace"
     )
-    summarize.add_argument("path", help="trace file written by --trace (JSONL)")
+    summarize.add_argument("src", metavar="path", help="trace file written by --trace (JSONL)")
 
-    export = trace_sub.add_parser(
+    export = obs_sub.add_parser(
         "export", help="re-export a JSONL trace (a .json destination -> Chrome trace JSON)"
     )
     export.add_argument("src", help="source trace file (JSONL)")
     export.add_argument("dst", help="destination (.json -> Chrome trace-event, else JSONL)")
-
-    obs = sub.add_parser(
-        "obs", help="scrape and compare live telemetry from a running serve instance"
-    )
-    obs_sub = obs.add_subparsers(dest="obs_command", required=True)
 
     scrape = obs_sub.add_parser(
         "scrape", help="fetch /telemetry from a running server"
@@ -213,13 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     diff = obs_sub.add_parser(
-        "diff", help="compare two telemetry/trace snapshots as a regression table"
+        "diff", help="compare two telemetry/trace/BENCH snapshots as a regression table"
     )
-    diff.add_argument("before", help="baseline snapshot (telemetry JSON or trace JSONL)")
-    diff.add_argument("after", help="candidate snapshot (telemetry JSON or trace JSONL)")
+    diff.add_argument("before", help="baseline (telemetry or BENCH JSON, or trace JSONL)")
+    diff.add_argument("after", help="candidate (telemetry or BENCH JSON, or trace JSONL)")
     diff.add_argument(
         "--fail-above", type=float, default=None, metavar="FRACTION",
-        help="exit 1 if any metric grew by more than FRACTION (e.g. 0.10 = +10%%)",
+        help="exit 1 if any metric regressed by more than FRACTION (e.g. 0.10 = 10%%), "
+        "or if no metric is present in both snapshots",
     )
 
     return parser
@@ -590,26 +591,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return 1 if agg["responses_5xx"] else 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import read_jsonl, render_trace, write_trace
-
-    source = args.path if args.trace_command == "summarize" else args.src
-    try:
-        payload = read_jsonl(source)
-    except OSError as exc:
-        print(f"error: cannot read {source}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.trace_command == "summarize":
-        print(render_trace(payload))
-        return 0
-    fmt = write_trace(payload, args.dst)
-    print(f"wrote {fmt} trace to {args.dst}")
-    return 0
-
-
 def _scrape_telemetry(host: str, port: int, fmt: str) -> tuple[int, str]:
     """Blocking GET of ``/telemetry?format=...``; ``(status, body_text)``."""
     import socket
@@ -635,34 +616,18 @@ def _scrape_telemetry(host: str, port: int, fmt: str) -> tuple[int, str]:
     return status, body.decode("utf-8")
 
 
-def _load_snapshot(path: str) -> dict[str, float]:
-    """Load a snapshot file as flattened dotted numeric rows.
-
-    Accepts either a ``/telemetry`` JSON document (written by ``repro obs
-    scrape --format json``) or a ``--trace`` JSONL file, detected by
-    content: telemetry snapshots are a single JSON object, traces are
-    JSONL records that :func:`repro.obs.read_jsonl` can aggregate.
-    """
-    import json
-
-    from repro.obs import aggregate, flatten_numeric, read_jsonl
-
-    with open(path, encoding="utf-8") as handle:
-        first = handle.readline()
-        rest = handle.read()
-    try:
-        doc = json.loads(first + rest)
-    except ValueError:
-        doc = None
-    if isinstance(doc, dict):
-        return flatten_numeric(doc)
-    return flatten_numeric(aggregate(read_jsonl(path)))
-
-
 def _cmd_obs(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.obs import diff_rows, render_diff
+    from repro.obs import (
+        diff_rows,
+        load_snapshot,
+        read_jsonl,
+        regressed,
+        render_diff,
+        render_trace,
+        write_trace,
+    )
 
     if args.obs_command == "scrape":
         try:
@@ -681,28 +646,38 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             sys.stdout.write(body if body.endswith("\n") else body + "\n")
         return 0
     try:
-        before = _load_snapshot(args.before)
-        after = _load_snapshot(args.after)
+        if args.obs_command == "diff":
+            before, gate = load_snapshot(args.before)
+            after, _ = load_snapshot(args.after)
+        else:
+            payload = read_jsonl(args.src)
     except OSError as exc:
-        print(f"error: cannot read snapshot: {exc}", file=sys.stderr)
+        print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    rows = diff_rows(before, after)
+    if args.obs_command == "summarize":
+        print(render_trace(payload))
+        return 0
+    if args.obs_command == "export":
+        print(f"wrote {write_trace(payload, args.dst)} trace to {args.dst}")
+        return 0
+    rows = diff_rows(before, after, gate)
     print(render_diff(rows, threshold=args.fail_above))
-    if args.fail_above is not None:
-        regressed = [
-            row["metric"] for row in rows
-            if row["delta"] is not None and row["delta"] > args.fail_above
-        ]
-        if regressed:
-            print(
-                f"obs diff: {len(regressed)} metric(s) grew more than "
-                f"{100.0 * args.fail_above:.1f}%",
-                file=sys.stderr,
-            )
-            return 1
+    if args.fail_above is None:
+        return 0
+    failed = sum(regressed(row, args.fail_above) for row in rows)
+    if failed:
+        print(
+            f"obs diff: {failed} metric(s) regressed by more than "
+            f"{100.0 * args.fail_above:.1f}%",
+            file=sys.stderr,
+        )
+        return 1
+    if not any(row["before"] is not None and row["after"] is not None for row in rows):
+        print("obs diff: no metric is present in both snapshots", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -716,7 +691,6 @@ _COMMANDS = {
     "store": _cmd_store,
     "serve": _cmd_serve,
     "loadgen": _cmd_loadgen,
-    "trace": _cmd_trace,
     "obs": _cmd_obs,
 }
 

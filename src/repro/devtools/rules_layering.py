@@ -71,12 +71,7 @@ LAYERS: dict[str, int] = {
 
 #: Declared upward *deferred* seams: (src_package, dst_package) -> reason.
 #: Each is a deliberate, documented inversion kept out of load time.
-DEFERRED_EDGES: dict[tuple[str, str], str] = {
-    ("metrics", "runtime"): (
-        "compute_metric_timeseries is a stable facade that delegates "
-        "MetricSpec runs upward to the runtime scheduler"
-    ),
-}
+DEFERRED_EDGES: dict[tuple[str, str], str] = {}
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Each metric module exposes a pure function over a
 :class:`~repro.kernels.csr.CSRGraph` snapshot;
-:class:`~repro.metrics.timeseries.MetricTimeseries` drives them across a
-snapshot series at a chosen cadence.
+:class:`~repro.metrics.timeseries.MetricTimeseries` holds their values
+across a snapshot series (computed by :func:`repro.runtime.compute_timeseries`).
 """
 
 from repro.metrics.assortativity import degree_assortativity
@@ -12,7 +12,7 @@ from repro.metrics.degree import average_degree, degree_distribution
 from repro.metrics.diameter import effective_diameter_sampled
 from repro.metrics.growth import GrowthSeries, daily_growth
 from repro.metrics.paths import average_path_length_sampled
-from repro.metrics.timeseries import MetricTimeseries, compute_metric_timeseries
+from repro.metrics.timeseries import MetricTimeseries
 
 __all__ = [
     "effective_diameter_sampled",
@@ -25,5 +25,4 @@ __all__ = [
     "local_clustering",
     "degree_assortativity",
     "MetricTimeseries",
-    "compute_metric_timeseries",
 ]

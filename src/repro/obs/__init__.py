@@ -27,8 +27,9 @@ Layout:
   cross-lane rollups (histograms merge bucket-wise);
 * :mod:`~repro.obs.export` — JSONL span log and Chrome trace-event JSON
   (Perfetto-loadable) writers/readers;
-* :mod:`~repro.obs.summary` — human tables for traces, runtime profiles,
-  and telemetry regression diffs.
+* :mod:`~repro.obs.summary` — human tables for traces and runtime
+  profiles, and the snapshot loader and regression gate behind
+  ``repro obs diff``.
 """
 
 from repro.obs.export import read_jsonl, to_chrome, write_chrome, write_jsonl, write_trace
@@ -60,6 +61,8 @@ from repro.obs.recorder import (
 from repro.obs.summary import (
     diff_rows,
     flatten_numeric,
+    load_snapshot,
+    regressed,
     render_diff,
     render_profile,
     render_trace,
@@ -83,6 +86,7 @@ __all__ = [
     "flatten_numeric",
     "get_recorder",
     "lane_summary",
+    "load_snapshot",
     "merge_histogram_dicts",
     "peak_rss_bytes",
     "perf_counter",
@@ -90,6 +94,7 @@ __all__ = [
     "prometheus_lines",
     "quantile_summary",
     "read_jsonl",
+    "regressed",
     "render_diff",
     "render_profile",
     "render_trace",

@@ -5,7 +5,7 @@ Two on-disk forms of the same payload:
 * **JSONL** (the native interchange format) — a ``meta`` line, then one
   line per lane/span/counter/gauge/histogram record.  Streams well, diffs well,
   and :func:`read_jsonl` round-trips it losslessly back into a payload
-  dict, which is what ``repro trace summarize|export`` consume.
+  dict, which is what ``repro obs summarize|export`` consume.
 * **Chrome trace-event JSON** — the ``{"traceEvents": [...]}`` object
   format understood by Perfetto (https://ui.perfetto.dev) and
   ``chrome://tracing``.  Spans become complete (``"ph": "X"``) events
@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Any
 
 __all__ = [
+    "chrome_export_error",
     "read_jsonl",
     "to_chrome",
     "write_chrome",
@@ -74,20 +75,25 @@ def write_jsonl(payload: dict[str, Any], path: str | os.PathLike[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def chrome_export_error(path: str | os.PathLike[str]) -> ValueError:
+    """The error for a Chrome trace-event export given where JSONL is read."""
+    return ValueError(
+        f"{path}: is a Chrome trace-event export (already Perfetto-loadable); "
+        "summarize/export read the JSONL span log (--trace with a non-.json suffix)"
+    )
+
+
 def read_jsonl(path: str | os.PathLike[str]) -> dict[str, Any]:
     """Read a JSONL span log back into a payload dict.
 
-    Raises :class:`ValueError` for files that are not a repro trace (the
-    CLI turns this into a friendly error).
+    Raises :class:`ValueError` for files that are not a JSONL span log
+    (the CLI turns this into a friendly error).
     """
     version = None
     lanes: dict[int, dict[str, Any]] = {}
     text = Path(path).read_text(encoding="utf-8")
     if '"traceEvents"' in text[:200]:
-        raise ValueError(
-            f"{path}: is a Chrome trace-event export (already Perfetto-loadable); "
-            "summarize/export read the JSONL span log (--trace with a non-.json suffix)"
-        )
+        raise chrome_export_error(path)
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -95,7 +101,7 @@ def read_jsonl(path: str | os.PathLike[str]) -> dict[str, Any]:
             record = json.loads(line)
             kind = record["kind"]
         except (json.JSONDecodeError, TypeError, KeyError) as exc:
-            raise ValueError(f"{path}:{lineno}: not a repro trace record") from exc
+            raise ValueError(f"{path}:{lineno}: not a repro JSONL trace record") from exc
         if kind == "meta":
             version = record.get("version")
         elif kind == "lane":
@@ -133,7 +139,7 @@ def read_jsonl(path: str | os.PathLike[str]) -> dict[str, Any]:
         else:
             raise ValueError(f"{path}:{lineno}: unknown record kind {kind!r}")
     if version is None:
-        raise ValueError(f"{path}: no meta record; not a repro trace")
+        raise ValueError(f"{path}: no meta record; not a repro JSONL trace")
     return {
         "version": version,
         "lanes": [lanes[key] for key in sorted(lanes)],

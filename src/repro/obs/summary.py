@@ -1,25 +1,35 @@
-"""Human-readable rendering: trace summaries, profiles, telemetry diffs.
+"""Human-readable rendering: trace summaries, profiles, snapshot diffs.
 
-:func:`render_trace` is what ``repro trace summarize`` prints — per-span
+:func:`render_trace` is what ``repro obs summarize`` prints — per-span
 timing rollups, counters, histograms, and one row per lane.
 :func:`render_profile` renders the runtime's ``MetricTimeseries.profile``
 dict (backend, cache hit/miss, per-metric wall time, per-worker
-attribution); it subsumes the ad-hoc ``_print_profile`` table the CLI
-used to carry.  :func:`flatten_numeric` / :func:`diff_rows` /
-:func:`render_diff` power ``repro obs diff``: two telemetry or trace
-snapshots flattened to dotted numeric rows and compared with percent
-deltas.
+attribution).  :func:`load_snapshot` / :func:`flatten_numeric` /
+:func:`diff_rows` / :func:`regressed` / :func:`render_diff` power
+``repro obs diff``: two telemetry snapshots, traces or BENCH reports
+flattened to dotted numeric rows and compared with percent deltas.
+
+A BENCH report names the rows it is gated on in a top-level ``gate``
+block, ``{"dotted.key": {"better": "higher"|"lower", "slack": x}}``.
+When the baseline carries one, only those rows are compared, each in its
+own direction; otherwise every row is compared and growth is worse.
 """
 
 from __future__ import annotations
 
+import json
+import os
+from pathlib import Path
 from typing import Any
 
+from repro.obs.export import chrome_export_error, read_jsonl
 from repro.obs.merge import aggregate, lane_summary
 
 __all__ = [
     "diff_rows",
     "flatten_numeric",
+    "load_snapshot",
+    "regressed",
     "render_diff",
     "render_profile",
     "render_trace",
@@ -107,9 +117,10 @@ def flatten_numeric(tree: Any, prefix: str = "") -> dict[str, float]:
     """Flatten nested dicts to ``{"a.b.c": value}`` for numeric leaves.
 
     The comparison basis for ``repro obs diff``: a ``/telemetry`` JSON
-    snapshot and a trace payload's :func:`aggregate` rollup both reduce
-    to dotted rows this way.  Lists and non-numeric leaves are skipped
-    (booleans included — they are flags, not measurements).
+    snapshot, a BENCH report and a trace payload's :func:`aggregate`
+    rollup all reduce to dotted rows this way.  Lists and non-numeric
+    leaves are skipped (booleans included — they are flags, not
+    measurements).
     """
     rows: dict[str, float] = {}
     if isinstance(tree, dict):
@@ -121,33 +132,103 @@ def flatten_numeric(tree: Any, prefix: str = "") -> dict[str, float]:
     return rows
 
 
+def load_snapshot(
+    path: str | os.PathLike[str],
+) -> tuple[dict[str, float], dict[str, dict[str, Any]]]:
+    """A snapshot file as ``(flattened numeric rows, gate block)``.
+
+    Accepts one JSON object (a ``/telemetry`` document or a BENCH
+    report) or a ``--trace`` JSONL file, reduced to its :func:`aggregate`
+    rollup.  The gate block is ``{}`` unless the document carries one.  A
+    Chrome trace-event export raises :class:`ValueError`: its spans live
+    in lists and would compare as nothing.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError:
+        doc = None
+    if not isinstance(doc, dict):
+        return flatten_numeric(aggregate(read_jsonl(path))), {}
+    if "traceEvents" in doc:
+        raise chrome_export_error(path)
+    gate = doc.pop("gate", {})
+    if not isinstance(gate, dict):
+        raise ValueError(f"{path}: gate must map dotted keys to rules")
+    for key, rule in gate.items():
+        if not (
+            isinstance(rule, dict)
+            and rule.get("better") in ("higher", "lower")
+            and isinstance(rule.get("slack"), (int, float))
+        ):
+            raise ValueError(f"{path}: gate row {key!r} needs better: higher|lower and a slack")
+    return flatten_numeric(doc), gate
+
+
+#: The rule for rows of a document without a gate block.
+_GROWTH_IS_WORSE = {"better": "lower", "slack": 0.0}
+
+
 def diff_rows(
-    before: dict[str, float], after: dict[str, float]
+    before: dict[str, float],
+    after: dict[str, float],
+    gate: dict[str, dict[str, Any]] | None = None,
 ) -> list[dict[str, Any]]:
     """Row-wise comparison of two flattened snapshots.
 
-    Each row is ``{"metric", "before", "after", "delta"}`` where
-    ``delta`` is the signed fractional change ``(after - before) /
-    |before|``, or ``None`` when either side is missing or the baseline
-    is zero.
+    Each row is ``{"metric", "before", "after", "delta", "better",
+    "slack", "gated"}`` where ``delta`` is the signed fractional change
+    ``(after - before) / |before|``, or ``None`` when either side is
+    missing or the baseline is zero.  With a non-empty ``gate`` (the
+    baseline's gate block) only the gated metrics are compared, each with
+    its own direction and slack; otherwise every metric is, and growth is
+    worse.
     """
+    gate = gate or {}
+    metrics = sorted(gate) if gate else sorted(set(before) | set(after))
     rows: list[dict[str, Any]] = []
-    for metric in sorted(set(before) | set(after)):
+    for metric in metrics:
+        rule = gate.get(metric, _GROWTH_IS_WORSE)
         a = before.get(metric)
         b = after.get(metric)
         delta = None
         if a is not None and b is not None and a != 0:
             delta = (b - a) / abs(a)
-        rows.append({"metric": metric, "before": a, "after": b, "delta": delta})
+        rows.append(
+            {
+                "metric": metric,
+                "before": a,
+                "after": b,
+                "delta": delta,
+                "better": rule["better"],
+                "slack": float(rule["slack"]),
+                "gated": metric in gate,
+            }
+        )
     return rows
+
+
+def regressed(row: dict[str, Any], threshold: float) -> bool:
+    """Whether ``row`` got worse by more than ``threshold`` (a fraction).
+
+    A row regresses when it moved the wrong way by more than
+    ``threshold * |before|`` *and* by at least its absolute ``slack``.  A
+    metric missing before, or with a zero baseline, passes; a gated
+    metric missing after fails.
+    """
+    base, current = row["before"], row["after"]
+    if current is None:
+        return base is not None and row["gated"]
+    if base is None or base == 0:
+        return False
+    worse = base - current if row["better"] == "higher" else current - base
+    return worse > threshold * abs(base) and worse >= row["slack"]
 
 
 def render_diff(rows: list[dict[str, Any]], threshold: float | None = None) -> str:
     """The regression table ``repro obs diff`` prints.
 
-    With ``threshold`` set, rows whose fractional increase exceeds it are
-    flagged with a trailing ``!`` — the CLI exits nonzero when any row is
-    flagged.
+    With ``threshold`` set, rows that :func:`regressed` are flagged with
+    a trailing ``!`` — the CLI exits nonzero when any row is flagged.
     """
 
     def _cell(value: float | None) -> str:
@@ -160,12 +241,9 @@ def render_diff(rows: list[dict[str, Any]], threshold: float | None = None) -> s
     lines = [f"{'metric':<52}{'before':>14}{'after':>14}{'delta':>10}"]
     for row in rows:
         delta = row["delta"]
-        if delta is None:
-            shown = "-"
-        else:
-            shown = f"{100.0 * delta:+.1f}%"
-            if threshold is not None and delta > threshold:
-                shown += " !"
+        shown = "-" if delta is None else f"{100.0 * delta:+.1f}%"
+        if threshold is not None and regressed(row, threshold):
+            shown += " !"
         lines.append(
             f"{row['metric']:<52}{_cell(row['before']):>14}"
             f"{_cell(row['after']):>14}{shown:>10}"

@@ -1,8 +1,7 @@
 """The runtime front door: cache lookup around parallel evaluation.
 
-:func:`compute_timeseries` is what the CLI, :class:`AnalysisContext`,
-serve and :func:`repro.metrics.timeseries.compute_metric_timeseries` all
-call.
+:func:`compute_timeseries` is what the CLI, :class:`AnalysisContext`
+and serve all call.
 """
 
 from __future__ import annotations
@@ -12,7 +11,13 @@ from typing import Any
 
 from repro.graph.events import EventStream
 from repro.metrics.timeseries import MetricTimeseries
-from repro.runtime.cache import ResultCache, stream_digest
+from repro.runtime.cache import (
+    ResultCache,
+    decode_series,
+    encode_series,
+    series_key,
+    stream_digest,
+)
 from repro.runtime.parallel import evaluate_timeseries, select_engine
 from repro.runtime.spec import MetricSpec, snapshot_times
 from repro.store.reader import EventStore
@@ -44,8 +49,8 @@ def compute_timeseries(
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     key = None
     if cache is not None:
-        key = cache.key(stream_digest(stream), spec, interval, start)
-        hit = cache.load(key)
+        key = series_key(stream_digest(stream), spec, interval, start)
+        hit = cache.load(key, decode_series)
         if hit is not None:
             times = snapshot_times(stream.end_time, interval, start)
             hit.profile = _profile(
@@ -63,7 +68,7 @@ def compute_timeseries(
         events, spec, interval=interval, start=start, workers=workers, store=store
     )
     if cache is not None and key is not None:
-        cache.store(key, series)
+        cache.store(key, encode_series(series))
     assert series.profile is not None
     series.profile = _profile(series.profile, cache)
     return series

@@ -1,24 +1,31 @@
-"""Content-addressed on-disk cache for metric timeseries.
+"""Content-addressed on-disk result cache.
 
-Results are keyed by a digest of everything that determines them: the
-stream's *content* (not its path or mtime), the metric spec fingerprint
-(names, sampling parameters, seed), the snapshot cadence, and a format
-version.  Worker count is deliberately excluded — serial and parallel
-runs are bit-identical, so they share entries.  Any change to an input
-changes the key, so invalidation is automatic and stale entries are
-simply never read again.
-
-Entries are single ``.npz`` files written atomically
+:class:`ResultCache` is the one disk cache: a directory of
+``<key><suffix>`` entries written atomically
 (:func:`repro.util.atomic.atomic_writer`), so a crashed writer can never
 publish a torn entry and concurrent readers always see complete files.
+Callers bring the codec: metric timeseries are ``.npz`` arrays
+(:func:`encode_series`, keyed by :func:`series_key`), and ``repro
+serve`` keeps JSON reports under ``<cache_dir>/serve``.
+
+Keys are digests of everything that determines the result.  For a metric
+series that is the stream's *content* (not its path or mtime), the metric
+spec fingerprint (names, sampling parameters, seed), the snapshot cadence
+and a format version.  Worker count is deliberately excluded — serial
+and parallel runs are bit-identical, so they share entries.  Any change
+to an input changes the key, so invalidation is automatic and stale
+entries are simply never read again.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import zipfile
+from collections.abc import Callable
 from pathlib import Path
+from typing import TypeVar
 
 import numpy as np
 
@@ -29,11 +36,20 @@ from repro.runtime.spec import MetricSpec
 from repro.store.reader import EventStore
 from repro.util.atomic import atomic_writer
 
-__all__ = ["ResultCache", "default_cache_dir", "stream_digest"]
+__all__ = [
+    "ResultCache",
+    "decode_series",
+    "default_cache_dir",
+    "encode_series",
+    "series_key",
+    "stream_digest",
+]
 
 # Bump when the cache entry layout or any result-affecting convention
 # (RNG derivation, grid semantics) changes.
 CACHE_FORMAT_VERSION = 1
+
+T = TypeVar("T")
 
 
 def default_cache_dir() -> Path:
@@ -62,61 +78,41 @@ def stream_digest(stream: EventStream | EventStore) -> str:
 
 
 class ResultCache:
-    """A directory of ``<key>.npz`` metric-timeseries entries.
+    """A directory of ``<key><suffix>`` entries.
 
     ``hits`` and ``misses`` count :meth:`load` outcomes over the cache
-    object's lifetime, feeding the runtime's ``--profile`` report.
+    object's lifetime, feeding the runtime's ``--profile`` report and the
+    serve shards' per-process accounting.
     """
 
-    def __init__(self, root: str | Path) -> None:
+    def __init__(self, root: str | Path, suffix: str = ".npz") -> None:
         self.root = Path(root).expanduser()
+        self.suffix = suffix
         self.hits = 0
         self.misses = 0
 
-    def key(
-        self,
-        digest: str,
-        spec: MetricSpec,
-        interval: float,
-        start: float | None,
-    ) -> str:
-        """Cache key for evaluating ``spec`` over the stream with ``digest``."""
-        payload = "\x00".join(
-            [
-                f"v{CACHE_FORMAT_VERSION}",
-                digest,
-                spec.fingerprint(),
-                repr(float(interval)),
-                repr(None if start is None else float(start)),
-            ]
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
+    @staticmethod
+    def key(*parts: str) -> str:
+        """A stable hex key from ordered string ``parts``."""
+        return hashlib.sha256("\x00".join(parts).encode()).hexdigest()
 
     def path(self, key: str) -> Path:
         """Filesystem path of the entry for ``key``."""
-        return self.root / f"{key}.npz"
+        return self.root / f"{key}{self.suffix}"
 
-    def load(self, key: str) -> MetricTimeseries | None:
-        """The cached series for ``key``, or ``None`` on a miss.
+    def load(self, key: str, decode: Callable[[bytes], T]) -> T | None:
+        """The decoded entry for ``key``, or ``None`` on a miss.
 
-        A file that cannot be parsed (truncated, foreign, or from a layout
-        this version cannot read) counts as a miss: the entry is recomputed
-        and overwritten, never raised to the caller.
+        An entry that is absent or unreadable, or whose bytes ``decode``
+        rejects with :class:`ValueError` (truncated, foreign, or from a
+        layout this version cannot read), counts as a miss: the caller
+        recomputes and overwrites it, and nothing is raised.
         """
         rec = get_recorder()
         with rec.span("cache.lookup"):
-            path = self.path(key)
-            if not path.exists():
-                self.misses += 1
-                if rec.enabled:
-                    rec.count("cache.misses", 1)
-                return None
             try:
-                with np.load(path, allow_pickle=False) as data:
-                    names = [str(name) for name in data["names"]]
-                    times = data["times"]
-                    values = data["values"]
-            except (OSError, ValueError, KeyError, zipfile.BadZipFile):
+                value = decode(self.path(key).read_bytes())
+            except (OSError, ValueError):
                 self.misses += 1
                 if rec.enabled:
                     rec.count("cache.misses", 1)
@@ -124,23 +120,52 @@ class ResultCache:
             self.hits += 1
             if rec.enabled:
                 rec.count("cache.hits", 1)
-            return MetricTimeseries(
-                times=times.tolist(),
-                values={name: values[i].tolist() for i, name in enumerate(names)},
-            )
+            return value
 
-    def store(self, key: str, series: MetricTimeseries) -> Path:
-        """Atomically write ``series`` under ``key``; returns the entry path."""
+    def store(self, key: str, data: bytes) -> Path:
+        """Atomically publish ``data`` under ``key``; returns the entry path."""
         with get_recorder().span("cache.store"):
-            return self._store(key, series)
+            self.root.mkdir(parents=True, exist_ok=True)
+            with atomic_writer(self.path(key)) as handle:
+                handle.write(data)
+            return self.path(key)
 
-    def _store(self, key: str, series: MetricTimeseries) -> Path:
-        self.root.mkdir(parents=True, exist_ok=True)
-        names = list(series.values)
-        times = np.asarray(series.times, dtype=np.float64)
-        values = np.array(
-            [np.asarray(series.values[name], dtype=np.float64) for name in names]
-        ).reshape(len(names), times.size)
-        with atomic_writer(self.path(key)) as handle:
-            np.savez(handle, names=np.array(names), times=times, values=values)
-        return self.path(key)
+
+def series_key(
+    digest: str, spec: MetricSpec, interval: float, start: float | None
+) -> str:
+    """Cache key for evaluating ``spec`` over the stream with ``digest``."""
+    return ResultCache.key(
+        f"v{CACHE_FORMAT_VERSION}",
+        digest,
+        spec.fingerprint(),
+        repr(float(interval)),
+        repr(None if start is None else float(start)),
+    )
+
+
+def encode_series(series: MetricTimeseries) -> bytes:
+    """``series`` as ``.npz`` bytes (names, times, one value row per name)."""
+    names = list(series.values)
+    times = np.asarray(series.times, dtype=np.float64)
+    values = np.array(
+        [np.asarray(series.values[name], dtype=np.float64) for name in names]
+    ).reshape(len(names), times.size)
+    buffer = io.BytesIO()
+    np.savez(buffer, names=np.array(names), times=times, values=values)
+    return buffer.getvalue()
+
+
+def decode_series(data: bytes) -> MetricTimeseries:
+    """Inverse of :func:`encode_series`; :class:`ValueError` on foreign bytes."""
+    try:
+        with np.load(io.BytesIO(data), allow_pickle=False) as arrays:
+            names = [str(name) for name in arrays["names"]]
+            times = arrays["times"]
+            values = arrays["values"]
+    except (EOFError, KeyError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"not a metric series entry: {exc}") from exc
+    return MetricTimeseries(
+        times=times.tolist(),
+        values={name: values[i].tolist() for i, name in enumerate(names)},
+    )

@@ -8,13 +8,13 @@ package turns that observation into a service:
 * :mod:`~repro.serve.protocol` — request parsing/validation, canonical
   query keys, deterministic JSON encoding, typed error envelopes, and
   the minimal HTTP/1.1 framing shared by server and load generator;
-* :mod:`~repro.serve.cache` — :class:`~repro.serve.cache.ServeCache`, an
-  atomic on-disk JSON cache for replay-derived reports (community
-  tracking, merge analysis) so the hot path never replays;
 * :mod:`~repro.serve.workers` — the process-pool worker side: each
   worker memory-maps the store once (``verify="lazy"``), owns a
-  deterministic hash-shard of the cache, and answers queries through the
-  runtime front door (:func:`repro.runtime.compute_timeseries`);
+  deterministic hash-shard of the cache, answers queries through the
+  runtime front door (:func:`repro.runtime.compute_timeseries`), and
+  keeps replay-derived reports (community tracking, merge analysis) as
+  JSON entries of the runtime's :class:`~repro.runtime.cache.ResultCache`
+  so the hot path never replays;
 * :mod:`~repro.serve.server` — the asyncio front process: HTTP parsing,
   shard routing, request timeouts, per-request observability, graceful
   drain on shutdown;
@@ -28,7 +28,6 @@ deterministic JSON (sorted keys, no wall-clock, no worker identity), so
 ``--workers 1`` and ``--workers 4`` serve byte-equal answers.
 """
 
-from repro.serve.cache import ServeCache
 from repro.serve.protocol import Query, QueryError, canonical_key, parse_query, shard_for
 from repro.serve.server import ReproServer, ServeConfig
 
@@ -36,7 +35,6 @@ __all__ = [
     "Query",
     "QueryError",
     "ReproServer",
-    "ServeCache",
     "ServeConfig",
     "canonical_key",
     "parse_query",

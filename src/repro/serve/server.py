@@ -20,7 +20,7 @@ Operational contract:
   worker trace shards, then shuts the pools down;
 * **observability** — per-request spans and counters on the installed
   :mod:`repro.obs` recorder: ``serve.requests.<endpoint>``,
-  ``serve.cache.<endpoint>.<hit|miss|memo>``, a ``serve.queue_depth``
+  ``serve.front.<endpoint>.<hit|miss|memo>``, a ``serve.queue_depth``
   peak gauge, and one obs lane per shard when tracing.  Independent of
   ``--trace``, the front keeps windowed per-endpoint latency and
   queue-wait histograms and every shard keeps its own always-on
@@ -329,7 +329,7 @@ class ReproServer:
             status, cache, body = await self._dispatch(query)
         self.cache_events[f"{endpoint}:{cache}"] += 1
         if rec.enabled and cache != "none":
-            rec.count(f"serve.cache.{endpoint}.{cache}", 1)
+            rec.count(f"serve.front.{endpoint}.{cache}", 1)
         return status, body, close, JSON_CONTENT_TYPE
 
     def _observe_request(

@@ -23,9 +23,9 @@ Answer paths, none of which replay on a warm cache:
   event counts straight off the memory map;
 * ``/metrics`` — :func:`repro.runtime.compute_timeseries`, whose result
   cache is keyed by store digest + spec + cadence;
-* ``/communities`` and ``/merge-impact`` — replay-derived reports
-  persisted in a :class:`~repro.serve.cache.ServeCache` keyed by store
-  digest + canonical parameters.
+* ``/communities`` and ``/merge-impact`` — replay-derived JSON reports
+  persisted in a :class:`~repro.runtime.cache.ResultCache` under
+  ``<cache_dir>/serve``, keyed by store digest + canonical parameters.
 """
 
 from __future__ import annotations
@@ -33,13 +33,14 @@ from __future__ import annotations
 import json
 import multiprocessing.context
 from collections import Counter
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
 from repro.obs import TailSampler, TraceRecorder, get_recorder, perf_counter, set_recorder
-from repro.serve.cache import ServeCache
+from repro.runtime.cache import ResultCache
 from repro.serve.protocol import QueryError, dumps, envelope, error_body, json_safe
 from repro.store.reader import EventStore
 
@@ -55,7 +56,7 @@ __all__ = [
 # memory-mapped store, the cache handles, and the bounded response memo.
 _STORE: EventStore | None = None
 _CACHE_DIR: str | None = None
-_SERVE_CACHE: ServeCache | None = None
+_SERVE_CACHE: ResultCache | None = None
 _MEMO: dict[str, tuple[str, str]] = {}
 _MEMO_LIMIT = 512
 
@@ -85,7 +86,9 @@ def _init_serve_worker(
     _STORE = EventStore(store_path, verify="lazy")
     _CACHE_DIR = cache_dir
     _SERVE_CACHE = (
-        ServeCache(Path(cache_dir) / "serve") if cache_dir is not None else None
+        ResultCache(Path(cache_dir) / "serve", suffix=".json")
+        if cache_dir is not None
+        else None
     )
     _MEMO = {}
     if trace:
@@ -312,45 +315,60 @@ def _handle_snapshot(params: dict[str, Any]) -> tuple[str, str]:
     return body, "none"
 
 
+def _json_text(data: bytes) -> str:
+    """Decode a serve cache entry; :class:`ValueError` unless it is JSON."""
+    text = data.decode("utf-8")
+    json.loads(text)
+    return text
+
+
+def _cached_report(key: str, compute: Callable[[], Any]) -> tuple[str, str]:
+    """``compute()``'s report as JSON text, through the serve cache."""
+    if _SERVE_CACHE is not None:
+        text = _SERVE_CACHE.load(key, _json_text)
+        if text is not None:
+            return text, "hit"
+    text = dumps(json_safe(compute()))
+    if _SERVE_CACHE is None:
+        return text, "none"
+    _SERVE_CACHE.store(key, text.encode("utf-8"))
+    return text, "miss"
+
+
 def _communities_report(params: dict[str, Any]) -> tuple[str, str]:
     """The full tracking report (with memberships), through the serve cache."""
     from repro.community.tracking import track_stream
 
     store = _store()
     cache_params = {k: v for k, v in params.items() if k != "at"}
-    key = ServeCache.key("communities", store.content_digest, dumps(cache_params))
-    if _SERVE_CACHE is not None:
-        text = _SERVE_CACHE.load(key)
-        if text is not None:
-            return text, "hit"
-    tracker = track_stream(
-        store.to_stream(),
-        interval=params["interval"],
-        delta=params["delta"],
-        min_size=params["min_size"],
-        seed=params["seed"],
-    )
-    report = {
-        "snapshots": [
-            {
-                "time": snap.time,
-                "num_communities": snap.num_communities,
-                "modularity": snap.modularity,
-                "avg_similarity": snap.avg_similarity,
-                "members": {
-                    str(lineage): sorted(state.members)
-                    for lineage, state in snap.states.items()
-                },
-            }
-            for snap in tracker.snapshots
-        ],
-        "events": dict(sorted(Counter(e.kind for e in tracker.events).items())),
-    }
-    text = dumps(json_safe(report))
-    if _SERVE_CACHE is not None:
-        _SERVE_CACHE.store(key, text)
-        return text, "miss"
-    return text, "none"
+
+    def compute() -> dict[str, Any]:
+        tracker = track_stream(
+            store.to_stream(),
+            interval=params["interval"],
+            delta=params["delta"],
+            min_size=params["min_size"],
+            seed=params["seed"],
+        )
+        return {
+            "snapshots": [
+                {
+                    "time": snap.time,
+                    "num_communities": snap.num_communities,
+                    "modularity": snap.modularity,
+                    "avg_similarity": snap.avg_similarity,
+                    "members": {
+                        str(lineage): sorted(state.members)
+                        for lineage, state in snap.states.items()
+                    },
+                }
+                for snap in tracker.snapshots
+            ],
+            "events": dict(sorted(Counter(e.kind for e in tracker.events).items())),
+        }
+
+    key = ResultCache.key("communities", store.content_digest, dumps(cache_params))
+    return _cached_report(key, compute)
 
 
 def _handle_communities(params: dict[str, Any]) -> tuple[str, str]:
@@ -384,22 +402,18 @@ def _handle_merge_impact(params: dict[str, Any]) -> tuple[str, str]:
     from repro.osnmerge.summary import summarize_merge
 
     store = _store()
-    key = ServeCache.key("merge-impact", store.content_digest, dumps(params))
-    if _SERVE_CACHE is not None:
-        text = _SERVE_CACHE.load(key)
-        if text is not None:
-            return text, "hit"
-    report = summarize_merge(
-        store.to_stream(),
-        merge_day=params["merge_day"],
-        distance_sample=params["distance_sample"],
-        seed=params["seed"],
-    )
-    text = dumps(json_safe(asdict(report)))
-    if _SERVE_CACHE is not None:
-        _SERVE_CACHE.store(key, text)
-        return text, "miss"
-    return text, "none"
+
+    def compute() -> dict[str, Any]:
+        report = summarize_merge(
+            store.to_stream(),
+            merge_day=params["merge_day"],
+            distance_sample=params["distance_sample"],
+            seed=params["seed"],
+        )
+        return asdict(report)
+
+    key = ResultCache.key("merge-impact", store.content_digest, dumps(params))
+    return _cached_report(key, compute)
 
 
 _HANDLERS = {

@@ -1,7 +1,7 @@
 """Atomic file publication: write a sibling temp file, then ``os.replace``.
 
-The result cache, the serve report cache and the store manifest all
-publish files that concurrent readers may open at any moment.  Writing
+The result cache (metric series and serve reports alike) and the store
+manifest publish files that concurrent readers may open at any moment.  Writing
 to a temp file in the destination directory and renaming it over the
 target means a reader sees either the old file or the complete new one,
 never a torn write; a writer that fails part-way removes its temp file

@@ -1,8 +1,10 @@
-"""Concurrent multi-process access to the on-disk caches.
+"""Concurrent multi-process access to the on-disk cache.
 
 ``repro serve --workers N`` points N shard processes at one
 ``--cache-dir``, and nothing stops a second server (or a batch
-``repro metrics`` run) from sharing the same directory.  The safety
+``repro metrics`` run) from sharing the same directory.  Both codecs of
+:class:`repro.runtime.cache.ResultCache` are exercised: the serve
+shards' JSON reports and the runtime's ``.npz`` metric series.  The safety
 story is the write-rename discipline of :func:`repro.util.atomic.atomic_writer`:
 every entry is written to a ``mkstemp`` temp file in the cache directory
 and published with ``os.replace``, so a reader can only ever observe *no
@@ -27,8 +29,8 @@ import pytest
 
 from repro.metrics.timeseries import MetricTimeseries
 from repro.runtime import MetricSpec, mp_context
-from repro.runtime.cache import ResultCache
-from repro.serve.cache import ServeCache
+from repro.runtime.cache import ResultCache, decode_series, encode_series, series_key
+from repro.serve.workers import _json_text
 from repro.store.writer import StoreWriter
 from repro.util import atomic
 
@@ -42,7 +44,12 @@ def expected_payload(key: str) -> str:
     return json.dumps({"key": key, "values": list(range(32))}, sort_keys=True)
 
 
-def serve_cache_worker(args: tuple[str, int, int]) -> int:
+def json_cache(root: str | Path) -> ResultCache:
+    """The cache as serve shards use it: JSON entries."""
+    return ResultCache(root, suffix=".json")
+
+
+def json_cache_worker(args: tuple[str, int, int]) -> int:
     """Interleave stores and loads; count observations of torn entries.
 
     Every load must return either ``None`` (no complete entry yet) or
@@ -50,15 +57,15 @@ def serve_cache_worker(args: tuple[str, int, int]) -> int:
     read escaped the rename discipline.
     """
     root, seed, rounds = args
-    cache = ServeCache(root)
+    cache = json_cache(root)
     rng = np.random.default_rng(seed)
     torn = 0
     for _ in range(rounds):
         key = KEYS[int(rng.integers(len(KEYS)))]
         if rng.random() < 0.5:
-            cache.store(ServeCache.key(key), expected_payload(key))
+            cache.store(ResultCache.key(key), expected_payload(key).encode())
         else:
-            text = cache.load(ServeCache.key(key))
+            text = cache.load(ResultCache.key(key), _json_text)
             if text is not None and text != expected_payload(key):
                 torn += 1
     return torn
@@ -81,11 +88,11 @@ def result_cache_worker(args: tuple[str, int, int]) -> int:
     torn = 0
     for _ in range(rounds):
         index = int(rng.integers(len(KEYS)))
-        key = cache.key(f"digest-{index}", spec, 10.0, None)
+        key = series_key(f"digest-{index}", spec, 10.0, None)
         if rng.random() < 0.5:
-            cache.store(key, expected_series(index))
+            cache.store(key, encode_series(expected_series(index)))
         else:
-            series = cache.load(key)
+            series = cache.load(key, decode_series)
             if series is None:
                 continue
             want = expected_series(index)
@@ -129,11 +136,11 @@ class DiskFullHandle:
 
 
 def publish_result_cache(root: Path) -> None:
-    ResultCache(root).store("k", expected_series(0))
+    ResultCache(root).store("k", encode_series(expected_series(0)))
 
 
-def publish_serve_cache(root: Path) -> None:
-    ServeCache(root).store("k", expected_payload("k"))
+def publish_json_cache(root: Path) -> None:
+    json_cache(root).store("k", expected_payload("k").encode())
 
 
 def publish_manifest(root: Path) -> None:
@@ -151,7 +158,7 @@ def publish_manifest(root: Path) -> None:
 class TestWriteRenameAudit:
     """Source-level audit: cache writers publish only via ``os.replace``."""
 
-    @pytest.mark.parametrize("relpath", ["runtime/cache.py", "serve/cache.py", "store/writer.py"])
+    @pytest.mark.parametrize("relpath", ["runtime/cache.py", "store/writer.py"])
     def test_store_path_uses_mkstemp_and_replace(self, relpath):
         calls = called_names(REPO_SRC / relpath)
         # Writers stage and publish through the shared helper, which is
@@ -166,15 +173,20 @@ class TestWriteRenameAudit:
     def test_serve_cache_temp_files_stay_in_cache_dir(self, tmp_path):
         # mkstemp staging in the same directory is what makes os.replace
         # a same-filesystem rename (atomic) rather than a copy.
-        cache = ServeCache(tmp_path / "serve")
-        cache.store(ServeCache.key("k"), "{}")
+        cache = json_cache(tmp_path / "serve")
+        cache.store(ResultCache.key("k"), b"{}")
         assert {p.suffix for p in (tmp_path / "serve").iterdir()} == {".json"}
+
+    def test_npz_cache_temp_files_stay_in_cache_dir(self, tmp_path):
+        cache = ResultCache(tmp_path / "series")
+        cache.store(ResultCache.key("k"), encode_series(expected_series(0)))
+        assert {p.suffix for p in (tmp_path / "series").iterdir()} == {".npz"}
 
     @pytest.mark.parametrize(
         ("publish", "entry"),
         [
             (publish_result_cache, "k.npz"),
-            (publish_serve_cache, "k.json"),
+            (publish_json_cache, "k.json"),
             (publish_manifest, "manifest.json"),
         ],
     )
@@ -198,13 +210,13 @@ class TestWriteRenameAudit:
         assert (tmp_path / "clean" / entry).exists()
 
 
-class TestServeCacheConcurrency:
+class TestJsonCacheConcurrency:
     def test_multiprocess_stress_no_torn_reads(self, tmp_path):
         root = str(tmp_path / "shared")
         with ProcessPoolExecutor(max_workers=4, mp_context=mp_context()) as pool:
             torn = list(
                 pool.map(
-                    serve_cache_worker,
+                    json_cache_worker,
                     [(root, seed, 120) for seed in range(4)],
                 )
             )
@@ -215,14 +227,15 @@ class TestServeCacheConcurrency:
             json.loads(entry.read_text(encoding="utf-8"))
 
     def test_truncated_entry_is_a_miss_then_repaired(self, tmp_path):
-        cache = ServeCache(tmp_path)
-        key = ServeCache.key("k")
-        cache.store(key, expected_payload("k"))
+        cache = json_cache(tmp_path)
+        key = ResultCache.key("k")
+        cache.store(key, expected_payload("k").encode())
         # Simulate a foreign/corrupt entry published by a buggy writer.
         cache.path(key).write_text('{"torn', encoding="utf-8")
-        assert cache.load(key) is None
-        cache.store(key, expected_payload("k"))
-        assert cache.load(key) == expected_payload("k")
+        assert cache.load(key, _json_text) is None
+        cache.store(key, expected_payload("k").encode())
+        assert cache.load(key, _json_text) == expected_payload("k")
+        assert (cache.hits, cache.misses) == (1, 1)
 
 
 class TestResultCacheConcurrency:
@@ -238,6 +251,19 @@ class TestResultCacheConcurrency:
         assert torn == [0, 0, 0, 0]
         leftovers = [p for p in Path(root).iterdir() if p.suffix != ".npz"]
         assert leftovers == []
+
+    @pytest.mark.parametrize("keep", [0, 10, 200])
+    def test_truncated_entry_is_a_miss_then_repaired(self, tmp_path, keep):
+        cache = ResultCache(tmp_path)
+        key = ResultCache.key("k")
+        data = encode_series(expected_series(1))
+        cache.store(key, data)
+        # A torn copy of a real entry: its first ``keep`` bytes only.
+        cache.path(key).write_bytes(data[:keep])
+        assert cache.load(key, decode_series) is None
+        cache.store(key, data)
+        assert cache.load(key, decode_series) == expected_series(1)
+        assert (cache.hits, cache.misses) == (1, 1)
 
 
 class TestTwoServersOneCacheDir:

@@ -189,6 +189,35 @@ class TestObsCommand:
         assert "histograms.serve.latency.max" in out
         assert "counters.requests" in out
 
+    def test_diff_rejects_chrome_trace_like_read_jsonl(self, tmp_path, capsys):
+        from repro.obs import TraceRecorder, read_jsonl, write_chrome, write_jsonl
+
+        recorder = TraceRecorder(lane=0, label="main")
+        recorder.count("requests", 5)
+        jsonl = tmp_path / "run.trace.jsonl"
+        chrome = tmp_path / "run.json"
+        write_jsonl(recorder.to_payload(), jsonl)
+        write_chrome(recorder.to_payload(), chrome)
+        with pytest.raises(ValueError) as expected:
+            read_jsonl(chrome)
+        for args in ([str(jsonl), str(chrome)], [str(chrome), str(jsonl)]):
+            assert main(["obs", "diff", *args, "--fail-above", "0.20"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {expected.value}\n"
+            assert captured.out == ""
+
+    def test_diff_fails_when_nothing_is_compared(self, tmp_path, capsys):
+        import json
+
+        before = tmp_path / "before.json"
+        after = tmp_path / "after.json"
+        before.write_text(json.dumps({"a": 1.0}))
+        after.write_text(json.dumps({"b": 1.0}))
+        assert main(["obs", "diff", str(before), str(after)]) == 0
+        capsys.readouterr()
+        assert main(["obs", "diff", str(before), str(after), "--fail-above", "0.20"]) == 1
+        assert "no metric is present in both" in capsys.readouterr().err
+
     def test_diff_missing_file_is_an_error(self, tmp_path, capsys):
         good = tmp_path / "a.json"
         good.write_text("{}")

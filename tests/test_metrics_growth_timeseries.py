@@ -5,8 +5,7 @@ import pytest
 
 from repro.graph.events import EventStream
 from repro.metrics.growth import daily_growth
-from repro.metrics.timeseries import compute_metric_timeseries
-from repro.runtime import MetricSpec
+from repro.runtime import MetricSpec, compute_timeseries
 
 
 def small_stream() -> EventStream:
@@ -52,7 +51,7 @@ class TestDailyGrowth:
 class TestMetricTimeseries:
     def test_names_and_lengths(self, tiny_stream):
         spec = MetricSpec(path_sample=30, clustering_sample=100, seed=0)
-        ts = compute_metric_timeseries(tiny_stream, spec, interval=15.0)
+        ts = compute_timeseries(tiny_stream, spec, interval=15.0)
         times, values = ts.as_arrays()
         assert set(values) == {
             "average_degree",
@@ -65,5 +64,5 @@ class TestMetricTimeseries:
 
     def test_times_increasing(self, tiny_stream):
         spec = MetricSpec(names=("average_degree",))
-        ts = compute_metric_timeseries(tiny_stream, spec, interval=10.0)
+        ts = compute_timeseries(tiny_stream, spec, interval=10.0)
         assert ts.times == sorted(ts.times)

@@ -159,7 +159,7 @@ class TestExport:
     def test_read_jsonl_rejects_non_trace_files(self, tmp_path):
         path = tmp_path / "garbage.jsonl"
         path.write_text('{"foo": 1}\n', encoding="utf-8")
-        with pytest.raises(ValueError, match="not a repro trace"):
+        with pytest.raises(ValueError, match="not a repro JSONL trace"):
             read_jsonl(path)
 
     def test_read_jsonl_requires_meta_record(self, tmp_path):

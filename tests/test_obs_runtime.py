@@ -4,7 +4,7 @@ The contract under test is the ISSUE-5 acceptance bar: tracing must be
 strictly observational (identical metric values with tracing on or off,
 serial or parallel), the merged trace must cover every hot layer with
 stable per-window lanes, and the CLI round trip (``--trace`` then
-``repro trace summarize|export``) must work on the produced file.
+``repro obs summarize|export``) must work on the produced file.
 """
 
 import json
@@ -162,7 +162,7 @@ class TestCLITraceRoundTrip:
         assert "trace: wrote jsonl trace" in captured.err
         assert "trace:" not in captured.out
         assert out.exists()
-        assert main(["trace", "summarize", str(out)]) == 0
+        assert main(["obs", "summarize", str(out)]) == 0
         summary = capsys.readouterr().out
         assert "replay.advance" in summary
         assert "main" in summary
@@ -176,7 +176,7 @@ class TestCLITraceRoundTrip:
         assert main(args) == 0
         capsys.readouterr()
         dst = tmp_path / "run.json"
-        assert main(["trace", "export", str(src), str(dst)]) == 0
+        assert main(["obs", "export", str(src), str(dst)]) == 0
         assert "chrome" in capsys.readouterr().out
         doc = json.loads(dst.read_text(encoding="utf-8"))
         assert {event["ph"] for event in doc["traceEvents"]} <= {"M", "X", "C"}
@@ -213,7 +213,7 @@ class TestCLITraceRoundTrip:
     def test_summarize_rejects_non_trace_file(self, tmp_path, capsys):
         bogus = tmp_path / "not-a-trace.jsonl"
         bogus.write_text("hello\n", encoding="utf-8")
-        assert main(["trace", "summarize", str(bogus)]) == 1
+        assert main(["obs", "summarize", str(bogus)]) == 1
         captured = capsys.readouterr()
         assert "error" in captured.err
         assert captured.out == ""

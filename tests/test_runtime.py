@@ -5,7 +5,6 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.metrics.timeseries import compute_metric_timeseries
 from repro.runtime import (
     MetricSpec,
     ResultCache,
@@ -14,6 +13,7 @@ from repro.runtime import (
     snapshot_times,
     stream_digest,
 )
+from repro.runtime.cache import decode_series, encode_series, series_key
 
 # Small sampling knobs keep each evaluation fast; the suite runs several.
 SPEC = MetricSpec(path_sample=20, clustering_sample=60, seed=3)
@@ -86,8 +86,8 @@ class TestParallelDeterminism:
 
     def test_timeseries_facade_accepts_spec(self, tiny_stream):
         direct = evaluate_timeseries(tiny_stream, SPEC, interval=INTERVAL, workers=1)
-        via_facade = compute_metric_timeseries(tiny_stream, SPEC, interval=INTERVAL, workers=2)
-        assert_series_identical(direct, via_facade)
+        via_runtime = compute_timeseries(tiny_stream, SPEC, interval=INTERVAL, workers=2)
+        assert_series_identical(direct, via_runtime)
 
 
 class TestStartMethodContract:
@@ -150,15 +150,14 @@ class TestResultCache:
         assert len(warm.times) > 0
 
     def test_key_changes_with_inputs(self, tiny_stream):
-        cache = ResultCache("/tmp/unused")
         digest = stream_digest(tiny_stream)
-        base = cache.key(digest, SPEC, INTERVAL, None)
-        assert base == cache.key(digest, SPEC, INTERVAL, None)
-        assert base != cache.key(digest, SPEC, INTERVAL + 1.0, None)
-        assert base != cache.key(digest, SPEC, INTERVAL, 2.0)
+        base = series_key(digest, SPEC, INTERVAL, None)
+        assert base == series_key(digest, SPEC, INTERVAL, None)
+        assert base != series_key(digest, SPEC, INTERVAL + 1.0, None)
+        assert base != series_key(digest, SPEC, INTERVAL, 2.0)
         reseeded = MetricSpec(path_sample=20, clustering_sample=60, seed=4)
-        assert base != cache.key(digest, reseeded, INTERVAL, None)
-        assert base != cache.key("0" * 64, SPEC, INTERVAL, None)
+        assert base != series_key(digest, reseeded, INTERVAL, None)
+        assert base != series_key("0" * 64, SPEC, INTERVAL, None)
 
     def test_stream_digest_sensitive_to_content(self, tiny_stream):
         import dataclasses
@@ -182,19 +181,19 @@ class TestResultCache:
         series = MetricTimeseries(
             times=[1.0, 2.0], values={"m": [float("nan"), 0.25], "k": [1.5, -3.0]}
         )
-        cache.store("k" * 64, series)
-        loaded = cache.load("k" * 64)
+        cache.store("k" * 64, encode_series(series))
+        loaded = cache.load("k" * 64, decode_series)
         assert loaded is not None
         assert_series_identical(series, loaded)
 
     def test_load_miss_returns_none(self, tmp_path):
-        assert ResultCache(tmp_path).load("f" * 64) is None
+        assert ResultCache(tmp_path).load("f" * 64, decode_series) is None
 
     def test_corrupt_entry_treated_as_miss(self, tiny_stream, tmp_path):
         cold = compute_timeseries(tiny_stream, SPEC, interval=INTERVAL, cache_dir=tmp_path)
         (entry,) = tmp_path.glob("*.npz")
         entry.write_text("not an npz file")
-        assert ResultCache(tmp_path).load(entry.stem) is None
+        assert ResultCache(tmp_path).load(entry.stem, decode_series) is None
         recovered = compute_timeseries(tiny_stream, SPEC, interval=INTERVAL, cache_dir=tmp_path)
         assert_series_identical(cold, recovered)
 

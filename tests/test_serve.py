@@ -13,8 +13,8 @@ import json
 
 import pytest
 
+from repro.runtime.cache import ResultCache
 from repro.serve import ReproServer, ServeConfig
-from repro.serve.cache import ServeCache
 from repro.serve.loadgen import PROFILES, LoadConfig, _pick_target
 from repro.serve.protocol import (
     QueryError,
@@ -27,6 +27,7 @@ from repro.serve.protocol import (
     parse_response_head,
     shard_for,
 )
+from repro.serve.workers import _json_text
 from repro.store.convert import write_store
 
 
@@ -135,25 +136,27 @@ class TestHttpFraming:
         assert err.value.status == 400
 
 
-class TestServeCache:
+class TestServeReportCache:
+    """The serve shards' JSON report entries in the runtime's ResultCache."""
+
     def test_store_load_roundtrip(self, tmp_path):
-        cache = ServeCache(tmp_path / "serve")
-        key = ServeCache.key("a", "b")
-        assert cache.load(key) is None
-        cache.store(key, '{"x":1}')
-        assert cache.load(key) == '{"x":1}'
+        cache = ResultCache(tmp_path / "serve", suffix=".json")
+        key = ResultCache.key("a", "b")
+        assert cache.load(key, _json_text) is None
+        cache.store(key, b'{"x":1}')
+        assert cache.load(key, _json_text) == '{"x":1}'
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_invalid_json_counts_as_miss(self, tmp_path):
-        cache = ServeCache(tmp_path)
-        key = ServeCache.key("k")
-        cache.store(key, '{"x":1}')
+        cache = ResultCache(tmp_path, suffix=".json")
+        key = ResultCache.key("k")
+        cache.store(key, b'{"x":1}')
         cache.path(key).write_text('{"x":', encoding="utf-8")
-        assert cache.load(key) is None
+        assert cache.load(key, _json_text) is None
 
     def test_no_temp_files_left_behind(self, tmp_path):
-        cache = ServeCache(tmp_path)
-        cache.store(ServeCache.key("k"), "{}")
+        cache = ResultCache(tmp_path, suffix=".json")
+        cache.store(ResultCache.key("k"), b"{}")
         assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
 
 

@@ -4,8 +4,8 @@ import pytest
 
 from repro.cli import main
 from repro.graph.stream_io import write_event_stream
-from repro.runtime import MetricSpec, ResultCache, compute_timeseries, evaluate_timeseries
-from repro.runtime.cache import stream_digest
+from repro.runtime import MetricSpec, compute_timeseries, evaluate_timeseries
+from repro.runtime.cache import series_key, stream_digest
 from repro.store import EventStore, write_store
 
 
@@ -65,16 +65,13 @@ class TestCacheParity:
         assert second.values == first.values
 
     def test_cache_keys_are_identical(self, store, tiny_stream, spec):
-        cache = ResultCache("/nonexistent")
-        assert cache.key(stream_digest(store), spec, 3.0, None) == cache.key(
+        assert series_key(stream_digest(store), spec, 3.0, None) == series_key(
             stream_digest(tiny_stream), spec, 3.0, None
         )
 
     def test_facade_passes_store_through(self, store, tiny_stream, spec):
-        from repro.metrics.timeseries import compute_metric_timeseries
-
-        via_store = compute_metric_timeseries(store, spec, interval=15.0)
-        via_stream = compute_metric_timeseries(tiny_stream, spec, interval=15.0)
+        via_store = compute_timeseries(store, spec, interval=15.0)
+        via_stream = compute_timeseries(tiny_stream, spec, interval=15.0)
         assert via_store.values == via_stream.values
 
 
