@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.context import AnalysisContext
+from repro.obs import get_recorder
 
 __all__ = ["ExperimentResult", "EXPERIMENTS", "register", "run_experiment", "list_experiments"]
 
@@ -78,7 +79,8 @@ def run_experiment(experiment_id: str, context: AnalysisContext) -> ExperimentRe
         raise KeyError(
             f"unknown experiment {experiment_id!r}; known: {sorted(EXPERIMENTS)}"
         ) from None
-    return fn(context)
+    with get_recorder().span("analysis.experiment", id=experiment_id):
+        return fn(context)
 
 
 def list_experiments() -> list[str]:

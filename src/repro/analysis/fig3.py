@@ -6,9 +6,9 @@ import numpy as np
 
 from repro.analysis.context import AnalysisContext
 from repro.analysis.experiments import ExperimentResult, finite, register, series_from
-from repro.pa.alpha import alpha_series
+from repro.pa.alpha import alpha_series, checkpoints_to_series
 from repro.pa.edge_probability import DestinationRule, EdgeProbabilityTracker
-from repro.pa.mixture import mixture_series
+from repro.pa.mixture import estimate_mixture
 
 __all__ = []
 
@@ -16,7 +16,14 @@ __all__ = []
 def _checkpoint_interval(ctx: AnalysisContext) -> int:
     # ~20 checkpoints over the trace, mirroring the paper's every-5000-edges
     # cadence at Renren scale.
-    return max(1000, ctx.stream.num_edges // 20)
+    edges = ctx.stream.num_edges
+    interval = max(1000, edges // 20)
+    if edges < interval:
+        raise ValueError(
+            f"Figure 3 needs at least {interval} edges for one pe(d) checkpoint; "
+            f"the trace has {edges}"
+        )
+    return interval
 
 
 @register("F3ab")
@@ -31,11 +38,10 @@ def fig3ab(ctx: AnalysisContext) -> ExperimentResult:
             "mse[higher_degree]": "1.75e-10 (tiny; tight fit)",
         },
     )
+    interval = _checkpoint_interval(ctx)
     for rule in (DestinationRule.HIGHER_DEGREE, DestinationRule.RANDOM):
         tracker = EdgeProbabilityTracker(rule=rule, mode="cumulative", seed=ctx.seed)
-        checkpoints = tracker.process(ctx.stream, checkpoint_every=_checkpoint_interval(ctx))
-        if not checkpoints:
-            continue
+        checkpoints = tracker.process(ctx.stream, checkpoint_every=interval)
         mid = checkpoints[len(checkpoints) // 2]
         result.series[f"pe[{rule.value}]"] = series_from(mid.degrees, mid.pe)
         result.findings[f"alpha[{rule.value}]"] = mid.alpha
@@ -48,9 +54,10 @@ def fig3ab(ctx: AnalysisContext) -> ExperimentResult:
 def fig3c(ctx: AnalysisContext) -> ExperimentResult:
     """α(t) decays as the network grows; the two rules differ by ~0.2."""
     interval = _checkpoint_interval(ctx)
-    hi = alpha_series(
-        ctx.stream, DestinationRule.HIGHER_DEGREE, checkpoint_every=interval, seed=ctx.seed
-    )
+    # One higher-degree window pass serves both α(t) and the mixture fit.
+    tracker = EdgeProbabilityTracker(rule=DestinationRule.HIGHER_DEGREE, seed=ctx.seed)
+    hi_checkpoints = tracker.process(ctx.stream, checkpoint_every=interval)
+    hi = checkpoints_to_series(DestinationRule.HIGHER_DEGREE, hi_checkpoints)
     rd = alpha_series(ctx.stream, DestinationRule.RANDOM, checkpoint_every=interval, seed=ctx.seed)
     finite_mask = np.isfinite(hi.alphas) & np.isfinite(rd.alphas)
     gap = (
@@ -90,10 +97,7 @@ def fig3c(ctx: AnalysisContext) -> ExperimentResult:
     except ValueError:
         pass
     # The §3.3 hypothesis quantified: estimated PA share of the mixture.
-    weights = mixture_series(
-        ctx.stream, rule=DestinationRule.HIGHER_DEGREE,
-        checkpoint_every=interval, seed=ctx.seed,
-    ).weights
+    weights = np.array([estimate_mixture(cp).pa_weight for cp in hi_checkpoints])
     finite_w = weights[np.isfinite(weights)]
     if finite_w.size >= 2:
         result.findings["pa_mixture_weight_first"] = float(finite_w[0])

@@ -11,9 +11,24 @@ Renren edges are undirected, so the destination is chosen per rule (§3.2):
   bound for α);
 * ``random`` — a uniformly random endpoint (lower bound).
 
-The tracker replays the stream once, maintains per-degree node counts, and
-produces a checkpoint every ``checkpoint_every`` edges (the paper uses
-5000).
+Step ``k`` is the arrival of edge ``k``; the nodes that exist at that step
+are those arrived by the edge's time.  Both sums have a closed form over
+the stream's columns, so nothing is replayed edge by edge:
+
+* a node's degree just before edge ``k`` is the rank of that occurrence
+  among the node's occurrences in the interleaved ``(u0, v0, u1, v1, …)``
+  endpoint column, so one stable argsort gives every numerator term;
+* a node holds degree 0 over steps ``[arrival step, s₁]`` and degree
+  ``j ≥ 1`` over ``[s_j + 1, s_{j+1}]``, where ``s_j`` is the step of its
+  ``j``-th edge; its last interval runs to the final edge.  The
+  denominator over steps ``[a, b)`` is one weighted ``bincount`` of each
+  interval's overlap with ``[a, b)``.  Degree 0 never enters the fit, so
+  only the ``2E`` intervals of degree ``j ≥ 1`` are counted.
+
+A stream with ``N`` nodes and ``E`` edges costs one sort of its ``N`` ids
+and ``2E`` endpoints, then O(E) per checkpoint (the paper checkpoints every
+5000 edges): O(checkpoints × (E + N)) in all.  Every sum is an integer,
+held exactly in float64.
 """
 
 from __future__ import annotations
@@ -24,6 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.events import EventStream
+from repro.obs import get_recorder
+from repro.util.arrays import IntArray
 from repro.util.rng import make_rng
 from repro.util.stats import linear_fit_loglog, mean_squared_error
 
@@ -60,12 +77,17 @@ class PeCheckpoint:
 
 
 class EdgeProbabilityTracker:
-    """Single-pass pe(d) measurement over an event stream.
+    """pe(d) measurement over an event stream, checkpointed by edge count.
 
-    ``mode='window'`` resets the numerator/denominator at each checkpoint,
-    so each checkpoint reflects the attachment behaviour *since the last
-    one* (this is what exposes the decay of α over time); ``'cumulative'``
-    keeps the paper's eq. (1) sums from the beginning.
+    ``mode='window'`` sums each checkpoint over the edges since the last
+    emitted one, so each checkpoint reflects the attachment behaviour of
+    its window (this is what exposes the decay of α over time);
+    ``'cumulative'`` keeps the paper's eq. (1) sums from the first edge.
+    With ``min_edges`` the first emitted window starts at edge 0.
+
+    Degrees above ``max_degree`` share its bucket.  The ``random`` rule
+    draws one double per edge from the tracker's generator, in edge order,
+    on every :meth:`process` call.
     """
 
     def __init__(
@@ -93,61 +115,56 @@ class EdgeProbabilityTracker:
         checkpoint_every: int = 5000,
         min_edges: int = 0,
     ) -> list[PeCheckpoint]:
-        """Replay ``stream`` and return a checkpoint every ``checkpoint_every`` edges.
+        """Measure ``stream`` and return a checkpoint every ``checkpoint_every`` edges.
 
         ``min_edges`` suppresses checkpoints before the network reaches a
-        reasonable size (the paper starts at 600K edges).
+        reasonable size (the paper starts at 600K edges).  An edge endpoint
+        missing from the stream's nodes raises :class:`KeyError`; a
+        self-loop, or an endpoint that arrives after its edge, raises
+        :class:`ValueError`.
         """
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        size = self.max_degree + 1
-        degree = dict.fromkeys(stream.nodes.node.tolist(), 0)
-        degree_count = np.zeros(size, dtype=np.int64)
-        numerator = np.zeros(size, dtype=np.float64)
-        denominator = np.zeros(size, dtype=np.float64)
-        # Nodes exist from their arrival; replay interleaves arrivals and
-        # edges chronologically so degree-0 counts are correct.
-        checkpoints: list[PeCheckpoint] = []
-        edges_seen = 0
-        edges = stream.edges
-        born_by_edge = np.searchsorted(stream.nodes.time, edges.time, side="right").tolist()
-        arrived = 0
-        for t, u, v, n_born in zip(
-            edges.time.tolist(), edges.u.tolist(), edges.v.tolist(), born_by_edge, strict=True
+        num_edges = stream.num_edges
+        steps = [
+            t for t in range(checkpoint_every, num_edges + 1, checkpoint_every) if t >= min_edges
+        ]
+        with get_recorder().span(
+            "pa.edge_probability",
+            rule=self.rule.value,
+            mode=self.mode,
+            edges=num_edges,
+            checkpoints=len(steps),
         ):
-            if n_born > arrived:
-                degree_count[0] += n_born - arrived
-                arrived = n_born
-            dest_degree = self._destination_degree(degree[u], degree[v])
-            d = min(dest_degree, self.max_degree)
-            numerator[d] += 1
-            denominator += degree_count
-            self._bump(degree, degree_count, u)
-            self._bump(degree, degree_count, v)
-            edges_seen += 1
-            if edges_seen % checkpoint_every == 0 and edges_seen >= min_edges:
-                node_count = int(degree_count.sum())
+            nodes, edges = stream.nodes, stream.edges
+            size = self.max_degree + 1
+            degree, lo, hi, bucket = _degree_intervals(stream, self.max_degree)
+            du, dv = degree[0::2], degree[1::2]
+            if self.rule is DestinationRule.HIGHER_DEGREE:
+                dest = np.maximum(du, dv)
+            else:
+                dest = np.where(self._rng.random(num_edges) < 0.5, du, dv)
+            del degree, du, dv  # only the intervals outlive this point
+            np.minimum(dest, self.max_degree, out=dest)
+
+            checkpoints: list[PeCheckpoint] = []
+            start = 0
+            for step in steps:
+                numerator = np.bincount(dest[start:step], minlength=size).astype(np.float64)
+                overlap = np.minimum(hi, step)
+                overlap -= np.maximum(lo, start)
+                np.maximum(overlap, 0, out=overlap)
+                denominator = np.bincount(bucket, weights=overlap, minlength=size)
+                time = edges.time[step - 1]
+                node_count = int(np.searchsorted(nodes.time, time, side="right"))
                 checkpoints.append(
-                    self._checkpoint(edges_seen, t, numerator, denominator, node_count)
+                    self._checkpoint(step, float(time), numerator, denominator, node_count)
                 )
                 if self.mode == "window":
-                    numerator[:] = 0
-                    denominator[:] = 0
-        return checkpoints
+                    start = step
+            return checkpoints
 
     # -- internals ------------------------------------------------------
-
-    def _destination_degree(self, du: int, dv: int) -> int:
-        if self.rule is DestinationRule.HIGHER_DEGREE:
-            return max(du, dv)
-        return du if self._rng.random() < 0.5 else dv
-
-    def _bump(self, degree: dict[int, int], degree_count: np.ndarray, node: int) -> None:
-        d = degree[node]
-        capped = min(d, self.max_degree)
-        degree_count[capped] -= 1
-        degree[node] = d + 1
-        degree_count[min(d + 1, self.max_degree)] += 1
 
     def _checkpoint(
         self,
@@ -178,3 +195,54 @@ class EdgeProbabilityTracker:
             mse=mse,
             node_count=node_count,
         )
+
+
+def _degree_intervals(
+    stream: EventStream, max_degree: int
+) -> tuple[IntArray, IntArray, IntArray, IntArray]:
+    """Degrees before each edge, and the node-step intervals that follow each edge.
+
+    Returns ``degree`` over the interleaved endpoint column, then, per
+    endpoint occurrence, the steps ``[lo, hi)`` over which that node holds
+    its next degree (up to and including its next edge) and that degree's
+    ``bucket``.  Degree 0 is never fitted, so its node-steps are omitted.
+    """
+    nodes, edges = stream.nodes, stream.edges
+    endpoints = _node_rows(nodes.node, np.column_stack((edges.u, edges.v)).ravel())
+    loops = np.flatnonzero(edges.u == edges.v)
+    if loops.size:
+        k = loops[0]
+        raise ValueError(f"self-loop edge at time {edges.time[k]}: node {edges.u[k]}")
+    # Occurrences grouped by node row, in edge order within a row; the rank
+    # of an occurrence is the node's degree just before that edge.
+    order = np.argsort(endpoints, kind="stable")
+    rows, step_of = endpoints[order], order // 2
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    late = np.flatnonzero(nodes.time[rows[first]] > edges.time[step_of[first]])
+    if late.size:
+        i = late[np.argmin(step_of[first][late])]
+        row, k = rows[first][i], step_of[first][i]
+        raise ValueError(
+            f"edge ({edges.u[k]}, {edges.v[k]}) at time {edges.time[k]} "
+            f"predates node {nodes.node[row]} (born {nodes.time[row]})"
+        )
+    rank = np.arange(len(rows))
+    rank -= np.maximum.accumulate(np.where(first, rank, 0))
+    degree = np.empty_like(rank)
+    degree[order] = rank
+    lo = step_of + 1
+    hi = np.full(len(rows), len(edges))
+    same_node = ~first[1:]
+    hi[:-1][same_node] = lo[1:][same_node]
+    rank += 1
+    return degree, lo, hi, np.minimum(rank, max_degree, out=rank)
+
+
+def _node_rows(ids: IntArray, endpoints: IntArray) -> IntArray:
+    """The row of each endpoint in ``ids``; :class:`KeyError` on the first unknown id."""
+    unknown = np.flatnonzero(~np.isin(endpoints, ids))
+    if unknown.size:
+        raise KeyError(int(endpoints[unknown[0]]))
+    by_id = np.argsort(ids, kind="stable")
+    return by_id[np.searchsorted(ids, endpoints, sorter=by_id)]

@@ -1,9 +1,12 @@
-"""Dict-of-sets replay: the oracle the CSR replay is pinned against.
+"""Per-event oracles the array implementations are pinned against.
 
 :class:`DictReplay` applies a stream's events one by one to a
 :class:`~repro.graph.snapshot.GraphSnapshot`, exactly as the replayer did
 before snapshots became CSR arrays.  Parity tests compare
 ``CSRGraph.from_snapshot`` of its graph with the replay's own.
+
+:func:`pe_checkpoints_reference` is the per-edge pe(d) replay that
+``EdgeProbabilityTracker.process`` computes in closed form.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import numpy as np
 from repro.graph.events import EventStream
 from repro.graph.snapshot import GraphSnapshot
 from repro.kernels.csr import CSRGraph
+from repro.pa.edge_probability import DestinationRule, EdgeProbabilityTracker, PeCheckpoint
 
 
 class DictReplay:
@@ -68,3 +72,64 @@ def assert_same_csr(got: CSRGraph, want: CSRGraph) -> None:
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert got.num_edges == want.num_edges
+
+
+def pe_checkpoints_reference(
+    tracker: EdgeProbabilityTracker,
+    stream: EventStream,
+    checkpoint_every: int = 5000,
+    min_edges: int = 0,
+) -> list[PeCheckpoint]:
+    """Replay ``stream`` edge by edge with ``tracker``'s settings and generator."""
+    if checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be >= 1")
+    size = tracker.max_degree + 1
+    degree = dict.fromkeys(stream.nodes.node.tolist(), 0)
+    degree_count = np.zeros(size, dtype=np.int64)
+    numerator = np.zeros(size, dtype=np.float64)
+    denominator = np.zeros(size, dtype=np.float64)
+    # Nodes exist from their arrival; replay interleaves arrivals and
+    # edges chronologically so degree-0 counts are correct.
+    checkpoints: list[PeCheckpoint] = []
+    edges_seen = 0
+    edges = stream.edges
+    born_by_edge = np.searchsorted(stream.nodes.time, edges.time, side="right").tolist()
+    arrived = 0
+    for t, u, v, n_born in zip(
+        edges.time.tolist(), edges.u.tolist(), edges.v.tolist(), born_by_edge, strict=True
+    ):
+        if n_born > arrived:
+            degree_count[0] += n_born - arrived
+            arrived = n_born
+        dest_degree = _destination_degree(tracker, degree[u], degree[v])
+        d = min(dest_degree, tracker.max_degree)
+        numerator[d] += 1
+        denominator += degree_count
+        _bump(tracker, degree, degree_count, u)
+        _bump(tracker, degree, degree_count, v)
+        edges_seen += 1
+        if edges_seen % checkpoint_every == 0 and edges_seen >= min_edges:
+            node_count = int(degree_count.sum())
+            checkpoints.append(
+                tracker._checkpoint(edges_seen, t, numerator, denominator, node_count)
+            )
+            if tracker.mode == "window":
+                numerator[:] = 0
+                denominator[:] = 0
+    return checkpoints
+
+
+def _destination_degree(tracker: EdgeProbabilityTracker, du: int, dv: int) -> int:
+    if tracker.rule is DestinationRule.HIGHER_DEGREE:
+        return max(du, dv)
+    return du if tracker._rng.random() < 0.5 else dv
+
+
+def _bump(
+    tracker: EdgeProbabilityTracker, degree: dict[int, int], degree_count: np.ndarray, node: int
+) -> None:
+    d = degree[node]
+    capped = min(d, tracker.max_degree)
+    degree_count[capped] -= 1
+    degree[node] = d + 1
+    degree_count[min(d + 1, tracker.max_degree)] += 1

@@ -6,6 +6,7 @@ import pytest
 from repro.analysis import AnalysisContext, list_experiments, run_experiment
 from repro.analysis.experiments import ExperimentResult
 from repro.gen.config import presets
+from repro.obs import TraceRecorder, use_recorder
 
 ALL_EXPERIMENTS = [
     "F1a", "F1b", "F1c", "F1d", "F1e", "F1f",
@@ -81,3 +82,30 @@ def test_experiment_runs_and_produces_findings(merge_ctx, experiment):
         assert np.isfinite(value), f"finding {name} not finite"
     for name, (x, y) in result.series.items():
         assert x.shape == y.shape, f"series {name} misaligned"
+
+
+class TestFigure3:
+    @pytest.mark.parametrize("experiment", ["F3ab", "F3c"])
+    def test_short_trace_names_the_edges_it_needs(self, experiment):
+        ctx = AnalysisContext(presets.small(days=40.0, target_nodes=60), seed=1)
+        assert ctx.stream.num_edges == 678
+        with pytest.raises(ValueError, match="needs at least 1000 edges .* the trace has 678"):
+            run_experiment(experiment, ctx)
+
+    def test_warmup_trace_runs_both_drivers(self):
+        ctx = AnalysisContext(presets.small(days=40.0, target_nodes=300), seed=1)
+        assert ctx.stream.num_edges == 2870
+        for experiment in ("F3ab", "F3c"):
+            assert run_experiment(experiment, ctx).findings
+
+    def test_traced_f3c_makes_two_pe_passes(self, merge_ctx):
+        _ = merge_ctx.stream  # generated outside the trace
+        recorder = TraceRecorder(lane=0, label="main")
+        with use_recorder(recorder):
+            run_experiment("F3c", merge_ctx)
+        experiments = [s for s in recorder.spans if s.name == "analysis.experiment"]
+        assert [dict(s.attrs) for s in experiments] == [{"id": "F3c"}]
+        passes = [s for s in recorder.spans if s.name == "pa.edge_probability"]
+        assert [s.parent for s in passes] == ["analysis.experiment"] * 2
+        assert sorted(dict(s.attrs)["rule"] for s in passes) == ["higher_degree", "random"]
+        assert {dict(s.attrs)["edges"] for s in passes} == {merge_ctx.stream.num_edges}
