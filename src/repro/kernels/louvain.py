@@ -5,12 +5,23 @@ totals in defaultdicts; this kernel keeps the same state in flat arrays:
 
 * the level graph as CSR (``indptr``/``indices``/``weights``) with
   self-loop weights in a separate per-position array;
-* ``k`` (weighted degrees) and ``comm_tot`` as flat float lists indexed
+* ``k`` (weighted degrees) and ``comm_tot`` as flat float arrays indexed
   by community rank;
-* the sequential local-move scan walks CSR row slices (plain list
-  slicing) and skips nodes whose whole neighborhood already shares
-  their community — a state-identical no-op for the reference — while
-  degrees, rank compression, and aggregation stay numpy-vectorized.
+* the sequential local-move scan walks CSR row slices and skips nodes
+  whose whole neighborhood already shares their community — a
+  state-identical no-op for the reference — while degrees, rank
+  compression, and aggregation stay numpy-vectorized;
+* which original nodes each super-node stands for is one ``membership``
+  array (original position → current super-node) plus the originals'
+  output ``order``, both updated with array ops per level.
+
+The scan runs in C (``louvain_scan.c``, loaded through :mod:`ctypes`)
+when a C compiler is on ``PATH``: it is compiled on the first
+:func:`louvain_csr` call into ``$XDG_CACHE_HOME/repro/kernels`` (default
+``~/.cache/repro/kernels``), or a per-process temporary directory when
+that is not writable.  Without a compiler, or when the build or the load
+fails, :func:`_python_scan` runs instead; the two give the same bits, and
+the Python scan is the C scan's parity oracle.
 
 Bit-for-bit parity with the reference holds because every quantity
 involved is exact:
@@ -21,9 +32,9 @@ involved is exact:
   change it;
 * the modularity-gain expression is evaluated with the same IEEE-754
   operation sequence (``w_in - comm_tot * k / m2``) as the reference;
-* community positions are ranked by ascending label value, and the
-  first-maximum ``argmax`` scan reproduces the reference's
-  smallest-label-wins tie-break;
+* community positions are ranked by ascending label value, and an exact
+  gain tie goes to the smallest rank, the reference's smallest-label-wins
+  tie-break;
 * node visit order is the same ``rng.permutation`` over the same node
   ordering (CSR positions preserve adjacency insertion order), so both
   implementations consume identical RNG draws.
@@ -31,7 +42,16 @@ involved is exact:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+from collections.abc import Callable, Iterable, Mapping
+from pathlib import Path
 
 import numpy as np
 
@@ -52,6 +72,24 @@ __all__ = [
 # reference implementation (repro.community.louvain) imports them downward.
 MAX_PASSES_PER_LEVEL = 32
 MAX_LEVELS = 32
+
+#: One level's local-move scan: ``scan(indptr, indices, weights, k, order,
+#: m2, delta, comm, comm_tot) -> (passes, moves, any_move)``, updating
+#: ``comm`` and ``comm_tot`` in place.
+Scan = Callable[
+    [IntArray, IntArray, FloatArray, FloatArray, IntArray, float, float, IntArray, FloatArray],
+    tuple[int, int, bool],
+]
+
+_SOURCE = Path(__file__).with_name("louvain_scan.c")
+# No -ffast-math or -march=native: the scan must round exactly as Python does.
+_FLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
+_ARGTYPES = (
+    [ctypes.c_int64, ctypes.c_int64]
+    + [ctypes.c_void_p] * 5
+    + [ctypes.c_double, ctypes.c_double, ctypes.c_int64]
+    + [ctypes.c_void_p] * 6
+)
 
 
 def initial_assignment(
@@ -111,38 +149,38 @@ def louvain_csr(
     indices = csr.indices
     weights = np.ones(indices.size, dtype=np.float64)
     self_w = np.zeros(n, dtype=np.float64)
-    carried: list[IntArray] = [np.array([p], dtype=np.int64) for p in range(n)]
+    # membership[p]: the super-node original position p now belongs to;
+    # order: the originals grouped by super-node, the partition's order.
+    membership = np.arange(n, dtype=np.int64)
+    order = np.arange(n, dtype=np.int64)
 
+    scan = _scan()
     rec = get_recorder()
     levels = 0
     total_passes = 0
     total_moves = 0
-    with rec.span("kernels.louvain", nodes=n):
+    with rec.span("kernels.louvain", nodes=n, scan="python" if scan is _python_scan else "c"):
         while levels < MAX_LEVELS:
             improved, node_label, passes, moves = _one_level_arrays(
-                indptr, indices, weights, self_w, node_label, delta, rng
+                indptr, indices, weights, self_w, node_label, delta, rng, scan
             )
             levels += 1
             total_passes += passes
             total_moves += moves
             if not improved:
                 break
-            indptr, indices, weights, self_w, node_label, carried = _aggregate_arrays(
-                indptr, indices, weights, self_w, node_label, carried
+            indptr, indices, weights, self_w, node_label, node_pos = _aggregate_arrays(
+                indptr, indices, weights, self_w, node_label
             )
+            membership = node_pos[membership]
+            order = order[np.argsort(membership[order], kind="stable")]
         if rec.enabled:
             rec.count("kernels.louvain_levels", levels)
             rec.count("kernels.louvain_passes", total_passes)
             rec.count("kernels.louvain_moves", total_moves)
 
-    partition: dict[int, int] = {}
-    for position, members in enumerate(carried):
-        label = int(node_label[position])
-        for original in members.tolist():
-            partition[ids_list[original]] = label
-    labels = np.empty(n, dtype=np.int64)
-    if n:
-        labels[np.concatenate(carried)] = np.repeat(node_label, [m.size for m in carried])
+    labels = node_label[membership]
+    partition = dict(zip(node_ids[order].tolist(), labels[order].tolist(), strict=True))
     return partition, modularity_csr(csr, labels), levels
 
 
@@ -175,6 +213,7 @@ def _one_level_arrays(
     node_label: IntArray,
     delta: float,
     rng: np.random.Generator,
+    scan: Scan,
 ) -> tuple[bool, IntArray, int, int]:
     """Local-move phase; returns (made progress, new labels, passes, moves).
 
@@ -189,25 +228,46 @@ def _one_level_arrays(
     m2 = float(k.sum())
     if m2 == 0:
         return False, node_label.copy(), 0, 0
-    uniq, comm = np.unique(node_label, return_inverse=True)
-    comm_tot = np.bincount(comm, weights=k, minlength=uniq.size)
-    order = rng.permutation(n).tolist()
-    # The sequential-move scan is pure Python over flat lists: per-node
-    # neighborhoods are short, so list slices beat both per-node numpy
-    # calls (call overhead) and the reference's dict-of-dict iteration.
+    uniq, inverse = np.unique(node_label, return_inverse=True)
+    comm = inverse.astype(np.int64)
+    comm_tot = np.bincount(comm, weights=k, minlength=uniq.size).astype(np.float64)
+    order = rng.permutation(n).astype(np.int64)
+    passes, moves, any_move = scan(indptr, indices, weights, k, order, m2, delta, comm, comm_tot)
+    return any_move, uniq[comm], passes, moves
+
+
+def _python_scan(
+    indptr: IntArray,
+    indices: IntArray,
+    weights: FloatArray,
+    k: FloatArray,
+    order: IntArray,
+    m2: float,
+    delta: float,
+    comm: IntArray,
+    comm_tot: FloatArray,
+) -> tuple[int, int, bool]:
+    """The local-move scan in Python: the fallback and the C scan's oracle.
+
+    ``comm`` holds each position's community rank and ``comm_tot`` each
+    rank's total degree; both are updated in place.
+    """
+    # Per-node neighborhoods are short, so flat-list slices beat both
+    # per-node numpy calls (call overhead) and dict-of-dict iteration.
     indptr_l = indptr.tolist()
     indices_l = indices.tolist()
     weights_l = weights.tolist()
     k_l = k.tolist()
     comm_l = comm.tolist()
     comm_tot_l = comm_tot.tolist()
+    order_l = order.tolist()
     any_move = False
     passes = 0
     moves = 0
     for _ in range(MAX_PASSES_PER_LEVEL):
         passes += 1
         pass_gain = 0.0
-        for u in order:
+        for u in order_l:
             lo = indptr_l[u]
             hi = indptr_l[u + 1]
             if lo == hi:
@@ -245,7 +305,163 @@ def _one_level_arrays(
                 pass_gain += 2.0 * best_gain / m2
         if pass_gain < delta:
             break
-    return any_move, uniq[np.asarray(comm_l, dtype=np.int64)], passes, moves
+    comm[:] = comm_l
+    comm_tot[:] = comm_tot_l
+    return passes, moves, any_move
+
+
+def _c_scan(function: ctypes._NamedFuncPointer) -> Scan:
+    """Wrap the compiled ``louvain_scan`` in the :data:`Scan` signature."""
+
+    def scan(
+        indptr: IntArray,
+        indices: IntArray,
+        weights: FloatArray,
+        k: FloatArray,
+        order: IntArray,
+        m2: float,
+        delta: float,
+        comm: IntArray,
+        comm_tot: FloatArray,
+    ) -> tuple[int, int, bool]:
+        # comm and comm_tot are written in place, so they must not be copies.
+        assert comm.dtype == np.int64 and comm.flags.c_contiguous
+        assert comm_tot.dtype == np.float64 and comm_tot.flags.c_contiguous
+        ncomm = comm_tot.size
+        inputs = (
+            np.ascontiguousarray(indptr, dtype=np.int64),
+            np.ascontiguousarray(indices, dtype=np.int64),
+            np.ascontiguousarray(weights, dtype=np.float64),
+            np.ascontiguousarray(k, dtype=np.float64),
+            np.ascontiguousarray(order, dtype=np.int64),
+        )
+        links = np.empty(ncomm, dtype=np.float64)
+        seen = np.empty(ncomm, dtype=np.int64)
+        touched = np.empty(ncomm, dtype=np.int64)
+        out = np.empty(3, dtype=np.int64)
+        function(
+            order.size,
+            ncomm,
+            *(a.ctypes.data for a in inputs),
+            m2,
+            delta,
+            MAX_PASSES_PER_LEVEL,
+            *(a.ctypes.data for a in (comm, comm_tot, links, seen, touched, out)),
+        )
+        passes, moves, any_move = out.tolist()
+        return passes, moves, bool(any_move)
+
+    return scan
+
+
+@functools.cache
+def _scan() -> Scan:
+    """The scan every level runs: the C scan if it builds and loads."""
+    function = _scan_library()
+    return _python_scan if function is None else _c_scan(function)
+
+
+def _find_compiler() -> str | None:
+    return shutil.which("cc") or shutil.which("gcc")
+
+
+def _cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/repro/kernels``, or ``~/.cache/repro/kernels``."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(root) / "repro" / "kernels"
+
+
+def _scan_library() -> ctypes._NamedFuncPointer | None:
+    """Load the compiled scan, building it first if no intact copy exists.
+
+    The library's name is keyed by the source, the flags and the machine.
+    Returns ``None`` when there is no compiler or the build or load fails.
+    """
+    source = _SOURCE.read_bytes()
+    key = hashlib.sha256(
+        b"\0".join([source, " ".join(_FLAGS).encode(), platform.machine().encode()])
+    ).hexdigest()
+    name = f"louvain_scan-{key[:20]}.so"
+    try:
+        return _load(_cache_dir() / name)
+    except OSError:
+        pass
+    try:
+        # The cache is not writable: build for this process only.  A loaded
+        # library outlives its deleted file.
+        with tempfile.TemporaryDirectory(
+            prefix="repro-kernels-", ignore_cleanup_errors=True
+        ) as private:
+            return _load(Path(private) / name)
+    except OSError:
+        return None
+
+
+def _load(library: Path) -> ctypes._NamedFuncPointer | None:
+    """Load ``library``, building it first unless an intact copy is there.
+
+    Every published library has a sha256 sidecar; one that does not match
+    it (truncated, empty) is rebuilt, never loaded, because loading a
+    truncated shared object kills the process with SIGBUS.  Raises
+    ``OSError`` when the directory is not writable or the load fails;
+    returns ``None`` when there is no compiler or the compile fails.
+    """
+    if not _intact(library):
+        compiler = _find_compiler()
+        if compiler is None:
+            return None
+        library.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            _build(compiler, library)
+        except subprocess.SubprocessError:
+            return None
+    function = ctypes.CDLL(str(library)).louvain_scan
+    function.argtypes = _ARGTYPES
+    function.restype = None
+    return function
+
+
+def _intact(library: Path) -> bool:
+    """Whether ``library`` exists and matches its sha256 sidecar."""
+    try:
+        expected = _sidecar(library).read_text()
+        return hashlib.sha256(library.read_bytes()).hexdigest() == expected
+    except OSError:
+        return False
+
+
+def _sidecar(library: Path) -> Path:
+    return library.with_name(library.name + ".sha256")
+
+
+def _build(compiler: str, library: Path) -> None:
+    """Compile the scan and publish it, then its sidecar, with ``os.replace``."""
+    with tempfile.TemporaryDirectory(prefix=".build-", dir=library.parent) as scratch:
+        built = Path(scratch) / library.name
+        with get_recorder().span("kernels.louvain_build", compiler=compiler):
+            subprocess.run(
+                [compiler, *_FLAGS, "-o", str(built), str(_SOURCE)],
+                check=True,
+                capture_output=True,
+                timeout=300,
+            )
+        data = built.read_bytes()
+    _publish(library, data)
+    _publish(_sidecar(library), hashlib.sha256(data).hexdigest().encode())
+
+
+def _publish(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path`` and move it into place."""
+    fd, temp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _aggregate_arrays(
@@ -254,9 +470,11 @@ def _aggregate_arrays(
     weights: FloatArray,
     self_w: FloatArray,
     node_label: IntArray,
-    carried: list[IntArray],
-) -> tuple[IntArray, IntArray, FloatArray, FloatArray, IntArray, list[IntArray]]:
+) -> tuple[IntArray, IntArray, FloatArray, FloatArray, IntArray, IntArray]:
     """Condense communities into super-nodes (phase 2).
+
+    Returns the super-node graph, its labels, and ``node_pos``: the
+    super-node of each current position.
 
     Super-node positions follow the order in which the reference's
     aggregation dict acquires its keys: first-appearance order of the
@@ -279,15 +497,6 @@ def _aggregate_arrays(
     pos_of_rank[appearance] = np.arange(count, dtype=np.int64)
     node_pos = pos_of_rank[inverse]
     new_label = uniq_vals[appearance]
-
-    member_order = np.argsort(node_pos, kind="stable")
-    group_sizes = np.bincount(node_pos, minlength=count)
-    new_carried: list[IntArray] = []
-    offset = 0
-    for p in range(count):
-        group = member_order[offset : offset + int(group_sizes[p])]
-        offset += int(group_sizes[p])
-        new_carried.append(np.concatenate([carried[int(g)] for g in group]))
 
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     src = node_pos[rows]
@@ -313,4 +522,4 @@ def _aggregate_arrays(
         new_weights = np.empty(0, dtype=np.float64)
         new_indices = np.empty(0, dtype=np.int64)
         new_indptr = np.zeros(count + 1, dtype=np.int64)
-    return new_indptr, new_indices, new_weights, new_self, new_label, new_carried
+    return new_indptr, new_indices, new_weights, new_self, new_label, node_pos

@@ -6,6 +6,7 @@ import pytest
 from repro.analysis import AnalysisContext, list_experiments, run_experiment
 from repro.analysis.experiments import ExperimentResult
 from repro.gen.config import presets
+from repro.kernels import louvain as louvain_kernel
 from repro.obs import TraceRecorder, use_recorder
 
 ALL_EXPERIMENTS = [
@@ -109,3 +110,17 @@ class TestFigure3:
         assert [s.parent for s in passes] == ["analysis.experiment"] * 2
         assert sorted(dict(s.attrs)["rule"] for s in passes) == ["higher_degree", "random"]
         assert {dict(s.attrs)["edges"] for s in passes} == {merge_ctx.stream.num_edges}
+
+
+class TestFigure4:
+    @pytest.mark.skipif(louvain_kernel._find_compiler() is None, reason="no C compiler")
+    def test_traced_f4a_runs_the_c_scan(self):
+        # A fresh context: a shared one may hold F4a's δ-sweep already.
+        ctx = AnalysisContext(presets.tiny_merge(days=60, target_nodes=700), seed=5)
+        _ = ctx.stream  # generated outside the trace
+        recorder = TraceRecorder(lane=0, label="main")
+        with use_recorder(recorder):
+            run_experiment("F4a", ctx)
+        scans = [dict(s.attrs)["scan"] for s in recorder.spans if s.name == "kernels.louvain"]
+        assert len(scans) > 5
+        assert set(scans) == {"c"}
