@@ -40,9 +40,9 @@ class AnalysisContext:
     timeseries every Figure-1 panel reads is evaluated in a process pool
     when ``workers > 1`` and persisted/reused across processes when
     ``cache_dir`` names a directory.  The metric timeseries is bit-identical
-    in every combination.  Its ~40-snapshot, four-metric replay runs on the
-    delta engine (:func:`repro.runtime.parallel.select_engine`); community
-    tracking runs cold CSR Louvain seeded with the previous partition.
+    in every combination; every metric reads the replay's CSR snapshots.
+    Community tracking runs cold CSR Louvain seeded with the previous
+    partition.
     """
 
     def __init__(

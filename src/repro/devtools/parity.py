@@ -14,8 +14,6 @@ manifest cannot silently rot.
 from __future__ import annotations
 
 __all__ = [
-    "DELTA_PARITY_COVERED",
-    "DELTA_PARITY_TEST_FILE",
     "ENGINE_EQUIVALENCE_COVERED",
     "ENGINE_EQUIVALENCE_TEST_FILE",
     "PARITY_COVERED",
@@ -32,19 +30,10 @@ PARITY_TEST_FILE = "tests/test_kernels_parity.py"
 # reintroduced ``backend=`` dispatcher must register its parity test here.
 PARITY_COVERED: dict[str, str] = {}
 
-# The delta engine's parity harness.  The engine is a second
-# implementation of the runtime suite: degree / clustering / assortativity
-# (and the whole MetricSpec timeseries) must be *bit-identical* to the
-# csr kernels, and the replay CSR the engine reads must equal the dict
-# replay's.  Cross-checked against DELTA_PARITY_TEST_FILE by
-# ``tests/test_devtools_lint.py`` exactly like PARITY_COVERED.
-DELTA_PARITY_TEST_FILE = "tests/test_delta_parity.py"
-
-DELTA_PARITY_COVERED: dict[str, str] = {
-    "repro.graph.dynamic.DynamicGraph.advance_to": "test_delta_csr_matches_batch_build",
-    "repro.kernels.delta.DeltaMetricEngine": "test_engine_metrics_bit_identical",
-    "repro.runtime.parallel.evaluate_timeseries": "test_timeseries_delta_bit_identical",
-}
+# The replay has one engine: its CSR snapshots are pinned against the
+# per-event dict replay by ``test_replay_csr_matches_batch_build`` in
+# ``tests/test_graph_dynamic.py``, and C kernels against their Python twins
+# in ``tests/test_louvain_scan.py`` and ``tests/test_clustering_c.py``.
 
 # Generation-engine dispatchers (a string ``engine=`` parameter): none, one
 # engine produces every trace.  A reintroduced switch must register its

@@ -35,7 +35,6 @@ PICKLE_WHITELIST: frozenset[str] = frozenset(
         "EventStream",
         "MetricSpec",
         "ReplayCheckpoint",
-        "DeltaEngineState",
         "Window",
         "WindowResult",
     }

@@ -33,15 +33,11 @@ class SnapshotView:
     """A point-in-time view of the evolving graph.
 
     ``graph`` is immutable, so a view stays valid however far the replay
-    advances.  ``new_nodes`` lists the node arrivals and ``new_edges`` the
-    (u, v) pairs added since the previous view, which the incremental
-    delta engine consumes.
+    advances.
     """
 
     time: float
     graph: CSRGraph
-    new_nodes: tuple[int, ...]
-    new_edges: tuple[tuple[int, int], ...]
 
 
 class _PrefixIndex:
@@ -100,9 +96,6 @@ class _PrefixIndex:
         keep = np.ones(rows.size, dtype=bool)
         keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
         self.rows, self.cols, self.arrival = rows[keep], cols[keep], arrival[keep]
-        #: Per edge event: whether it added an edge (not a repeat).
-        self.fresh = np.zeros(u.size, dtype=bool)
-        self.fresh[self.arrival[self.arrival >= edge_lo] - edge_lo] = True
 
     def check(self, stream: EventStream, edge_lo: int, edge_hi: int, nodes: int) -> None:
         """Raise as the per-event replay would on the first bad edge in the range."""
@@ -211,22 +204,15 @@ class DynamicGraph:
         node_hi = max(node_lo, int(np.searchsorted(nodes.time, time, side="right")))
         edge_hi = max(edge_lo, int(np.searchsorted(edges.time, time, side="right")))
         if (node_hi, edge_hi) == (node_lo, edge_lo):
-            return SnapshotView(time=time, graph=self.graph, new_nodes=(), new_edges=())
+            return SnapshotView(time=time, graph=self.graph)
         index = self._index
         if index is None:
             index = self._index = _PrefixIndex(self.stream, self._start)
         count = int(index.count_at[node_hi - index.node_lo])
         index.check(self.stream, edge_lo, edge_hi, count)
         self.graph = index.graph(count, edge_hi)
-        fresh = index.fresh[edge_lo - index.edge_lo : edge_hi - index.edge_lo]
-        added = edge_lo + np.flatnonzero(fresh)
         self._node_idx, self._edge_idx = node_hi, edge_hi
-        return SnapshotView(
-            time=time,
-            graph=self.graph,
-            new_nodes=tuple(nodes.node[node_lo:node_hi].tolist()),
-            new_edges=tuple(zip(edges.u[added].tolist(), edges.v[added].tolist(), strict=True)),
-        )
+        return SnapshotView(time=time, graph=self.graph)
 
     def snapshots(
         self,

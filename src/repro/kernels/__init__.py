@@ -15,12 +15,11 @@ Layout:
   largest component, bit-parallel sampled path lengths, multi-source
   distance to a node set;
 * :mod:`~repro.kernels.clustering` — mask-intersection clustering
-  coefficients;
+  coefficients, the per-node loop in C;
 * :mod:`~repro.kernels.assortativity` — vectorized degree assortativity;
-* :mod:`~repro.kernels.louvain` — flat-array Louvain local moves and
-  modularity;
-* :mod:`~repro.kernels.delta` — the incremental delta engine: event-delta
-  metric accumulators;
+* :mod:`~repro.kernels.louvain` — flat-array Louvain local moves (the
+  scan in C) and modularity;
+* :mod:`~repro.kernels.native` — builds, caches and loads the C kernels;
 * :mod:`~repro.kernels.matching` — contingency-count Jaccard matching for
   community tracking.
 """
@@ -32,7 +31,6 @@ from repro.kernels.clustering import (
     local_clustering_csr,
 )
 from repro.kernels.csr import CSRGraph, gather_neighbors
-from repro.kernels.delta import DeltaEngineState, DeltaMetricEngine
 from repro.kernels.louvain import louvain_csr, modularity_csr
 from repro.kernels.matching import match_communities_csr
 from repro.kernels.traversal import (
@@ -45,8 +43,6 @@ from repro.kernels.traversal import (
 
 __all__ = [
     "CSRGraph",
-    "DeltaEngineState",
-    "DeltaMetricEngine",
     "average_clustering_csr",
     "average_path_length_csr",
     "clustering_coefficients",

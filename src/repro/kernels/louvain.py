@@ -15,13 +15,11 @@ totals in defaultdicts; this kernel keeps the same state in flat arrays:
   array (original position → current super-node) plus the originals'
   output ``order``, both updated with array ops per level.
 
-The scan runs in C (``louvain_scan.c``, loaded through :mod:`ctypes`)
-when a C compiler is on ``PATH``: it is compiled on the first
-:func:`louvain_csr` call into ``$XDG_CACHE_HOME/repro/kernels`` (default
-``~/.cache/repro/kernels``), or a per-process temporary directory when
-that is not writable.  Without a compiler, or when the build or the load
-fails, :func:`_python_scan` runs instead; the two give the same bits, and
-the Python scan is the C scan's parity oracle.
+The scan runs in C (``louvain_scan.c``) when a C compiler is on
+``PATH``: :mod:`repro.kernels.native` compiles it on the first
+:func:`louvain_csr` call and caches the library.  Without a compiler, or
+when the build or the load fails, :func:`_python_scan` runs instead; the
+two give the same bits, and the Python scan is the C scan's parity oracle.
 
 Bit-for-bit parity with the reference holds because every quantity
 involved is exact:
@@ -44,17 +42,12 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
-import os
-import platform
-import shutil
-import subprocess
-import tempfile
 from collections.abc import Callable, Iterable, Mapping
 from pathlib import Path
 
 import numpy as np
 
+from repro.kernels import native
 from repro.kernels.csr import CSRGraph, label_edge_counts
 from repro.obs import get_recorder
 from repro.util.arrays import FloatArray, IntArray
@@ -82,8 +75,10 @@ Scan = Callable[
 ]
 
 _SOURCE = Path(__file__).with_name("louvain_scan.c")
-# No -ffast-math or -march=native: the scan must round exactly as Python does.
-_FLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
+# The build cache's seams, reachable from this module: a test can swap
+# the compiler lookup for the scan alone.
+_find_compiler = native.find_compiler
+_intact = native.intact
 _ARGTYPES = (
     [ctypes.c_int64, ctypes.c_int64]
     + [ctypes.c_void_p] * 5
@@ -361,107 +356,9 @@ def _scan() -> Scan:
     return _python_scan if function is None else _c_scan(function)
 
 
-def _find_compiler() -> str | None:
-    return shutil.which("cc") or shutil.which("gcc")
-
-
-def _cache_dir() -> Path:
-    """``$XDG_CACHE_HOME/repro/kernels``, or ``~/.cache/repro/kernels``."""
-    root = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(root):
-        root = os.path.join(os.path.expanduser("~"), ".cache")
-    return Path(root) / "repro" / "kernels"
-
-
 def _scan_library() -> ctypes._NamedFuncPointer | None:
-    """Load the compiled scan, building it first if no intact copy exists.
-
-    The library's name is keyed by the source, the flags and the machine.
-    Returns ``None`` when there is no compiler or the build or load fails.
-    """
-    source = _SOURCE.read_bytes()
-    key = hashlib.sha256(
-        b"\0".join([source, " ".join(_FLAGS).encode(), platform.machine().encode()])
-    ).hexdigest()
-    name = f"louvain_scan-{key[:20]}.so"
-    try:
-        return _load(_cache_dir() / name)
-    except OSError:
-        pass
-    try:
-        # The cache is not writable: build for this process only.  A loaded
-        # library outlives its deleted file.
-        with tempfile.TemporaryDirectory(
-            prefix="repro-kernels-", ignore_cleanup_errors=True
-        ) as private:
-            return _load(Path(private) / name)
-    except OSError:
-        return None
-
-
-def _load(library: Path) -> ctypes._NamedFuncPointer | None:
-    """Load ``library``, building it first unless an intact copy is there.
-
-    Every published library has a sha256 sidecar; one that does not match
-    it (truncated, empty) is rebuilt, never loaded, because loading a
-    truncated shared object kills the process with SIGBUS.  Raises
-    ``OSError`` when the directory is not writable or the load fails;
-    returns ``None`` when there is no compiler or the compile fails.
-    """
-    if not _intact(library):
-        compiler = _find_compiler()
-        if compiler is None:
-            return None
-        library.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            _build(compiler, library)
-        except subprocess.SubprocessError:
-            return None
-    function = ctypes.CDLL(str(library)).louvain_scan
-    function.argtypes = _ARGTYPES
-    function.restype = None
-    return function
-
-
-def _intact(library: Path) -> bool:
-    """Whether ``library`` exists and matches its sha256 sidecar."""
-    try:
-        expected = _sidecar(library).read_text()
-        return hashlib.sha256(library.read_bytes()).hexdigest() == expected
-    except OSError:
-        return False
-
-
-def _sidecar(library: Path) -> Path:
-    return library.with_name(library.name + ".sha256")
-
-
-def _build(compiler: str, library: Path) -> None:
-    """Compile the scan and publish it, then its sidecar, with ``os.replace``."""
-    with tempfile.TemporaryDirectory(prefix=".build-", dir=library.parent) as scratch:
-        built = Path(scratch) / library.name
-        with get_recorder().span("kernels.louvain_build", compiler=compiler):
-            subprocess.run(
-                [compiler, *_FLAGS, "-o", str(built), str(_SOURCE)],
-                check=True,
-                capture_output=True,
-                timeout=300,
-            )
-        data = built.read_bytes()
-    _publish(library, data)
-    _publish(_sidecar(library), hashlib.sha256(data).hexdigest().encode())
-
-
-def _publish(path: Path, data: bytes) -> None:
-    """Write ``data`` to a temp file beside ``path`` and move it into place."""
-    fd, temp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(temp, path)
-    except BaseException:
-        os.unlink(temp)
-        raise
+    """Load the compiled scan through :mod:`repro.kernels.native`, or ``None``."""
+    return native.load(_SOURCE, "louvain_scan", _ARGTYPES, "kernels.louvain_build", _find_compiler)
 
 
 def _aggregate_arrays(

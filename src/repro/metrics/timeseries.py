@@ -20,7 +20,7 @@ class MetricTimeseries:
     """Sampled times and one value series per metric name.
 
     ``profile`` is optional run metadata attached by the runtime layer
-    (resolved backend, per-metric wall-clock seconds per snapshot, cache
+    (worker count, per-metric wall-clock seconds per snapshot, cache
     hit/miss counts, and a ``worker_detail`` list attributing snapshots,
     busy seconds, and cache traffic to each worker lane — lane 0 is the
     parent/serial process).  It describes how the numbers were produced,

@@ -3,7 +3,7 @@
 :func:`render_trace` is what ``repro obs summarize`` prints — per-span
 timing rollups, counters, histograms, and one row per lane.
 :func:`render_profile` renders the runtime's ``MetricTimeseries.profile``
-dict (backend, cache hit/miss, per-metric wall time, per-worker
+dict (workers, cache hit/miss, per-metric wall time, per-worker
 attribution).  :func:`load_snapshot` / :func:`flatten_numeric` /
 :func:`diff_rows` / :func:`regressed` / :func:`render_diff` power
 ``repro obs diff``: two telemetry snapshots, traces or BENCH reports
@@ -84,15 +84,14 @@ def render_trace(payload: dict[str, Any]) -> str:
 def render_profile(profile: dict[str, Any]) -> str:
     """The runtime profile dict as a summary table.
 
-    Keeps the historic header shape (``backend: ...  workers: ...  cache:
-    H hit(s) / M miss(es)`` plus the per-metric table) and appends the
-    per-worker attribution rows when the runtime recorded them.
+    A header (``workers: ...  cache: H hit(s) / M miss(es)``), the
+    per-metric table, and the per-worker attribution rows when the runtime
+    recorded them.
     """
     hits = profile.get("cache_hits", 0)
     misses = profile.get("cache_misses", 0)
     lines = [
-        f"backend: {profile.get('backend', '?')}  workers: {profile.get('workers', 1)}  "
-        f"cache: {hits} hit(s) / {misses} miss(es)"
+        f"workers: {profile.get('workers', 1)}  cache: {hits} hit(s) / {misses} miss(es)"
     ]
     metric_seconds = profile.get("metric_seconds") or {}
     lines.append(f"{'metric':<24}{'snapshots':>10}{'total s':>12}{'mean ms':>12}")

@@ -18,8 +18,8 @@ from repro.runtime.cache import (
     series_key,
     stream_digest,
 )
-from repro.runtime.parallel import evaluate_timeseries, select_engine
-from repro.runtime.spec import MetricSpec, snapshot_times
+from repro.runtime.parallel import evaluate_timeseries
+from repro.runtime.spec import MetricSpec
 from repro.store.reader import EventStore
 
 __all__ = ["compute_timeseries"]
@@ -52,10 +52,8 @@ def compute_timeseries(
         key = series_key(stream_digest(stream), spec, interval, start)
         hit = cache.load(key, decode_series)
         if hit is not None:
-            times = snapshot_times(stream.end_time, interval, start)
             hit.profile = _profile(
                 {
-                    "backend": select_engine(spec, len(times)),
                     "workers": workers,
                     "metric_seconds": {name: [] for name in spec.names},
                 },

@@ -7,13 +7,8 @@ each worker process then resumes from its checkpoint's graph, replays only
 its slice of the stream, and evaluates the metric suite with per-snapshot RNGs
 (:meth:`~repro.runtime.spec.MetricSpec.build`).  Stitching the per-window
 rows back in grid order yields output bit-identical to a serial run.
-
-Each replay runs on one of two bit-identical engines, chosen by
-:func:`select_engine` from the replay's own shape: the csr kernels read
-the :class:`~repro.kernels.csr.CSRGraph` the replay yields per snapshot,
-while the delta engine (:mod:`repro.kernels.delta`) maintains clustering,
-degree and assortativity accumulators event by event and reads the
-replay's CSR only for sampled path length.
+Every metric reads the :class:`~repro.kernels.csr.CSRGraph` the replay
+yields per snapshot.
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ import numpy as np
 from repro.graph.checkpoint import ReplayCheckpoint
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import EventStream
-from repro.kernels.delta import DeltaEngineState, DeltaMetricEngine
 from repro.metrics.timeseries import MetricTimeseries
 from repro.obs import (
     TraceRecorder,
@@ -42,15 +36,7 @@ from repro.obs import (
 from repro.runtime.spec import MetricSpec, snapshot_times
 from repro.store.reader import EventStore
 
-__all__ = ["DELTA_MIN_SNAPSHOTS", "evaluate_timeseries", "mp_context", "select_engine"]
-
-# The shortest replay, in snapshot-grid points, that runs on the delta
-# engine when the suite includes clustering.  Delta pays an event-by-event
-# replay up front and wins it back only on clustering (maintained triangle
-# counts instead of per-snapshot neighborhood intersections).  For the full
-# suite the two engines are within noise between 10 and 20 snapshots and
-# delta wins from there on (measurements in docs/incremental.md).
-DELTA_MIN_SNAPSHOTS = 20
+__all__ = ["evaluate_timeseries", "mp_context"]
 
 # One row per non-empty snapshot: (grid index, time, values in spec.names
 # order, per-metric wall-clock seconds in the same order).
@@ -90,35 +76,16 @@ def _init_store_worker(store_path: str, spec: MetricSpec, tracing: bool = False)
     _WORKER_TRACING = tracing
 
 
-def select_engine(spec: MetricSpec, snapshots: int) -> str:
-    """``"delta"`` or ``"csr"`` for a replay of ``spec`` over ``snapshots`` grid points.
-
-    Delta iff the suite asks for ``average_clustering`` and the grid has at
-    least :data:`DELTA_MIN_SNAPSHOTS` points.  Both engines produce
-    bit-identical series, so the choice only moves wall time.
-    """
-    if "average_clustering" in spec.names and snapshots >= DELTA_MIN_SNAPSHOTS:
-        return "delta"
-    return "csr"
-
-
 def _evaluate_rows(
     replay: DynamicGraph,
     spec: MetricSpec,
     indexed_times: list[tuple[int, float]],
-    engine: DeltaMetricEngine | None = None,
 ) -> list[Row]:
     """Advance ``replay`` through ``indexed_times`` and evaluate the suite.
 
     Empty snapshots are skipped (matching the serial driver); the RNG for
     each snapshot is keyed by its *grid* index, so skipping never shifts
     downstream randomness.
-
-    Every metric reads the replay's :class:`~repro.kernels.csr.CSRGraph`
-    of the snapshot.  With an ``engine`` (positioned exactly at the
-    replay's cursor — a fresh engine for a from-scratch replay, a
-    checkpoint-restored one for a window), it consumes each window's
-    events and serves the delta-maintained metrics.
     """
     rec = get_recorder()
     rows: list[Row] = []
@@ -133,14 +100,9 @@ def _evaluate_rows(
                 (replay.node_cursor - node_before) + (replay.edge_cursor - edge_before),
             )
             rec.observe("replay.advance_seconds", perf_counter() - stage_began)
-        if engine is not None:
-            engine.apply_view(view.new_nodes, view.new_edges)
         if view.graph.num_nodes == 0:
             continue
-        if engine is not None:
-            fns = spec.build_delta(index, engine)
-        else:
-            fns = spec.build(index)
+        fns = spec.build(index)
         values: list[float] = []
         seconds: list[float] = []
         # Profiling metadata only: the timings feed --profile and never
@@ -178,15 +140,14 @@ def _traced_rows(lane: int, evaluate: Callable[[], list[Row]]) -> WindowResult:
 
 
 # Window payload: the lane, the checkpoint at window entry, this window's
-# half-open event-index ranges [node_lo, node_hi) / [edge_lo, edge_hi), its
-# snapshot times, and (delta engine only) the engine state at window entry.
+# half-open event-index ranges [node_lo, node_hi) / [edge_lo, edge_hi) and
+# its snapshot times.
 Window = tuple[
     int,
     ReplayCheckpoint,
     tuple[int, int],
     tuple[int, int],
     list[tuple[int, float]],
-    DeltaEngineState | None,
 ]
 
 
@@ -199,7 +160,7 @@ def _run_window(payload: Window) -> WindowResult:
     events it skips are exactly the events the checkpoint graph already
     contains, so every metric value is bit-identical to a serial run.
     """
-    lane, checkpoint, (node_lo, node_hi), (edge_lo, edge_hi), indexed_times, estate = payload
+    lane, checkpoint, (node_lo, node_hi), (edge_lo, edge_hi), indexed_times = payload
     assert _WORKER_SPEC is not None
     spec = _WORKER_SPEC
 
@@ -215,9 +176,7 @@ def _run_window(payload: Window) -> WindowResult:
         entry = ReplayCheckpoint(
             time=checkpoint.time, node_index=0, edge_index=0, csr=checkpoint.csr
         )
-        replay = DynamicGraph.from_checkpoint(rows, entry)
-        engine = None if estate is None else DeltaMetricEngine.from_state(estate, checkpoint.csr)
-        return _evaluate_rows(replay, spec, indexed_times, engine)
+        return _evaluate_rows(DynamicGraph.from_checkpoint(rows, entry), spec, indexed_times)
 
     return _traced_rows(lane, evaluate)
 
@@ -291,8 +250,7 @@ def evaluate_timeseries(
 
     ``workers=1`` runs in-process; ``workers>1`` fans contiguous timeline
     windows out to a process pool.  Both paths produce bit-identical
-    results for the same ``(stream, spec, interval, start)``, on whichever
-    engine :func:`select_engine` picks; ``profile["backend"]`` records it.
+    results for the same ``(stream, spec, interval, start)``.
 
     ``store`` (when the stream came from a columnar store) changes only
     *how* parallel workers receive their events: instead of inheriting or
@@ -305,14 +263,11 @@ def evaluate_timeseries(
         raise ValueError(f"workers must be >= 1, got {workers}")
     times = snapshot_times(stream.end_time, interval, start)
     indexed = list(enumerate(times))
-    backend = select_engine(spec, len(times))
-    use_delta = backend == "delta"
     if workers == 1 or len(indexed) < 2:
-        engine = DeltaMetricEngine() if use_delta else None
-        rows = _evaluate_rows(DynamicGraph(stream), spec, indexed, engine)
+        rows = _evaluate_rows(DynamicGraph(stream), spec, indexed)
         detail = [_worker_stat(0, "main", rows)]
     else:
-        rows, detail = _evaluate_parallel(stream, spec, indexed, workers, use_delta, store)
+        rows, detail = _evaluate_parallel(stream, spec, indexed, workers, store)
     series = MetricTimeseries(values={name: [] for name in spec.names})
     metric_seconds: dict[str, list[float]] = {name: [] for name in spec.names}
     for _, time, values, seconds in sorted(rows):
@@ -321,7 +276,6 @@ def evaluate_timeseries(
             series.values[name].append(value)
             metric_seconds[name].append(spent)
     series.profile = {
-        "backend": backend,
         "workers": workers,
         "metric_seconds": metric_seconds,
         "worker_detail": detail,
@@ -346,7 +300,6 @@ def _evaluate_parallel(
     spec: MetricSpec,
     indexed: list[tuple[int, float]],
     workers: int,
-    use_delta: bool,
     store: EventStore | None = None,
 ) -> tuple[list[Row], list[dict[str, Any]]]:
     rec = get_recorder()
@@ -356,22 +309,14 @@ def _evaluate_parallel(
     # It builds one CSR per window and runs no metric, so it is cheap
     # relative to the metric evaluation it unlocks.  The replay also yields
     # each window's event-index range, which is all a worker needs to pull
-    # its rows out of the stream or the store.  On the delta engine the parent
-    # additionally feeds a metric engine so each checkpoint carries the
-    # accumulator state its window's worker resumes from; the
-    # accumulators are pure functions of the edge set, so worker rows stay
-    # bit-identical to a serial delta run.
+    # its rows out of the stream or the store.
     payloads: list[Window] = []
-    parent_engine = DeltaMetricEngine() if use_delta else None
     with rec.span("replay.checkpoints", windows=len(chunks)):
         replay = DynamicGraph(stream)
         for lane0, chunk in enumerate(chunks):
             lane = 1 + lane0
             checkpoint = replay.checkpoint()
-            estate = None if parent_engine is None else parent_engine.state()
-            view = replay.advance_to(indexed[chunk[-1]][1])
-            if parent_engine is not None:
-                parent_engine.apply_view(view.new_nodes, view.new_edges)
+            replay.advance_to(indexed[chunk[-1]][1])
             payloads.append(
                 (
                     lane,
@@ -379,7 +324,6 @@ def _evaluate_parallel(
                     (checkpoint.node_index, replay.node_cursor),
                     (checkpoint.edge_index, replay.edge_cursor),
                     [indexed[i] for i in chunk],
-                    estate,
                 )
             )
     context = _mp_context()

@@ -14,7 +14,6 @@ import hashlib
 import json
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,10 +23,7 @@ from repro.metrics.clustering import average_clustering
 from repro.metrics.degree import average_degree
 from repro.metrics.paths import average_path_length_sampled
 
-if TYPE_CHECKING:
-    from repro.kernels.delta import DeltaMetricEngine
-
-__all__ = ["DELTA_METRIC_NAMES", "MetricSpec", "STANDARD_METRIC_NAMES", "snapshot_times"]
+__all__ = ["MetricSpec", "STANDARD_METRIC_NAMES", "snapshot_times"]
 
 # Metric callables take the replay's CSR snapshot, which the runtime
 # shares across the whole suite.
@@ -38,13 +34,6 @@ STANDARD_METRIC_NAMES = (
     "average_path_length",
     "average_clustering",
     "assortativity",
-)
-
-# Metrics the delta engine maintains as event-delta accumulators.
-# Anything else (sampled BFS path length) is evaluated on the replay's
-# CSR through the ordinary csr kernel.
-DELTA_METRIC_NAMES = frozenset(
-    {"average_degree", "average_clustering", "assortativity"}
 )
 
 _FACTORIES: dict[str, Callable[["MetricSpec", np.random.Generator], MetricFn]] = {
@@ -90,63 +79,10 @@ class MetricSpec:
         rng = np.random.default_rng((self.seed, snapshot_index))
         return {name: _FACTORIES[name](self, rng) for name in self.names}
 
-    def build_delta(
-        self, snapshot_index: int, engine: "DeltaMetricEngine"
-    ) -> dict[str, MetricFn]:
-        """Like :meth:`build`, but delta-maintained metrics read ``engine``.
-
-        The engine must have consumed exactly the events of the snapshot
-        being evaluated.  RNG discipline is identical to :meth:`build` —
-        one generator seeded by ``(seed, snapshot_index)``, consumed in
-        ``names`` order — and every engine metric replicates its batch
-        kernel's draws and float expressions, so a delta run's series is
-        bit-identical to a csr run's.
-        """
-        rng = np.random.default_rng((self.seed, snapshot_index))
-        fns: dict[str, MetricFn] = {}
-        for name in self.names:
-            if name == "average_degree":
-                fns[name] = _delta_average_degree(engine)
-            elif name == "average_clustering":
-                fns[name] = _delta_average_clustering(engine, self.clustering_sample, rng)
-            elif name == "assortativity":
-                fns[name] = _delta_assortativity(engine)
-            else:
-                fns[name] = _FACTORIES[name](self, rng)
-        return fns
-
     def fingerprint(self) -> str:
-        """A stable hex digest of the spec, for cache keys.
-
-        The engine a replay runs on is not a spec field: csr and delta are
-        bit-identical (enforced by the parity suite), so runs on either
-        share cache entries.
-        """
+        """A stable hex digest of the spec, for cache keys."""
         payload = json.dumps(asdict(self), sort_keys=True, default=list)
         return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _delta_average_degree(engine: "DeltaMetricEngine") -> MetricFn:
-    def fn(csr: CSRGraph) -> float:
-        return engine.average_degree()
-
-    return fn
-
-
-def _delta_average_clustering(
-    engine: "DeltaMetricEngine", sample: int | None, rng: np.random.Generator
-) -> MetricFn:
-    def fn(csr: CSRGraph) -> float:
-        return engine.average_clustering(sample, rng)
-
-    return fn
-
-
-def _delta_assortativity(engine: "DeltaMetricEngine") -> MetricFn:
-    def fn(csr: CSRGraph) -> float:
-        return engine.assortativity()
-
-    return fn
 
 
 def snapshot_times(end_time: float, interval: float, start: float | None = None) -> list[float]:

@@ -28,21 +28,17 @@ class DictReplay:
         self.node_cursor = 0
         self.edge_cursor = 0
 
-    def advance_to(self, time: float) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-        """Apply events up to ``time``; returns the new nodes and new edges."""
+    def advance_to(self, time: float) -> None:
+        """Apply the events with ``event.time <= time``."""
         nodes, edges = self.stream.nodes, self.stream.edges
         node_hi = max(self.node_cursor, int(np.searchsorted(nodes.time, time, side="right")))
         edge_hi = max(self.edge_cursor, int(np.searchsorted(edges.time, time, side="right")))
-        new_nodes = nodes.node[self.node_cursor : node_hi].tolist()
-        for node in new_nodes:
+        for node in nodes.node[self.node_cursor : node_hi].tolist():
             self.graph.add_node(node)
-        new_edges = []
         lo = self.edge_cursor
         for u, v in zip(edges.u[lo:edge_hi].tolist(), edges.v[lo:edge_hi].tolist(), strict=True):
-            if self.graph.add_edge(u, v):
-                new_edges.append((u, v))
+            self.graph.add_edge(u, v)
         self.node_cursor, self.edge_cursor = node_hi, edge_hi
-        return tuple(new_nodes), tuple(new_edges)
 
 
 def dict_replay(stream: EventStream, time: float = float("inf")) -> GraphSnapshot:

@@ -104,8 +104,8 @@ class TestProfileAndBackend:
         args = ["metrics", trace_path, "--interval", "30", "--path-sample", "30", "--profile"]
         assert main(args) == 0
         out = capsys.readouterr().out
-        assert "backend: csr" in out
-        assert "cache: 0 hit(s) / 0 miss(es)" in out
+        assert "workers: 1  cache: 0 hit(s) / 0 miss(es)" in out
+        assert "backend" not in out
         assert "mean ms" in out
 
     def test_metrics_profile_counts_cache_hits(self, trace_path, tmp_path, capsys):
@@ -128,21 +128,10 @@ class TestProfileAndBackend:
         assert main(args) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"times", "values", "profile"}
-        assert payload["profile"]["backend"] == "csr"
+        assert "backend" not in payload["profile"]
         assert len(payload["times"]) > 0
         seconds = payload["profile"]["metric_seconds"]["average_path_length"]
         assert len(seconds) == len(payload["times"])
-
-    def test_engine_choice_does_not_change_values(self, trace_path, capsys, monkeypatch):
-        from repro.runtime import parallel
-
-        base = ["metrics", trace_path, "--interval", "30", "--path-sample", "30"]
-        monkeypatch.setattr(parallel, "select_engine", lambda spec, snapshots: "delta")
-        assert main(base) == 0
-        delta_out = capsys.readouterr().out
-        monkeypatch.setattr(parallel, "select_engine", lambda spec, snapshots: "csr")
-        assert main(base) == 0
-        assert capsys.readouterr().out == delta_out
 
     def test_experiment_profile(self, capsys):
         code = main([
@@ -151,7 +140,7 @@ class TestProfileAndBackend:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "backend:" in out
+        assert "workers: 1  cache:" in out
         assert "mean ms" in out
 
 

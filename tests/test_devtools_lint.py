@@ -5,12 +5,12 @@ import json
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.devtools.baseline import apply_baseline, load_baseline, write_baseline
 from repro.devtools.engine import discover_modules, run_rules
 from repro.devtools.lint import all_rules, default_root, main, run_lint
 from repro.devtools.parity import (
-    DELTA_PARITY_COVERED,
-    DELTA_PARITY_TEST_FILE,
     ENGINE_EQUIVALENCE_COVERED,
     ENGINE_EQUIVALENCE_TEST_FILE,
     PARITY_COVERED,
@@ -218,17 +218,6 @@ class TestParityManifestRule:
                 f"exist in {PARITY_TEST_FILE}"
             )
 
-    def test_delta_covered_entries_reference_real_tests(self):
-        # The delta manifest rots the same way the python/csr one would:
-        # a renamed or deleted harness test must fail here, not silently
-        # leave the incremental backend unpinned.
-        delta_source = (REPO_ROOT / DELTA_PARITY_TEST_FILE).read_text(encoding="utf-8")
-        for qualname, test_name in DELTA_PARITY_COVERED.items():
-            assert f"def {test_name}(" in delta_source, (
-                f"{qualname} claims delta coverage by {test_name}, which does "
-                f"not exist in {DELTA_PARITY_TEST_FILE}"
-            )
-
     def test_exemptions_carry_reasons(self):
         for qualname, reason in PARITY_EXEMPT.items():
             assert reason.strip(), f"exemption for {qualname} lacks a reason"
@@ -240,7 +229,7 @@ class TestParityManifestRule:
 
     def test_engine_object_parameter_not_flagged(self, tmp_path):
         # An `engine` parameter *without* a string default passes an engine
-        # object (e.g. DeltaMetricEngine), which is not string dispatch.
+        # object, which is not string dispatch.
         src = "def degree(engine):\n    return engine.average_degree()\n"
         result = lint_tree(tmp_path, {"runtime/new.py": src}, [ParityManifestRule()])
         assert codes(result) == []
@@ -954,15 +943,20 @@ class TestCLIPipeline:
         assert "Traceback" not in proc.stderr
 
 
-class TestRepositoryIsClean:
-    def test_repo_lints_clean(self):
-        result = run_lint(default_root())
-        errors = [d for d in result.diagnostics if d.status == "error"]
-        assert errors == [], "\n".join(d.location + " " + d.message for d in errors)
-        assert result.exit_code == 0
+@pytest.fixture(scope="module")
+def repo_lint():
+    """One repo-wide lint run, shared by the tests that only read its findings."""
+    return run_lint(default_root())
 
-    def test_every_repo_suppression_is_justified(self):
-        for diag in run_lint(default_root()).diagnostics:
+
+class TestRepositoryIsClean:
+    def test_repo_lints_clean(self, repo_lint):
+        errors = [d for d in repo_lint.diagnostics if d.status == "error"]
+        assert errors == [], "\n".join(d.location + " " + d.message for d in errors)
+        assert repo_lint.exit_code == 0
+
+    def test_every_repo_suppression_is_justified(self, repo_lint):
+        for diag in repo_lint.diagnostics:
             if diag.status == "suppressed":
                 assert diag.justification and diag.justification.strip()
 

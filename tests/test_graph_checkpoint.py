@@ -93,9 +93,11 @@ class TestReplayCheckpoint:
         replay = DynamicGraph(make_stream())
         replay.advance_to(3.0)
         resumed = DynamicGraph.from_checkpoint(make_stream(), replay.checkpoint())
+        assert (resumed.node_cursor, resumed.edge_cursor) == (4, 2)
         view = resumed.advance_to(10.0)
-        assert view.new_nodes == (4, 5)
-        assert view.new_edges == ((2, 3), (3, 4), (4, 5), (0, 5))
+        assert (resumed.node_cursor, resumed.edge_cursor) == (6, 6)
+        assert view.graph.node_ids.tolist() == [0, 1, 2, 3, 4, 5]
+        assert view.graph.num_edges == 6
 
     def test_time_cursor_restored(self):
         replay = DynamicGraph(make_stream())

@@ -1,13 +1,19 @@
 """Tests for repro.graph.dynamic."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gen import generate_trace
+from repro.gen.config import presets
 from repro.graph.checkpoint import ReplayCheckpoint
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import EventStream
 from repro.kernels.csr import CSRGraph
+from repro.runtime.parallel import evaluate_timeseries
+from repro.runtime.spec import MetricSpec
 from tests.oracles import DictReplay, assert_same_csr
 
 
@@ -29,15 +35,16 @@ class TestAdvance:
         view = replay.advance_to(2.0)
         assert view.graph.num_nodes == 3
         assert view.graph.num_edges == 1
-        assert view.new_nodes == (0, 1, 2)
-        assert view.new_edges == ((0, 1),)
+        assert view.graph.node_ids.tolist() == [0, 1, 2]
 
     def test_advance_is_incremental(self):
         replay = DynamicGraph(make_stream())
-        replay.advance_to(2.0)
+        first = replay.advance_to(2.0)
         view = replay.advance_to(3.0)
-        assert view.new_nodes == (3,)
-        assert view.new_edges == ((1, 2),)
+        assert (replay.node_cursor, replay.edge_cursor) == (4, 2)
+        assert view.graph.node_ids.tolist() == [0, 1, 2, 3]
+        assert view.graph.num_edges == 2
+        assert first.graph.num_edges == 1  # an earlier view is not mutated
 
     def test_time_cursor(self):
         replay = DynamicGraph(make_stream())
@@ -64,7 +71,7 @@ class TestAdvance:
         replay = DynamicGraph(stream)
         view = replay.advance_to(10.0)
         assert view.graph.num_edges == 1
-        assert view.new_edges == ((0, 1),)
+        assert view.graph.degrees.tolist() == [1, 1]
 
 
 class TestSnapshots:
@@ -137,7 +144,7 @@ def test_prefix_builder_matches_dict_replay(stream, times, resume_at):
     replays = [DynamicGraph(stream)]
     for step, time in enumerate(times):
         try:
-            want = oracle.advance_to(time)
+            oracle.advance_to(time)
         except (KeyError, ValueError) as exc:
             for replay in replays:
                 with pytest.raises(type(exc)) as raised:
@@ -147,7 +154,6 @@ def test_prefix_builder_matches_dict_replay(stream, times, resume_at):
         for replay in replays:
             view = replay.advance_to(time)
             assert_same_csr(view.graph, CSRGraph.from_snapshot(oracle.graph))
-            assert (view.new_nodes, view.new_edges) == want
         if step == resume_at:
             window = EventStream(
                 nodes=stream.nodes[oracle.node_cursor :], edges=stream.edges[oracle.edge_cursor :]
@@ -175,3 +181,70 @@ class TestReplayErrors:
         view = DynamicGraph(make_stream()).advance_to(-1.0)
         assert view.graph.num_nodes == view.graph.num_edges == 0
         assert view.graph.indptr.tolist() == [0]
+
+
+# -- generated replays vs the per-event dict replay --------------------------
+#
+# 2 trace shapes x 5 seeds x 3 checkpoint positions = 30 replays.  Case
+# ``c{n}`` checkpoints at the first snapshot holding at least n edges: 8
+# is the first few windows, 64 a little later, 4096 late in the merge
+# traces and the middle window of the plain ones, which never reach it.
+
+_CHECKPOINT_EDGES = (8, 64, 4096)
+_SEEDS = (0, 1, 2, 3, 4)
+CASES = [
+    (kind, seed, edges)
+    for kind in ("tiny", "tiny_merge")
+    for seed in _SEEDS
+    for edges in _CHECKPOINT_EDGES
+]
+CASE_IDS = [f"{kind}-s{seed}-c{edges}" for kind, seed, edges in CASES]
+
+_INTERVALS = {"tiny": 6.0, "tiny_merge": 8.0}
+
+
+@functools.lru_cache(maxsize=None)
+def _stream(kind: str, seed: int) -> EventStream:
+    if kind == "tiny":
+        cfg = presets.tiny(days=45.0, target_nodes=420)
+    else:
+        cfg = presets.tiny_merge(days=60.0, target_nodes=650)
+    return generate_trace(cfg, seed=seed)
+
+
+@pytest.mark.parametrize(("kind", "seed", "edges"), CASES, ids=CASE_IDS)
+def test_replay_csr_matches_batch_build(kind: str, seed: int, edges: int) -> None:
+    """The replay's CSR == dict replay + from_snapshot.
+
+    Checked on a fresh replay at every snapshot, and on a window resumed
+    from the checkpoint at step ``c`` with only the window's own columns,
+    as a parallel worker runs it.
+    """
+    stream = _stream(kind, seed)
+    replay, oracle = DynamicGraph(stream), DictReplay(stream)
+    views = []
+    for view in replay.snapshots(interval=_INTERVALS[kind]):
+        oracle.advance_to(view.time)
+        assert_same_csr(view.graph, CSRGraph.from_snapshot(oracle.graph))
+        views.append((view, oracle.node_cursor, oracle.edge_cursor))
+    step = next(
+        (i for i, (view, _, _) in enumerate(views) if view.graph.num_edges >= edges),
+        len(views) // 2,
+    )
+    entry, node_lo, edge_lo = views[step]
+    window = EventStream(nodes=stream.nodes[node_lo:], edges=stream.edges[edge_lo:])
+    checkpoint = ReplayCheckpoint(time=entry.time, node_index=0, edge_index=0, csr=entry.graph)
+    resumed = DynamicGraph.from_checkpoint(window, checkpoint)
+    for view, _, _ in views[step + 1 :]:
+        assert_same_csr(resumed.advance_to(view.time).graph, view.graph)
+
+
+@pytest.mark.parametrize("kind", ["tiny", "tiny_merge"])
+def test_timeseries_serial_matches_workers(kind: str) -> None:
+    """A serial timeseries == the same one over two checkpointed windows."""
+    stream = _stream(kind, 0)
+    spec = MetricSpec(path_sample=60, clustering_sample=80, seed=3)
+    serial = evaluate_timeseries(stream, spec, interval=_INTERVALS[kind])
+    parallel = evaluate_timeseries(stream, spec, interval=_INTERVALS[kind], workers=2)
+    assert len(serial.times) > 2
+    assert repr((parallel.times, parallel.values)) == repr((serial.times, serial.values))

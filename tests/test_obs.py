@@ -214,20 +214,17 @@ class TestSummary:
 
     def test_render_profile_keeps_historic_header(self):
         profile = {
-            "backend": "csr",
             "workers": 2,
             "cache_hits": 1,
             "cache_misses": 0,
             "metric_seconds": {"average_degree": [0.001, 0.002]},
         }
         text = render_profile(profile)
-        assert "backend: csr" in text
-        assert "cache: 1 hit(s) / 0 miss(es)" in text
+        assert "workers: 2  cache: 1 hit(s) / 0 miss(es)" in text
         assert "mean ms" in text
 
     def test_render_profile_appends_worker_detail(self):
         profile = {
-            "backend": "csr",
             "workers": 2,
             "metric_seconds": {},
             "worker_detail": [
