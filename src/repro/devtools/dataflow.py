@@ -1,6 +1,11 @@
-"""Lightweight intraprocedural dataflow shared by the RPL02x/RPL03x rules.
+"""Per-module facts and lightweight intraprocedural dataflow for the rules.
 
-Two analyses live here:
+The facts every rule reads are computed here and cached on
+:class:`repro.devtools.engine.ModuleInfo`, once per module per run: the
+import table (:func:`import_table`), the scope list (:class:`Scope`, the
+module body plus every function body), the per-statement dtype
+environments (:func:`scope_statements`) and the pool submissions
+(:func:`pool_submissions`).  Two analyses build on them:
 
 * **dtype flow** (:class:`DtypeEnv`) — a per-scope fixpoint that tracks
   the numpy dtype of local names through assignments, ``np.*``
@@ -23,24 +28,32 @@ scalars, which have arbitrary precision and therefore never overflow.
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
+    "ARRAY_ALIAS_DTYPES",
     "DtypeEnv",
     "Guard",
+    "Scope",
+    "Statement",
+    "Submission",
     "alias_summaries",
+    "aliases",
     "collect_guards",
     "dtype_from_node",
     "guarded",
+    "import_table",
     "is_64bit",
     "is_narrow_int",
     "is_numpy_int",
     "itemsize",
-    "module_aliases",
     "name_bindings",
     "names_in",
-    "numpy_aliases",
-    "scope_bodies",
+    "pool_submissions",
+    "scope_list",
+    "scope_statements",
     "walk_shallow",
 ]
 
@@ -102,48 +115,66 @@ def _parse_dtype_string(text: str) -> str | None:
     return None
 
 
-# -- module-level context ----------------------------------------------
+# -- module facts: imports and scopes ----------------------------------
+
+#: ``repro.util.arrays`` alias -> element dtype (``IntArray`` -> ``int64``).
+ARRAY_ALIAS_DTYPES = {
+    "repro.util.arrays.IntArray": "int64",
+    "repro.util.arrays.FloatArray": "float64",
+    "repro.util.arrays.BoolArray": "bool",
+    "repro.util.arrays.UIntArray": "uint64",
+    "repro.util.arrays.UInt16Array": "uint16",
+}
 
 
-def module_aliases(tree: ast.Module, target: str) -> set[str]:
-    """Local names bound to module ``target`` by plain imports."""
-    aliases: set[str] = set()
-    for node in ast.walk(tree):
+def import_table(nodes: Iterable[ast.AST]) -> dict[str, str]:
+    """Local name -> dotted origin for every import among ``nodes``.
+
+    ``import numpy as np`` maps ``np`` to ``numpy``; ``from time import
+    time as now`` maps ``now`` to ``time.time``.  ``import os.path``
+    maps the dotted name ``os.path`` itself, so the bare name ``os`` is
+    not taken as the ``os`` module.  A relative import keeps its leading
+    dots.  When two imports bind one name, the later one in ``nodes``
+    wins.
+    """
+    table: dict[str, str] = {}
+    for node in nodes:
         if isinstance(node, ast.Import):
             for item in node.names:
-                if item.name == target:
-                    aliases.add(item.asname or item.name.split(".")[0])
-    return aliases
-
-
-def numpy_aliases(tree: ast.Module) -> set[str]:
-    """Names the module uses for numpy itself (typically ``{"np"}``)."""
-    return module_aliases(tree, "numpy")
-
-
-def _array_alias_names(tree: ast.Module) -> dict[str, str]:
-    """Local names for the ``repro.util.arrays`` dtype aliases.
-
-    Maps each imported alias (``IntArray``, ``arrays.IntArray`` is not
-    resolved — attribute access is out of model) to its element dtype.
-    """
-    element = {
-        "IntArray": "int64",
-        "FloatArray": "float64",
-        "BoolArray": "bool",
-        "UIntArray": "uint64",
-        "UInt16Array": "uint16",
-    }
-    names: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "repro.util.arrays":
+                table[item.asname or item.name] = item.name
+        elif isinstance(node, ast.ImportFrom) and node.module is not None:
+            base = "." * node.level + node.module
             for item in node.names:
-                if item.name in element:
-                    names[item.asname or item.name] = element[item.name]
-    return names
+                table[item.asname or item.name] = f"{base}.{item.name}"
+    return table
 
 
-def alias_summaries(tree: ast.Module) -> dict[str, str]:
+def aliases(imports: dict[str, str], origin: str) -> set[str]:
+    """Local names the import table binds to ``origin``."""
+    return {name for name, source in imports.items() if source == origin}
+
+
+class Scope:
+    """The module body or one function body, with its nodes walked once.
+
+    ``nodes`` is :func:`walk_shallow` of the body: nested function and
+    lambda nodes appear but their bodies belong to their own scopes.
+    """
+
+    __slots__ = ("node", "nodes")
+
+    def __init__(self, node: ast.Module | ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+        self.node = node
+        self.nodes = list(walk_shallow(node.body))
+
+
+def scope_list(tree: ast.Module, nodes: Iterable[ast.AST]) -> list[Scope]:
+    """The module scope, then every function in ``nodes`` order."""
+    functions = (n for n in nodes if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return [Scope(tree), *map(Scope, functions)]
+
+
+def alias_summaries(scopes: list[Scope], alias_dtypes: dict[str, str]) -> dict[str, str]:
     """Per-function dtype summaries from ``repro.util.arrays`` annotations.
 
     A module-level (or method) ``def f(...) -> IntArray`` contributes
@@ -151,16 +182,17 @@ def alias_summaries(tree: ast.Module) -> dict[str, str]:
     interprocedural analysis.  Methods are summarized by bare name, which
     is deliberately coarse: two same-named methods with different alias
     returns would collide, so only agreeing summaries are kept.
+    ``alias_dtypes`` maps the module's local alias names to dtypes.
     """
-    aliases = _array_alias_names(tree)
     summaries: dict[str, str] = {}
     dropped: set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    for scope in scopes:
+        node = scope.node
+        if isinstance(node, ast.Module):
             continue
         returns = node.returns
-        if isinstance(returns, ast.Name) and returns.id in aliases:
-            dtype = aliases[returns.id]
+        if isinstance(returns, ast.Name) and returns.id in alias_dtypes:
+            dtype = alias_dtypes[returns.id]
             if summaries.get(node.name, dtype) != dtype:
                 dropped.add(node.name)
             summaries[node.name] = dtype
@@ -199,8 +231,8 @@ def dtype_from_node(node: ast.expr | None, np_names: set[str]) -> str | None:
 # -- scope walking ------------------------------------------------------
 
 
-def walk_shallow(body: list[ast.stmt]) -> Iterator[ast.AST]:
-    """Walk statements without descending into nested function scopes."""
+def walk_shallow(body: Iterable[ast.AST]) -> Iterator[ast.AST]:
+    """Walk nodes without descending into nested function or lambda scopes."""
     stack: list[ast.AST] = list(body)
     while stack:
         node = stack.pop()
@@ -210,16 +242,6 @@ def walk_shallow(body: list[ast.stmt]) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def scope_bodies(
-    tree: ast.Module,
-) -> Iterator[tuple[ast.Module | ast.FunctionDef | ast.AsyncFunctionDef, list[ast.stmt]]]:
-    """Yield ``(scope_node, body)`` for the module and every function."""
-    yield tree, tree.body
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node, node.body
-
-
 def names_in(node: ast.AST) -> frozenset[str]:
     """Every ``Name`` identifier occurring anywhere under ``node``."""
     return frozenset(
@@ -227,15 +249,15 @@ def names_in(node: ast.AST) -> frozenset[str]:
     )
 
 
-def name_bindings(body: list[ast.stmt]) -> dict[str, list[ast.expr]]:
-    """Shallow map of local name -> every expression assigned to it.
+def name_bindings(scope: Scope) -> dict[str, list[ast.expr]]:
+    """Map of local name -> every expression assigned to it in ``scope``.
 
     Covers plain assignments and ``with ... as name`` (the expression is
     the context manager).  Tuple-unpacking targets are not resolved —
     callers treat unpacked names as unknown.
     """
     bindings: dict[str, list[ast.expr]] = {}
-    for node in walk_shallow(body):
+    for node in scope.nodes:
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name):
@@ -257,7 +279,7 @@ def name_bindings(body: list[ast.stmt]) -> dict[str, list[ast.expr]]:
 Guard = tuple[int, frozenset[str]]
 
 
-def collect_guards(body: list[ast.stmt]) -> list[Guard]:
+def collect_guards(scope: Scope) -> list[Guard]:
     """``(line, names-under-test)`` for every ``if``/``assert`` in the scope.
 
     The dtype rules treat a preceding conditional that mentions one of
@@ -266,7 +288,7 @@ def collect_guards(body: list[ast.stmt]) -> list[Guard]:
     the right one, only that the author wrote a range check at all.
     """
     guards: list[Guard] = []
-    for node in walk_shallow(body):
+    for node in scope.nodes:
         if isinstance(node, (ast.If, ast.Assert)):
             guards.append((node.lineno, names_in(node.test)))
     return guards
@@ -332,52 +354,37 @@ class DtypeEnv:
 
     def __init__(
         self,
-        body: list[ast.stmt],
-        np_names: set[str],
-        summaries: dict[str, str] | None = None,
-        params: dict[str, str] | None = None,
-    ) -> None:
-        self.body = body
-        self.np_names = np_names
-        self.summaries = summaries or {}
-        self._env: dict[str, str | None] = dict(params or {})
-        self._infer()
-
-    @classmethod
-    def for_scope(
-        cls,
-        scope: ast.Module | ast.FunctionDef | ast.AsyncFunctionDef,
-        body: list[ast.stmt],
+        scope: Scope,
         np_names: set[str],
         summaries: dict[str, str],
-        alias_params: dict[str, str],
-    ) -> DtypeEnv:
-        """Build an env, seeding parameter dtypes from alias annotations."""
-        params: dict[str, str] = {}
-        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = scope.args
+        alias_dtypes: dict[str, str],
+    ) -> None:
+        """Infer ``scope``, seeding parameters annotated with an alias."""
+        self.np_names = np_names
+        self.summaries = summaries
+        self._env: dict[str, str | None] = {}
+        node = scope.node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
             for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
                 annotation = arg.annotation
-                if isinstance(annotation, ast.Name) and annotation.id in alias_params:
-                    params[arg.arg] = alias_params[annotation.id]
-        return cls(body, np_names, summaries, params)
+                if isinstance(annotation, ast.Name) and annotation.id in alias_dtypes:
+                    self._env[arg.arg] = alias_dtypes[annotation.id]
+        self._infer(scope)
 
-    def _infer(self) -> None:
+    def _infer(self, scope: Scope) -> None:
+        assignments: list[tuple[str, ast.expr]] = []
+        for node in scope.nodes:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                if isinstance(node.targets[0], ast.Name):
+                    assignments.append((node.targets[0].id, node.value))
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                if isinstance(node.target, ast.Name):
+                    assignments.append((node.target.id, node.value))
         for _ in range(4):  # few rounds reach fixpoint on real code
             changed = False
-            for node in walk_shallow(self.body):
-                target: ast.Name | None = None
-                value: ast.expr | None = None
-                if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                    if isinstance(node.targets[0], ast.Name):
-                        target, value = node.targets[0], node.value
-                elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                    if isinstance(node.target, ast.Name):
-                        target, value = node.target, node.value
-                if target is None or value is None:
-                    continue
+            for name, value in assignments:
                 dtype = self.dtype_of(value)
-                name = target.id
                 if name in self._env and self._env[name] != dtype:
                     # Conflicting bindings: degrade to unknown, once.
                     if self._env[name] is not None:
@@ -388,9 +395,6 @@ class DtypeEnv:
                     changed = True
             if not changed:
                 return
-
-    def lookup(self, name: str) -> str | None:
-        return self._env.get(name)
 
     def dtype_of(self, node: ast.expr) -> str | None:
         """The inferred dtype of an expression, or ``None`` (unknown)."""
@@ -473,3 +477,131 @@ class DtypeEnv:
             inner = self.dtype_of(node.args[0])
             return inner if is_64bit(inner) else None
         return None
+
+
+# -- per-module facts the rule families share ---------------------------
+
+
+class Statement(NamedTuple):
+    """One statement of a scope, with what the RPL02x rules check it against."""
+
+    env: DtypeEnv
+    guards: list[Guard]
+    stmt: ast.stmt
+    #: The expression nodes that belong to ``stmt`` itself (not to a child
+    #: statement), so each expression of a scope appears exactly once.
+    exprs: list[ast.AST]
+
+
+def _own_expressions(stmt: ast.stmt) -> list[ast.AST]:
+    direct: list[ast.AST] = []
+    for _field, value in ast.iter_fields(stmt):
+        values = value if isinstance(value, list) else [value]
+        direct.extend(v for v in values if isinstance(v, ast.expr))
+    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        direct.extend(item.context_expr for item in stmt.items)
+    return list(walk_shallow(direct))
+
+
+def scope_statements(scopes: list[Scope], imports: dict[str, str]) -> list[Statement]:
+    """Every statement of every scope, with its dtype env and guards."""
+    np_names = aliases(imports, "numpy")
+    alias_dtypes = {
+        name: ARRAY_ALIAS_DTYPES[origin]
+        for name, origin in imports.items()
+        if origin in ARRAY_ALIAS_DTYPES
+    }
+    summaries = alias_summaries(scopes, alias_dtypes)
+    statements: list[Statement] = []
+    for scope in scopes:
+        env = DtypeEnv(scope, np_names, summaries, alias_dtypes)
+        guards = collect_guards(scope)
+        statements.extend(
+            Statement(env, guards, node, _own_expressions(node))
+            for node in scope.nodes
+            if isinstance(node, ast.stmt)
+        )
+    return statements
+
+
+@dataclass(frozen=True)
+class Submission:
+    """One callable reaching a pool: a submit/map target or initializer."""
+
+    callable: ast.expr
+    line: int
+    col: int
+    role: str  # "submit", "map", or "initializer"
+    scope: Scope
+
+
+def _is_executor_call(node: ast.expr, executor_names: set[str]) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id in executor_names
+    # concurrent.futures.ProcessPoolExecutor(...)
+    return isinstance(func, ast.Attribute) and func.attr == "ProcessPoolExecutor"
+
+
+def _scope_submissions(scope: Scope, executor_names: set[str]) -> Iterator[Submission]:
+    """Callables shipped to a pool within one scope.
+
+    Pools are recognized as direct ``ProcessPoolExecutor(...)`` calls,
+    names assigned from one, and ``with ProcessPoolExecutor(...) as p``.
+    ``initializer=`` is also recognized inside dict literals that carry a
+    literal ``"initializer"`` key (the ``**pool_kwargs`` idiom).
+    """
+    pool_names = {
+        name
+        for name, values in name_bindings(scope).items()
+        if any(_is_executor_call(v, executor_names) for v in values)
+    }
+    for node in scope.nodes:
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in ("submit", "map")
+                and node.args
+            ):
+                receiver = func.value
+                is_pool = (
+                    isinstance(receiver, ast.Name) and receiver.id in pool_names
+                ) or _is_executor_call(receiver, executor_names)
+                if is_pool:
+                    target = node.args[0]
+                    yield Submission(
+                        target, target.lineno, target.col_offset, func.attr, scope
+                    )
+            if _is_executor_call(node, executor_names):
+                for kw in node.keywords:
+                    if kw.arg == "initializer":
+                        yield Submission(
+                            kw.value, kw.value.lineno, kw.value.col_offset,
+                            "initializer", scope,
+                        )
+        elif isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if (
+                    isinstance(key, ast.Constant)
+                    and key.value == "initializer"
+                    and value is not None
+                ):
+                    yield Submission(
+                        value, value.lineno, value.col_offset, "initializer", scope
+                    )
+
+
+def pool_submissions(
+    nodes: list[ast.AST], scopes: list[Scope], imports: dict[str, str]
+) -> list[Submission]:
+    """Every callable the module ships to a ``ProcessPoolExecutor``."""
+    executor_names = aliases(imports, "concurrent.futures.ProcessPoolExecutor")
+    uses_executor = bool(executor_names) or any(
+        isinstance(n, ast.Attribute) and n.attr == "ProcessPoolExecutor" for n in nodes
+    )
+    if not uses_executor:
+        return []
+    return [sub for scope in scopes for sub in _scope_submissions(scope, executor_names)]

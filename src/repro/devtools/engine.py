@@ -2,10 +2,14 @@
 
 Rules come in two shapes:
 
-* :class:`FileRule` — visits one module's AST at a time (the determinism
-  rules RPL001-RPL005);
+* :class:`FileRule` — checks one module at a time (RPL001-RPL005,
+  RPL020-RPL023, RPL030-RPL033);
 * :class:`ProjectRule` — sees every discovered module at once (the
   layering rule RPL010, which needs the whole import graph).
+
+Rules read a module's shared facts from :class:`ModuleInfo` — its node
+list, import table, scope list, per-statement dtype environments and pool
+submissions — each computed once per module, on first use.
 
 Suppression syntax, on the offending line::
 
@@ -25,8 +29,18 @@ import re
 import tokenize
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
+from repro.devtools.dataflow import (
+    Scope,
+    Statement,
+    Submission,
+    import_table,
+    pool_submissions,
+    scope_list,
+    scope_statements,
+)
 from repro.devtools.diagnostics import Diagnostic
 
 __all__ = [
@@ -64,7 +78,8 @@ class Suppression:
 
 @dataclass
 class ModuleInfo:
-    """One parsed source file plus the naming context rules key off.
+    """One parsed source file, the naming context rules key off, and the
+    facts every rule shares.
 
     ``module`` is the dotted name (``repro.kernels.csr``); ``package`` is
     the component rules scope on — the sub-package directly under
@@ -79,6 +94,34 @@ class ModuleInfo:
     source: str
     tree: ast.Module
     suppressions: list[Suppression] = field(default_factory=list)
+
+    # The facts below are what rules read instead of re-walking the tree.
+    # Each is computed on first use and at most once per module.
+
+    @cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of the tree, in ``ast.walk`` order."""
+        return list(ast.walk(self.tree))
+
+    @cached_property
+    def imports(self) -> dict[str, str]:
+        """The import table: local name -> dotted origin."""
+        return import_table(self.nodes)
+
+    @cached_property
+    def scopes(self) -> list[Scope]:
+        """The module scope, then every function scope."""
+        return scope_list(self.tree, self.nodes)
+
+    @cached_property
+    def statements(self) -> list[Statement]:
+        """Every statement with its scope's dtype env and guards (RPL02x)."""
+        return scope_statements(self.scopes, self.imports)
+
+    @cached_property
+    def submissions(self) -> list[Submission]:
+        """Every callable shipped to a process pool (RPL030-RPL032)."""
+        return pool_submissions(self.nodes, self.scopes, self.imports)
 
 
 class Rule:
@@ -144,6 +187,8 @@ def parse_suppressions(source: str) -> list[Suppression]:
     a string literal is never mistaken for a suppression.
     """
     suppressions: list[Suppression] = []
+    if "repro:" not in source:
+        return suppressions  # no noqa comment can match: skip tokenizing
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         for tok in tokens:

@@ -21,23 +21,18 @@ limits).
 from __future__ import annotations
 
 import ast
-import functools
 from collections.abc import Iterator
 
 from repro.devtools.dataflow import (
     DtypeEnv,
-    alias_summaries,
-    collect_guards,
+    Scope,
+    aliases,
     dtype_from_node,
     guarded,
     is_64bit,
     is_narrow_int,
     is_numpy_int,
     itemsize,
-    module_aliases,
-    numpy_aliases,
-    scope_bodies,
-    walk_shallow,
 )
 from repro.devtools.engine import FileRule, ModuleInfo
 
@@ -55,65 +50,6 @@ _PACKING_SHIFT_BITS = 16
 _OVERFLOW_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Pow)
 
 
-def _walk_expr(expr: ast.expr) -> Iterator[ast.AST]:
-    """Walk one expression tree without entering lambda bodies."""
-    stack: list[ast.AST] = [expr]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, ast.Lambda):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _own_expressions(stmt: ast.stmt) -> Iterator[ast.AST]:
-    """Expression nodes belonging directly to ``stmt``.
-
-    Child *statements* (loop bodies, ``if`` branches, nested defs) are
-    excluded — they are visited as statements in their own right — so
-    each expression in a scope is seen exactly once.
-    """
-    direct: list[ast.expr] = []
-    for _field, value in ast.iter_fields(stmt):
-        values = value if isinstance(value, list) else [value]
-        direct.extend(v for v in values if isinstance(v, ast.expr))
-    if isinstance(stmt, (ast.With, ast.AsyncWith)):
-        direct.extend(item.context_expr for item in stmt.items)
-    for expr in direct:
-        yield from _walk_expr(expr)
-
-
-def _statements(module: ModuleInfo) -> tuple[tuple[DtypeEnv, list, ast.stmt], ...]:
-    """Every statement of every scope, with its dtype env and guards."""
-    return _tree_statements(module.tree)
-
-
-# RPL020-RPL022 each walk the same module back to back; inferring the
-# dtype environments once per module instead of once per rule keeps the
-# repo-wide lint inside its runtime budget.
-@functools.lru_cache(maxsize=1)
-def _tree_statements(tree: ast.Module) -> tuple[tuple[DtypeEnv, list, ast.stmt], ...]:
-    return tuple(_iter_statements(tree))
-
-
-def _iter_statements(tree: ast.Module) -> Iterator[tuple[DtypeEnv, list, ast.stmt]]:
-    np_names = numpy_aliases(tree)
-    summaries = alias_summaries(tree)
-    alias_params = {
-        "IntArray": "int64",
-        "FloatArray": "float64",
-        "BoolArray": "bool",
-        "UIntArray": "uint64",
-        "UInt16Array": "uint16",
-    }
-    for scope, body in scope_bodies(tree):
-        env = DtypeEnv.for_scope(scope, body, np_names, summaries, alias_params)
-        guards = collect_guards(body)
-        for node in walk_shallow(body):
-            if isinstance(node, ast.stmt):
-                yield env, guards, node
-
-
 class NarrowArithmeticRule(FileRule):
     """RPL020: narrow-dtype arithmetic (and packing shifts) can overflow."""
 
@@ -125,8 +61,8 @@ class NarrowArithmeticRule(FileRule):
     )
 
     def check_module(self, module: ModuleInfo) -> Iterator[tuple[int, int, str]]:
-        for env, guards, stmt in _statements(module):
-            for node in _own_expressions(stmt):
+        for env, guards, stmt, exprs in module.statements:
+            for node in exprs:
                 if not isinstance(node, ast.BinOp):
                     continue
                 left = env.dtype_of(node.left)
@@ -174,12 +110,11 @@ class DowncastWithoutGuardRule(FileRule):
     _CAST_FUNCS = frozenset({"asarray", "array", "fromiter", "asanyarray"})
 
     def check_module(self, module: ModuleInfo) -> Iterator[tuple[int, int, str]]:
-        np_names = numpy_aliases(module.tree)
-        for env, guards, stmt in _statements(module):
-            for node in _own_expressions(stmt):
+        for env, guards, stmt, exprs in module.statements:
+            for node in exprs:
                 if not isinstance(node, ast.Call):
                     continue
-                finding = self._narrow_cast(node, env, np_names)
+                finding = self._narrow_cast(node, env)
                 if finding is None:
                     continue
                 target, source = finding
@@ -204,9 +139,10 @@ class DowncastWithoutGuardRule(FileRule):
                 )
 
     def _narrow_cast(
-        self, node: ast.Call, env: DtypeEnv, np_names: set[str]
+        self, node: ast.Call, env: DtypeEnv
     ) -> tuple[str, ast.expr | None] | None:
         """``(target_dtype, source_expr)`` when ``node`` is a narrowing cast."""
+        np_names = env.np_names
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr == "astype" and node.args:
             target = dtype_from_node(node.args[0], np_names)
@@ -245,10 +181,9 @@ class UnsizedAccumulatorRule(FileRule):
     _REDUCTIONS = frozenset({"prod", "cumsum", "cumprod"})
 
     def check_module(self, module: ModuleInfo) -> Iterator[tuple[int, int, str]]:
-        np_names = numpy_aliases(module.tree)
-        math_names = module_aliases(module.tree, "math")
-        for env, _guards, stmt in _statements(module):
-            for node in _own_expressions(stmt):
+        math_names = aliases(module.imports, "math")
+        for env, _guards, _stmt, exprs in module.statements:
+            for node in exprs:
                 if not isinstance(node, ast.Call):
                     continue
                 func = node.func
@@ -262,7 +197,7 @@ class UnsizedAccumulatorRule(FileRule):
                 ):
                     continue  # math.prod is arbitrary-precision python int
                 is_np = (
-                    isinstance(func.value, ast.Name) and func.value.id in np_names
+                    isinstance(func.value, ast.Name) and func.value.id in env.np_names
                 )
                 kwarg_names = {kw.arg for kw in node.keywords}
                 if "dtype" in kwarg_names or "out" in kwarg_names:
@@ -310,11 +245,11 @@ class MemmapMutationRule(FileRule):
     _INPLACE_METHODS = frozenset({"sort", "fill", "partition", "put", "byteswap"})
 
     def check_module(self, module: ModuleInfo) -> Iterator[tuple[int, int, str]]:
-        for _scope, body in scope_bodies(module.tree):
-            mapped = self._mapped_names(body)
+        for scope in module.scopes:
+            mapped = self._mapped_names(scope)
             if not mapped:
                 continue
-            for node in walk_shallow(body):
+            for node in scope.nodes:
                 yield from self._mutations(node, mapped)
 
     def _is_reader_call(self, node: ast.expr) -> bool:
@@ -325,11 +260,11 @@ class MemmapMutationRule(FileRule):
             return func.attr in self._READER_METHODS
         return isinstance(func, ast.Name) and func.id == "map_chunk"
 
-    def _mapped_names(self, body: list[ast.stmt]) -> set[str]:
+    def _mapped_names(self, scope: Scope) -> set[str]:
         """Names bound (directly or by propagation) to reader results."""
         mapped: set[str] = set()
         for _ in range(2):  # one propagation round for chained aliases
-            for node in walk_shallow(body):
+            for node in scope.nodes:
                 if not isinstance(node, ast.Assign):
                     continue
                 tainted = self._is_reader_call(node.value) or self._propagates(

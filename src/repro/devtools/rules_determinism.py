@@ -21,6 +21,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
+from repro.devtools.dataflow import Scope, aliases
 from repro.devtools.engine import FileRule, ModuleInfo
 from repro.devtools.parity import (
     ENGINE_EQUIVALENCE_COVERED,
@@ -103,32 +104,11 @@ _TIME_FUNCS = frozenset(
 _DATETIME_FUNCS = frozenset({"now", "utcnow", "today"})
 
 
-def _module_aliases(tree: ast.Module, target: str) -> set[str]:
-    """Local names bound to module ``target`` by plain imports."""
-    aliases: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for item in node.names:
-                if item.name == target:
-                    aliases.add(item.asname or item.name.split(".")[0])
-    return aliases
+class _SetTypes:
+    """Set-typed-name inference for one scope."""
 
-
-def _from_imports(tree: ast.Module, module: str) -> dict[str, str]:
-    """``{local_name: original_name}`` for ``from module import ...``."""
-    names: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == module:
-            for item in node.names:
-                names[item.asname or item.name] = item.name
-    return names
-
-
-class _Scope:
-    """Set-typed-name inference for one function (or module) body."""
-
-    def __init__(self, body: list[ast.stmt]) -> None:
-        self.body = body
+    def __init__(self, scope: Scope) -> None:
+        self.nodes = scope.nodes
         self.set_names: set[str] = set()
         self._infer()
 
@@ -136,7 +116,7 @@ class _Scope:
         # Fixpoint over simple assignments plus the adjacency loop-target
         # idiom; names with any non-set binding never qualify.
         assignments: dict[str, list[ast.expr | None]] = {}
-        for node in self._walk_shallow():
+        for node in self.nodes:
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
@@ -189,16 +169,6 @@ class _Scope:
                 if isinstance(sub, ast.Name):
                     assignments.setdefault(sub.id, []).append(None)
 
-    def _walk_shallow(self) -> Iterator[ast.AST]:
-        """Walk the scope body without descending into nested functions."""
-        stack: list[ast.AST] = list(self.body)
-        while stack:
-            node = stack.pop()
-            yield node
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue  # nested scope: analyzed separately
-            stack.extend(ast.iter_child_nodes(node))
-
     def is_set(self, node: ast.expr) -> bool:
         """Conservative: ``True`` only when ``node`` is provably a set."""
         if isinstance(node, (ast.Set, ast.SetComp)):
@@ -242,13 +212,6 @@ def _is_adjacency_view(node: ast.expr, views: set[str]) -> bool:
     )
 
 
-def _scopes(tree: ast.Module) -> Iterator[_Scope]:
-    yield _Scope(tree.body)
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield _Scope(node.body)
-
-
 class SetIterationRule(FileRule):
     """RPL001: order-sensitive iteration over a set."""
 
@@ -263,8 +226,8 @@ class SetIterationRule(FileRule):
     _CONSUMERS = frozenset({"list", "tuple", "enumerate"})
 
     def check_module(self, module: ModuleInfo) -> Iterator[tuple[int, int, str]]:
-        for scope in _scopes(module.tree):
-            for node in scope._walk_shallow():
+        for scope in map(_SetTypes, module.scopes):
+            for node in scope.nodes:
                 if isinstance(node, (ast.For, ast.AsyncFor)):
                     if scope.is_set(node.iter):
                         yield (
@@ -310,10 +273,9 @@ class GlobalRNGRule(FileRule):
     packages = None  # randomness must be seeded everywhere
 
     def check_module(self, module: ModuleInfo) -> Iterator[tuple[int, int, str]]:
-        tree = module.tree
-        random_aliases = _module_aliases(tree, "random")
-        numpy_aliases = _module_aliases(tree, "numpy")
-        for node in ast.walk(tree):
+        random_names = aliases(module.imports, "random")
+        numpy_names = aliases(module.imports, "numpy")
+        for node in module.nodes:
             if isinstance(node, ast.ImportFrom):
                 if node.module == "random":
                     yield (
@@ -333,7 +295,7 @@ class GlobalRNGRule(FileRule):
                             )
             elif isinstance(node, ast.Attribute):
                 value = node.value
-                if isinstance(value, ast.Name) and value.id in random_aliases:
+                if isinstance(value, ast.Name) and value.id in random_names:
                     yield (
                         node.lineno,
                         node.col_offset,
@@ -344,7 +306,7 @@ class GlobalRNGRule(FileRule):
                     isinstance(value, ast.Attribute)
                     and value.attr == "random"
                     and isinstance(value.value, ast.Name)
-                    and value.value.id in numpy_aliases
+                    and value.value.id in numpy_names
                     and node.attr not in _NP_RANDOM_OK
                 ):
                     yield (
@@ -381,8 +343,8 @@ class UnorderedAccumulationRule(FileRule):
     packages = DETERMINISM_PACKAGES
 
     def check_module(self, module: ModuleInfo) -> Iterator[tuple[int, int, str]]:
-        for scope in _scopes(module.tree):
-            for node in scope._walk_shallow():
+        for scope in map(_SetTypes, module.scopes):
+            for node in scope.nodes:
                 if not isinstance(node, ast.Call) or not node.args:
                     continue
                 func = node.func
@@ -418,36 +380,34 @@ class WallClockRule(FileRule):
     packages = PURE_PACKAGES
 
     def check_module(self, module: ModuleInfo) -> Iterator[tuple[int, int, str]]:
-        tree = module.tree
-        time_aliases = _module_aliases(tree, "time")
-        datetime_aliases = _module_aliases(tree, "datetime")
-        time_froms = _from_imports(tree, "time")
-        datetime_froms = _from_imports(tree, "datetime")
-        for node in ast.walk(tree):
+        imports = module.imports
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             if isinstance(func, ast.Name):
-                origin = time_froms.get(func.id)
-                if origin in _TIME_FUNCS:
+                origin = imports.get(func.id, "")
+                source, _, attr = origin.rpartition(".")
+                if source == "time" and attr in _TIME_FUNCS:
                     yield (
                         node.lineno,
                         node.col_offset,
-                        f"wall-clock call time.{origin}() in pure code",
+                        f"wall-clock call {origin}() in pure code",
                     )
             elif isinstance(func, ast.Attribute):
                 value = func.value
                 if isinstance(value, ast.Name):
-                    if value.id in time_aliases and func.attr in _TIME_FUNCS:
+                    origin = imports.get(value.id, "")
+                    if origin == "time" and func.attr in _TIME_FUNCS:
                         yield (
                             node.lineno,
                             node.col_offset,
                             f"wall-clock call time.{func.attr}() in pure code",
                         )
                     elif (
-                        value.id in datetime_froms.values()
-                        or value.id in datetime_froms
-                    ) and func.attr in _DATETIME_FUNCS:
+                        origin.startswith("datetime.")
+                        and func.attr in _DATETIME_FUNCS
+                    ):
                         yield (
                             node.lineno,
                             node.col_offset,
@@ -457,7 +417,7 @@ class WallClockRule(FileRule):
                 elif (
                     isinstance(value, ast.Attribute)
                     and isinstance(value.value, ast.Name)
-                    and value.value.id in datetime_aliases
+                    and imports.get(value.value.id) == "datetime"
                     and value.attr in ("datetime", "date")
                     and func.attr in _DATETIME_FUNCS
                 ):

@@ -114,74 +114,47 @@ def collect_edges(modules: Sequence[ModuleInfo]) -> list[ImportEdge]:
 
     Internal means the target resolves into the scanned tree: a
     ``repro.*`` import, or (for fixture trees) an import whose first
-    component names a scanned package.
+    component names a scanned package.  Edges come in source order.
     """
     packages = _known_packages(modules)
     edges: list[ImportEdge] = []
     for module in modules:
-        collector = _EdgeCollector(module, packages)
-        collector.visit(module.tree)
-        edges.extend(collector.edges)
+        eager = {
+            id(node)
+            for node in module.scopes[0].nodes
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+        type_checking = {
+            id(node)
+            for block in module.nodes
+            if isinstance(block, ast.If) and _is_type_checking_test(block.test)
+            for stmt in block.body
+            for node in ast.walk(stmt)
+        }
+        statements = sorted(
+            (n for n in module.nodes if isinstance(n, (ast.Import, ast.ImportFrom))),
+            key=lambda n: (n.lineno, n.col_offset),
+        )
+        for node in statements:
+            if id(node) in type_checking:
+                kind = "type-checking"
+            else:
+                kind = "eager" if id(node) in eager else "deferred"
+            for target in _targets(module, node):
+                first = target.split(".")[0]
+                if first == "repro" or first in packages:
+                    edges.append(ImportEdge(module.module, target, node.lineno, kind))
     return edges
 
 
-class _EdgeCollector(ast.NodeVisitor):
-    def __init__(self, module: ModuleInfo, packages: set[str]) -> None:
-        self.module = module
-        self.packages = packages
-        self.edges: list[ImportEdge] = []
-        self._depth = 0
-        self._type_checking = 0
-
-    # -- context tracking ---------------------------------------------
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._descend(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._descend(node)
-
-    def _descend(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        self._depth += 1
-        self.generic_visit(node)
-        self._depth -= 1
-
-    def visit_If(self, node: ast.If) -> None:
-        if _is_type_checking_test(node.test):
-            self._type_checking += 1
-            for stmt in node.body:
-                self.visit(stmt)
-            self._type_checking -= 1
-            for stmt in node.orelse:
-                self.visit(stmt)
-        else:
-            self.generic_visit(node)
-
-    # -- imports ------------------------------------------------------
-
-    def _kind(self) -> str:
-        if self._type_checking:
-            return "type-checking"
-        return "deferred" if self._depth else "eager"
-
-    def _add(self, target: str, line: int) -> None:
-        first = target.split(".")[0]
-        if first == "repro" or first in self.packages:
-            self.edges.append(
-                ImportEdge(self.module.module, target, line, self._kind())
-            )
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for item in node.names:
-            self._add(item.name, node.lineno)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.level:  # relative import: resolve against this module
-            base = self.module.module.split(".")[: -node.level]
-            prefix = ".".join(base + ([node.module] if node.module else []))
-            self._add(prefix, node.lineno)
-        elif node.module is not None:
-            self._add(node.module, node.lineno)
+def _targets(module: ModuleInfo, node: ast.Import | ast.ImportFrom) -> list[str]:
+    """The dotted modules one import statement names."""
+    if isinstance(node, ast.Import):
+        return [item.name for item in node.names]
+    if node.level:  # relative import: resolve against this module
+        base = module.module.split(".")[: -node.level]
+        return [".".join(base + ([node.module] if node.module else []))]
+    return [node.module] if node.module is not None else []
 
 
 class LayeringRule(ProjectRule):

@@ -23,14 +23,8 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
-from dataclasses import dataclass
 
-from repro.devtools.dataflow import (
-    module_aliases,
-    name_bindings,
-    scope_bodies,
-    walk_shallow,
-)
+from repro.devtools.dataflow import Scope, Submission, name_bindings, walk_shallow
 from repro.devtools.engine import FileRule, ModuleInfo
 from repro.devtools.workers import WORKER_EXEMPT, WORKER_MANIFEST
 
@@ -43,96 +37,6 @@ __all__ = [
 ]
 
 
-def _executor_names(tree: ast.Module) -> set[str]:
-    """Local names bound to ``ProcessPoolExecutor`` by imports."""
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "concurrent.futures":
-            for item in node.names:
-                if item.name == "ProcessPoolExecutor":
-                    names.add(item.asname or item.name)
-    return names
-
-
-def _is_executor_call(node: ast.expr, executor_names: set[str]) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id in executor_names
-    # concurrent.futures.ProcessPoolExecutor(...)
-    return isinstance(func, ast.Attribute) and func.attr == "ProcessPoolExecutor"
-
-
-@dataclass(frozen=True)
-class Submission:
-    """One callable reaching a pool: a submit/map target or initializer."""
-
-    callable: ast.expr
-    line: int
-    col: int
-    role: str  # "submit", "map", or "initializer"
-
-
-def _scope_submissions(
-    body: list[ast.stmt], executor_names: set[str]
-) -> Iterator[Submission]:
-    """Callables shipped to a pool within one scope.
-
-    Pools are recognized as direct ``ProcessPoolExecutor(...)`` calls,
-    names assigned from one, and ``with ProcessPoolExecutor(...) as p``.
-    ``initializer=`` is also recognized inside dict literals that carry a
-    literal ``"initializer"`` key (the ``**pool_kwargs`` idiom).
-    """
-    bindings = name_bindings(body)
-    pool_names = {
-        name
-        for name, values in bindings.items()
-        if any(_is_executor_call(v, executor_names) for v in values)
-    }
-    for node in walk_shallow(body):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in ("submit", "map")
-                and node.args
-            ):
-                receiver = func.value
-                is_pool = (
-                    isinstance(receiver, ast.Name) and receiver.id in pool_names
-                ) or _is_executor_call(receiver, executor_names)
-                if is_pool:
-                    target = node.args[0]
-                    yield Submission(target, target.lineno, target.col_offset, func.attr)
-            if _is_executor_call(node, executor_names):
-                for kw in node.keywords:
-                    if kw.arg == "initializer":
-                        yield Submission(
-                            kw.value, kw.value.lineno, kw.value.col_offset, "initializer"
-                        )
-        elif isinstance(node, ast.Dict):
-            for key, value in zip(node.keys, node.values):
-                if (
-                    isinstance(key, ast.Constant)
-                    and key.value == "initializer"
-                    and value is not None
-                ):
-                    yield Submission(value, value.lineno, value.col_offset, "initializer")
-
-
-def _module_submissions(tree: ast.Module) -> Iterator[tuple[list[ast.stmt], Submission]]:
-    executor_names = _executor_names(tree)
-    uses_executor = bool(executor_names) or any(
-        isinstance(n, ast.Attribute) and n.attr == "ProcessPoolExecutor"
-        for n in ast.walk(tree)
-    )
-    if not uses_executor:
-        return
-    for _scope, body in scope_bodies(tree):
-        yield from ((body, sub) for sub in _scope_submissions(body, executor_names))
-
-
 def _module_functions(tree: ast.Module) -> dict[str, ast.FunctionDef | ast.AsyncFunctionDef]:
     return {
         node.name: node
@@ -141,18 +45,17 @@ def _module_functions(tree: ast.Module) -> dict[str, ast.FunctionDef | ast.Async
     }
 
 
-def _local_defs(body: list[ast.stmt]) -> set[str]:
+def _local_defs(scope: Scope) -> set[str]:
     """Functions defined *inside* this scope (not at module level)."""
     return {
         node.name
-        for node in walk_shallow(body)
+        for node in scope.nodes
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
 
 
 def _resolve_callable(
     sub: Submission,
-    body: list[ast.stmt],
     module_fns: dict[str, ast.FunctionDef | ast.AsyncFunctionDef],
 ) -> list[str] | None:
     """Module-level function names ``sub`` can refer to, or ``None``.
@@ -166,7 +69,7 @@ def _resolve_callable(
     if isinstance(node, ast.Name):
         if node.id in module_fns:
             return [node.id]
-        values = name_bindings(body).get(node.id)
+        values = name_bindings(sub.scope).get(node.id)
         if values and all(
             isinstance(v, ast.Name) and v.id in module_fns for v in values
         ):
@@ -185,7 +88,7 @@ class PoolCallableRule(FileRule):
     )
 
     def check_module(self, module: ModuleInfo) -> Iterator[tuple[int, int, str]]:
-        for body, sub in _module_submissions(module.tree):
+        for sub in module.submissions:
             node = sub.callable
             if isinstance(node, ast.Lambda):
                 yield (
@@ -195,7 +98,7 @@ class PoolCallableRule(FileRule):
                     "pickled under spawn; hoist it to a module-level function",
                 )
             elif isinstance(node, ast.Name):
-                local = _local_defs(body) - set(_module_functions(module.tree))
+                local = _local_defs(sub.scope) - set(_module_functions(module.tree))
                 if node.id in local:
                     yield (
                         sub.line,
@@ -206,7 +109,7 @@ class PoolCallableRule(FileRule):
                         "module level",
                     )
                 else:
-                    bindings = name_bindings(body).get(node.id, [])
+                    bindings = name_bindings(sub.scope).get(node.id, [])
                     if any(isinstance(v, ast.Lambda) for v in bindings):
                         yield (
                             sub.line,
@@ -229,13 +132,13 @@ class WorkerManifestRule(FileRule):
 
     def check_module(self, module: ModuleInfo) -> Iterator[tuple[int, int, str]]:
         module_fns = _module_functions(module.tree)
-        for body, sub in _module_submissions(module.tree):
+        for sub in module.submissions:
             node = sub.callable
             if isinstance(node, ast.Lambda):
                 continue  # RPL030 already rejects it
-            resolved = _resolve_callable(sub, body, module_fns)
+            resolved = _resolve_callable(sub, module_fns)
             if resolved is None:
-                if isinstance(node, ast.Name) and node.id in _local_defs(body):
+                if isinstance(node, ast.Name) and node.id in _local_defs(sub.scope):
                     continue  # RPL030 already rejects local defs
                 yield (
                     sub.line,
@@ -284,8 +187,8 @@ class WorkerGlobalsRule(FileRule):
         module_fns = _module_functions(tree)
         worker_fns: set[str] = set()
         initializer_fns: set[str] = set()
-        for body, sub in _module_submissions(tree):
-            resolved = _resolve_callable(sub, body, module_fns) or []
+        for sub in module.submissions:
+            resolved = _resolve_callable(sub, module_fns) or []
             if sub.role == "initializer":
                 initializer_fns.update(resolved)
             else:
@@ -371,35 +274,25 @@ class BlockingAsyncRule(FileRule):
     _BLOCKING_BUILTINS = frozenset({"open", "input"})
 
     def check_module(self, module: ModuleInfo) -> Iterator[tuple[int, int, str]]:
-        tree = module.tree
-        aliases: dict[str, set[str]] = {}
-        for target, attrs in self._BLOCKING_ATTRS.items():
-            for alias in module_aliases(tree, target):
-                aliases.setdefault(alias, set()).update(attrs)
-        from_imports: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module in self._BLOCKING_ATTRS:
-                blocked = self._BLOCKING_ATTRS[node.module]
-                for item in node.names:
-                    if item.name in blocked:
-                        from_imports.add(item.asname or item.name)
-        for scope in ast.walk(tree):
-            if not isinstance(scope, ast.AsyncFunctionDef):
+        imports = module.imports
+        for scope in module.scopes:
+            if not isinstance(scope.node, ast.AsyncFunctionDef):
                 continue
-            for node in walk_shallow(scope.body):
+            for node in scope.nodes:
                 if not isinstance(node, ast.Call):
                     continue
                 func = node.func
-                name = None
-                if isinstance(func, ast.Attribute) and isinstance(
-                    func.value, ast.Name
+                if isinstance(func, ast.Name):
+                    name = func.id
+                    source, _, attr = imports.get(name, "").rpartition(".")
+                elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                    name = f"{func.value.id}.{func.attr}"
+                    source, attr = imports.get(func.value.id, ""), func.attr
+                else:
+                    continue
+                if name in self._BLOCKING_BUILTINS or attr in self._BLOCKING_ATTRS.get(
+                    source, ()
                 ):
-                    if func.attr in aliases.get(func.value.id, ()):
-                        name = f"{func.value.id}.{func.attr}"
-                elif isinstance(func, ast.Name):
-                    if func.id in self._BLOCKING_BUILTINS or func.id in from_imports:
-                        name = func.id
-                if name is not None:
                     yield (
                         node.lineno,
                         node.col_offset,

@@ -99,13 +99,7 @@ def _coefficients() -> Coefficients:
 
 def _library() -> ctypes._NamedFuncPointer | None:
     """Load the compiled loop through :mod:`repro.kernels.native`, or ``None``."""
-    return native.load(
-        _SOURCE,
-        "clustering_coefficients",
-        _ARGTYPES,
-        "kernels.clustering_build",
-        native.find_compiler,
-    )
+    return native.load(_SOURCE, "clustering_coefficients", _ARGTYPES, "kernels.clustering_build")
 
 
 def local_clustering_csr(csr: CSRGraph, node: int) -> float:

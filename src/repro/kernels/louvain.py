@@ -75,10 +75,6 @@ Scan = Callable[
 ]
 
 _SOURCE = Path(__file__).with_name("louvain_scan.c")
-# The build cache's seams, reachable from this module: a test can swap
-# the compiler lookup for the scan alone.
-_find_compiler = native.find_compiler
-_intact = native.intact
 _ARGTYPES = (
     [ctypes.c_int64, ctypes.c_int64]
     + [ctypes.c_void_p] * 5
@@ -358,7 +354,7 @@ def _scan() -> Scan:
 
 def _scan_library() -> ctypes._NamedFuncPointer | None:
     """Load the compiled scan through :mod:`repro.kernels.native`, or ``None``."""
-    return native.load(_SOURCE, "louvain_scan", _ARGTYPES, "kernels.louvain_build", _find_compiler)
+    return native.load(_SOURCE, "louvain_scan", _ARGTYPES, "kernels.louvain_build")
 
 
 def _aggregate_arrays(

@@ -26,7 +26,7 @@ import platform
 import shutil
 import subprocess
 import tempfile
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from pathlib import Path
 from typing import Any
 
@@ -47,20 +47,18 @@ def load(
     symbol: str,
     argtypes: Sequence[type[ctypes._SimpleCData[Any]]],
     span: str,
-    compiler: Callable[[], str | None],
 ) -> ctypes._NamedFuncPointer | None:
     """Load ``symbol`` from ``source``'s library, building it first if needed.
 
-    ``span`` names the build's trace span; ``compiler`` finds the compiler
-    to build with.  Returns ``None`` when there is no compiler or the
-    build or the load fails.
+    ``span`` names the build's trace span.  Returns ``None`` when there is
+    no compiler or the build or the load fails.
     """
     key = hashlib.sha256(
         b"\0".join([source.read_bytes(), " ".join(_FLAGS).encode(), platform.machine().encode()])
     ).hexdigest()
     name = f"{source.stem}-{key[:20]}.so"
     try:
-        return _load(_cache_dir() / name, source, symbol, argtypes, span, compiler)
+        return _load(_cache_dir() / name, source, symbol, argtypes, span)
     except OSError:
         pass
     try:
@@ -69,7 +67,7 @@ def load(
         with tempfile.TemporaryDirectory(
             prefix="repro-kernels-", ignore_cleanup_errors=True
         ) as private:
-            return _load(Path(private) / name, source, symbol, argtypes, span, compiler)
+            return _load(Path(private) / name, source, symbol, argtypes, span)
     except OSError:
         return None
 
@@ -97,7 +95,6 @@ def _load(
     symbol: str,
     argtypes: Sequence[type[ctypes._SimpleCData[Any]]],
     span: str,
-    compiler: Callable[[], str | None],
 ) -> ctypes._NamedFuncPointer | None:
     """Load ``library``, building it first unless an intact copy is there.
 
@@ -105,7 +102,7 @@ def _load(
     fails; returns ``None`` when there is no compiler or the compile fails.
     """
     if not intact(library):
-        found = compiler()
+        found = find_compiler()
         if found is None:
             return None
         library.parent.mkdir(parents=True, exist_ok=True)

@@ -6,7 +6,7 @@ import pytest
 from repro.analysis import AnalysisContext, list_experiments, run_experiment
 from repro.analysis.experiments import ExperimentResult
 from repro.gen.config import presets
-from repro.kernels import louvain as louvain_kernel
+from repro.kernels import native
 from repro.obs import TraceRecorder, use_recorder
 
 ALL_EXPERIMENTS = [
@@ -113,7 +113,7 @@ class TestFigure3:
 
 
 class TestFigure4:
-    @pytest.mark.skipif(louvain_kernel._find_compiler() is None, reason="no C compiler")
+    @pytest.mark.skipif(native.find_compiler() is None, reason="no C compiler")
     def test_traced_f4a_runs_the_c_scan(self):
         # A fresh context: a shared one may hold F4a's δ-sweep already.
         ctx = AnalysisContext(presets.tiny_merge(days=60, target_nodes=700), seed=5)

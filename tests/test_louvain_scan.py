@@ -28,6 +28,7 @@ from repro.gen import generate_trace
 from repro.gen.config import presets
 from repro.graph.snapshot import GraphSnapshot
 from repro.kernels import louvain as kernel
+from repro.kernels import native
 from repro.kernels.csr import CSRGraph
 from repro.obs import TraceRecorder, use_recorder
 
@@ -35,7 +36,7 @@ community_louvain = importlib.import_module("repro.community.louvain")
 
 ROOT = Path(__file__).resolve().parents[1]
 
-needs_cc = pytest.mark.skipif(kernel._find_compiler() is None, reason="no C compiler on PATH")
+needs_cc = pytest.mark.skipif(native.find_compiler() is None, reason="no C compiler on PATH")
 
 
 @pytest.fixture()
@@ -243,7 +244,7 @@ def test_cold_build_has_its_own_span(monkeypatch, tmp_path):
         assert kernel._scan_library() is not None
         assert kernel._scan_library() is not None  # warm: loads, builds nothing
     builds = [s for s in rec.spans if s.name == "kernels.louvain_build"]
-    assert [dict(s.attrs)["compiler"] for s in builds] == [kernel._find_compiler()]
+    assert [dict(s.attrs)["compiler"] for s in builds] == [native.find_compiler()]
 
 
 # -- the build cache, in child processes -----------------------------------
@@ -257,7 +258,7 @@ def _reference_result() -> str:
 
 _CHILD = """
 import json
-from repro.kernels import louvain as kernel
+from repro.kernels import louvain as kernel, native
 {patch}
 from tests.test_louvain_scan import _reference_result
 scan = "python" if kernel._scan() is kernel._python_scan else "c"
@@ -314,7 +315,7 @@ def test_two_processes_build_at_once(tmp_path, expected):
         assert _finish(child) == {"scan": "c", "result": expected}
     files = _library_files(cache)
     assert len(files) == 2 and files[1] == files[0] + ".sha256", files
-    assert kernel._intact(cache / "repro" / "kernels" / files[0])
+    assert native.intact(cache / "repro" / "kernels" / files[0])
     assert list((tmp_path / "tmp").iterdir()) == []
 
 
@@ -327,7 +328,7 @@ def test_corrupt_library_is_rebuilt_not_loaded(tmp_path, built_cache, expected, 
     library = cache / "repro" / "kernels" / _library_files(cache)[0]
     data = library.read_bytes()
     library.write_bytes(data[: int(len(data) * keep)])
-    assert not kernel._intact(library)
+    assert not native.intact(library)
     assert _finish(_child(cache, tmp_path / "tmp")) == {"scan": "c", "result": expected}
     assert library.read_bytes() == data
 
@@ -356,7 +357,7 @@ def test_read_only_cache_builds_in_a_private_temp_dir(tmp_path, expected):
 
 
 def test_no_compiler_falls_back_to_the_python_scan(tmp_path, expected):
-    patch = "kernel._find_compiler = lambda: None"
+    patch = "native.find_compiler = lambda: None"
     result = _finish(_child(tmp_path / "cache", tmp_path / "tmp", patch))
     assert result == {"scan": "python", "result": expected}
     assert _library_files(tmp_path / "cache") == []
@@ -366,7 +367,7 @@ def test_no_compiler_falls_back_to_the_python_scan(tmp_path, expected):
 def test_no_compiler_still_loads_an_intact_cached_library(tmp_path, built_cache, expected):
     cache = tmp_path / "cache"
     shutil.copytree(built_cache, cache)
-    patch = "kernel._find_compiler = lambda: None"
+    patch = "native.find_compiler = lambda: None"
     assert _finish(_child(cache, tmp_path / "tmp", patch)) == {"scan": "c", "result": expected}
 
 
