@@ -100,14 +100,18 @@ class AnalysisContext:
     def final_graph(self) -> CSRGraph:
         """The full graph at the end of the trace (cached)."""
         if self._final_graph is None:
-            self._final_graph = DynamicGraph(self.stream).final()
+            stream = self.stream
+            with get_recorder().span("analysis.final_graph"):
+                self._final_graph = DynamicGraph(stream).final()
         return self._final_graph
 
     @property
     def edge_rates(self) -> EdgeRateSeries:
         """Post-merge per-day edge counts by class (cached)."""
         if self._edge_rates is None:
-            self._edge_rates = edges_per_day_by_type(self.stream, self.merge_day)
+            stream = self.stream
+            with get_recorder().span("analysis.edge_rates"):
+                self._edge_rates = edges_per_day_by_type(stream, self.merge_day)
         return self._edge_rates
 
     @property
@@ -132,7 +136,9 @@ class AnalysisContext:
     def activity_threshold_days(self) -> float:
         """Data-derived activity threshold (cached; capped at the post-merge span)."""
         if self._activity_threshold is None:
-            t = activity_threshold(self.stream)
-            span = self.stream.end_time - self.merge_day if self.config.merge else t
+            stream = self.stream
+            with get_recorder().span("analysis.activity_threshold"):
+                t = activity_threshold(stream)
+            span = stream.end_time - self.merge_day if self.config.merge else t
             self._activity_threshold = min(t, max(1.0, span / 4.0))
         return self._activity_threshold

@@ -14,6 +14,7 @@ from repro.analysis.context import AnalysisContext
 from repro.analysis.experiments import ExperimentResult, finite, register, series_from
 from repro.community.stats import community_size_distribution
 from repro.community.tracking import CommunityTracker, track_stream
+from repro.obs import get_recorder
 
 __all__ = ["DELTA_SWEEP"]
 
@@ -27,10 +28,12 @@ def _sweep(ctx: AnalysisContext) -> dict[float, CommunityTracker]:
     cached = getattr(ctx, "_fig4_delta_sweep", None)
     if cached is None:
         interval = max(ctx.tracking_interval, ctx.config.days / 14.0)
-        cached = {
-            delta: track_stream(ctx.stream, interval=interval, delta=delta, seed=ctx.seed)
-            for delta in DELTA_SWEEP
-        }
+        stream = ctx.stream
+        with get_recorder().span("analysis.delta_sweep", deltas=len(DELTA_SWEEP)):
+            cached = {
+                delta: track_stream(stream, interval=interval, delta=delta, seed=ctx.seed)
+                for delta in DELTA_SWEEP
+            }
         ctx._fig4_delta_sweep = cached
     return cached
 

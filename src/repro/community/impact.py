@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.community.tracking import TrackedSnapshot
-from repro.edges.interarrival import node_edge_times, node_interarrival_times
 from repro.graph.events import EventStream
 from repro.kernels.csr import CSRGraph
 
@@ -61,6 +60,27 @@ class CommunityMembership:
                 return _bucket_label(lo, hi)
         return None
 
+    def bucket_index(self, nodes: np.ndarray, buckets: tuple[tuple[int, float], ...]) -> np.ndarray:
+        """Per node, the index of its community's size bucket; -1 if none applies.
+
+        The first bucket with ``lo <= size < hi`` wins, as in :meth:`bucket_of`.
+        """
+        index = np.full(len(nodes), -1, dtype=np.int64)
+        if not self.community_of:
+            return index
+        members = np.fromiter(self.community_of, dtype=np.int64)
+        lineage = np.fromiter(self.community_of.values(), dtype=np.int64)
+        lineages = np.fromiter(self.size_of, dtype=np.int64)
+        sizes = np.fromiter(self.size_of.values(), dtype=np.float64)
+        by_lineage = np.argsort(lineages)
+        member_size = sizes[by_lineage[np.searchsorted(lineages[by_lineage], lineage)]]
+        by_id = np.argsort(members)
+        pos = by_id[np.minimum(np.searchsorted(members[by_id], nodes), members.size - 1)]
+        size = np.where(members[pos] == nodes, member_size[pos], np.nan)
+        for i, (lo, hi) in enumerate(buckets):
+            index[(index < 0) & (lo <= size) & (size < hi)] = i
+        return index
+
 
 def _bucket_label(lo: int, hi: float) -> str:
     return f"[{lo},{int(hi)}]" if np.isfinite(hi) else f"{lo}+"
@@ -82,15 +102,11 @@ def interarrival_by_membership(
     membership: CommunityMembership,
 ) -> dict[str, np.ndarray]:
     """Pooled edge inter-arrival gaps for community vs non-community users."""
-    members = membership.community_nodes()
-    groups: dict[str, list[float]] = {"community": [], "non_community": []}
-    for node, times in node_edge_times(stream).items():
-        gaps = node_interarrival_times(times)
-        if gaps.size == 0:
-            continue
-        key = "community" if node in members else "non_community"
-        groups[key].extend(gaps.tolist())
-    return {key: np.asarray(vals) for key, vals in groups.items()}
+    columns = stream.node_edge_columns()
+    gaps, closing = columns.gaps()
+    members = np.fromiter(membership.community_of, dtype=np.int64)
+    inside = np.isin(columns.node, members)[columns.rows()[closing]]
+    return {"community": gaps[inside], "non_community": gaps[~inside]}
 
 
 def lifetime_by_community_size(
@@ -103,15 +119,13 @@ def lifetime_by_community_size(
     Lifetime is the gap between a user's last edge creation and their join
     time (§4.4); users with no edges are skipped.
     """
-    arrival = stream.node_arrival_times()
-    groups: dict[str, list[float]] = {"non_community": []}
-    for lo, hi in buckets:
-        groups[_bucket_label(lo, hi)] = []
-    for node, times in node_edge_times(stream).items():
-        lifetime = times[-1] - arrival[node]
-        label = membership.bucket_of(node, buckets)
-        groups[label if label is not None else "non_community"].append(lifetime)
-    return {key: np.asarray(vals) for key, vals in groups.items()}
+    columns = stream.node_edge_columns()
+    lifetime = columns.time[columns.indptr[1:] - 1] - columns.born
+    bucket = membership.bucket_index(columns.node, buckets)
+    groups = {"non_community": lifetime[bucket < 0]}
+    for i, (lo, hi) in enumerate(buckets):
+        groups[_bucket_label(lo, hi)] = lifetime[bucket == i]
+    return groups
 
 
 def in_degree_ratio_by_size(
@@ -125,9 +139,6 @@ def in_degree_ratio_by_size(
     inside their own community; zero-degree users and users absent from
     ``graph`` are skipped.
     """
-    groups: dict[str, list[float]] = {}
-    for lo, hi in buckets:
-        groups[_bucket_label(lo, hi)] = []
     nodes = np.fromiter(membership.community_of, dtype=np.int64, count=len(membership.community_of))
     present = np.isin(nodes, graph.node_ids)
     # Position -> community id, -1 outside every community.
@@ -138,13 +149,7 @@ def in_degree_ratio_by_size(
     row = np.repeat(np.arange(graph.num_nodes), graph.degrees)
     same = community[row] == community[graph.indices]
     inside = np.bincount(row[same], minlength=graph.num_nodes)
-    degree = graph.degrees[positions].tolist()
-    kept = inside[positions].tolist()
-    for node, k, own in zip(nodes[present].tolist(), degree, kept, strict=True):
-        if k == 0:
-            continue
-        label = membership.bucket_of(node, buckets)
-        if label is None:
-            continue
-        groups[label].append(own / k)
-    return {key: np.asarray(vals) for key, vals in groups.items()}
+    degree = graph.degrees[positions]
+    bucket = np.where(degree > 0, membership.bucket_index(nodes[present], buckets), -1)
+    ratio = inside[positions] / np.maximum(degree, 1)
+    return {_bucket_label(lo, hi): ratio[bucket == i] for i, (lo, hi) in enumerate(buckets)}

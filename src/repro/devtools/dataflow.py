@@ -42,6 +42,7 @@ __all__ = [
     "alias_summaries",
     "aliases",
     "collect_guards",
+    "dotted_name",
     "dtype_from_node",
     "guarded",
     "import_table",
@@ -147,6 +148,21 @@ def import_table(nodes: Iterable[ast.AST]) -> dict[str, str]:
             for item in node.names:
                 table[item.asname or item.name] = f"{base}.{item.name}"
     return table
+
+
+def dotted_name(node: ast.expr) -> str | None:
+    """``a.b.c`` for a chain of attributes on a bare name, else ``None``.
+
+    The result is the key :func:`import_table` gives ``import a.b.c``.
+    """
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
 
 
 def aliases(imports: dict[str, str], origin: str) -> set[str]:

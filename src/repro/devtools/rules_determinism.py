@@ -276,7 +276,7 @@ class GlobalRNGRule(FileRule):
         random_names = aliases(module.imports, "random")
         numpy_names = aliases(module.imports, "numpy")
         for node in module.nodes:
-            if isinstance(node, ast.ImportFrom):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
                 if node.module == "random":
                     yield (
                         node.lineno,

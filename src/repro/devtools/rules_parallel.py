@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.devtools.dataflow import Scope, Submission, name_bindings, walk_shallow
+from repro.devtools.dataflow import Scope, Submission, dotted_name, name_bindings, walk_shallow
 from repro.devtools.engine import FileRule, ModuleInfo
 from repro.devtools.workers import WORKER_EXEMPT, WORKER_MANIFEST
 
@@ -285,9 +285,9 @@ class BlockingAsyncRule(FileRule):
                 if isinstance(func, ast.Name):
                     name = func.id
                     source, _, attr = imports.get(name, "").rpartition(".")
-                elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-                    name = f"{func.value.id}.{func.attr}"
-                    source, attr = imports.get(func.value.id, ""), func.attr
+                elif isinstance(func, ast.Attribute) and (receiver := dotted_name(func.value)):
+                    name = f"{receiver}.{func.attr}"
+                    source, attr = imports.get(receiver, ""), func.attr
                 else:
                     continue
                 if name in self._BLOCKING_BUILTINS or attr in self._BLOCKING_ATTRS.get(

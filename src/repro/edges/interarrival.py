@@ -9,7 +9,6 @@ exponent 1.8-2.5 in every bucket.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Sequence
 
 import numpy as np
@@ -56,15 +55,18 @@ def scaled_age_buckets(days: float, count: int = 4) -> tuple[tuple[str, float, f
 
 
 def node_edge_times(stream: EventStream) -> dict[int, list[float]]:
-    """Map each node to the sorted times of its edge creations."""
-    times: dict[int, list[float]] = defaultdict(list)
-    edges = stream.edges
-    for t, u, v in zip(edges.time.tolist(), edges.u.tolist(), edges.v.tolist(), strict=True):
-        times[u].append(t)
-        times[v].append(t)
-    for values in times.values():
-        values.sort()
-    return times
+    """Map each node to the sorted times of its edge creations.
+
+    A dict view over :meth:`EventStream.node_edge_columns`, keyed in the
+    columns' row order.
+    """
+    columns = stream.node_edge_columns()
+    times = columns.time.tolist()
+    bounds = columns.indptr.tolist()
+    return {
+        node: times[lo:hi]
+        for node, lo, hi in zip(columns.node.tolist(), bounds, bounds[1:], strict=False)
+    }
 
 
 def node_interarrival_times(edge_times: Sequence[float]) -> np.ndarray:
@@ -81,26 +83,23 @@ def collect_interarrivals_by_age(
 ) -> dict[str, np.ndarray]:
     """Aggregate all nodes' inter-arrival gaps into age buckets.
 
-    A gap between a node's edges at ``t0 < t1`` lands in the bucket
-    containing the node's age at ``t1``.  ``buckets`` defaults to
-    :data:`AGE_BUCKETS_PAPER`.
+    A gap between a node's edges at ``t0 < t1`` lands in the first bucket
+    containing the node's age at ``t1``; zero gaps are dropped.  Each
+    bucket keeps its gaps in node-row order, then time order.  ``buckets``
+    defaults to :data:`AGE_BUCKETS_PAPER`.
     """
     if buckets is None:
         buckets = AGE_BUCKETS_PAPER
-    arrival = stream.node_arrival_times()
-    per_bucket: dict[str, list[float]] = {label: [] for label, _, _ in buckets}
-    for node, times in node_edge_times(stream).items():
-        born = arrival[node]
-        for t0, t1 in zip(times, times[1:], strict=False):
-            gap = t1 - t0
-            if gap <= 0:
-                continue
-            age = t1 - born
-            for label, lo, hi in buckets:
-                if lo <= age < hi:
-                    per_bucket[label].append(gap)
-                    break
-    return {label: np.asarray(vals) for label, vals in per_bucket.items()}
+    columns = stream.node_edge_columns()
+    gaps, closing = columns.gaps()
+    age = columns.time[closing] - columns.born[columns.rows()[closing]]
+    open_ = gaps > 0
+    collected: dict[str, np.ndarray] = {}
+    for label, lo, hi in buckets:
+        hit = open_ & (lo <= age) & (age < hi)
+        collected[label] = gaps[hit]
+        open_ &= ~hit
+    return collected
 
 
 def interarrival_pdf_by_bucket(

@@ -33,18 +33,16 @@ def minimal_age_fractions(
     thresholds = tuple(thresholds)
     if list(thresholds) != sorted(thresholds):
         raise ValueError("thresholds must be ascending")
-    arrival = stream.node_arrival_times()
     n_days = int(math.floor(stream.end_time)) + 1
-    totals = np.zeros(n_days)
-    below = {thr: np.zeros(n_days) for thr in thresholds}
-    edges = stream.edges
-    for t, u, v in zip(edges.time.tolist(), edges.u.tolist(), edges.v.tolist(), strict=True):
-        day = int(t)
-        min_age = t - max(arrival[u], arrival[v])
-        totals[day] += 1
-        for thr in thresholds:
-            if min_age <= thr:
-                below[thr][day] += 1
+    time = stream.edges.time
+    born = stream.nodes.time[stream.node_edge_columns().ends]
+    min_age = time - np.maximum(born[:, 0], born[:, 1])
+    day = time.astype(np.int64)
+    totals = np.bincount(day, minlength=n_days).astype(np.float64)
+    below = {
+        thr: np.bincount(day[min_age <= thr], minlength=n_days).astype(np.float64)
+        for thr in thresholds
+    }
     days = np.arange(n_days)
     with np.errstate(divide="ignore", invalid="ignore"):
         fractions = {

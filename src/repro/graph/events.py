@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.obs import get_recorder
 from repro.util.arrays import BoolArray, FloatArray, IntArray, UInt16Array
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "EdgeColumns",
     "EventStream",
     "NodeColumns",
+    "NodeEdgeColumns",
     "content_digest",
 ]
 
@@ -89,6 +91,10 @@ class NodeColumns:
             and self.origin_labels() == other.origin_labels()
         )
 
+    def origin_is(self, label: str) -> BoolArray:
+        """Which rows have origin ``label``."""
+        return np.isin(self.origin, [i for i, name in enumerate(self.labels) if name == label])
+
     def origin_labels(self) -> list[str]:
         """The origin label of every row, in order."""
         labels = self.labels
@@ -138,6 +144,87 @@ class EdgeColumns:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class NodeEdgeColumns:
+    """Every node's edge-creation times as rows of one flat column.
+
+    Row ``i`` belongs to node ``node[i]``, born at ``born[i]``, which is
+    ``stream.nodes[slot[i]]``; its edge times are
+    ``time[indptr[i]:indptr[i + 1]]``, in edge order (which is time
+    order), and ``edge`` names the edge each entry came from.  Rows follow
+    the order in which nodes first appear as an endpoint, ``u`` before
+    ``v``, in edge order; nodes without edges have no row.  ``ends[k]``
+    holds the node slots of edge ``k``'s ``u`` and ``v``.
+
+    Float reductions over rows (pooled gaps, stacked histograms) add in
+    this row order, so drivers that keep it reproduce the per-node loops
+    they replaced bit for bit.
+    """
+
+    node: IntArray
+    born: FloatArray
+    slot: IntArray
+    indptr: IntArray
+    time: FloatArray
+    edge: IntArray
+    ends: IntArray
+
+    @classmethod
+    def build(cls, nodes: NodeColumns, edges: EdgeColumns) -> NodeEdgeColumns:
+        """Group both endpoints of every edge by node; raise on unknown endpoints."""
+        endpoints = np.column_stack((edges.u, edges.v)).ravel()
+        distinct, which = np.unique(endpoints, return_inverse=True)
+        known = np.isin(distinct, nodes.node)
+        if not known.all():
+            raise ValueError(f"edge endpoint {int(distinct[~known][0])} has no node arrival")
+        by_id = np.argsort(nodes.node, kind="stable")
+        slots = by_id[np.searchsorted(nodes.node[by_id], distinct)][which]
+        # Rows in order of first appearance; sorting (row, position) keys,
+        # all distinct, keeps each row's entries in edge order.
+        first = np.full(len(nodes), endpoints.size)
+        np.minimum.at(first, slots, np.arange(endpoints.size))
+        slot = np.flatnonzero(first < endpoints.size)
+        slot = slot[np.argsort(first[slot])]
+        row_of_slot = np.zeros(len(nodes), dtype=np.int64)
+        row_of_slot[slot] = np.arange(slot.size)
+        rows = row_of_slot[slots]
+        order = np.argsort(rows * endpoints.size + np.arange(endpoints.size))
+        indptr = np.zeros(slot.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=slot.size), out=indptr[1:])
+        edge = order >> 1
+        return cls(
+            node=nodes.node[slot],
+            born=nodes.time[slot],
+            slot=slot,
+            indptr=indptr,
+            time=edges.time[edge],
+            edge=edge,
+            ends=slots.reshape(-1, 2),
+        )
+
+    def __len__(self) -> int:
+        return len(self.node)
+
+    def degree(self) -> IntArray:
+        """Number of edges in each row."""
+        return np.diff(self.indptr)
+
+    def rows(self) -> IntArray:
+        """The row of every entry of ``time``."""
+        return np.repeat(np.arange(len(self.node)), self.degree())
+
+    def gaps(self) -> tuple[FloatArray, IntArray]:
+        """Gaps between each row's consecutive edge times, and the later entry of each.
+
+        Gaps come row by row in row order; entry ``j`` of the second array
+        indexes ``time`` at the edge that closes gap ``j``.
+        """
+        later = np.ones(len(self.time), dtype=bool)
+        later[self.indptr[:-1]] = False
+        closing = np.flatnonzero(later)
+        return self.time[closing] - self.time[closing - 1], closing
+
+
 @dataclass(frozen=True)
 class EventStream:
     """An immutable, time-ordered sequence of node and edge arrivals.
@@ -156,6 +243,7 @@ class EventStream:
     nodes: NodeColumns = field(default_factory=lambda: NodeColumns.build((), (), ()))
     edges: EdgeColumns = field(default_factory=lambda: EdgeColumns.build((), (), ()))
     _digest: str | None = field(default=None, compare=False, repr=False)
+    _node_edges: NodeEdgeColumns | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_records(
@@ -220,6 +308,15 @@ class EventStream:
             digest = content_digest([self.nodes], [self.edges])
             object.__setattr__(self, "_digest", digest)
         return digest
+
+    def node_edge_columns(self) -> NodeEdgeColumns:
+        """Each node's edge times as shared columns (built once, cached)."""
+        columns = self._node_edges
+        if columns is None:
+            with get_recorder().span("graph.node_edge_columns", edges=len(self.edges)):
+                columns = NodeEdgeColumns.build(self.nodes, self.edges)
+            object.__setattr__(self, "_node_edges", columns)
+        return columns
 
     def validate(self) -> None:
         """Check stream invariants; raise :class:`ValueError` on violation.

@@ -17,14 +17,13 @@ the paper's estimate of discarded duplicate accounts.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.edges.interarrival import node_edge_times
 from repro.graph.events import EventStream
-from repro.osnmerge.classify import EdgeClass, classify_edges
+from repro.osnmerge.classify import EXTERNAL, INTERNAL, NEW, edge_class_codes
+from repro.util.arrays import FloatArray, IntArray
 
 __all__ = [
     "activity_threshold",
@@ -42,14 +41,38 @@ def activity_threshold(stream: EventStream, quantile: float = 0.99) -> float:
     """
     if not 0 < quantile < 1:
         raise ValueError("quantile must be in (0, 1)")
-    means = [
-        float(np.mean(np.diff(times)))
-        for times in node_edge_times(stream).values()
-        if len(times) >= 2
-    ]
-    if not means:
+    means = _mean_gaps(stream)
+    if not means.size:
         raise ValueError("no user created two or more edges")
     return float(np.quantile(means, quantile))
+
+
+def _mean_gaps(stream: EventStream) -> np.ndarray:
+    """``np.mean(np.diff(times))`` of every user with two or more edges.
+
+    Users are grouped by gap count: each group's gaps form one 2-D array
+    whose row means add each row with the same pairwise summation that
+    ``np.mean`` runs on a 1-D array (``np.add.reduceat`` would not).
+    """
+    columns = stream.node_edge_columns()
+    gaps, _ = columns.gaps()
+    count = columns.degree() - 1
+    # Row i's gaps start at indptr[i] - i in ``gaps``.
+    start = columns.indptr[:-1] - np.arange(len(columns))
+    means = np.empty(len(columns))
+    for n in np.unique(count[count > 0]).tolist():
+        rows = np.flatnonzero(count == n)
+        means[rows] = np.mean(gaps[start[rows, None] + np.arange(n)], axis=1)
+    return means[count > 0]
+
+
+#: ``percent_active`` keys and the edge class each counts (None: any class).
+_KINDS: tuple[tuple[str, int | None], ...] = (
+    ("all", None),
+    ("new", NEW),
+    ("internal", INTERNAL),
+    ("external", EXTERNAL),
+)
 
 
 @dataclass(frozen=True)
@@ -77,45 +100,33 @@ def active_users_over_time(
 ) -> ActiveUserSeries:
     """Figure 8(a)/(b): active-user percentages for one pre-merge OSN."""
     t = activity_threshold(stream) if threshold is None else threshold
-    origins = stream.node_origins()
-    group = {node for node, o in origins.items() if o == origin}
-    if not group:
+    in_group = stream.nodes.origin_is(origin)
+    group_size = int(in_group.sum())
+    if not group_size:
         raise ValueError(f"no nodes with origin {origin!r}")
     horizon = int(math.floor(stream.end_time - merge_day - t))
     if horizon < 0:
         raise ValueError("threshold exceeds the post-merge span of the trace")
     days = np.arange(horizon + 1)
-    # Per user and class, the days (relative to merge) they created edges.
-    activity: dict[str, dict[int, list[float]]] = {
-        "all": defaultdict(list),
-        "new": defaultdict(list),
-        "internal": defaultdict(list),
-        "external": defaultdict(list),
-    }
-    kind_key = {
-        EdgeClass.NEW: "new",
-        EdgeClass.INTERNAL: "internal",
-        EdgeClass.EXTERNAL: "external",
-    }
-    for time, u, v, kind in classify_edges(stream, after=merge_day):
-        rel = time - merge_day
-        for endpoint in (u, v):
-            if endpoint in group:
-                activity["all"][endpoint].append(rel)
-                activity[kind_key[kind]][endpoint].append(rel)
+    columns = stream.node_edge_columns()
+    rows = columns.rows()
+    # Entries of group users' organic post-merge edges, row by row.
+    entry = np.flatnonzero((columns.time > merge_day + 1.0) & in_group[columns.slot][rows])
+    row = rows[entry]
+    rel = columns.time[entry] - merge_day
+    # User active for d in [time - t, time]: each edge's day window.
+    lo = np.maximum(0, np.ceil(rel - t)).astype(np.int64)
+    hi = np.minimum(horizon, np.floor(rel)).astype(np.int64)
+    valid = (lo <= horizon) & (hi >= 0) & (lo <= hi)
+    kind = edge_class_codes(stream)[columns.edge[entry]]
     percent: dict[str, np.ndarray] = {}
-    for kind, per_user in activity.items():
-        counts = np.zeros(days.size + 1)
-        for times in per_user.values():
-            # User active for d in [time - t, time]; union over edges via
-            # a difference array over merged intervals.
-            for lo, hi in _merged_intervals(times, t, days.size - 1):
-                counts[lo] += 1
-                counts[hi + 1] -= 1
-        percent[kind] = 100.0 * np.cumsum(counts[:-1]) / len(group)
+    for name, code in _KINDS:
+        keep = valid if code is None else valid & (kind == code)
+        counts = _union_counts(row[keep], lo[keep], hi[keep], days.size + 1)
+        percent[name] = 100.0 * np.cumsum(counts[:-1]) / group_size
     return ActiveUserSeries(
         origin=origin,
-        group_size=len(group),
+        group_size=group_size,
         threshold=t,
         days=days,
         percent_active=percent,
@@ -127,20 +138,24 @@ def duplicate_account_estimate(series: ActiveUserSeries) -> float:
     return 1.0 - series.percent_active["all"][0] / 100.0
 
 
-def _merged_intervals(
-    times: list[float],
-    threshold: float,
-    max_day: int,
-) -> list[tuple[int, int]]:
-    """Union of the day windows ``[time - t, time]`` clipped to [0, max_day]."""
-    intervals: list[tuple[int, int]] = []
-    for time in sorted(times):
-        lo = max(0, int(math.ceil(time - threshold)))
-        hi = min(max_day, int(math.floor(time)))
-        if lo > max_day or hi < 0 or lo > hi:
-            continue
-        if intervals and lo <= intervals[-1][1] + 1:
-            intervals[-1] = (intervals[-1][0], max(intervals[-1][1], hi))
-        else:
-            intervals.append((lo, hi))
-    return intervals
+def _union_counts(row: IntArray, lo: IntArray, hi: IntArray, size: int) -> FloatArray:
+    """Difference array of each row's union of day windows ``[lo, hi]``.
+
+    Windows come grouped by row and sorted by ``lo`` within a row.  A
+    window opens a new run unless it starts at most one day after the
+    furthest ``hi`` seen so far in its row (a segmented running max).
+    """
+    counts = np.zeros(size)
+    if not row.size:
+        return counts
+    # Offsetting each row past every earlier one keeps the running max
+    # from leaking across rows.
+    shift = row * size
+    reach = np.maximum.accumulate(hi + shift) - shift
+    first = np.ones(row.size, dtype=bool)
+    first[1:] = (row[1:] != row[:-1]) | (lo[1:] > reach[:-1] + 1)
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], row.size) - 1
+    np.add.at(counts, lo[starts], 1)
+    np.add.at(counts, reach[ends] + 1, -1)
+    return counts

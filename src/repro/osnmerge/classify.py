@@ -15,9 +15,11 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping
 
+import numpy as np
+
 from repro.graph.events import ORIGIN_NEW, EventStream
 
-__all__ = ["EdgeClass", "classify_edge", "classify_edges"]
+__all__ = ["EDGE_CLASSES", "EdgeClass", "classify_edge", "classify_edges", "edge_class_codes"]
 
 
 class EdgeClass(str, enum.Enum):
@@ -26,6 +28,11 @@ class EdgeClass(str, enum.Enum):
     INTERNAL = "internal"
     EXTERNAL = "external"
     NEW = "new"
+
+
+#: Edge classes by the codes :func:`edge_class_codes` returns.
+EDGE_CLASSES: tuple[EdgeClass, ...] = (EdgeClass.INTERNAL, EdgeClass.EXTERNAL, EdgeClass.NEW)
+INTERNAL, EXTERNAL, NEW = range(len(EDGE_CLASSES))
 
 
 def classify_edge(u: int, v: int, origin_of: Mapping[int, str]) -> EdgeClass:
@@ -37,6 +44,20 @@ def classify_edge(u: int, v: int, origin_of: Mapping[int, str]) -> EdgeClass:
     if ou == ov:
         return EdgeClass.INTERNAL
     return EdgeClass.EXTERNAL
+
+
+def edge_class_codes(stream: EventStream) -> np.ndarray:
+    """The class of every edge, as an index into :data:`EDGE_CLASSES`.
+
+    One gather of both endpoints' origin codes; the codes index
+    ``stream.nodes.labels``.
+    """
+    nodes = stream.nodes
+    origin = nodes.origin[stream.node_edge_columns().ends]
+    code = np.where(origin[:, 0] == origin[:, 1], INTERNAL, EXTERNAL)
+    if ORIGIN_NEW in nodes.labels:
+        code[(origin == nodes.labels.index(ORIGIN_NEW)).any(axis=1)] = NEW
+    return code
 
 
 def classify_edges(
@@ -51,10 +72,9 @@ def classify_edges(
     remains.
     """
     cutoff = after + 1.0 if organic_after is None else organic_after
-    origin_of = stream.node_origins()
     edges = stream.edges
-    return [
-        (t, u, v, classify_edge(u, v, origin_of))
-        for t, u, v in zip(edges.time.tolist(), edges.u.tolist(), edges.v.tolist(), strict=True)
-        if t > cutoff
-    ]
+    organic = edges.time > cutoff
+    kept = edges[organic]
+    codes = edge_class_codes(stream)[organic].tolist()
+    rows = zip(kept.time.tolist(), kept.u.tolist(), kept.v.tolist(), codes, strict=True)
+    return [(t, u, v, EDGE_CLASSES[code]) for t, u, v, code in rows]

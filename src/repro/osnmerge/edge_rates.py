@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.events import ORIGIN_5Q, ORIGIN_XIAONEI, EventStream
-from repro.osnmerge.classify import EdgeClass, classify_edges
+from repro.osnmerge.classify import EXTERNAL, INTERNAL, NEW, edge_class_codes
 
 __all__ = [
     "EdgeRateSeries",
@@ -49,26 +49,22 @@ def edges_per_day_by_type(stream: EventStream, merge_day: float) -> EdgeRateSeri
     if horizon < 0:
         raise ValueError("merge_day is past the end of the stream")
     days = np.arange(horizon + 1)
-    origins = stream.node_origins()
-    internal = {o: np.zeros(horizon + 1) for o in (ORIGIN_XIAONEI, ORIGIN_5Q)}
-    new = {o: np.zeros(horizon + 1) for o in (ORIGIN_XIAONEI, ORIGIN_5Q)}
-    external = np.zeros(horizon + 1)
-    new_total = np.zeros(horizon + 1)
-    for t, u, v, kind in classify_edges(stream, after=merge_day):
-        day = int(t - merge_day)
-        if day > horizon:
-            continue
-        ou, ov = origins[u], origins[v]
-        if kind is EdgeClass.INTERNAL:
-            if ou in internal:
-                internal[ou][day] += 1
-        elif kind is EdgeClass.EXTERNAL:
-            external[day] += 1
-        else:
-            new_total[day] += 1
-            for o in {ou, ov}:
-                if o in new:
-                    new[o][day] += 1
+    edges = stream.edges
+    day = (edges.time - merge_day).astype(np.int64)
+    kept = (edges.time > merge_day + 1.0) & (day <= horizon)
+    kind = edge_class_codes(stream)
+    ends = stream.node_edge_columns().ends
+
+    def per_day(rows: np.ndarray) -> np.ndarray:
+        return np.bincount(day[kept & rows], minlength=horizon + 1).astype(np.float64)
+
+    internal, new = {}, {}
+    for origin in (ORIGIN_XIAONEI, ORIGIN_5Q):
+        from_origin = stream.nodes.origin_is(origin)[ends]
+        internal[origin] = per_day((kind == INTERNAL) & from_origin[:, 0])
+        new[origin] = per_day((kind == NEW) & from_origin.any(axis=1))
+    external = per_day(kind == EXTERNAL)
+    new_total = per_day(kind == NEW)
     internal_total = internal[ORIGIN_XIAONEI] + internal[ORIGIN_5Q]
     return EdgeRateSeries(
         days=days,

@@ -124,3 +124,34 @@ class TestFigure4:
         scans = [dict(s.attrs)["scan"] for s in recorder.spans if s.name == "kernels.louvain"]
         assert len(scans) > 5
         assert set(scans) == {"c"}
+
+
+class TestArtifactSpans:
+    """Each shared artifact is built in a span of its own, once per context."""
+
+    def test_traced_f8a_records_its_artifact_spans(self):
+        ctx = AnalysisContext(presets.tiny_merge(days=60, target_nodes=700), seed=5)
+        _ = ctx.stream  # generated outside the trace
+        recorder = TraceRecorder(lane=0, label="main")
+        with use_recorder(recorder):
+            run_experiment("F8a", ctx)
+            run_experiment("F8b", ctx)
+        names = [s.name for s in recorder.spans]
+        assert names.count("analysis.activity_threshold") == 1
+        assert names.count("graph.node_edge_columns") == 1
+        parent = {s.name: s.parent for s in recorder.spans}
+        assert parent["analysis.activity_threshold"] == "analysis.experiment"
+        assert parent["graph.node_edge_columns"] == (
+            "analysis.experiment/analysis.activity_threshold"
+        )
+
+    def test_delta_sweep_final_graph_and_edge_rates_have_spans(self):
+        ctx = AnalysisContext(presets.tiny_merge(days=40, target_nodes=300), seed=2)
+        _ = ctx.stream
+        recorder = TraceRecorder(lane=0, label="main")
+        with use_recorder(recorder):
+            for experiment in ("F4a", "F7c", "F8c", "F9a"):
+                run_experiment(experiment, ctx)
+        names = [s.name for s in recorder.spans]
+        for artifact in ("analysis.delta_sweep", "analysis.final_graph", "analysis.edge_rates"):
+            assert names.count(artifact) == 1, artifact

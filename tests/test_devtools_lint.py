@@ -130,6 +130,34 @@ class TestGlobalRNGRule:
         result = lint_tree(tmp_path, {"metrics/good.py": src}, [GlobalRNGRule()])
         assert codes(result) == []
 
+    def test_relative_import_of_sibling_random_module_not_flagged(self, tmp_path):
+        # ``serve/random.py`` is the package's own module, not the stdlib.
+        files = {
+            "serve/__init__.py": "",
+            "serve/random.py": (
+                "from repro.util.rng import make_rng\n"
+                "def pick(items, seed):\n"
+                "    return items[int(make_rng(seed).integers(len(items)))]\n"
+            ),
+            "serve/api.py": (
+                "from .random import pick\n"
+                "from . import random\n"
+                "def handle(items):\n"
+                "    return pick(items, 0), random.pick(items, 1)\n"
+            ),
+        }
+        result = lint_tree(tmp_path, files, [GlobalRNGRule()])
+        assert codes(result) == []
+
+    def test_relative_numpy_random_module_not_flagged(self, tmp_path):
+        files = {
+            "gen/numpy/__init__.py": "",
+            "gen/numpy/random.py": "def rand():\n    return 4\n",
+            "gen/draw.py": "from .numpy.random import rand\nx = rand()\n",
+        }
+        result = lint_tree(tmp_path, files, [GlobalRNGRule()])
+        assert codes(result) == []
+
 
 class TestUnorderedAccumulationRule:
     def test_sum_over_set_flagged(self, tmp_path):
@@ -600,6 +628,24 @@ class TestBlockingAsyncRule:
         src = "async def read(path):\n    with open(path) as fh:\n        return fh.read()\n"
         result = lint_tree(tmp_path, {"runtime/bad.py": src}, [BlockingAsyncRule()])
         assert codes(result) == ["RPL033"]
+
+    def test_dotted_module_receiver_flagged(self, tmp_path):
+        # ``import urllib.request`` keys the import table by the dotted
+        # name, so the receiver's whole attribute chain is looked up.
+        src = (
+            "import urllib.request\n"
+            "async def fetch(url):\n"
+            "    body = await read(url)\n"
+            "    return urllib.request.urlopen(url), body\n"
+        )
+        result = lint_tree(tmp_path, {"serve/bad.py": src}, [BlockingAsyncRule()])
+        assert [(d.line, d.rule) for d in result.diagnostics] == [(4, "RPL033")]
+        assert "urllib.request.urlopen()" in result.diagnostics[0].message
+
+    def test_unimported_dotted_receiver_not_flagged(self, tmp_path):
+        src = "async def fetch(client, url):\n    return client.request.urlopen(url)\n"
+        result = lint_tree(tmp_path, {"serve/good.py": src}, [BlockingAsyncRule()])
+        assert codes(result) == []
 
     def test_sync_function_not_flagged(self, tmp_path):
         src = "import time\ndef poll():\n    time.sleep(1)\n"
