@@ -1,9 +1,10 @@
 """Figure 4 drivers: community tracking and the δ sensitivity sweep.
 
-The sweep re-runs incremental Louvain tracking at several δ thresholds;
-to keep the sweep affordable it uses a coarser snapshot cadence than the
-main tracking run (the conclusions — modularity ≥ 0.4, robustness for
-δ ≥ 0.01 — are cadence-insensitive).
+The sweep runs incremental Louvain tracking at several δ thresholds, one
+tracker per δ stepped from a single replay; to keep the sweep affordable
+it uses a coarser snapshot cadence than the main tracking run (the
+conclusions — modularity ≥ 0.4, robustness for δ ≥ 0.01 — are
+cadence-insensitive).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 from repro.analysis.context import AnalysisContext
 from repro.analysis.experiments import ExperimentResult, finite, register, series_from
 from repro.community.stats import community_size_distribution
-from repro.community.tracking import CommunityTracker, track_stream
+from repro.community.tracking import CommunityTracker, track_deltas
 from repro.obs import get_recorder
 
 __all__ = ["DELTA_SWEEP"]
@@ -30,10 +31,7 @@ def _sweep(ctx: AnalysisContext) -> dict[float, CommunityTracker]:
         interval = max(ctx.tracking_interval, ctx.config.days / 14.0)
         stream = ctx.stream
         with get_recorder().span("analysis.delta_sweep", deltas=len(DELTA_SWEEP)):
-            cached = {
-                delta: track_stream(stream, interval=interval, delta=delta, seed=ctx.seed)
-                for delta in DELTA_SWEEP
-            }
+            cached = track_deltas(stream, DELTA_SWEEP, interval=interval, seed=ctx.seed)
         ctx._fig4_delta_sweep = cached
     return cached
 

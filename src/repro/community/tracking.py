@@ -25,17 +25,18 @@ predictor).
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
 from repro.community.louvain import louvain
-from repro.graph.dynamic import DynamicGraph
+from repro.graph.dynamic import DynamicGraph, snapshot_times
 from repro.graph.events import EventStream
 from repro.kernels.csr import CSRGraph, label_edge_counts
 from repro.kernels.matching import match_communities_csr
+from repro.obs import get_recorder
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "CommunityLineage",
     "TrackedSnapshot",
     "CommunityTracker",
+    "track_deltas",
     "track_stream",
 ]
 
@@ -415,10 +417,48 @@ def track_stream(
     nodes), considering only communities larger than ``min_size``.
     """
     tracker = CommunityTracker(delta=delta, min_size=min_size, seed=seed)
-    for view in DynamicGraph(stream).snapshots(interval=interval, start=start):
-        if view.graph.num_nodes >= min_nodes:
-            tracker.step(view.time, view.graph)
+    _replay(stream, [tracker], interval, start, min_nodes)
     return tracker
+
+
+def track_deltas(
+    stream: EventStream,
+    deltas: Iterable[float],
+    interval: float = 3.0,
+    start: float | None = None,
+    min_size: int = 10,
+    min_nodes: int = 64,
+    seed: int = 0,
+) -> dict[float, CommunityTracker]:
+    """One tracker per δ in ``deltas``, all stepped from one replay of ``stream``.
+
+    Equal to ``{delta: track_stream(stream, ..., delta=delta, ...)}``: each
+    tracker draws from its own RNG seeded with ``seed``, and the trackers
+    share only the snapshots, which are immutable.
+    """
+    trackers = {
+        delta: CommunityTracker(delta=delta, min_size=min_size, seed=seed) for delta in deltas
+    }
+    _replay(stream, list(trackers.values()), interval, start, min_nodes)
+    return trackers
+
+
+def _replay(
+    stream: EventStream,
+    trackers: list[CommunityTracker],
+    interval: float,
+    start: float | None,
+    min_nodes: int,
+) -> None:
+    """Step each tracker, in order, on every snapshot of at least ``min_nodes`` nodes."""
+    rec = get_recorder()
+    replay = DynamicGraph(stream)
+    for index, time in enumerate(snapshot_times(stream.end_time, interval, start)):
+        with rec.span("replay.advance", snapshot=index):
+            view = replay.advance_to(time)
+        if view.graph.num_nodes >= min_nodes:
+            for tracker in trackers:
+                tracker.step(view.time, view.graph)
 
 
 def _community_edge_stats(

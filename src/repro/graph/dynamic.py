@@ -25,7 +25,7 @@ from repro.graph.events import EventStream
 from repro.kernels.csr import CSRGraph
 from repro.util.arrays import BoolArray, IntArray
 
-__all__ = ["DynamicGraph", "SnapshotView"]
+__all__ = ["DynamicGraph", "SnapshotView", "snapshot_times"]
 
 
 @dataclass(frozen=True)
@@ -226,16 +226,30 @@ class DynamicGraph:
         to the stream's last event time.  The final partial interval is
         included so the last events are never dropped.
         """
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
         stop = self.stream.end_time if end is None else end
-        t = (self.time_cursor + interval) if start is None else start
-        while t < stop:
+        first = (self.time_cursor + interval) if start is None else start
+        for t in snapshot_times(stop, interval, first):
             yield self.advance_to(t)
-            t += interval
-        yield self.advance_to(stop)
 
     def final(self) -> CSRGraph:
         """Apply all remaining events and return the final snapshot."""
         self.advance_to(float("inf"))
         return self.graph
+
+
+def snapshot_times(end_time: float, interval: float, start: float | None = None) -> list[float]:
+    """The snapshot grid :meth:`DynamicGraph.snapshots` visits on a fresh replay.
+
+    Samples every ``interval`` days from ``start`` (default one interval
+    in), plus the final partial interval at ``end_time``.  Times
+    accumulate by repeated addition, so every caller gets the same floats.
+    """
+    if interval <= 0:
+        raise ValueError(f"interval must be positive, got {interval}")
+    times: list[float] = []
+    t = interval if start is None else start
+    while t < end_time:
+        times.append(t)
+        t += interval
+    times.append(end_time)
+    return times

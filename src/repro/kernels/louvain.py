@@ -1,4 +1,4 @@
-"""Array-based Louvain local moves (the flat-array twin of the reference).
+"""Array-based Louvain (the flat-array twin of the reference).
 
 The reference keeps the working graph as dict-of-dicts and per-community
 totals in defaultdicts; this kernel keeps the same state in flat arrays:
@@ -9,17 +9,21 @@ totals in defaultdicts; this kernel keeps the same state in flat arrays:
   by community rank;
 * the sequential local-move scan walks CSR row slices and skips nodes
   whose whole neighborhood already shares their community — a
-  state-identical no-op for the reference — while degrees, rank
-  compression, and aggregation stay numpy-vectorized;
-* which original nodes each super-node stands for is one ``membership``
-  array (original position → current super-node) plus the originals'
-  output ``order``, both updated with array ops per level.
+  state-identical no-op for the reference;
+* which original nodes each super-node stands for is one node-position
+  array per aggregation, from which the originals' output ``order`` and
+  final super-node are computed once, after the last level.
 
-The scan runs in C (``louvain_scan.c``) when a C compiler is on
-``PATH``: :mod:`repro.kernels.native` compiles it on the first
-:func:`louvain_csr` call and caches the library.  Without a compiler, or
-when the build or the load fails, :func:`_python_scan` runs instead; the
-two give the same bits, and the Python scan is the C scan's parity oracle.
+Each level is one call into ``louvain_scan.c`` when a C compiler is on
+``PATH`` (:mod:`repro.kernels.native` compiles it on the first
+:func:`louvain_csr` call and caches the library): weighted degrees,
+community totals, the scan, and the aggregation into the next level's
+CSR.  Python keeps the level loop and the ``rng.permutation`` draw.
+Community ids are the ranks of the initial labels, computed once and
+carried from level to level.  Without a compiler, or when the build or
+the load fails, :func:`_python_levels` runs instead: :func:`_python_scan`
+and the numpy aggregation :func:`_aggregate_arrays`, the level call's
+parity oracle.  The two give the same bits.
 
 Bit-for-bit parity with the reference holds because every quantity
 involved is exact:
@@ -30,9 +34,10 @@ involved is exact:
   change it;
 * the modularity-gain expression is evaluated with the same IEEE-754
   operation sequence (``w_in - comm_tot * k / m2``) as the reference;
-* community positions are ranked by ascending label value, and an exact
-  gain tie goes to the smallest rank, the reference's smallest-label-wins
-  tie-break;
+* community ids are ranked by ascending label value, and an exact gain
+  tie goes to the smallest rank, the reference's smallest-label-wins
+  tie-break; ranks carried past the first level skip the emptied
+  communities' values but keep that order;
 * node visit order is the same ``rng.permutation`` over the same node
   ordering (CSR positions preserve adjacency insertion order), so both
   implementations consume identical RNG draws.
@@ -44,6 +49,7 @@ import ctypes
 import functools
 from collections.abc import Callable, Iterable, Mapping
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +62,7 @@ __all__ = [
     "MAX_LEVELS",
     "MAX_PASSES_PER_LEVEL",
     "initial_assignment",
+    "initial_labels",
     "louvain_csr",
     "modularity_csr",
 ]
@@ -74,13 +81,15 @@ Scan = Callable[
     tuple[int, int, bool],
 ]
 
+#: What a level loop returns: ``(labels, order, levels, passes, moves)``,
+#: each original position's final label and the partition's order.
+Levels = tuple[IntArray, IntArray, int, int, int]
+
 _SOURCE = Path(__file__).with_name("louvain_scan.c")
-_ARGTYPES = (
-    [ctypes.c_int64, ctypes.c_int64]
-    + [ctypes.c_void_p] * 5
-    + [ctypes.c_double, ctypes.c_double, ctypes.c_int64]
-    + [ctypes.c_void_p] * 6
-)
+_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+_SCAN_ARGTYPES = [_I64, _I64, *[_PTR] * 5, _F64, _F64, _I64, *[_PTR] * 6]
+_LEVEL_ARGTYPES = [_I64, _I64, *[_PTR] * 5, _F64, _I64, *[_PTR] * 10]
+_ORDER_ARGTYPES = [_I64, _PTR, _I64, *[_PTR] * 4]
 
 
 def initial_assignment(
@@ -89,8 +98,8 @@ def initial_assignment(
 ) -> dict[int, int]:
     """Initial node → label map over ``nodes`` (any iterable of node ids).
 
-    Shared with the reference: the csr kernel passes the CSR position
-    order (equal to adjacency insertion order) so the two start identically.
+    The reference's start; the csr kernel computes the same labels as an
+    array with :func:`initial_labels`.
 
     With a ``seed_partition`` (incremental mode), seed labels are mapped
     into a fresh label space to avoid collisions with singleton labels for
@@ -118,6 +127,36 @@ def initial_assignment(
     return assignment
 
 
+def initial_labels(node_ids: IntArray, seed_partition: Mapping[int, int] | None) -> IntArray:
+    """:func:`initial_assignment` over ``node_ids`` as an array, position by position.
+
+    Seed labels are compacted in order of first appearance along
+    ``node_ids``; unseeded positions take the labels after them, in
+    position order.  Seed entries for nodes outside ``node_ids`` are
+    ignored.
+    """
+    if seed_partition is None:
+        return np.array(node_ids, dtype=np.int64)
+    size = len(seed_partition)
+    keys = np.fromiter(seed_partition.keys(), dtype=np.int64, count=size)
+    values = np.fromiter(seed_partition.values(), dtype=np.int64, count=size)
+    # at[p]: the seed entry for position p's node, if seeded[p].
+    at = np.zeros(node_ids.size, dtype=np.intp)
+    seeded = np.zeros(node_ids.size, dtype=bool)
+    if size:
+        by_key = np.argsort(keys)
+        at = by_key[np.minimum(np.searchsorted(keys, node_ids, sorter=by_key), size - 1)]
+        seeded = keys[at] == node_ids
+    _, first, inverse = np.unique(values[at[seeded]], return_index=True, return_inverse=True)
+    compact = np.empty(first.size, dtype=np.int64)
+    compact[np.argsort(first)] = np.arange(first.size, dtype=np.int64)
+    labels = np.empty(node_ids.size, dtype=np.int64)
+    labels[seeded] = compact[inverse]
+    unseeded = ~seeded
+    labels[unseeded] = first.size + np.arange(np.count_nonzero(unseeded), dtype=np.int64)
+    return labels
+
+
 def louvain_csr(
     csr: CSRGraph,
     delta: float,
@@ -129,49 +168,22 @@ def louvain_csr(
     Returns ``(partition, modularity, levels)``; the caller
     (:func:`repro.community.louvain.louvain`) validates arguments.
     """
-    node_ids = csr.node_ids
-    n = csr.num_nodes
-    ids_list = node_ids.tolist()
-    initial = initial_assignment(ids_list, seed_partition)
-    node_label = np.fromiter(
-        (initial[node] for node in ids_list), dtype=np.int64, count=n
-    )
-    indptr = csr.indptr
-    indices = csr.indices
-    weights = np.ones(indices.size, dtype=np.float64)
-    self_w = np.zeros(n, dtype=np.float64)
-    # membership[p]: the super-node original position p now belongs to;
-    # order: the originals grouped by super-node, the partition's order.
-    membership = np.arange(n, dtype=np.int64)
-    order = np.arange(n, dtype=np.int64)
-
-    scan = _scan()
+    start = initial_labels(csr.node_ids, seed_partition)
+    library = None if _scan() is _python_scan else _library()
     rec = get_recorder()
-    levels = 0
-    total_passes = 0
-    total_moves = 0
-    with rec.span("kernels.louvain", nodes=n, scan="python" if scan is _python_scan else "c"):
-        while levels < MAX_LEVELS:
-            improved, node_label, passes, moves = _one_level_arrays(
-                indptr, indices, weights, self_w, node_label, delta, rng, scan
-            )
-            levels += 1
-            total_passes += passes
-            total_moves += moves
-            if not improved:
-                break
-            indptr, indices, weights, self_w, node_label, node_pos = _aggregate_arrays(
-                indptr, indices, weights, self_w, node_label
-            )
-            membership = node_pos[membership]
-            order = order[np.argsort(membership[order], kind="stable")]
+    scan = "python" if library is None else "c"
+    with rec.span("kernels.louvain", nodes=csr.num_nodes, scan=scan):
+        if library is None:
+            labels, order, levels, passes, moves = _python_levels(csr, start, delta, rng)
+        else:
+            labels, order, levels, passes, moves = _c_levels(library, csr, start, delta, rng)
         if rec.enabled:
             rec.count("kernels.louvain_levels", levels)
-            rec.count("kernels.louvain_passes", total_passes)
-            rec.count("kernels.louvain_moves", total_moves)
+            rec.count("kernels.louvain_passes", passes)
+            rec.count("kernels.louvain_moves", moves)
 
-    labels = node_label[membership]
-    partition = dict(zip(node_ids[order].tolist(), labels[order].tolist(), strict=True))
+    node_ids = csr.node_ids[order].tolist()
+    partition = dict(zip(node_ids, labels[order].tolist(), strict=True))
     return partition, modularity_csr(csr, labels), levels
 
 
@@ -196,6 +208,36 @@ def modularity_csr(csr: CSRGraph, labels: IntArray) -> float:
     return q
 
 
+def _python_levels(
+    csr: CSRGraph, node_label: IntArray, delta: float, rng: np.random.Generator
+) -> Levels:
+    """The level loop with :func:`_python_scan` and :func:`_aggregate_arrays`."""
+    n = csr.num_nodes
+    indptr, indices = csr.indptr, csr.indices
+    weights = np.ones(indices.size, dtype=np.float64)
+    self_w = np.zeros(n, dtype=np.float64)
+    # membership[p]: the super-node original position p now belongs to;
+    # order: the originals grouped by super-node, the partition's order.
+    membership = np.arange(n, dtype=np.int64)
+    order = np.arange(n, dtype=np.int64)
+    levels = passes = moves = 0
+    while levels < MAX_LEVELS:
+        improved, node_label, level_passes, level_moves = _one_level_arrays(
+            indptr, indices, weights, self_w, node_label, delta, rng
+        )
+        levels += 1
+        passes += level_passes
+        moves += level_moves
+        if not improved:
+            break
+        indptr, indices, weights, self_w, node_label, node_pos = _aggregate_arrays(
+            indptr, indices, weights, self_w, node_label
+        )
+        membership = node_pos[membership]
+        order = order[np.argsort(membership[order], kind="stable")]
+    return node_label[membership], order, levels, passes, moves
+
+
 def _one_level_arrays(
     indptr: IntArray,
     indices: IntArray,
@@ -204,7 +246,6 @@ def _one_level_arrays(
     node_label: IntArray,
     delta: float,
     rng: np.random.Generator,
-    scan: Scan,
 ) -> tuple[bool, IntArray, int, int]:
     """Local-move phase; returns (made progress, new labels, passes, moves).
 
@@ -223,7 +264,9 @@ def _one_level_arrays(
     comm = inverse.astype(np.int64)
     comm_tot = np.bincount(comm, weights=k, minlength=uniq.size).astype(np.float64)
     order = rng.permutation(n).astype(np.int64)
-    passes, moves, any_move = scan(indptr, indices, weights, k, order, m2, delta, comm, comm_tot)
+    passes, moves, any_move = _python_scan(
+        indptr, indices, weights, k, order, m2, delta, comm, comm_tot
+    )
     return any_move, uniq[comm], passes, moves
 
 
@@ -316,9 +359,9 @@ def _c_scan(function: ctypes._NamedFuncPointer) -> Scan:
         comm_tot: FloatArray,
     ) -> tuple[int, int, bool]:
         # comm and comm_tot are written in place, so they must not be copies.
-        assert comm.dtype == np.int64 and comm.flags.c_contiguous
-        assert comm_tot.dtype == np.float64 and comm_tot.flags.c_contiguous
-        ncomm = comm_tot.size
+        n, ncomm = order.size, comm_tot.size
+        _checked(comm, np.int64, "comm", n)
+        _checked(comm_tot, np.float64, "comm_tot", ncomm)
         inputs = (
             np.ascontiguousarray(indptr, dtype=np.int64),
             np.ascontiguousarray(indices, dtype=np.int64),
@@ -326,12 +369,16 @@ def _c_scan(function: ctypes._NamedFuncPointer) -> Scan:
             np.ascontiguousarray(k, dtype=np.float64),
             np.ascontiguousarray(order, dtype=np.int64),
         )
+        _sized(inputs[0], "indptr", n + 1)
+        _sized(inputs[1], "indices", int(inputs[0][-1]))
+        _sized(inputs[2], "weights", inputs[1].size)
+        _sized(inputs[3], "k", n)
         links = np.empty(ncomm, dtype=np.float64)
         seen = np.empty(ncomm, dtype=np.int64)
         touched = np.empty(ncomm, dtype=np.int64)
         out = np.empty(3, dtype=np.int64)
         function(
-            order.size,
+            n,
             ncomm,
             *(a.ctypes.data for a in inputs),
             m2,
@@ -347,14 +394,27 @@ def _c_scan(function: ctypes._NamedFuncPointer) -> Scan:
 
 @functools.cache
 def _scan() -> Scan:
-    """The scan every level runs: the C scan if it builds and loads."""
-    function = _scan_library()
+    """The scan every level runs: the C scan if the library builds and loads.
+
+    With the C scan, :func:`louvain_csr` runs each whole level in C
+    (:func:`_c_levels`); with :func:`_python_scan`, in Python.
+    """
+    library = _library()
+    function = _scan_library() if library is not None else None
     return _python_scan if function is None else _c_scan(function)
+
+
+@functools.cache
+def _library() -> _Library | None:
+    """The compiled level and order functions, or ``None`` without a library."""
+    level = native.load(_SOURCE, "louvain_level", _LEVEL_ARGTYPES, "kernels.louvain_build")
+    order = native.load(_SOURCE, "louvain_order", _ORDER_ARGTYPES, "kernels.louvain_build")
+    return None if level is None or order is None else _Library(level, order)
 
 
 def _scan_library() -> ctypes._NamedFuncPointer | None:
     """Load the compiled scan through :mod:`repro.kernels.native`, or ``None``."""
-    return native.load(_SOURCE, "louvain_scan", _ARGTYPES, "kernels.louvain_build")
+    return native.load(_SOURCE, "louvain_scan", _SCAN_ARGTYPES, "kernels.louvain_build")
 
 
 def _aggregate_arrays(
@@ -416,3 +476,178 @@ def _aggregate_arrays(
         new_indices = np.empty(0, dtype=np.int64)
         new_indptr = np.zeros(count + 1, dtype=np.int64)
     return new_indptr, new_indices, new_weights, new_self, new_label, node_pos
+
+
+# -- one level per C call ---------------------------------------------------
+
+
+class _Library(NamedTuple):
+    """The compiled level and order functions."""
+
+    level: ctypes._NamedFuncPointer
+    order: ctypes._NamedFuncPointer
+
+
+class _Level(NamedTuple):
+    """One level's graph and community ranks, with the arrays' addresses.
+
+    ``addresses`` holds the data pointers of ``indptr``, ``indices``,
+    ``weights``, ``self_w`` and ``comm``, in that order.
+    """
+
+    indptr: IntArray
+    indices: IntArray
+    weights: FloatArray
+    self_w: FloatArray
+    comm: IntArray
+    addresses: tuple[int, int, int, int, int]
+
+
+def _c_levels(
+    library: _Library,
+    csr: CSRGraph,
+    start: IntArray,
+    delta: float,
+    rng: np.random.Generator,
+) -> Levels:
+    """The level loop, each level one call to the compiled ``louvain_level``."""
+    n = csr.num_nodes
+    if csr.indices.size == 0:
+        # m2 == 0: the level ends before drawing its visit order.
+        return start, np.arange(n, dtype=np.int64), 1, 0, 0
+    # Ranks of the initial labels, the community ids of every level.
+    uniq, ranks = np.unique(start, return_inverse=True)
+    ncomm = uniq.size
+    indptr = np.ascontiguousarray(csr.indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(csr.indices, dtype=np.int64)
+    weights = np.ones(indices.size, dtype=np.float64)
+    self_w = np.zeros(n, dtype=np.float64)
+    level = _first_level(indptr, indices, weights, self_w, ranks.astype(np.int64, copy=False))
+    # The first level is the largest, so its scratch serves every level.
+    fscratch = np.empty(n + 2 * ncomm, dtype=np.float64)
+    iscratch = np.empty(3 * ncomm + 2 * n + 1, dtype=np.int64)
+    scratch = (fscratch.ctypes.data, iscratch.ctypes.data)
+
+    node_positions: list[IntArray] = []
+    levels = passes = moves = 0
+    while levels < MAX_LEVELS:
+        visit = np.ascontiguousarray(rng.permutation(level.comm.size), dtype=np.int64)
+        level_passes, level_moves, improved, node_pos, aggregated = _c_level(
+            library.level, level, ncomm, visit, delta, scratch
+        )
+        levels += 1
+        passes += level_passes
+        moves += level_moves
+        if not improved:
+            break
+        node_positions.append(node_pos)
+        level = aggregated
+
+    order, membership = _c_order(library.order, node_positions, n, level.comm.size)
+    return uniq[level.comm][membership], order, levels, passes, moves
+
+
+def _first_level(
+    indptr: IntArray, indices: IntArray, weights: FloatArray, self_w: FloatArray, comm: IntArray
+) -> _Level:
+    """A :class:`_Level` over caller-owned arrays, checked for C."""
+    n = comm.size
+    _checked(indptr, np.int64, "indptr", n + 1)
+    _checked(indices, np.int64, "indices", int(indptr[-1]))
+    _checked(weights, np.float64, "weights", indices.size)
+    _checked(self_w, np.float64, "self_w", n)
+    _checked(comm, np.int64, "comm", n)
+    addresses = (
+        indptr.ctypes.data,
+        indices.ctypes.data,
+        weights.ctypes.data,
+        self_w.ctypes.data,
+        comm.ctypes.data,
+    )
+    return _Level(indptr, indices, weights, self_w, comm, addresses)
+
+
+def _c_level(
+    function: ctypes._NamedFuncPointer,
+    level: _Level,
+    ncomm: int,
+    order: IntArray,
+    delta: float,
+    scratch: tuple[int, int],
+) -> tuple[int, int, bool, IntArray, _Level]:
+    """One ``louvain_level`` call: the scan on ``level`` and, after a move, its aggregation.
+
+    ``level.comm`` is updated in place.  Returns ``(passes, moves,
+    any_move, node_pos, next level)``; the last two are empty without a
+    move.  ``scratch`` holds the addresses of at least ``n + 2 * ncomm``
+    doubles and ``3 * ncomm + 2 * n + 1`` int64s.
+    """
+    n, nnz = level.comm.size, level.indices.size
+    _checked(order, np.int64, "order", n)
+    # Outputs share one block per dtype: ints are [node_pos | next indptr |
+    # next comm | out | next indices], floats [next self_w | next weights].
+    ints = np.empty(3 * n + 6 + nnz, dtype=np.int64)
+    floats = np.empty(n + nnz, dtype=np.float64)
+    at_indptr, at_comm, at_out, at_indices = n, 2 * n + 1, 3 * n + 1, 3 * n + 6
+    i, f, word = ints.ctypes.data, floats.ctypes.data, ints.itemsize
+    following = (
+        i + word * at_indptr,
+        i + word * at_indices,
+        f + word * n,
+        f,
+        i + word * at_comm,
+    )
+    indptr, indices, weights, self_w, comm = level.addresses
+    inputs = (indptr, indices, weights, self_w, order.ctypes.data)
+    limits = (delta, MAX_PASSES_PER_LEVEL)
+    function(n, ncomm, *inputs, *limits, comm, i, *following, *scratch, i + word * at_out)
+    passes, moves, any_move, count, entries = ints[at_out:at_indices].tolist()
+    aggregated = _Level(
+        indptr=ints[at_indptr : at_indptr + count + 1],
+        indices=ints[at_indices : at_indices + entries],
+        weights=floats[n : n + entries],
+        self_w=floats[:count],
+        comm=ints[at_comm : at_comm + count],
+        addresses=following,
+    )
+    return passes, moves, bool(any_move), ints[: n if any_move else 0], aggregated
+
+
+def _c_order(
+    function: ctypes._NamedFuncPointer, node_positions: list[IntArray], n: int, top: int
+) -> tuple[IntArray, IntArray]:
+    """``(order, membership)`` of the ``n`` originals from the aggregations' node positions.
+
+    ``order`` lists the originals grouped by final super-node, then by the
+    super-node one level down, ..., then by original position — the order
+    the per-community member lists of the reference give.
+    ``membership[p]`` is original ``p``'s final super-node (of ``top``).
+    """
+    sizes = np.array([pos.size for pos in node_positions], dtype=np.int64)
+    chain = np.concatenate(node_positions) if node_positions else sizes
+    order = np.empty(n, dtype=np.int64)
+    membership = np.empty(n, dtype=np.int64)
+    scratch = np.empty(2 * n + 1, dtype=np.int64)
+    arrays = (sizes, chain, order, membership, scratch)
+    sizes_at, chain_at, order_at, membership_at, scratch_at = (a.ctypes.data for a in arrays)
+    function(len(node_positions), sizes_at, top, chain_at, order_at, membership_at, scratch_at)
+    return order, membership
+
+
+def _checked(array: IntArray | FloatArray, dtype: type, name: str, size: int) -> None:
+    """Raise unless C can write ``array`` in place: ``dtype``, C-contiguous, ``size`` long.
+
+    A copy would lose the writes, and a wrong dtype, stride or length
+    would be read or written out of bounds, so nothing is converted.
+    """
+    if array.dtype != dtype:
+        raise TypeError(f"{name} must be {np.dtype(dtype).name}, got {array.dtype}")
+    if not array.flags.c_contiguous:
+        raise ValueError(f"{name} must be C-contiguous")
+    _sized(array, name, size)
+
+
+def _sized(array: IntArray | FloatArray, name: str, size: int) -> None:
+    """Raise :class:`ValueError` unless ``array`` has ``size`` elements."""
+    if array.size != size:
+        raise ValueError(f"{name} must have {size} elements, got {array.size}")

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from repro.graph.dynamic import snapshot_times
 from repro.kernels.csr import CSRGraph
 from repro.metrics.assortativity import degree_assortativity
 from repro.metrics.clustering import average_clustering
@@ -85,21 +86,3 @@ class MetricSpec:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def snapshot_times(end_time: float, interval: float, start: float | None = None) -> list[float]:
-    """The snapshot grid a fresh serial replay would visit.
-
-    Mirrors :meth:`repro.graph.dynamic.DynamicGraph.snapshots` for a
-    replay started from the beginning: samples every ``interval`` days
-    from ``start`` (default one interval in), plus the final partial
-    interval at ``end_time``.  Times accumulate by repeated addition so
-    the floats match the serial iterator bit-for-bit.
-    """
-    if interval <= 0:
-        raise ValueError(f"interval must be positive, got {interval}")
-    times: list[float] = []
-    t = interval if start is None else start
-    while t < end_time:
-        times.append(t)
-        t += interval
-    times.append(end_time)
-    return times

@@ -201,14 +201,23 @@ def test_partition_order_follows_the_super_node_chain(monkeypatch, tiny_csr, see
     the super-node one level down, ..., then by original position: the
     order downstream sets and frozensets inherit."""
     node_positions = []
-    inner = kernel._aggregate_arrays
+    inner_numpy, inner_c = kernel._aggregate_arrays, kernel._c_level
 
-    def recording(*args):
-        aggregated = inner(*args)
+    def recording_numpy(*args):
+        aggregated = inner_numpy(*args)
         node_positions.append(aggregated[-1])
         return aggregated
 
-    monkeypatch.setattr(kernel, "_aggregate_arrays", recording)
+    def recording_c(*args):
+        passes, moves, improved, node_pos, aggregated = inner_c(*args)
+        if improved:
+            node_positions.append(node_pos)
+        return passes, moves, improved, node_pos, aggregated
+
+    # Whichever level loop runs (C, or numpy without a compiler) reports
+    # each aggregation's node positions.
+    monkeypatch.setattr(kernel, "_aggregate_arrays", recording_numpy)
+    monkeypatch.setattr(kernel, "_c_level", recording_c)
     seed_partition = louvain(tiny_csr, delta=0.04, seed=2).partition if seeded else None
     node_positions.clear()
     partition, _, levels = kernel.louvain_csr(
