@@ -1,22 +1,23 @@
 """Benchmark-regression harness for the CSR kernel layer.
 
 Times every kernel-enabled function against its ``*_reference`` twin (the
-dict/set implementation) on snapshots of a generated Renren stream,
-asserts the results are bit-identical while timing, and reports
-per-kernel plus aggregate speedups.
+dict/set implementation in ``tests/oracles.py``) on snapshots of a
+generated Renren stream, asserts the results are bit-identical while
+timing, and reports per-kernel plus aggregate speedups.
 
 Two entry points:
 
 * ``pytest benchmarks/test_kernels.py`` — the default-scale regression
   test: aggregate CSR speedup must be at least 5x on presets.small.
-* ``python benchmarks/test_kernels.py [--quick] [--out BENCH_kernels.json]``
-  — the CI smoke harness: ``--quick`` runs a seconds-long workload and
-  fails (exit 1) if CSR is slower than the references in aggregate; ``--out``
-  writes the measurements as JSON.
+* ``PYTHONPATH=src:. python benchmarks/test_kernels.py [--quick] [--out
+  BENCH_kernels.json]`` — the CI smoke harness (``.`` makes
+  ``tests.oracles`` importable): ``--quick`` runs a seconds-long workload
+  and fails (exit 1) if CSR is slower than the references in aggregate;
+  ``--out`` writes the measurements as JSON.
 
 The references run on a dict-of-sets snapshot of the stream prefix; the
-CSR timings charge that snapshot's ``CSRGraph.from_snapshot`` freeze to
-the CSR side (as ``csr_build``), once per snapshot for the whole suite.
+CSR timings charge that snapshot's ``from_snapshot`` freeze to the CSR
+side (as ``csr_build``), once per snapshot for the whole suite.
 """
 
 from __future__ import annotations
@@ -26,16 +27,24 @@ import json
 import math
 import time
 
-from repro.community.louvain import louvain, louvain_reference
+from tests.oracles import (
+    GraphSnapshot,
+    average_clustering_reference,
+    average_path_length_reference,
+    connected_components_reference,
+    degree_assortativity_reference,
+    from_snapshot,
+    louvain_reference,
+)
+
+from repro.community.louvain import louvain
 from repro.gen import generate_trace
 from repro.gen.config import presets
-from repro.graph.components import connected_components, connected_components_reference
+from repro.graph.components import connected_components
 from repro.graph.events import EventStream
-from repro.graph.snapshot import GraphSnapshot
-from repro.kernels.csr import CSRGraph
-from repro.metrics.assortativity import degree_assortativity, degree_assortativity_reference
-from repro.metrics.clustering import average_clustering, average_clustering_reference
-from repro.metrics.paths import average_path_length_reference, average_path_length_sampled
+from repro.metrics.assortativity import degree_assortativity
+from repro.metrics.clustering import average_clustering
+from repro.metrics.paths import average_path_length_sampled
 
 SPEEDUP_FLOOR = 5.0  # default scale
 QUICK_FLOOR = 1.0  # smoke workload: CSR must simply not be slower
@@ -110,14 +119,14 @@ def run_bench(quick: bool = False, seed: int = 7, preset: str | None = None) -> 
     suite = _kernel_suite(path_sample, clustering_sample)
     # One untimed call per kernel first: the first call of a C kernel on a
     # cold cache compiles it, which is not the kernel's speed.
-    warm = CSRGraph.from_snapshot(snapshots[0][1])
+    warm = from_snapshot(snapshots[0][1])
     for _, kernel in suite.values():
         kernel(warm)
     kernels = {name: {"python_s": 0.0, "csr_s": 0.0} for name in suite}
     build_s = 0.0
     for _, graph in snapshots:
         began = time.perf_counter()
-        csr = CSRGraph.from_snapshot(graph)
+        csr = from_snapshot(graph)
         build_s += time.perf_counter() - began
         for name, (reference, kernel) in suite.items():
             began = time.perf_counter()

@@ -9,22 +9,17 @@ same graph.
 from repro.community.louvain import louvain
 from repro.gen import generate_trace
 from repro.gen.config import presets
+from repro.graph.dynamic import DynamicGraph
 from repro.graph.nullmodel import degree_preserving_rewire
-from repro.graph.snapshot import GraphSnapshot
-from repro.kernels.csr import CSRGraph
 from repro.metrics.clustering import average_clustering
 
 
 def test_structure_exceeds_degree_null(benchmark):
     stream = generate_trace(presets.tiny(days=50, target_nodes=900), seed=5)
-    edges = zip(stream.edges.u.tolist(), stream.edges.v.tolist(), strict=True)
-    snapshot = GraphSnapshot.from_edges(edges, nodes=stream.nodes.node.tolist())
-    graph = CSRGraph.from_snapshot(snapshot)
+    graph = DynamicGraph(stream).final()
 
     def run():
-        null = CSRGraph.from_snapshot(
-            degree_preserving_rewire(snapshot, swaps_per_edge=3.0, seed=0)
-        )
+        null = degree_preserving_rewire(graph, swaps_per_edge=3.0, seed=0)
         return {
             "observed_clustering": average_clustering(graph, 500, rng=0),
             "null_clustering": average_clustering(null, 500, rng=0),

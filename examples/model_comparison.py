@@ -25,7 +25,6 @@ from repro.gen.baselines import (
 )
 from repro.gen.config import presets
 from repro.graph.dynamic import DynamicGraph
-from repro.graph.snapshot import GraphSnapshot
 from repro.metrics.assortativity import degree_assortativity
 from repro.metrics.clustering import average_clustering
 from repro.metrics.diameter import effective_diameter_sampled
@@ -36,7 +35,6 @@ from repro.pa.mixture import mixture_series
 
 def signatures(stream, seed: int) -> dict[str, float]:
     graph = DynamicGraph(stream).final()
-    edges = zip(stream.edges.u.tolist(), stream.edges.v.tolist(), strict=True)
     checkpoint = max(500, stream.num_edges // 8)
     alphas = alpha_series(
         stream, DestinationRule.HIGHER_DEGREE, checkpoint_every=checkpoint, seed=seed
@@ -52,12 +50,7 @@ def signatures(stream, seed: int) -> dict[str, float]:
         "pa_weight": float(np.nanmean(weights[1:])) if weights.size > 1 else float("nan"),
         "clustering": average_clustering(graph, 400, rng=0),
         "assortativity": degree_assortativity(graph),
-        # The effective diameter is a dict-graph utility.
-        "eff_diameter": effective_diameter_sampled(
-            GraphSnapshot.from_edges(edges, nodes=stream.nodes.node.tolist()),
-            sample_size=200,
-            rng=0,
-        ),
+        "eff_diameter": effective_diameter_sampled(graph, sample_size=200, rng=0),
     }
 
 

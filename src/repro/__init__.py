@@ -28,7 +28,7 @@ Quickstart::
 
 from repro.analysis import AnalysisContext, list_experiments, run_experiment
 from repro.gen import FastGenerator, GeneratorConfig, MergeConfig, generate_trace, presets
-from repro.graph import DynamicGraph, EventStream, GraphSnapshot
+from repro.graph import DynamicGraph, EventStream
 from repro.runtime import MetricSpec, compute_timeseries
 from repro.store import EventStore, StoreWriter
 
@@ -47,7 +47,6 @@ __all__ = [
     "presets",
     "DynamicGraph",
     "EventStream",
-    "GraphSnapshot",
     "EventStore",
     "StoreWriter",
     "__version__",

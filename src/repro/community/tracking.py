@@ -363,44 +363,6 @@ class CommunityTracker:
         record.death_reason = reason
 
 
-def _match_python(
-    raw: Mapping[int, frozenset[int]],
-    prev_states: Mapping[int, CommunityState],
-) -> tuple[dict[int, tuple[int, float] | None], dict[int, Counter]]:
-    """Reference matcher: per-label best previous lineage plus overlap counts.
-
-    Only the parity suite calls this; the tracker runs
-    :func:`repro.kernels.matching.match_communities_csr`.  Both resolve
-    equal-similarity parents to the smallest lineage id.
-    """
-    node_lineage = {
-        node: state.lineage for state in prev_states.values() for node in state.members
-    }
-    # Overlap counts between each new community and each previous lineage.
-    overlaps: dict[int, Counter] = {}
-    for label, members in raw.items():
-        counter: Counter = Counter()
-        for node in members:
-            lin = node_lineage.get(node)
-            if lin is not None:
-                counter[lin] += 1
-        overlaps[label] = counter
-
-    parent: dict[int, tuple[int, float] | None] = {}
-    for label, members in raw.items():
-        best: tuple[int, float] | None = None
-        # Ascending lineage order: similarity ties resolve to the smallest
-        # lineage id, independent of Counter insertion order.
-        for lin in sorted(overlaps[label]):
-            inter = overlaps[label][lin]
-            prev_members = prev_states[lin].members
-            sim = inter / (len(members) + len(prev_members) - inter)
-            if best is None or sim > best[1]:
-                best = (lin, sim)
-        parent[label] = best
-    return parent, overlaps
-
-
 def track_stream(
     stream: EventStream,
     interval: float = 3.0,

@@ -26,7 +26,8 @@ PARITY_TEST_FILE = "tests/test_kernels_parity.py"
 
 # Dispatcher qualname -> the parity test function that pins both backends.
 # Empty: every kernel-enabled function calls its CSR kernel directly,
-# and the parity suite compares it against its ``*_reference`` twin.  A
+# and the parity suite compares it against its dict-of-sets twin in
+# ``tests/oracles.py``.  A
 # reintroduced ``backend=`` dispatcher must register its parity test here.
 PARITY_COVERED: dict[str, str] = {}
 

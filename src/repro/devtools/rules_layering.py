@@ -223,8 +223,8 @@ class LayeringRule(ProjectRule):
         known = set(by_module)
 
         def resolve(target: str) -> str | None:
-            # 'from repro.graph.snapshot import GraphSnapshot' targets a
-            # module; 'from repro.graph import snapshot' targets names in a
+            # 'from repro.graph.events import EventStream' targets a
+            # module; 'from repro.graph import events' targets names in a
             # package -- try the longest known prefix.
             candidate = target
             while candidate:

@@ -13,9 +13,10 @@ creations and edge creations — from which daily static snapshots are derived
   analyses read;
 * :class:`~repro.graph.checkpoint.ReplayCheckpoint` — compact mid-stream
   replay state, so workers can resume without re-applying history;
-* :mod:`~repro.graph.components` — connected components, from scratch;
-* :class:`~repro.graph.snapshot.GraphSnapshot` — a dict-of-sets graph,
-  kept for the ``*_reference`` parity oracles and off-path utilities.
+* :mod:`~repro.graph.components` — connected components over a
+  :class:`~repro.kernels.csr.CSRGraph`;
+* :mod:`~repro.graph.nullmodel` — the degree-preserving rewired copy of
+  a :class:`~repro.kernels.csr.CSRGraph`.
 """
 
 from repro.graph.checkpoint import ReplayCheckpoint
@@ -23,7 +24,6 @@ from repro.graph.components import connected_components, largest_component
 from repro.graph.dynamic import DynamicGraph, SnapshotView
 from repro.graph.events import EdgeColumns, EventStream, NodeColumns
 from repro.graph.nullmodel import degree_preserving_rewire
-from repro.graph.snapshot import GraphSnapshot
 from repro.graph.stream_io import read_event_stream, write_event_stream
 from repro.graph.transform import relabel_nodes, rescale_time, subsample_nodes, truncate
 
@@ -37,7 +37,6 @@ __all__ = [
     "NodeColumns",
     "EdgeColumns",
     "EventStream",
-    "GraphSnapshot",
     "DynamicGraph",
     "SnapshotView",
     "connected_components",

@@ -13,36 +13,35 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.snapshot import GraphSnapshot
+from repro.kernels.csr import CSRGraph
 from repro.util.rng import make_rng
 
 __all__ = ["degree_preserving_rewire"]
 
 
 def degree_preserving_rewire(
-    graph: GraphSnapshot,
+    graph: CSRGraph,
     swaps_per_edge: float = 3.0,
     seed: int | np.random.Generator | None = 0,
     max_tries_factor: int = 10,
-) -> GraphSnapshot:
+) -> CSRGraph:
     """Return a rewired copy of ``graph`` with the same degree sequence.
 
     Attempts ``swaps_per_edge * num_edges`` successful swaps (the usual
     burn-in for mixing), giving up after ``max_tries_factor`` times that
     many proposals.  Graphs with fewer than 2 edges are returned as
-    copies.
+    copies.  The copy keeps ``graph``'s node order.
     """
     if swaps_per_edge < 0:
         raise ValueError("swaps_per_edge must be non-negative")
     rng = make_rng(seed)
-    result = GraphSnapshot.from_edges(graph.edges(), nodes=graph.nodes())
-    edges = list(result.edges())
+    edges = _edge_list(graph)
     m = len(edges)
     if m < 2 or swaps_per_edge == 0:
-        return result
+        return _from_edges(graph, edges)
     target_swaps = int(swaps_per_edge * m)
     max_tries = max_tries_factor * target_swaps
-    adjacency = result.adjacency
+    present = set(edges)
     swaps = 0
     tries = 0
     while swaps < target_swaps and tries < max_tries:
@@ -55,17 +54,43 @@ def degree_preserving_rewire(
         # Propose (a,b),(c,d) -> (a,d),(c,b).
         if len({a, b, c, d}) < 4:
             continue
-        if d in adjacency[a] or b in adjacency[c]:
+        ad = (a, d) if a < d else (d, a)
+        cb = (c, b) if c < b else (b, c)
+        if ad in present or cb in present:
             continue
-        adjacency[a].discard(b)
-        adjacency[b].discard(a)
-        adjacency[c].discard(d)
-        adjacency[d].discard(c)
-        adjacency[a].add(d)
-        adjacency[d].add(a)
-        adjacency[c].add(b)
-        adjacency[b].add(c)
-        edges[i] = (a, d) if a < d else (d, a)
-        edges[j] = (c, b) if c < b else (b, c)
+        present.difference_update((edges[i], edges[j]))
+        present.update((ad, cb))
+        edges[i] = ad
+        edges[j] = cb
         swaps += 1
-    return result
+    return _from_edges(graph, edges)
+
+
+def _edge_list(graph: CSRGraph) -> list[tuple[int, int]]:
+    """Every edge once as ``(u, v)`` ids with ``u < v``.
+
+    Rows in position order, each row's neighbours by ascending id, so the
+    same RNG draws propose the same swaps whatever the positions.
+    """
+    ids = graph.node_ids
+    rows = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), graph.degrees)
+    neighbors = ids[graph.indices]
+    order = np.lexsort((neighbors, rows))
+    u, v = ids[rows[order]], neighbors[order]
+    upper = u < v
+    return list(zip(u[upper].tolist(), v[upper].tolist(), strict=True))
+
+
+def _from_edges(graph: CSRGraph, edges: list[tuple[int, int]]) -> CSRGraph:
+    """The CSR of ``edges`` over ``graph``'s nodes, in ``graph``'s node order."""
+    ends = graph.positions_of(np.array(edges, dtype=np.int64).reshape(-1, 2))
+    rows = np.concatenate((ends[:, 0], ends[:, 1]))
+    cols = np.concatenate((ends[:, 1], ends[:, 0]))
+    indptr = np.zeros(graph.num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=graph.num_nodes), out=indptr[1:])
+    return CSRGraph(
+        node_ids=graph.node_ids,
+        indptr=indptr,
+        indices=cols[np.lexsort((cols, rows))],
+        num_edges=len(edges),
+    )

@@ -2,8 +2,8 @@
 
 Each kernel is the numpy twin of a pure-Python reference implementation
 and is *bit-identical* to it: same floats for the same RNG draws.  The
-references are plain functions next to their public wrappers; only the
-parity suites call them.  The contract, and how to add a kernel, is
+references work on a dict-of-sets graph and live in ``tests/oracles.py``;
+only the parity suites call them.  The contract, and how to add a kernel, is
 documented in ``docs/kernels.md``.
 
 Layout:

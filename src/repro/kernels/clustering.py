@@ -1,6 +1,6 @@
 """Neighborhood-intersection clustering kernels.
 
-The reference :func:`repro.metrics.clustering.local_clustering` tests all
+The set-based reference (``tests/oracles.py``) tests all
 ``k(k-1)/2`` neighbor pairs with set membership.  The CSR kernel instead
 marks the node's neighborhood in a boolean mask and counts, over the
 concatenated adjacency lists of all neighbors, how many entries hit the

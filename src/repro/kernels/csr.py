@@ -14,25 +14,21 @@ bit-for-bit parity with the reference.
 
 Replay (:class:`~repro.graph.dynamic.DynamicGraph`) builds one per
 snapshot straight from the event columns, and replay checkpoints carry
-one as their frozen graph.  :meth:`CSRGraph.from_snapshot` is the bridge
-from the dict-of-sets :class:`~repro.graph.snapshot.GraphSnapshot` that
-the ``*_reference`` oracles and the off-path utilities use.
+one as their frozen graph.  Every metric, the null model and community
+detection read it; the dict-of-sets graph the parity oracles use lives
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.util.arrays import IntArray
-
-if TYPE_CHECKING:
-    from repro.graph.snapshot import GraphSnapshot
 
 __all__ = ["CSRGraph", "gather_neighbors", "label_edge_counts"]
 
@@ -64,32 +60,6 @@ class CSRGraph:
         """The graph with no nodes."""
         none = np.empty(0, dtype=np.int64)
         return cls(node_ids=none, indptr=np.zeros(1, dtype=np.int64), indices=none, num_edges=0)
-
-    @classmethod
-    def from_snapshot(cls, graph: GraphSnapshot) -> "CSRGraph":
-        """Freeze ``graph``, keeping its node insertion order."""
-        adjacency = graph.adjacency
-        n = len(adjacency)
-        node_ids = np.fromiter(adjacency.keys(), dtype=np.int64, count=n)
-        degrees = np.fromiter(map(len, adjacency.values()), dtype=np.int64, count=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        total = int(indptr[-1])
-        if total:
-            # Row *content*, not set iteration order, is what survives: the
-            # lexsort below canonicalizes every row to ascending positions.
-            neighbors = np.fromiter(
-                chain.from_iterable(adjacency.values()),
-                dtype=np.int64,
-                count=total,
-            )
-            id_order = np.argsort(node_ids, kind="stable")
-            positions = id_order[np.searchsorted(node_ids[id_order], neighbors)]
-            rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-            indices = positions[np.lexsort((positions, rows))]
-        else:
-            indices = np.empty(0, dtype=np.int64)
-        return cls(node_ids=node_ids, indptr=indptr, indices=indices, num_edges=graph.num_edges)
 
     # -- queries ------------------------------------------------------
 

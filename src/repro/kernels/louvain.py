@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Mapping
 from pathlib import Path
 from typing import NamedTuple
 
@@ -61,15 +61,14 @@ from repro.util.arrays import FloatArray, IntArray
 __all__ = [
     "MAX_LEVELS",
     "MAX_PASSES_PER_LEVEL",
-    "initial_assignment",
     "initial_labels",
     "louvain_csr",
     "modularity_csr",
 ]
 
 # Shared level/pass caps: the kernel and the reference must stop
-# identically, so the constants live here in the kernel layer and the
-# reference implementation (repro.community.louvain) imports them downward.
+# identically, so the dict-of-dicts reference in tests/oracles.py imports
+# them from here.
 MAX_PASSES_PER_LEVEL = 32
 MAX_LEVELS = 32
 
@@ -92,48 +91,14 @@ _LEVEL_ARGTYPES = [_I64, _I64, *[_PTR] * 5, _F64, _I64, *[_PTR] * 10]
 _ORDER_ARGTYPES = [_I64, _PTR, _I64, *[_PTR] * 4]
 
 
-def initial_assignment(
-    nodes: Iterable[int],
-    seed_partition: Mapping[int, int] | None,
-) -> dict[int, int]:
-    """Initial node → label map over ``nodes`` (any iterable of node ids).
-
-    The reference's start; the csr kernel computes the same labels as an
-    array with :func:`initial_labels`.
-
-    With a ``seed_partition`` (incremental mode), seed labels are mapped
-    into a fresh label space to avoid collisions with singleton labels for
-    unseen nodes (which use the node ids themselves, offset to a disjoint
-    range).
-    """
-    if seed_partition is None:
-        return {u: u for u in nodes}
-    nodes = list(nodes)
-    label_map: dict[int, int] = {}
-    assignment: dict[int, int] = {}
-    next_label = 0
-    for u in nodes:
-        seed_label = seed_partition.get(u)
-        if seed_label is None:
-            continue
-        if seed_label not in label_map:
-            label_map[seed_label] = next_label
-            next_label += 1
-        assignment[u] = label_map[seed_label]
-    for u in nodes:
-        if u not in assignment:
-            assignment[u] = next_label
-            next_label += 1
-    return assignment
-
-
 def initial_labels(node_ids: IntArray, seed_partition: Mapping[int, int] | None) -> IntArray:
-    """:func:`initial_assignment` over ``node_ids`` as an array, position by position.
+    """Initial community label per position of ``node_ids``.
 
-    Seed labels are compacted in order of first appearance along
-    ``node_ids``; unseeded positions take the labels after them, in
-    position order.  Seed entries for nodes outside ``node_ids`` are
-    ignored.
+    Without a ``seed_partition`` every node is its own community, labelled
+    by its id.  With one (incremental mode), seed labels are compacted in
+    order of first appearance along ``node_ids``; unseeded positions take
+    the labels after them, in position order.  Seed entries for nodes
+    outside ``node_ids`` are ignored.
     """
     if seed_partition is None:
         return np.array(node_ids, dtype=np.int64)
@@ -190,7 +155,7 @@ def louvain_csr(
 def modularity_csr(csr: CSRGraph, labels: IntArray) -> float:
     """Modularity of the partition giving each position ``labels[p]``.
 
-    Bit-identical to :func:`repro.community.modularity.modularity`: the
+    Bit-identical to the dict-of-sets reference in ``tests/oracles.py``: the
     per-community counts are exact integers, and the float terms are
     summed with the same expression in the same order — communities by
     their first position, as the reference's dict acquires them.

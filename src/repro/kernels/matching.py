@@ -35,7 +35,7 @@ def match_communities_csr(
     ``raw`` maps new community labels to member sets; ``prev_members``
     maps previous lineage ids to member sets (disjoint, as partitions
     are).  Returns ``(parent, overlaps)`` with the same contents as the
-    Python reference in :class:`repro.community.tracking.CommunityTracker`:
+    Python reference matcher in ``tests/oracles.py``:
     ``parent[label]`` is ``(lineage, similarity)`` for the most similar
     previous lineage (ties → smallest lineage id) or ``None`` when the
     community shares no node with any lineage, and ``overlaps[label]`` is

@@ -179,8 +179,9 @@ def distance_to_set_csr(csr: CSRGraph, target_mask: BoolArray, allowed_mask: Boo
     One BFS starts from every position in ``target_mask & allowed_mask`` and
     enters allowed positions only.  A shortest path to the nearest target
     never passes another target, and distance is symmetric, so entry ``p``
-    equals :func:`repro.graph.components.bfs_distance_to_set` from ``p``
-    with the disallowed nodes forbidden (−1 where that returns ``None``).
+    equals the per-source dict BFS ``bfs_distance_to_set`` of
+    ``tests/oracles.py`` from ``p`` with the disallowed nodes forbidden
+    (−1 where that returns ``None``).
     """
     with get_recorder().span("kernels.distance_to_set", nodes=csr.num_nodes):
         distance = np.full(csr.num_nodes, -1, dtype=np.int64)

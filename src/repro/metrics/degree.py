@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.edges.powerlaw import PowerLawFit, fit_power_law_mle
-from repro.graph.snapshot import GraphSnapshot
 from repro.kernels.csr import CSRGraph
 from repro.util.binning import histogram_counts
 
@@ -29,12 +28,12 @@ def average_degree(graph: CSRGraph) -> float:
     return 2.0 * graph.num_edges / graph.num_nodes
 
 
-def degree_distribution(graph: GraphSnapshot) -> dict[int, int]:
+def degree_distribution(graph: CSRGraph) -> dict[int, int]:
     """Map of degree → number of nodes with that degree."""
-    return histogram_counts(len(nbrs) for nbrs in graph.adjacency.values())
+    return histogram_counts(graph.degrees.tolist())
 
 
-def degree_ccdf(graph: GraphSnapshot) -> tuple[np.ndarray, np.ndarray]:
+def degree_ccdf(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
     """Complementary CDF of degrees: ``(degrees, P(D >= degree))``.
 
     Only degrees present in the graph appear; the CCDF is right-continuous
@@ -51,14 +50,14 @@ def degree_ccdf(graph: GraphSnapshot) -> tuple[np.ndarray, np.ndarray]:
     return degrees, ccdf
 
 
-def fit_degree_tail(graph: GraphSnapshot, xmin: float | None = None) -> PowerLawFit:
+def fit_degree_tail(graph: CSRGraph, xmin: float | None = None) -> PowerLawFit:
     """MLE power-law fit of the degree tail.
 
     ``xmin`` defaults to the median positive degree (tail-only fit).
     Raises :class:`ValueError` when the graph has too few positive-degree
     nodes.
     """
-    degrees = np.array([len(nbrs) for nbrs in graph.adjacency.values()], dtype=float)
+    degrees = graph.degrees.astype(float)
     degrees = degrees[degrees > 0]
     if degrees.size < 10:
         raise ValueError("need at least 10 positive-degree nodes for a tail fit")

@@ -6,22 +6,27 @@ densification reading of Figure 1) characterizes graphs over time by the
 connected node pairs are within ``g`` hops.  Computed here by BFS from a
 node sample of the largest component, with linear interpolation between
 integer hop counts (the standard smoothed definition).
+
+Sources are drawn from the sorted largest-component pool, the convention
+of :mod:`repro.metrics.paths`, so the sample depends on the node set
+alone.  Each source's hop counts come from
+:func:`~repro.kernels.traversal.distance_to_set_csr` with the source as
+the only target: hop distance is symmetric.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.components import bfs_distances, largest_component
-from repro.graph.snapshot import GraphSnapshot
 from repro.kernels.csr import CSRGraph
+from repro.kernels.traversal import distance_to_set_csr, largest_component_csr
 from repro.util.rng import make_rng
 
 __all__ = ["effective_diameter_sampled"]
 
 
 def effective_diameter_sampled(
-    graph: GraphSnapshot,
+    graph: CSRGraph,
     quantile: float = 0.9,
     sample_size: int = 400,
     rng: int | np.random.Generator | None = None,
@@ -33,22 +38,25 @@ def effective_diameter_sampled(
     if not 0 < quantile <= 1:
         raise ValueError("quantile must be in (0, 1]")
     generator = make_rng(rng)
-    component = largest_component(CSRGraph.from_snapshot(graph))
-    if len(component) < 2:
+    members = largest_component_csr(graph)
+    if members.size < 2:
         return float("nan")
-    members = np.fromiter(component, dtype=np.int64, count=len(component))
     k = min(sample_size, members.size)
     sources = generator.choice(members, size=k, replace=False)
     # Histogram of pairwise distances from the sampled sources.
-    counts: dict[int, int] = {}
-    for source in sources:
-        for node, dist in bfs_distances(graph, int(source)).items():
-            if node != source:
-                counts[dist] = counts.get(dist, 0) + 1
-    if not counts:
-        return float("nan")
-    max_d = max(counts)
-    cumulative = np.cumsum([counts.get(d, 0) for d in range(1, max_d + 1)], dtype=np.int64)
+    n = graph.num_nodes
+    counts = np.zeros(n, dtype=np.int64)
+    one_hot = np.zeros(n, dtype=bool)
+    everywhere = np.ones(n, dtype=bool)
+    for source in graph.positions_of(sources).tolist():
+        one_hot[source] = True
+        distance = distance_to_set_csr(graph, one_hot, everywhere)
+        one_hot[source] = False
+        counts += np.bincount(distance[distance > 0], minlength=n)
+    # The component is connected and has two or more nodes, so every
+    # source reaches some node and ``counts`` has a nonzero entry.
+    max_d = int(np.flatnonzero(counts)[-1])
+    cumulative = np.cumsum(counts[1 : max_d + 1], dtype=np.int64)
     total = cumulative[-1]
     target = quantile * total
     # Smallest integer g with cumulative(g) >= target, interpolated.

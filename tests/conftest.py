@@ -13,9 +13,8 @@ from repro.gen import generate_trace
 from repro.gen.config import presets
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import EventStream
-from repro.graph.snapshot import GraphSnapshot
 from repro.kernels.csr import CSRGraph
-from tests.oracles import dict_replay
+from tests.oracles import GraphSnapshot, csr_of, dict_replay
 
 
 @pytest.fixture(scope="session")
@@ -55,21 +54,21 @@ def tiny_tracker(tiny_stream: EventStream) -> CommunityTracker:
 
 
 @pytest.fixture()
-def two_clique_graph() -> GraphSnapshot:
+def two_clique_graph() -> CSRGraph:
     """Two 6-cliques joined by a single bridge edge (ground-truth communities)."""
     edges = [(i, j) for i in range(6) for j in range(i + 1, 6)]
     edges += [(i, j) for i in range(6, 12) for j in range(i + 1, 12)]
     edges.append((0, 6))
-    return GraphSnapshot.from_edges(edges)
+    return csr_of(edges)
 
 
 @pytest.fixture()
-def path_graph() -> GraphSnapshot:
+def path_graph() -> CSRGraph:
     """A 5-node path: 0-1-2-3-4."""
-    return GraphSnapshot.from_edges([(i, i + 1) for i in range(4)])
+    return csr_of([(i, i + 1) for i in range(4)])
 
 
 @pytest.fixture()
-def star_graph() -> GraphSnapshot:
+def star_graph() -> CSRGraph:
     """A star: hub 0 with 6 leaves."""
-    return GraphSnapshot.from_edges([(0, i) for i in range(1, 7)])
+    return csr_of([(0, i) for i in range(1, 7)])

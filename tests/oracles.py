@@ -1,9 +1,22 @@
-"""Per-event oracles the array implementations are pinned against.
+"""The dict-of-sets graph and the per-event oracles the array code is pinned against.
+
+:class:`GraphSnapshot` is a mutable dict-of-sets graph, and
+:func:`from_snapshot` freezes one as a :class:`~repro.kernels.csr.CSRGraph`
+(node insertion order becomes position order).  The package itself holds
+no graph but ``CSRGraph``; everything here exists to check it.
 
 :class:`DictReplay` applies a stream's events one by one to a
-:class:`~repro.graph.snapshot.GraphSnapshot`, exactly as the replayer did
-before snapshots became CSR arrays.  Parity tests compare
-``CSRGraph.from_snapshot`` of its graph with the replay's own.
+:class:`GraphSnapshot`, exactly as the replayer did before snapshots
+became CSR arrays.  Parity tests compare ``from_snapshot`` of its graph
+with the replay's own.
+
+The graph references are the dict implementations the CSR kernels
+replaced: components and BFS, sampled path length, clustering,
+assortativity, modularity, Louvain (:func:`louvain_reference` with its
+level internals and :func:`initial_assignment`), the tracker's community
+matcher (:func:`_match_python`), and the degree distribution, degree-tail
+fit, effective diameter and degree-preserving rewire.  Each returns the
+same bits as its kernel for the same RNG draws.
 
 :func:`pe_checkpoints_reference` is the per-edge pe(d) replay that
 ``EdgeProbabilityTracker.process`` computes in closed form.
@@ -17,21 +30,181 @@ compare their outputs byte for byte.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from collections.abc import Sequence
+from collections import Counter, defaultdict, deque
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from itertools import chain
 
 import numpy as np
 
 from repro.community.impact import SIZE_BUCKETS_PAPER, CommunityMembership, _bucket_label
+from repro.community.louvain import LouvainResult
+from repro.community.tracking import CommunityState
 from repro.edges.interarrival import AGE_BUCKETS_PAPER, node_interarrival_times
 from repro.edges.lifetime import NodeLifetime
+from repro.edges.powerlaw import PowerLawFit, fit_power_law_mle
+from repro.graph.components import largest_component
 from repro.graph.events import ORIGIN_5Q, ORIGIN_XIAONEI, EventStream
-from repro.graph.snapshot import GraphSnapshot
 from repro.kernels.csr import CSRGraph
+from repro.kernels.louvain import MAX_LEVELS as _MAX_LEVELS
+from repro.kernels.louvain import MAX_PASSES_PER_LEVEL as _MAX_PASSES_PER_LEVEL
 from repro.osnmerge.activity import ActiveUserSeries
 from repro.osnmerge.classify import EdgeClass, classify_edge
 from repro.osnmerge.edge_rates import EdgeRateSeries
 from repro.pa.edge_probability import DestinationRule, EdgeProbabilityTracker, PeCheckpoint
+from repro.util.binning import histogram_counts
+from repro.util.rng import make_rng
+
+
+class GraphSnapshot:
+    """An undirected simple graph (no self-loops, no parallel edges).
+
+    Mutation is via :meth:`add_node` / :meth:`add_edge`; analyses treat
+    snapshots as read-only.  ``adjacency`` maps node id → set of neighbor
+    ids and may be read directly by performance-sensitive code.
+    """
+
+    __slots__ = ("adjacency", "_num_edges")
+
+    def __init__(self) -> None:
+        self.adjacency: dict[int, set[int]] = {}
+        self._num_edges = 0
+
+    # -- construction -------------------------------------------------
+
+    @classmethod
+    def from_edges(
+        cls,
+        edges: Iterable[tuple[int, int]],
+        nodes: Iterable[int] = (),
+    ) -> "GraphSnapshot":
+        """Build a snapshot from an edge list plus optional isolated nodes."""
+        snap = cls()
+        for node in nodes:
+            snap.add_node(node)
+        for u, v in edges:
+            snap.add_node(u)
+            snap.add_node(v)
+            snap.add_edge(u, v)
+        return snap
+
+    def add_node(self, node: int) -> None:
+        """Add ``node`` if absent (idempotent)."""
+        if node not in self.adjacency:
+            self.adjacency[node] = set()
+
+    def add_edge(self, u: int, v: int) -> bool:
+        """Add undirected edge ``(u, v)``.
+
+        Returns ``True`` if the edge was new.  Self-loops raise
+        :class:`ValueError`; unknown endpoints raise :class:`KeyError` so
+        that callers cannot silently desynchronize node arrival bookkeeping.
+        """
+        if u == v:
+            raise ValueError(f"self-loop on node {u} not allowed")
+        neighbors_u = self.adjacency[u]
+        neighbors_v = self.adjacency[v]
+        if v in neighbors_u:
+            return False
+        neighbors_u.add(v)
+        neighbors_v.add(u)
+        self._num_edges += 1
+        return True
+
+    # -- queries ------------------------------------------------------
+
+    @property
+    def num_nodes(self) -> int:
+        """Number of nodes."""
+        return len(self.adjacency)
+
+    @property
+    def num_edges(self) -> int:
+        """Number of undirected edges."""
+        return self._num_edges
+
+    def __contains__(self, node: int) -> bool:
+        return node in self.adjacency
+
+    def __len__(self) -> int:
+        return len(self.adjacency)
+
+    def nodes(self) -> Iterator[int]:
+        """Iterate over node ids."""
+        return iter(self.adjacency)
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Iterate over each undirected edge exactly once, as (u, v) with u < v.
+
+        Neighbors are visited in sorted order, so the edge sequence is a
+        pure function of the graph's content plus node insertion order —
+        never of set hash history.
+        """
+        for u, nbrs in self.adjacency.items():
+            for v in sorted(nbrs):
+                if u < v:
+                    yield (u, v)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """Whether edge ``(u, v)`` exists."""
+        nbrs = self.adjacency.get(u)
+        return nbrs is not None and v in nbrs
+
+    def degree(self, node: int) -> int:
+        """Degree of ``node``; raises :class:`KeyError` for unknown nodes."""
+        return len(self.adjacency[node])
+
+    def neighbors(self, node: int) -> set[int]:
+        """The neighbor set of ``node`` (the live set — do not mutate)."""
+        return self.adjacency[node]
+
+    def degrees(self) -> dict[int, int]:
+        """Map of node id → degree."""
+        return {node: len(nbrs) for node, nbrs in self.adjacency.items()}
+
+    def subgraph(self, nodes: Iterable[int]) -> "GraphSnapshot":
+        """The induced subgraph on ``nodes`` (unknown ids are ignored)."""
+        keep = {n for n in nodes if n in self.adjacency}
+        # Sorted insertion keeps the subgraph's adjacency order (and thus
+        # every dict-order-dependent consumer, e.g. Louvain visit order)
+        # a pure function of the kept node set.
+        kept = sorted(keep)
+        sub = GraphSnapshot()
+        for node in kept:
+            sub.add_node(node)
+        for node in kept:
+            for nbr in sorted(self.adjacency[node]):
+                if nbr in keep and node < nbr:
+                    sub.add_edge(node, nbr)
+        return sub
+
+    def __repr__(self) -> str:
+        return f"GraphSnapshot(nodes={self.num_nodes}, edges={self.num_edges})"
+
+
+def from_snapshot(graph: GraphSnapshot) -> CSRGraph:
+    """Freeze ``graph`` as a :class:`CSRGraph`, keeping its node insertion order."""
+    adjacency = graph.adjacency
+    n = len(adjacency)
+    node_ids = np.fromiter(adjacency.keys(), dtype=np.int64, count=n)
+    degrees = np.fromiter(map(len, adjacency.values()), dtype=np.int64, count=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    total = int(indptr[-1])
+    if total:
+        # Row *content*, not set iteration order, is what survives: the
+        # lexsort below canonicalizes every row to ascending positions.
+        neighbors = np.fromiter(
+            chain.from_iterable(adjacency.values()),
+            dtype=np.int64,
+            count=total,
+        )
+        id_order = np.argsort(node_ids, kind="stable")
+        positions = id_order[np.searchsorted(node_ids[id_order], neighbors)]
+        rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        indices = positions[np.lexsort((positions, rows))]
+    else:
+        indices = np.empty(0, dtype=np.int64)
+    return CSRGraph(node_ids=node_ids, indptr=indptr, indices=indices, num_edges=graph.num_edges)
 
 
 class DictReplay:
@@ -74,7 +247,7 @@ def snapshot_of(csr: CSRGraph) -> GraphSnapshot:
 
 def csr_of(edges, nodes=()) -> CSRGraph:
     """CSR of the graph with these edges (plus optional isolated nodes)."""
-    return CSRGraph.from_snapshot(GraphSnapshot.from_edges(edges, nodes=nodes))
+    return from_snapshot(GraphSnapshot.from_edges(edges, nodes=nodes))
 
 
 def assert_same_csr(got: CSRGraph, want: CSRGraph) -> None:
@@ -83,6 +256,546 @@ def assert_same_csr(got: CSRGraph, want: CSRGraph) -> None:
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert got.num_edges == want.num_edges
+
+
+def connected_components_reference(graph: GraphSnapshot) -> list[set[int]]:
+    """Dict-BFS reference for :func:`connected_components`."""
+    seen: set[int] = set()
+    components: list[set[int]] = []
+    for root in graph.nodes():
+        if root in seen:
+            continue
+        component = _bfs_component(graph, root)
+        seen |= component
+        components.append(component)
+    components.sort(key=lambda c: (-len(c), min(c)))
+    return components
+
+
+def largest_component_reference(graph: GraphSnapshot) -> set[int]:
+    """Dict-BFS reference for :func:`largest_component`."""
+    best: set[int] = set()
+    seen: set[int] = set()
+    for root in graph.nodes():
+        if root in seen:
+            continue
+        component = _bfs_component(graph, root)
+        seen |= component
+        if len(component) > len(best) or (
+            len(component) == len(best) and component and min(component) < min(best)
+        ):
+            best = component
+    return best
+
+
+def bfs_distances(
+    graph: GraphSnapshot,
+    source: int,
+    cutoff: int | None = None,
+) -> dict[int, int]:
+    """Hop distances from ``source`` to every reachable node.
+
+    ``cutoff`` bounds the search depth (inclusive); nodes beyond it are
+    omitted.  Raises :class:`KeyError` for an unknown source.
+    """
+    if source not in graph.adjacency:
+        raise KeyError(f"unknown source node {source}")
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        d = dist[node]
+        if cutoff is not None and d >= cutoff:
+            continue
+        # Sorted expansion makes the returned dict's insertion order a
+        # pure function of the graph content; callers iterate .items().
+        for nbr in sorted(graph.adjacency[node]):
+            if nbr not in dist:
+                dist[nbr] = d + 1
+                queue.append(nbr)
+    return dist
+
+
+def bfs_distance_to_set(
+    graph: GraphSnapshot,
+    source: int,
+    targets: Iterable[int],
+    forbidden: Iterable[int] = (),
+) -> int | None:
+    """Shortest hop distance from ``source`` to any node in ``targets``.
+
+    ``forbidden`` nodes are never traversed **or** counted as targets —
+    the cross-OSN distance experiment (§5.2, Fig 9c) uses this to exclude
+    post-merge users and their edges from the search.  Returns ``None``
+    when no target is reachable.
+
+    This per-source dict BFS is the parity oracle for
+    :func:`repro.kernels.traversal.distance_to_set_csr`, which the
+    experiment runs.
+    """
+    target_set = set(targets)
+    blocked = set(forbidden)
+    if source in blocked or source not in graph.adjacency:
+        return None
+    if source in target_set:
+        return 0
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        d = dist[node]
+        # The int result is the minimal BFS level: order-independent.
+        for nbr in graph.adjacency[node]:
+            if nbr in blocked or nbr in dist:
+                continue
+            if nbr in target_set:
+                return d + 1
+            dist[nbr] = d + 1
+            queue.append(nbr)
+    return None
+
+
+def _bfs_component(graph: GraphSnapshot, root: int) -> set[int]:
+    component = {root}
+    queue = deque([root])
+    while queue:
+        node = queue.popleft()
+        # Builds a set; membership is visit-order-independent and sorting
+        # here would only slow the reference implementation.
+        for nbr in graph.adjacency[node]:
+            if nbr not in component:
+                component.add(nbr)
+                queue.append(nbr)
+    return component
+
+
+def average_path_length_reference(
+    graph: GraphSnapshot,
+    sample_size: int = 1000,
+    rng: int | np.random.Generator | None = None,
+) -> float:
+    """Dict-BFS reference for :func:`average_path_length_sampled`."""
+    generator = make_rng(rng)
+    component = largest_component_reference(graph)
+    if len(component) < 2:
+        return float("nan")
+    # Sort the sampling pool: set iteration order is an implementation
+    # detail, and sampling must not depend on it or parallel replay (which
+    # rebuilds adjacency sets from checkpoints) would drift from serial.
+    members = np.fromiter(component, dtype=np.int64, count=len(component))
+    members.sort()
+    k = min(sample_size, members.size)
+    sources = generator.choice(members, size=k, replace=False)
+    total = 0
+    count = 0
+    for source in sources:
+        for node, dist in bfs_distances(graph, int(source)).items():
+            if node != source:
+                total += dist
+                count += 1
+    if count == 0:
+        return float("nan")
+    return total / count
+
+
+def local_clustering_reference(graph: GraphSnapshot, node: int) -> float:
+    """Set-based reference for :func:`local_clustering`."""
+    neighbors = graph.adjacency[node]
+    k = len(neighbors)
+    if k < 2:
+        return 0.0
+    adjacency = graph.adjacency
+    links = 0
+    # Triangle counting visits every unordered pair exactly once, so the
+    # count is independent of the enumeration order.
+    nbrs = list(neighbors)
+    for i, u in enumerate(nbrs):
+        u_adj = adjacency[u]
+        for v in nbrs[i + 1 :]:
+            if v in u_adj:
+                links += 1
+    return 2.0 * links / (k * (k - 1))
+
+
+def average_clustering_reference(
+    graph: GraphSnapshot,
+    sample_size: int | None = None,
+    rng: int | np.random.Generator | None = None,
+) -> float:
+    """Set-based reference for :func:`average_clustering`."""
+    if graph.num_nodes == 0:
+        return float("nan")
+    nodes = list(graph.nodes())
+    if sample_size is not None and sample_size < len(nodes):
+        # Sorted pool, same convention as paths.py: sampling must not
+        # depend on adjacency insertion order.
+        pool = np.fromiter(graph.nodes(), dtype=np.int64, count=len(nodes))
+        pool.sort()
+        generator = make_rng(rng)
+        nodes = generator.choice(pool, size=sample_size, replace=False).tolist()
+    return float(np.mean([local_clustering_reference(graph, n) for n in nodes]))
+
+
+def degree_assortativity_reference(graph: GraphSnapshot) -> float:
+    """Edge-walking reference for :func:`degree_assortativity`."""
+    adjacency = graph.adjacency
+    # Both orientations of every edge contribute, so the x- and y-series
+    # are permutations of each other: sum(x) == sum(y), sum(x^2) == sum(y^2).
+    n = 0
+    s = 0  # sum of degrees over both orientations
+    ss = 0  # sum of squared degrees over both orientations
+    sxy = 0  # sum of du * dv over both orientations
+    for u, v in graph.edges():
+        du = len(adjacency[u])
+        dv = len(adjacency[v])
+        n += 2
+        s += du + dv
+        ss += du * du + dv * dv
+        sxy += 2 * du * dv
+    if n < 2:
+        return float("nan")
+    var = n * ss - s * s  # n^2 * variance, exact
+    if var == 0:
+        return float("nan")
+    return float((n * sxy - s * s) / var)
+
+
+def modularity(graph: GraphSnapshot, partition: Mapping[int, int]) -> float:
+    """Modularity of ``partition`` on ``graph``.
+
+    Every node of the graph must be assigned (raises :class:`KeyError`
+    otherwise); returns 0.0 for an edgeless graph.
+    """
+    m = graph.num_edges
+    if m == 0:
+        return 0.0
+    internal: dict[int, int] = defaultdict(int)
+    degree_sum: dict[int, int] = defaultdict(int)
+    for node, neighbors in graph.adjacency.items():
+        c = partition[node]
+        degree_sum[c] += len(neighbors)
+    for u, v in graph.edges():
+        if partition[u] == partition[v]:
+            internal[partition[u]] += 1
+    q = 0.0
+    for c, d in degree_sum.items():
+        q += internal.get(c, 0) / m - (d / (2.0 * m)) ** 2
+    return q
+
+
+def louvain_reference(
+    graph: GraphSnapshot,
+    delta: float = 0.01,
+    seed_partition: Mapping[int, int] | None = None,
+    seed: int | np.random.Generator | None = 0,
+) -> LouvainResult:
+    """Dict-of-dicts reference for :func:`louvain`, bit-identical to it.
+
+    Only the parity suite calls this; it pins the csr kernel's partition,
+    modularity and level count for the same RNG draws.
+    """
+    if delta < 0:
+        raise ValueError(f"delta must be non-negative, got {delta}")
+    rng = make_rng(seed)
+    # Working weighted graph: adj[u][v] = weight; self-loops appear as adj[u][u].
+    adj: dict[int, dict[int, float]] = {
+        u: {v: 1.0 for v in nbrs} for u, nbrs in graph.adjacency.items()
+    }
+    # node → set of original nodes it represents.
+    carried: dict[int, set[int]] = {u: {u} for u in adj}
+    assignment = initial_assignment(adj, seed_partition)
+    levels = 0
+    while levels < _MAX_LEVELS:
+        improved, assignment = _one_level(adj, assignment, delta, rng)
+        levels += 1
+        if not improved:
+            break
+        adj, carried, assignment = _aggregate(adj, carried, assignment)
+    partition = {
+        node: community
+        for super_node, community in assignment.items()
+        for node in carried[super_node]
+    }
+    return LouvainResult(
+        partition=partition,
+        modularity=modularity(graph, partition),
+        levels=levels,
+    )
+
+
+def _weighted_degree(adj_u: dict[int, float], u: int) -> float:
+    # Self-loop weight counts twice, the standard convention.
+    return sum(adj_u.values()) + adj_u.get(u, 0.0)
+
+
+def _one_level(
+    adj: dict[int, dict[int, float]],
+    assignment: dict[int, int],
+    delta: float,
+    rng: np.random.Generator,
+) -> tuple[bool, dict[int, int]]:
+    """Local-move phase; returns (made structural progress, new assignment)."""
+    nodes = list(adj)
+    k = {u: _weighted_degree(adj[u], u) for u in nodes}
+    m2 = sum(k.values())  # == 2m
+    if m2 == 0:
+        return False, dict(assignment)
+    assignment = dict(assignment)
+    comm_tot: dict[int, float] = defaultdict(float)
+    for u in nodes:
+        comm_tot[assignment[u]] += k[u]
+    order = [nodes[i] for i in rng.permutation(len(nodes))]
+    any_move = False
+    for _ in range(_MAX_PASSES_PER_LEVEL):
+        pass_gain = 0.0
+        for u in order:
+            cu = assignment[u]
+            ku = k[u]
+            # Weight from u to each neighboring community (excluding self-loop).
+            links: dict[int, float] = defaultdict(float)
+            for v, w in adj[u].items():
+                if v != u:
+                    links[assignment[v]] += w
+            comm_tot[cu] -= ku
+            base = links.get(cu, 0.0) - comm_tot[cu] * ku / m2
+            best_c, best_gain = cu, 0.0
+            # Ascending label order: ties resolve to the smallest community
+            # label regardless of dict insertion order, matching the csr
+            # kernel's rank-sorted first-max scan.
+            for c in sorted(links):
+                if c == cu:
+                    continue
+                gain = links[c] - comm_tot[c] * ku / m2
+                if gain - base > best_gain:
+                    best_gain = gain - base
+                    best_c = c
+            comm_tot[best_c] += ku
+            if best_c != cu:
+                assignment[u] = best_c
+                any_move = True
+                pass_gain += 2.0 * best_gain / m2  # ΔQ of this move
+        if pass_gain < delta:
+            break
+    return any_move, assignment
+
+
+def _aggregate(
+    adj: dict[int, dict[int, float]],
+    carried: dict[int, set[int]],
+    assignment: dict[int, int],
+) -> tuple[dict[int, dict[int, float]], dict[int, set[int]], dict[int, int]]:
+    """Condense communities into super-nodes (phase 2)."""
+    new_adj: dict[int, dict[int, float]] = defaultdict(lambda: defaultdict(float))
+    new_carried: dict[int, set[int]] = defaultdict(set)
+    for u, nbrs in adj.items():
+        cu = assignment[u]
+        new_carried[cu] |= carried[u]
+        for v, w in nbrs.items():
+            cv = assignment[v]
+            if u == v:
+                new_adj[cu][cu] += w
+            elif cu == cv:
+                # Each internal edge visited from both ends; accumulate as
+                # half so the self-loop weight equals the internal weight.
+                new_adj[cu][cu] += w / 2.0
+            else:
+                new_adj[cu][cv] += w
+    condensed = {u: dict(nbrs) for u, nbrs in new_adj.items()}
+    for c in list(new_carried):
+        condensed.setdefault(c, {})
+    new_assignment = {c: c for c in condensed}
+    return condensed, dict(new_carried), new_assignment
+
+
+def initial_assignment(
+    nodes: Iterable[int],
+    seed_partition: Mapping[int, int] | None,
+) -> dict[int, int]:
+    """Initial node → label map over ``nodes`` (any iterable of node ids).
+
+    The reference's start; the csr kernel computes the same labels as an
+    array with :func:`repro.kernels.louvain.initial_labels`.
+
+    With a ``seed_partition`` (incremental mode), seed labels are mapped
+    into a fresh label space to avoid collisions with singleton labels for
+    unseen nodes (which use the node ids themselves, offset to a disjoint
+    range).
+    """
+    if seed_partition is None:
+        return {u: u for u in nodes}
+    nodes = list(nodes)
+    label_map: dict[int, int] = {}
+    assignment: dict[int, int] = {}
+    next_label = 0
+    for u in nodes:
+        seed_label = seed_partition.get(u)
+        if seed_label is None:
+            continue
+        if seed_label not in label_map:
+            label_map[seed_label] = next_label
+            next_label += 1
+        assignment[u] = label_map[seed_label]
+    for u in nodes:
+        if u not in assignment:
+            assignment[u] = next_label
+            next_label += 1
+    return assignment
+
+
+def _match_python(
+    raw: Mapping[int, frozenset[int]],
+    prev_states: Mapping[int, CommunityState],
+) -> tuple[dict[int, tuple[int, float] | None], dict[int, Counter]]:
+    """Reference matcher: per-label best previous lineage plus overlap counts.
+
+    Only the parity suite calls this; the tracker runs
+    :func:`repro.kernels.matching.match_communities_csr`.  Both resolve
+    equal-similarity parents to the smallest lineage id.
+    """
+    node_lineage = {
+        node: state.lineage for state in prev_states.values() for node in state.members
+    }
+    # Overlap counts between each new community and each previous lineage.
+    overlaps: dict[int, Counter] = {}
+    for label, members in raw.items():
+        counter: Counter = Counter()
+        for node in members:
+            lin = node_lineage.get(node)
+            if lin is not None:
+                counter[lin] += 1
+        overlaps[label] = counter
+
+    parent: dict[int, tuple[int, float] | None] = {}
+    for label, members in raw.items():
+        best: tuple[int, float] | None = None
+        # Ascending lineage order: similarity ties resolve to the smallest
+        # lineage id, independent of Counter insertion order.
+        for lin in sorted(overlaps[label]):
+            inter = overlaps[label][lin]
+            prev_members = prev_states[lin].members
+            sim = inter / (len(members) + len(prev_members) - inter)
+            if best is None or sim > best[1]:
+                best = (lin, sim)
+        parent[label] = best
+    return parent, overlaps
+
+
+def degree_distribution_reference(graph: GraphSnapshot) -> dict[int, int]:
+    """Dict reference for :func:`repro.metrics.degree.degree_distribution`."""
+    return histogram_counts(len(nbrs) for nbrs in graph.adjacency.values())
+
+
+def degree_ccdf_reference(graph: GraphSnapshot) -> tuple[np.ndarray, np.ndarray]:
+    """Dict reference for :func:`repro.metrics.degree.degree_ccdf`."""
+    dist = degree_distribution_reference(graph)
+    if not dist:
+        return np.array([]), np.array([])
+    degrees = np.array(sorted(dist))
+    counts = np.array([dist[d] for d in degrees], dtype=float)
+    total = counts.sum()
+    # P(D >= d): reverse cumulative sum.
+    ccdf = counts[::-1].cumsum()[::-1] / total
+    return degrees, ccdf
+
+
+def fit_degree_tail_reference(graph: GraphSnapshot, xmin: float | None = None) -> PowerLawFit:
+    """Dict reference for :func:`repro.metrics.degree.fit_degree_tail`."""
+    degrees = np.array([len(nbrs) for nbrs in graph.adjacency.values()], dtype=float)
+    degrees = degrees[degrees > 0]
+    if degrees.size < 10:
+        raise ValueError("need at least 10 positive-degree nodes for a tail fit")
+    if xmin is None:
+        xmin = float(np.median(degrees))
+    return fit_power_law_mle(degrees, xmin=xmin)
+
+
+def effective_diameter_reference(
+    graph: GraphSnapshot,
+    quantile: float = 0.9,
+    sample_size: int = 400,
+    rng: int | np.random.Generator | None = None,
+) -> float:
+    """Dict-BFS reference for :func:`repro.metrics.diameter.effective_diameter_sampled`.
+
+    It draws its sources in the component *set*'s iteration order, the
+    kernel from the sorted pool: the two orders agree on the generated
+    traces' compact ids and can differ on sparse ones.
+    """
+    if not 0 < quantile <= 1:
+        raise ValueError("quantile must be in (0, 1]")
+    generator = make_rng(rng)
+    component = largest_component(from_snapshot(graph))
+    if len(component) < 2:
+        return float("nan")
+    members = np.fromiter(component, dtype=np.int64, count=len(component))
+    k = min(sample_size, members.size)
+    sources = generator.choice(members, size=k, replace=False)
+    # Histogram of pairwise distances from the sampled sources.
+    counts: dict[int, int] = {}
+    for source in sources:
+        for node, dist in bfs_distances(graph, int(source)).items():
+            if node != source:
+                counts[dist] = counts.get(dist, 0) + 1
+    if not counts:
+        return float("nan")
+    max_d = max(counts)
+    cumulative = np.cumsum([counts.get(d, 0) for d in range(1, max_d + 1)], dtype=np.int64)
+    total = cumulative[-1]
+    target = quantile * total
+    # Smallest integer g with cumulative(g) >= target, interpolated.
+    g = int(np.searchsorted(cumulative, target) + 1)
+    below = cumulative[g - 2] if g >= 2 else 0
+    at = cumulative[g - 1]
+    if at == below:
+        return float(g)
+    fraction = (target - below) / (at - below)
+    return float(g - 1 + fraction)
+
+
+def degree_preserving_rewire_reference(
+    graph: GraphSnapshot,
+    swaps_per_edge: float = 3.0,
+    seed: int | np.random.Generator | None = 0,
+    max_tries_factor: int = 10,
+) -> GraphSnapshot:
+    """Adjacency-set reference for :func:`repro.graph.nullmodel.degree_preserving_rewire`."""
+    if swaps_per_edge < 0:
+        raise ValueError("swaps_per_edge must be non-negative")
+    rng = make_rng(seed)
+    result = GraphSnapshot.from_edges(graph.edges(), nodes=graph.nodes())
+    edges = list(result.edges())
+    m = len(edges)
+    if m < 2 or swaps_per_edge == 0:
+        return result
+    target_swaps = int(swaps_per_edge * m)
+    max_tries = max_tries_factor * target_swaps
+    adjacency = result.adjacency
+    swaps = 0
+    tries = 0
+    while swaps < target_swaps and tries < max_tries:
+        tries += 1
+        i, j = rng.integers(0, m, size=2)
+        if i == j:
+            continue
+        a, b = edges[i]
+        c, d = edges[j]
+        # Propose (a,b),(c,d) -> (a,d),(c,b).
+        if len({a, b, c, d}) < 4:
+            continue
+        if d in adjacency[a] or b in adjacency[c]:
+            continue
+        adjacency[a].discard(b)
+        adjacency[b].discard(a)
+        adjacency[c].discard(d)
+        adjacency[d].discard(c)
+        adjacency[a].add(d)
+        adjacency[d].add(a)
+        adjacency[c].add(b)
+        adjacency[b].add(c)
+        edges[i] = (a, d) if a < d else (d, a)
+        edges[j] = (c, b) if c < b else (b, c)
+        swaps += 1
+    return result
 
 
 def pe_checkpoints_reference(

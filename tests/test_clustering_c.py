@@ -22,11 +22,10 @@ from hypothesis import strategies as st
 from repro.gen import generate_trace
 from repro.gen.config import presets
 from repro.graph.dynamic import DynamicGraph
-from repro.graph.snapshot import GraphSnapshot
 from repro.kernels import clustering as kernel
 from repro.kernels import native
-from repro.kernels.csr import CSRGraph
 from repro.obs import TraceRecorder, use_recorder
+from tests.oracles import GraphSnapshot, from_snapshot
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,7 +57,7 @@ def _graphs(draw):
     snapshot = GraphSnapshot.from_edges(
         [(ids[u], ids[v]) for u, v in edges], nodes=[ids[u] for u in range(n)]
     )
-    return CSRGraph.from_snapshot(snapshot)
+    return from_snapshot(snapshot)
 
 
 @st.composite

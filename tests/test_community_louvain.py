@@ -3,16 +3,14 @@
 import pytest
 
 from repro.community.louvain import louvain
-from repro.community.modularity import modularity
-from repro.graph.snapshot import GraphSnapshot
-from repro.kernels.csr import CSRGraph
+from tests.oracles import GraphSnapshot, from_snapshot, modularity, snapshot_of
 
 nx = pytest.importorskip("networkx")
 
 
 class TestBasicDetection:
     def test_two_cliques_found(self, two_clique_graph):
-        result = louvain(CSRGraph.from_snapshot(two_clique_graph), delta=0.0001)
+        result = louvain(two_clique_graph, delta=0.0001)
         communities = set(result.partition.values())
         assert len(communities) == 2
         # The two cliques land in different communities.
@@ -21,17 +19,17 @@ class TestBasicDetection:
         assert result.partition[0] != result.partition[6]
 
     def test_modularity_reported_correctly(self, two_clique_graph):
-        result = louvain(CSRGraph.from_snapshot(two_clique_graph), delta=0.0001)
+        result = louvain(two_clique_graph, delta=0.0001)
         assert result.modularity == pytest.approx(
-            modularity(two_clique_graph, result.partition)
+            modularity(snapshot_of(two_clique_graph), result.partition)
         )
 
     def test_every_node_assigned(self, tiny_graph):
-        result = louvain(CSRGraph.from_snapshot(tiny_graph), delta=0.01)
+        result = louvain(from_snapshot(tiny_graph), delta=0.01)
         assert set(result.partition) == set(tiny_graph.nodes())
 
     def test_empty_graph(self):
-        result = louvain(CSRGraph.from_snapshot(GraphSnapshot()))
+        result = louvain(from_snapshot(GraphSnapshot()))
         assert result.partition == {}
         assert result.modularity == 0.0
 
@@ -39,17 +37,17 @@ class TestBasicDetection:
         g = GraphSnapshot()
         for n in range(5):
             g.add_node(n)
-        result = louvain(CSRGraph.from_snapshot(g))
+        result = louvain(from_snapshot(g))
         assert set(result.partition) == set(range(5))
 
     def test_negative_delta_rejected(self, path_graph):
         with pytest.raises(ValueError):
-            louvain(CSRGraph.from_snapshot(path_graph), delta=-0.1)
+            louvain(path_graph, delta=-0.1)
 
 
 class TestQuality:
     def test_comparable_to_networkx(self, tiny_graph):
-        ours = louvain(CSRGraph.from_snapshot(tiny_graph), delta=0.0001, seed=0).modularity
+        ours = louvain(from_snapshot(tiny_graph), delta=0.0001, seed=0).modularity
         G = nx.Graph()
         G.add_nodes_from(tiny_graph.nodes())
         G.add_edges_from(tiny_graph.edges())
@@ -57,21 +55,22 @@ class TestQuality:
         assert ours > 0.8 * theirs
 
     def test_deterministic_for_seed(self, tiny_graph):
-        a = louvain(CSRGraph.from_snapshot(tiny_graph), seed=5)
-        b = louvain(CSRGraph.from_snapshot(tiny_graph), seed=5)
+        a = louvain(from_snapshot(tiny_graph), seed=5)
+        b = louvain(from_snapshot(tiny_graph), seed=5)
         assert a.partition == b.partition
 
     def test_communities_filter(self, two_clique_graph):
-        result = louvain(CSRGraph.from_snapshot(two_clique_graph), delta=0.0001)
+        result = louvain(two_clique_graph, delta=0.0001)
         assert len(result.communities(min_size=1)) == 2
         assert len(result.communities(min_size=7)) == 0
 
 
 class TestIncrementalMode:
     def test_seed_partition_respected_on_stable_graph(self, two_clique_graph):
-        csr = CSRGraph.from_snapshot(two_clique_graph)
-        first = louvain(csr, delta=0.0001, seed=0)
-        second = louvain(csr, delta=0.0001, seed=1, seed_partition=first.partition)
+        first = louvain(two_clique_graph, delta=0.0001, seed=0)
+        second = louvain(
+            two_clique_graph, delta=0.0001, seed=1, seed_partition=first.partition
+        )
         # Same grouping (labels may differ).
         groups_a = {frozenset(m) for m in _groups(first.partition)}
         groups_b = {frozenset(m) for m in _groups(second.partition)}
@@ -79,9 +78,8 @@ class TestIncrementalMode:
 
     def test_unseen_nodes_get_singletons(self, two_clique_graph):
         partial_seed = {n: 0 for n in range(6)}
-        csr = CSRGraph.from_snapshot(two_clique_graph)
-        result = louvain(csr, delta=0.0001, seed_partition=partial_seed)
-        assert set(result.partition) == set(two_clique_graph.nodes())
+        result = louvain(two_clique_graph, delta=0.0001, seed_partition=partial_seed)
+        assert set(result.partition) == set(two_clique_graph.node_ids.tolist())
 
     def test_incremental_improves_stability(self, tiny_stream):
         """The paper's reason for incremental mode: tighter tracking."""

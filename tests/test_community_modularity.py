@@ -1,11 +1,21 @@
-"""Tests for repro.community.modularity."""
+"""Tests for partition inversion and the dict-of-sets modularity oracle."""
 
 import pytest
 
-from repro.community.modularity import modularity, partition_communities
-from repro.graph.snapshot import GraphSnapshot
+from repro.community.louvain import partition_communities
+from tests.oracles import GraphSnapshot, modularity, snapshot_of
 
 nx = pytest.importorskip("networkx")
+
+
+@pytest.fixture()
+def two_clique_graph(two_clique_graph):
+    return snapshot_of(two_clique_graph)
+
+
+@pytest.fixture()
+def path_graph(path_graph):
+    return snapshot_of(path_graph)
 
 
 class TestPartitionCommunities:

@@ -9,15 +9,11 @@ so a raw-set iteration really would differ between the two builds — and
 assert the outputs are identical.
 """
 
-import importlib
+import numpy as np
 
-from repro.graph.components import bfs_distances
-from repro.graph.snapshot import GraphSnapshot
 from repro.kernels import louvain as kernels_louvain
-
-# The community package re-exports the louvain *function*, which shadows
-# the submodule under attribute access; load the module explicitly.
-community_louvain = importlib.import_module("repro.community.louvain")
+from tests import oracles
+from tests.oracles import GraphSnapshot, bfs_distances
 
 # 1, 9, 17, 25 all land in slot 1 of an 8-slot set table, so iteration
 # order of {1, 9, 17, 25} depends on which was inserted first.
@@ -86,23 +82,25 @@ class TestLouvainSharedContract:
     def test_backends_share_caps_and_seeding(self):
         # Both backends must start from the same assignment and stop at
         # the same caps, or parity would silently depend on the backend.
-        assert community_louvain._MAX_LEVELS == kernels_louvain.MAX_LEVELS
-        assert (
-            community_louvain._MAX_PASSES_PER_LEVEL == kernels_louvain.MAX_PASSES_PER_LEVEL
-        )
-        assert community_louvain._initial_assignment is kernels_louvain.initial_assignment
+        assert oracles._MAX_LEVELS == kernels_louvain.MAX_LEVELS
+        assert oracles._MAX_PASSES_PER_LEVEL == kernels_louvain.MAX_PASSES_PER_LEVEL
+        ids = list(reversed(COLLIDING))
+        for seed in (None, {1: 40, 9: 40, 17: 7}):
+            want = oracles.initial_assignment(ids, seed)
+            got = kernels_louvain.initial_labels(np.array(ids, dtype=np.int64), seed)
+            assert got.tolist() == [want[u] for u in ids]
 
     def test_initial_assignment_follows_input_order(self):
         # Singleton labels are the node ids themselves, keyed in input
         # order — the CSR backend passes position order so both backends
         # start from the identical dict.
-        got = kernels_louvain.initial_assignment(reversed(COLLIDING), None)
+        got = oracles.initial_assignment(reversed(COLLIDING), None)
         assert got == {n: n for n in COLLIDING}
         assert list(got) == list(reversed(COLLIDING))
 
     def test_initial_assignment_compacts_seed_labels(self):
         seed = {1: 40, 9: 40, 17: 7}
-        got = kernels_louvain.initial_assignment(COLLIDING, seed)
+        got = oracles.initial_assignment(COLLIDING, seed)
         # Seed labels are remapped to a fresh compact space in first-seen
         # order; unseeded nodes get fresh singletons after them.
         assert got == {1: 0, 9: 0, 17: 1, 25: 2}

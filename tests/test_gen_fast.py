@@ -17,12 +17,11 @@ import pytest
 from repro.gen import presets
 from repro.gen.fast import FastGenerator, generate_store, generate_trace
 from repro.graph.events import ORIGIN_5Q, ORIGIN_NEW, ORIGIN_XIAONEI
-from repro.graph.snapshot import GraphSnapshot
-from repro.kernels.csr import CSRGraph
 from repro.metrics.clustering import average_clustering
 from repro.metrics.degree import average_degree, fit_degree_tail
 from repro.osnmerge.edge_rates import edges_per_day_by_type
 from repro.store.reader import EventStore
+from tests.oracles import csr_of
 
 # presets.small(), seed 11, as measured by the per-event reference engine.
 _REFERENCE = {
@@ -82,15 +81,14 @@ def test_generate_to_store_streams_without_stream_build(tmp_path):
 def test_engines_distribution_equivalent(small_trace):
     _, stream = small_trace
     ref = _REFERENCE
-    graph = GraphSnapshot.from_edges(zip(stream.edges.u.tolist(), stream.edges.v.tolist()))
-    csr = CSRGraph.from_snapshot(graph)
+    csr = csr_of(zip(stream.edges.u.tolist(), stream.edges.v.tolist(), strict=True))
 
     # Population and density.
     assert _relative_gap(stream.num_nodes, ref["nodes"]) < 0.05
     assert _relative_gap(average_degree(csr), ref["average_degree"]) < 0.15
 
     # Degree-tail exponent (paper Fig 1c regime).
-    assert abs(fit_degree_tail(graph).exponent - ref["tail_exponent"]) < 0.35
+    assert abs(fit_degree_tail(csr).exponent - ref["tail_exponent"]) < 0.35
 
     # Clustering (paper Fig 1e regime) — triadic closure must survive
     # vectorization, not collapse toward a random graph's ~1e-3.

@@ -6,9 +6,8 @@ import pytest
 from repro.graph.checkpoint import ReplayCheckpoint
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import EventStream
-from repro.graph.snapshot import GraphSnapshot
 from repro.kernels.csr import CSRGraph
-from tests.oracles import assert_same_csr
+from tests.oracles import GraphSnapshot, assert_same_csr, from_snapshot
 
 
 def make_stream() -> EventStream:
@@ -34,7 +33,7 @@ def roundtrip(graph: GraphSnapshot) -> CSRGraph:
     """
     extra = max(graph.nodes(), default=-1) + 1
     checkpoint = ReplayCheckpoint(
-        time=0.0, node_index=0, edge_index=0, csr=CSRGraph.from_snapshot(graph)
+        time=0.0, node_index=0, edge_index=0, csr=from_snapshot(graph)
     )
     stream = EventStream.from_records(nodes=[(0.0, extra)])
     final = DynamicGraph.from_checkpoint(stream, checkpoint).final()
@@ -51,13 +50,13 @@ class TestCSRAdjacency:
     """The checkpoint's frozen graph (a CSRGraph) resumes exactly."""
 
     def test_roundtrip_preserves_structure(self, tiny_graph):
-        assert_same_csr(roundtrip(tiny_graph), CSRGraph.from_snapshot(tiny_graph))
+        assert_same_csr(roundtrip(tiny_graph), from_snapshot(tiny_graph))
 
     def test_roundtrip_preserves_node_order(self, tiny_graph):
         assert roundtrip(tiny_graph).node_ids.tolist() == list(tiny_graph.nodes())
 
     def test_restored_graph_is_independent(self):
-        base = CSRGraph.from_snapshot(GraphSnapshot.from_edges([(0, 1), (1, 2)]))
+        base = from_snapshot(GraphSnapshot.from_edges([(0, 1), (1, 2)]))
         arrays = (base.node_ids.copy(), base.indptr.copy(), base.indices.copy())
         checkpoint = ReplayCheckpoint(time=0.0, node_index=0, edge_index=0, csr=base)
         stream = EventStream.from_records(nodes=[(1.0, 3)], edges=[(1.0, 2, 3)])
@@ -68,7 +67,7 @@ class TestCSRAdjacency:
             assert np.array_equal(before, after)
 
     def test_empty_graph(self):
-        csr = CSRGraph.from_snapshot(GraphSnapshot())
+        csr = from_snapshot(GraphSnapshot())
         assert csr.num_nodes == 0
         restored = roundtrip(GraphSnapshot())
         assert restored.num_nodes == 0

@@ -1,17 +1,22 @@
-"""Tests for repro.graph.components."""
+"""Tests for repro.graph.components and the dict BFS oracles."""
 
 import pytest
 
-from repro.graph.components import (
+from repro.graph.components import connected_components, largest_component
+from tests.oracles import (
+    GraphSnapshot,
     bfs_distance_to_set,
     bfs_distances,
-    connected_components,
     connected_components_reference,
-    largest_component,
+    from_snapshot,
     largest_component_reference,
+    snapshot_of,
 )
-from repro.graph.snapshot import GraphSnapshot
-from repro.kernels.csr import CSRGraph
+
+
+@pytest.fixture()
+def path_graph(path_graph):
+    return snapshot_of(path_graph)
 
 
 @pytest.fixture()
@@ -22,25 +27,25 @@ def disjoint_graph() -> GraphSnapshot:
 
 class TestComponents:
     def test_finds_all(self, disjoint_graph):
-        comps = connected_components(CSRGraph.from_snapshot(disjoint_graph))
+        comps = connected_components(from_snapshot(disjoint_graph))
         assert sorted(len(c) for c in comps) == [1, 2, 3]
 
     def test_largest_first(self, disjoint_graph):
-        comps = connected_components(CSRGraph.from_snapshot(disjoint_graph))
+        comps = connected_components(from_snapshot(disjoint_graph))
         assert len(comps[0]) == 3
 
     def test_largest_component(self, disjoint_graph):
-        assert largest_component(CSRGraph.from_snapshot(disjoint_graph)) == {0, 1, 2}
+        assert largest_component(from_snapshot(disjoint_graph)) == {0, 1, 2}
 
     def test_empty_graph(self):
-        assert connected_components(CSRGraph.from_snapshot(GraphSnapshot())) == []
-        assert largest_component(CSRGraph.from_snapshot(GraphSnapshot())) == set()
+        assert connected_components(from_snapshot(GraphSnapshot())) == []
+        assert largest_component(from_snapshot(GraphSnapshot())) == set()
 
     @pytest.mark.parametrize(
         "largest",
         [
             pytest.param(largest_component_reference, id="python"),
-            pytest.param(lambda g: largest_component(CSRGraph.from_snapshot(g)), id="csr"),
+            pytest.param(lambda g: largest_component(from_snapshot(g)), id="csr"),
         ],
     )
     def test_largest_component_tie_breaks_by_smallest_member(self, largest):
@@ -53,7 +58,7 @@ class TestComponents:
         "components",
         [
             pytest.param(connected_components_reference, id="python"),
-            pytest.param(lambda g: connected_components(CSRGraph.from_snapshot(g)), id="csr"),
+            pytest.param(lambda g: connected_components(from_snapshot(g)), id="csr"),
         ],
     )
     def test_component_order_deterministic_under_ties(self, components):
@@ -82,7 +87,7 @@ class TestBfsDistances:
         G = nx.Graph()
         G.add_nodes_from(tiny_graph.nodes())
         G.add_edges_from(tiny_graph.edges())
-        source = next(iter(largest_component(CSRGraph.from_snapshot(tiny_graph))))
+        source = next(iter(largest_component(from_snapshot(tiny_graph))))
         expected = nx.single_source_shortest_path_length(G, source)
         assert bfs_distances(tiny_graph, source) == dict(expected)
 

@@ -11,10 +11,9 @@ from repro.gen.config import presets
 from repro.graph.checkpoint import ReplayCheckpoint
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import EventStream
-from repro.kernels.csr import CSRGraph
 from repro.runtime.parallel import evaluate_timeseries
 from repro.runtime.spec import MetricSpec
-from tests.oracles import DictReplay, assert_same_csr
+from tests.oracles import DictReplay, assert_same_csr, from_snapshot
 
 
 def make_stream() -> EventStream:
@@ -153,7 +152,7 @@ def test_prefix_builder_matches_dict_replay(stream, times, resume_at):
             return
         for replay in replays:
             view = replay.advance_to(time)
-            assert_same_csr(view.graph, CSRGraph.from_snapshot(oracle.graph))
+            assert_same_csr(view.graph, from_snapshot(oracle.graph))
         if step == resume_at:
             window = EventStream(
                 nodes=stream.nodes[oracle.node_cursor :], edges=stream.edges[oracle.edge_cursor :]
@@ -225,7 +224,7 @@ def test_replay_csr_matches_batch_build(kind: str, seed: int, edges: int) -> Non
     views = []
     for view in replay.snapshots(interval=_INTERVALS[kind]):
         oracle.advance_to(view.time)
-        assert_same_csr(view.graph, CSRGraph.from_snapshot(oracle.graph))
+        assert_same_csr(view.graph, from_snapshot(oracle.graph))
         views.append((view, oracle.node_cursor, oracle.edge_cursor))
     step = next(
         (i for i, (view, _, _) in enumerate(views) if view.graph.num_edges >= edges),

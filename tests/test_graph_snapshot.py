@@ -1,8 +1,23 @@
-"""Tests for repro.graph.snapshot."""
+"""Tests for the dict-of-sets oracle graph, ``tests.oracles.GraphSnapshot``."""
 
 import pytest
 
-from repro.graph.snapshot import GraphSnapshot
+from tests.oracles import GraphSnapshot, snapshot_of
+
+
+@pytest.fixture()
+def star_graph(star_graph):
+    return snapshot_of(star_graph)
+
+
+@pytest.fixture()
+def path_graph(path_graph):
+    return snapshot_of(path_graph)
+
+
+@pytest.fixture()
+def two_clique_graph(two_clique_graph):
+    return snapshot_of(two_clique_graph)
 
 
 class TestConstruction:

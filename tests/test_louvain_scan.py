@@ -26,11 +26,11 @@ from repro.community.louvain import louvain
 from repro.community.tracking import track_stream
 from repro.gen import generate_trace
 from repro.gen.config import presets
-from repro.graph.snapshot import GraphSnapshot
 from repro.kernels import louvain as kernel
 from repro.kernels import native
 from repro.kernels.csr import CSRGraph
 from repro.obs import TraceRecorder, use_recorder
+from tests.oracles import GraphSnapshot, from_snapshot
 
 community_louvain = importlib.import_module("repro.community.louvain")
 
@@ -236,7 +236,7 @@ def test_partition_order_follows_the_super_node_chain(monkeypatch, tiny_csr, see
 def _two_cliques() -> CSRGraph:
     edges = [(i, j) for i in range(6) for j in range(i + 1, 6)]
     edges += [(10 + i, 10 + j) for i in range(6) for j in range(i + 1, 6)]
-    return CSRGraph.from_snapshot(GraphSnapshot.from_edges([*edges, (0, 10)], nodes=[99]))
+    return from_snapshot(GraphSnapshot.from_edges([*edges, (0, 10)], nodes=[99]))
 
 
 def test_louvain_span_names_the_python_scan(python_scan):

@@ -4,11 +4,10 @@ import math
 
 import pytest
 
-from repro.graph.snapshot import GraphSnapshot
-from repro.kernels.csr import CSRGraph
 from repro.metrics.assortativity import degree_assortativity
 from repro.metrics.clustering import average_clustering, local_clustering
 from repro.metrics.degree import average_degree, degree_distribution
+from tests.oracles import GraphSnapshot, from_snapshot
 
 nx = pytest.importorskip("networkx")
 
@@ -22,48 +21,48 @@ def to_networkx(graph: GraphSnapshot):
 
 class TestAverageDegree:
     def test_empty(self):
-        assert average_degree(CSRGraph.from_snapshot(GraphSnapshot())) == 0.0
+        assert average_degree(from_snapshot(GraphSnapshot())) == 0.0
 
     def test_path(self, path_graph):
-        assert average_degree(CSRGraph.from_snapshot(path_graph)) == pytest.approx(8 / 5)
+        assert average_degree(path_graph) == pytest.approx(8 / 5)
 
     def test_matches_networkx(self, tiny_graph):
         G = to_networkx(tiny_graph)
         expected = sum(dict(G.degree).values()) / G.number_of_nodes()
-        assert average_degree(CSRGraph.from_snapshot(tiny_graph)) == pytest.approx(expected)
+        assert average_degree(from_snapshot(tiny_graph)) == pytest.approx(expected)
 
 
 class TestDegreeDistribution:
     def test_star(self, star_graph):
         assert degree_distribution(star_graph) == {1: 6, 6: 1}
 
-    def test_total_nodes(self, tiny_graph):
-        dist = degree_distribution(tiny_graph)
-        assert sum(dist.values()) == tiny_graph.num_nodes
+    def test_total_nodes(self, tiny_csr):
+        dist = degree_distribution(tiny_csr)
+        assert sum(dist.values()) == tiny_csr.num_nodes
 
 
 class TestClustering:
     def test_triangle(self):
         g = GraphSnapshot.from_edges([(0, 1), (1, 2), (0, 2)])
-        assert local_clustering(CSRGraph.from_snapshot(g), 0) == 1.0
-        assert average_clustering(CSRGraph.from_snapshot(g)) == 1.0
+        assert local_clustering(from_snapshot(g), 0) == 1.0
+        assert average_clustering(from_snapshot(g)) == 1.0
 
     def test_path_zero(self, path_graph):
-        assert average_clustering(CSRGraph.from_snapshot(path_graph)) == 0.0
+        assert average_clustering(path_graph) == 0.0
 
     def test_degree_one_zero(self, star_graph):
-        assert local_clustering(CSRGraph.from_snapshot(star_graph), 1) == 0.0
+        assert local_clustering(star_graph, 1) == 0.0
 
     def test_empty_nan(self):
-        assert math.isnan(average_clustering(CSRGraph.from_snapshot(GraphSnapshot())))
+        assert math.isnan(average_clustering(from_snapshot(GraphSnapshot())))
 
     def test_matches_networkx(self, tiny_graph):
         expected = nx.average_clustering(to_networkx(tiny_graph))
-        assert average_clustering(CSRGraph.from_snapshot(tiny_graph)) == pytest.approx(expected)
+        assert average_clustering(from_snapshot(tiny_graph)) == pytest.approx(expected)
 
     def test_sampled_close_to_exact(self, tiny_graph):
-        exact = average_clustering(CSRGraph.from_snapshot(tiny_graph))
-        sampled = average_clustering(CSRGraph.from_snapshot(tiny_graph), sample_size=400, rng=0)
+        exact = average_clustering(from_snapshot(tiny_graph))
+        sampled = average_clustering(from_snapshot(tiny_graph), sample_size=400, rng=0)
         assert sampled == pytest.approx(exact, abs=0.08)
 
 
@@ -71,14 +70,14 @@ class TestAssortativity:
     def test_star_negative(self, star_graph):
         # Star is degree-anticorrelated but degenerate per-side variance is
         # fine here: hub degree 6 vs leaves degree 1.
-        value = degree_assortativity(CSRGraph.from_snapshot(star_graph))
+        value = degree_assortativity(star_graph)
         assert value == -1.0 or math.isnan(value)
 
     def test_matches_networkx(self, tiny_graph):
         expected = nx.degree_assortativity_coefficient(to_networkx(tiny_graph))
-        value = degree_assortativity(CSRGraph.from_snapshot(tiny_graph))
+        value = degree_assortativity(from_snapshot(tiny_graph))
         assert value == pytest.approx(expected, abs=1e-6)
 
     def test_regular_graph_nan(self):
         g = GraphSnapshot.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])  # 4-cycle
-        assert math.isnan(degree_assortativity(CSRGraph.from_snapshot(g)))
+        assert math.isnan(degree_assortativity(from_snapshot(g)))

@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.community.louvain import louvain
-from repro.community.modularity import modularity
 from repro.community.tracking import jaccard
-from repro.graph.components import bfs_distances, connected_components
-from repro.graph.snapshot import GraphSnapshot
-from repro.kernels.csr import CSRGraph
+from repro.graph.components import connected_components
 from repro.util.binning import cdf_points, empirical_cdf, log_binned_pdf
 from repro.util.stats import linear_fit_loglog, pearson_correlation
+from tests.oracles import GraphSnapshot, bfs_distances, from_snapshot, modularity
 
 
 # -- strategies -------------------------------------------------------------
@@ -64,7 +62,7 @@ def test_snapshot_adjacency_symmetric(edges):
 @given(edge_lists)
 def test_components_partition_nodes(edges):
     g = graph_from(edges)
-    comps = connected_components(CSRGraph.from_snapshot(g))
+    comps = connected_components(from_snapshot(g))
     union = set().union(*comps) if comps else set()
     assert union == set(g.nodes())
     assert sum(len(c) for c in comps) == g.num_nodes
@@ -113,7 +111,7 @@ def test_jaccard_distance_triangle_inequality(a, b, c):
 @given(edge_lists)
 def test_louvain_assigns_every_node(edges):
     g = graph_from(edges)
-    result = louvain(CSRGraph.from_snapshot(g), delta=0.001, seed=0)
+    result = louvain(from_snapshot(g), delta=0.001, seed=0)
     assert set(result.partition) == set(g.nodes())
 
 
@@ -121,7 +119,7 @@ def test_louvain_assigns_every_node(edges):
 @given(edge_lists)
 def test_louvain_no_worse_than_singletons(edges):
     g = graph_from(edges)
-    result = louvain(CSRGraph.from_snapshot(g), delta=0.001, seed=0)
+    result = louvain(from_snapshot(g), delta=0.001, seed=0)
     singleton_q = modularity(g, {n: n for n in g.nodes()})
     assert result.modularity >= singleton_q - 1e-9
 
@@ -130,7 +128,7 @@ def test_louvain_no_worse_than_singletons(edges):
 @given(edge_lists)
 def test_modularity_bounded(edges):
     g = graph_from(edges)
-    result = louvain(CSRGraph.from_snapshot(g), delta=0.001, seed=0)
+    result = louvain(from_snapshot(g), delta=0.001, seed=0)
     assert -1.0 <= result.modularity <= 1.0
 
 
