@@ -15,7 +15,7 @@ Pipeline:
 """
 
 from repro.community.export import read_tracking_json, tracker_to_dict, write_tracking_json
-from repro.community.louvain import LouvainResult, louvain, partition_communities
+from repro.community.louvain import LouvainResult, louvain
 from repro.community.stats import (
     community_lifetimes,
     community_size_distribution,
@@ -30,7 +30,6 @@ from repro.community.tracking import (
 )
 
 __all__ = [
-    "partition_communities",
     "louvain",
     "LouvainResult",
     "CommunityEvent",

@@ -27,15 +27,14 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from repro.community.louvain import louvain
+from repro.community.louvain import LouvainResult, louvain
 from repro.graph.dynamic import DynamicGraph, snapshot_times
 from repro.graph.events import EventStream
-from repro.kernels.csr import CSRGraph, label_edge_counts
-from repro.kernels.matching import match_communities_csr
+from repro.kernels.csr import CSRGraph
+from repro.kernels.matching import Lineages, match_communities_csr
 from repro.obs import get_recorder
 from repro.util.rng import make_rng
 
@@ -158,8 +157,10 @@ class CommunityTracker:
         self.delta = delta
         self.min_size = min_size
         self._rng = make_rng(seed)
-        self._prev_partition: dict[int, int] | None = None
+        self._prev_result: LouvainResult | None = None
         self._prev_states: dict[int, CommunityState] = {}
+        none = np.empty(0, dtype=np.int64)
+        self._prev_lineages = Lineages(none, none, none)
         self._prev_graph: CSRGraph | None = None
         self._next_lineage = 0
         self.lineages: dict[int, CommunityLineage] = {}
@@ -173,19 +174,10 @@ class CommunityTracker:
         result = louvain(
             graph,
             delta=self.delta,
-            seed_partition=self._prev_partition,
+            seed_partition=self._prev_result,
             seed=self._rng,
         )
-        # Label-sorted: iteration order over ``raw`` decides birth lineage
-        # numbering and tie-breaks downstream, and label values (unlike dict
-        # insertion order) are identical between kernel and reference.
-        raw = {
-            label: frozenset(members)
-            for label, members in sorted(
-                result.communities(self.min_size).items(), key=lambda item: item[0]
-            )
-        }
-        assigned, similarities = self._match(time, graph, raw)
+        assigned, similarities, lineages = self._match(time, result)
         avg_sim = float(np.mean(similarities)) if similarities else float("nan")
         snapshot = TrackedSnapshot(
             time=time,
@@ -195,23 +187,35 @@ class CommunityTracker:
             num_communities=len(assigned),
         )
         self.snapshots.append(snapshot)
-        self._prev_partition = result.partition
+        self._prev_result = result
         self._prev_states = assigned
+        self._prev_lineages = lineages
         self._prev_graph = graph
         return snapshot
 
     # -- matching core ----------------------------------------------------
 
     def _match(
-        self,
-        time: float,
-        graph: CSRGraph,
-        raw: Mapping[int, frozenset[int]],
-    ) -> tuple[dict[int, CommunityState], list[float]]:
+        self, time: float, result: LouvainResult
+    ) -> tuple[dict[int, CommunityState], list[float], Lineages]:
         prev_states = self._prev_states
-        parent, overlaps = match_communities_csr(
-            raw, {lin: st.members for lin, st in prev_states.items()}
-        )
+        # The communities of at least ``min_size`` nodes, numbered by
+        # ascending label: iteration order over ``raw`` decides birth
+        # lineage numbering and tie-breaks downstream, and label values
+        # (unlike dict insertion order) are identical between kernel and
+        # reference.
+        tracked, positions, bounds = result.members(self.min_size)
+        ids = result.node_ids[positions]
+        community = np.repeat(np.arange(tracked.size, dtype=np.int64), np.diff(bounds))
+        new_labels = result.labels[positions[bounds[:-1]]].tolist()
+        # A set of the ids in partition order, then frozen: Figure 6c's
+        # tie-breaks and Figure 7 iterate these sets, so their table layout
+        # is pinned (tests/test_community_tracking.py).
+        id_list, lo = ids.tolist(), bounds.tolist()
+        raw = {
+            label: frozenset(set(id_list[lo[c] : lo[c + 1]])) for c, label in enumerate(new_labels)
+        }
+        parent, overlaps = match_communities_csr(new_labels, ids, community, self._prev_lineages)
 
         # Winner child per lineage (continuation); the rest are split-born.
         claimants: dict[int, list[tuple[int, float]]] = defaultdict(list)
@@ -273,6 +277,12 @@ class CommunityTracker:
             else:
                 merge_groups[target].append(lin)
 
+        # Each previously tracked node's lineage, for the strongest ties.
+        node_lineage: dict[int, int] = {}
+        if merge_groups:
+            prev = self._prev_lineages
+            lineage_ids = prev.lineages[prev.rank].tolist()
+            node_lineage = dict(zip(prev.ids.tolist(), lineage_ids, strict=True))
         for label, absorbed in merge_groups.items():
             survivor = lineage_of[label]
             group_sizes = sorted(
@@ -282,7 +292,7 @@ class CommunityTracker:
             )
             ratio = group_sizes[1] / group_sizes[0] if len(group_sizes) >= 2 else float("nan")
             for lin in absorbed:
-                tie = self._strongest_tie(prev_states[lin], survivor)
+                tie = self._strongest_tie(prev_states[lin], survivor, node_lineage)
                 self._record_death(lin, time, "merge")
                 self.events.append(
                     CommunityEvent(
@@ -298,8 +308,10 @@ class CommunityTracker:
         # Build states and extend lineages.
         assigned: dict[int, CommunityState] = {}
         similarities: list[float] = []
-        stats = zip(*_community_edge_stats(graph, list(raw.values())), strict=True)
-        for (label, members), (internal, degree_sum) in zip(raw.items(), stats, strict=True):
+        internal_edges = result.internal_edges[tracked].tolist()
+        degree_sums = result.degree_sums[tracked].tolist()
+        stats = zip(raw.items(), internal_edges, degree_sums, strict=True)
+        for (label, members), internal, degree_sum in stats:
             lin = lineage_of[label]
             state = CommunityState(
                 lineage=lin,
@@ -315,7 +327,9 @@ class CommunityTracker:
             self.lineages[lin].states.append(state)
             if np.isfinite(state.similarity):
                 similarities.append(state.similarity)
-        return assigned, similarities
+        # ``assigned`` is in community order, so its keys are each community's lineage.
+        lineage = np.array(list(assigned), dtype=np.int64)
+        return assigned, similarities, Lineages.of(lineage, ids, community)
 
     # -- helpers ---------------------------------------------------------
 
@@ -338,14 +352,16 @@ class CommunityTracker:
                 best_label, best_count = label, count
         return best_label
 
-    def _strongest_tie(self, dying: CommunityState, survivor: int) -> bool | None:
-        """Whether ``survivor`` had the most edges to ``dying`` pre-merge."""
+    def _strongest_tie(
+        self, dying: CommunityState, survivor: int, node_lineage: Mapping[int, int]
+    ) -> bool | None:
+        """Whether ``survivor`` had the most edges to ``dying`` pre-merge.
+
+        ``node_lineage`` maps each previously tracked node to its lineage.
+        """
         graph = self._prev_graph
         if graph is None:
             return None
-        node_lineage = {
-            node: st.lineage for st in self._prev_states.values() for node in st.members
-        }
         ties: Counter = Counter()
         for node in dying.members:
             for nbr in _neighbor_set(graph, node):
@@ -421,20 +437,6 @@ def _replay(
         if view.graph.num_nodes >= min_nodes:
             for tracker in trackers:
                 tracker.step(view.time, view.graph)
-
-
-def _community_edge_stats(
-    graph: CSRGraph, communities: list[frozenset[int]]
-) -> tuple[list[int], list[int]]:
-    """(internal edge counts, total degree sums) of disjoint member sets."""
-    k = len(communities)
-    sizes = [len(members) for members in communities]
-    members = np.fromiter(chain.from_iterable(communities), dtype=np.int64, count=sum(sizes))
-    # Position -> index of its community; ``k`` marks "in none".
-    label = np.full(graph.num_nodes, k, dtype=np.int64)
-    label[graph.positions_of(members)] = np.repeat(np.arange(k, dtype=np.int64), sizes)
-    internal2, degree_sum = label_edge_counts(graph, label, k + 1)
-    return (internal2[:k] // 2).tolist(), degree_sum[:k].tolist()
 
 
 def _neighbor_set(graph: CSRGraph, node: int) -> set[int]:

@@ -34,7 +34,7 @@ PARITY_COVERED: dict[str, str] = {}
 # The replay has one engine: its CSR snapshots are pinned against the
 # per-event dict replay by ``test_replay_csr_matches_batch_build`` in
 # ``tests/test_graph_dynamic.py``, and C kernels against their Python twins
-# in ``tests/test_louvain_scan.py`` and ``tests/test_clustering_c.py``.
+# in ``tests/test_louvain_level.py`` and ``tests/test_clustering_c.py``.
 
 # Generation-engine dispatchers (a string ``engine=`` parameter): none, one
 # engine produces every trace.  A reintroduced switch must register its

@@ -17,11 +17,11 @@ Layout:
 * :mod:`~repro.kernels.clustering` — mask-intersection clustering
   coefficients, the per-node loop in C;
 * :mod:`~repro.kernels.assortativity` — vectorized degree assortativity;
-* :mod:`~repro.kernels.louvain` — flat-array Louvain local moves (the
-  scan in C) and modularity;
+* :mod:`~repro.kernels.louvain` — flat-array Louvain (each level in C),
+  and one pass counting a label partition's communities and modularity;
 * :mod:`~repro.kernels.native` — builds, caches and loads the C kernels;
-* :mod:`~repro.kernels.matching` — contingency-count Jaccard matching for
-  community tracking.
+* :mod:`~repro.kernels.matching` — contingency-count Jaccard matching of
+  member arrays for community tracking.
 """
 
 from repro.kernels.assortativity import degree_assortativity_csr
@@ -31,8 +31,8 @@ from repro.kernels.clustering import (
     local_clustering_csr,
 )
 from repro.kernels.csr import CSRGraph, gather_neighbors
-from repro.kernels.louvain import louvain_csr, modularity_csr
-from repro.kernels.matching import match_communities_csr
+from repro.kernels.louvain import count_communities, louvain_csr
+from repro.kernels.matching import Lineages, match_communities_csr
 from repro.kernels.traversal import (
     average_path_length_csr,
     component_labels,
@@ -43,11 +43,13 @@ from repro.kernels.traversal import (
 
 __all__ = [
     "CSRGraph",
+    "Lineages",
     "average_clustering_csr",
     "average_path_length_csr",
     "clustering_coefficients",
     "component_labels",
     "connected_components_csr",
+    "count_communities",
     "degree_assortativity_csr",
     "distance_to_set_csr",
     "gather_neighbors",
@@ -55,5 +57,4 @@ __all__ = [
     "local_clustering_csr",
     "louvain_csr",
     "match_communities_csr",
-    "modularity_csr",
 ]

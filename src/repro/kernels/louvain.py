@@ -23,7 +23,10 @@ Community ids are the ranks of the initial labels, computed once and
 carried from level to level.  Without a compiler, or when the build or
 the load fails, :func:`_python_levels` runs instead: :func:`_python_scan`
 and the numpy aggregation :func:`_aggregate_arrays`, the level call's
-parity oracle.  The two give the same bits.
+parity oracle.  The two give the same bits.  The partition comes out as
+arrays, each position's label and the partition order, and
+:func:`count_communities` counts its communities' edges and modularity
+in one pass.
 
 Bit-for-bit parity with the reference holds because every quantity
 involved is exact:
@@ -47,11 +50,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from collections.abc import Callable, Mapping
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from numpy.typing import NDArray
 
 from repro.kernels import native
 from repro.kernels.csr import CSRGraph, label_edge_counts
@@ -61,9 +64,9 @@ from repro.util.arrays import FloatArray, IntArray
 __all__ = [
     "MAX_LEVELS",
     "MAX_PASSES_PER_LEVEL",
+    "count_communities",
     "initial_labels",
     "louvain_csr",
-    "modularity_csr",
 ]
 
 # Shared level/pass caps: the kernel and the reference must stop
@@ -72,39 +75,31 @@ __all__ = [
 MAX_PASSES_PER_LEVEL = 32
 MAX_LEVELS = 32
 
-#: One level's local-move scan: ``scan(indptr, indices, weights, k, order,
-#: m2, delta, comm, comm_tot) -> (passes, moves, any_move)``, updating
-#: ``comm`` and ``comm_tot`` in place.
-Scan = Callable[
-    [IntArray, IntArray, FloatArray, FloatArray, IntArray, float, float, IntArray, FloatArray],
-    tuple[int, int, bool],
-]
-
 #: What a level loop returns: ``(labels, order, levels, passes, moves)``,
 #: each original position's final label and the partition's order.
 Levels = tuple[IntArray, IntArray, int, int, int]
 
 _SOURCE = Path(__file__).with_name("louvain_scan.c")
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-_SCAN_ARGTYPES = [_I64, _I64, *[_PTR] * 5, _F64, _F64, _I64, *[_PTR] * 6]
 _LEVEL_ARGTYPES = [_I64, _I64, *[_PTR] * 5, _F64, _I64, *[_PTR] * 10]
 _ORDER_ARGTYPES = [_I64, _PTR, _I64, *[_PTR] * 4]
 
 
-def initial_labels(node_ids: IntArray, seed_partition: Mapping[int, int] | None) -> IntArray:
+def initial_labels(node_ids: IntArray, seed: tuple[IntArray, IntArray] | None) -> IntArray:
     """Initial community label per position of ``node_ids``.
 
-    Without a ``seed_partition`` every node is its own community, labelled
-    by its id.  With one (incremental mode), seed labels are compacted in
-    order of first appearance along ``node_ids``; unseeded positions take
-    the labels after them, in position order.  Seed entries for nodes
-    outside ``node_ids`` are ignored.
+    Without a ``seed`` every node is its own community, labelled by its
+    id.  A seed (incremental mode) is a partition as ``(ids, labels)``
+    arrays, node ``ids[i]`` in community ``labels[i]``, the ids distinct
+    and in any order.  Seed labels are compacted in order of first
+    appearance along ``node_ids``; unseeded positions take the labels
+    after them, in position order.  Seed entries for nodes outside
+    ``node_ids`` are ignored.
     """
-    if seed_partition is None:
+    if seed is None:
         return np.array(node_ids, dtype=np.int64)
-    size = len(seed_partition)
-    keys = np.fromiter(seed_partition.keys(), dtype=np.int64, count=size)
-    values = np.fromiter(seed_partition.values(), dtype=np.int64, count=size)
+    keys, values = seed
+    size = keys.size
     # at[p]: the seed entry for position p's node, if seeded[p].
     at = np.zeros(node_ids.size, dtype=np.intp)
     seeded = np.zeros(node_ids.size, dtype=bool)
@@ -125,16 +120,18 @@ def initial_labels(node_ids: IntArray, seed_partition: Mapping[int, int] | None)
 def louvain_csr(
     csr: CSRGraph,
     delta: float,
-    seed_partition: Mapping[int, int] | None,
+    seed: tuple[IntArray, IntArray] | None,
     rng: np.random.Generator,
-) -> tuple[dict[int, int], float, int]:
-    """Run the Louvain level loop on ``csr``.
+) -> tuple[IntArray, IntArray, int]:
+    """Run the Louvain level loop on ``csr``, seeded as :func:`initial_labels` reads ``seed``.
 
-    Returns ``(partition, modularity, levels)``; the caller
+    Returns ``(labels, order, levels)``: each position's community label,
+    the positions in partition order (see :func:`_c_order`) and the
+    number of levels run.  The caller
     (:func:`repro.community.louvain.louvain`) validates arguments.
     """
-    start = initial_labels(csr.node_ids, seed_partition)
-    library = None if _scan() is _python_scan else _library()
+    start = initial_labels(csr.node_ids, seed)
+    library = _library()
     rec = get_recorder()
     scan = "python" if library is None else "c"
     with rec.span("kernels.louvain", nodes=csr.num_nodes, scan=scan):
@@ -146,31 +143,34 @@ def louvain_csr(
             rec.count("kernels.louvain_levels", levels)
             rec.count("kernels.louvain_passes", passes)
             rec.count("kernels.louvain_moves", moves)
-
-    node_ids = csr.node_ids[order].tolist()
-    partition = dict(zip(node_ids, labels[order].tolist(), strict=True))
-    return partition, modularity_csr(csr, labels), levels
+    return labels, order, levels
 
 
-def modularity_csr(csr: CSRGraph, labels: IntArray) -> float:
-    """Modularity of the partition giving each position ``labels[p]``.
+def count_communities(
+    csr: CSRGraph, labels: IntArray
+) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.intp], float]:
+    """The communities of the partition giving each position ``labels[p]``, in one pass.
 
-    Bit-identical to the dict-of-sets reference in ``tests/oracles.py``: the
-    per-community counts are exact integers, and the float terms are
+    Returns ``(community, internal_edges, degree_sums, modularity)``:
+    each position's community number, the communities numbered by
+    ascending label; each community's edges inside it and the sum of its
+    members' degrees; and the partition's modularity.  The modularity is
+    bit-identical to the dict-of-sets reference in ``tests/oracles.py``:
+    the per-community counts are exact integers, and the float terms are
     summed with the same expression in the same order — communities by
     their first position, as the reference's dict acquires them.
     """
-    m = csr.num_edges
-    if m == 0:
-        return 0.0
     _, first, community = np.unique(labels, return_index=True, return_inverse=True)
     internal2, degree_sums = label_edge_counts(csr, community, first.size)
-    internal = (internal2 // 2).tolist()
-    degree_sum = degree_sums.tolist()
+    internal_edges = internal2 // 2
+    m = csr.num_edges
     q = 0.0
-    for c in np.argsort(first).tolist():
-        q += internal[c] / m - (degree_sum[c] / (2.0 * m)) ** 2
-    return q
+    if m:
+        internal = internal_edges.tolist()
+        degree_sum = degree_sums.tolist()
+        for c in np.argsort(first).tolist():
+            q += internal[c] / m - (degree_sum[c] / (2.0 * m)) ** 2
+    return community, internal_edges, degree_sums, q
 
 
 def _python_levels(
@@ -309,77 +309,12 @@ def _python_scan(
     return passes, moves, any_move
 
 
-def _c_scan(function: ctypes._NamedFuncPointer) -> Scan:
-    """Wrap the compiled ``louvain_scan`` in the :data:`Scan` signature."""
-
-    def scan(
-        indptr: IntArray,
-        indices: IntArray,
-        weights: FloatArray,
-        k: FloatArray,
-        order: IntArray,
-        m2: float,
-        delta: float,
-        comm: IntArray,
-        comm_tot: FloatArray,
-    ) -> tuple[int, int, bool]:
-        # comm and comm_tot are written in place, so they must not be copies.
-        n, ncomm = order.size, comm_tot.size
-        _checked(comm, np.int64, "comm", n)
-        _checked(comm_tot, np.float64, "comm_tot", ncomm)
-        inputs = (
-            np.ascontiguousarray(indptr, dtype=np.int64),
-            np.ascontiguousarray(indices, dtype=np.int64),
-            np.ascontiguousarray(weights, dtype=np.float64),
-            np.ascontiguousarray(k, dtype=np.float64),
-            np.ascontiguousarray(order, dtype=np.int64),
-        )
-        _sized(inputs[0], "indptr", n + 1)
-        _sized(inputs[1], "indices", int(inputs[0][-1]))
-        _sized(inputs[2], "weights", inputs[1].size)
-        _sized(inputs[3], "k", n)
-        links = np.empty(ncomm, dtype=np.float64)
-        seen = np.empty(ncomm, dtype=np.int64)
-        touched = np.empty(ncomm, dtype=np.int64)
-        out = np.empty(3, dtype=np.int64)
-        function(
-            n,
-            ncomm,
-            *(a.ctypes.data for a in inputs),
-            m2,
-            delta,
-            MAX_PASSES_PER_LEVEL,
-            *(a.ctypes.data for a in (comm, comm_tot, links, seen, touched, out)),
-        )
-        passes, moves, any_move = out.tolist()
-        return passes, moves, bool(any_move)
-
-    return scan
-
-
-@functools.cache
-def _scan() -> Scan:
-    """The scan every level runs: the C scan if the library builds and loads.
-
-    With the C scan, :func:`louvain_csr` runs each whole level in C
-    (:func:`_c_levels`); with :func:`_python_scan`, in Python.
-    """
-    library = _library()
-    function = _scan_library() if library is not None else None
-    return _python_scan if function is None else _c_scan(function)
-
-
 @functools.cache
 def _library() -> _Library | None:
     """The compiled level and order functions, or ``None`` without a library."""
     level = native.load(_SOURCE, "louvain_level", _LEVEL_ARGTYPES, "kernels.louvain_build")
     order = native.load(_SOURCE, "louvain_order", _ORDER_ARGTYPES, "kernels.louvain_build")
     return None if level is None or order is None else _Library(level, order)
-
-
-def _scan_library() -> ctypes._NamedFuncPointer | None:
-    """Load the compiled scan through :mod:`repro.kernels.native`, or ``None``."""
-    return native.load(_SOURCE, "louvain_scan", _SCAN_ARGTYPES, "kernels.louvain_build")
 
 
 def _aggregate_arrays(
@@ -609,10 +544,5 @@ def _checked(array: IntArray | FloatArray, dtype: type, name: str, size: int) ->
         raise TypeError(f"{name} must be {np.dtype(dtype).name}, got {array.dtype}")
     if not array.flags.c_contiguous:
         raise ValueError(f"{name} must be C-contiguous")
-    _sized(array, name, size)
-
-
-def _sized(array: IntArray | FloatArray, name: str, size: int) -> None:
-    """Raise :class:`ValueError` unless ``array`` has ``size`` elements."""
     if array.size != size:
         raise ValueError(f"{name} must have {size} elements, got {array.size}")

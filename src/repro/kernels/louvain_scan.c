@@ -37,10 +37,10 @@
 
 /* links, seen and touched are scratch of length ncomm.  out receives
  * {passes, moves, any_move}. */
-void louvain_scan(int64_t n, int64_t ncomm, const int64_t *indptr, const int64_t *indices,
-                  const double *weights, const double *k, const int64_t *order, double m2,
-                  double delta, int64_t max_passes, int64_t *comm, double *comm_tot,
-                  double *links, int64_t *seen, int64_t *touched, int64_t *out)
+static void louvain_scan(int64_t n, int64_t ncomm, const int64_t *indptr, const int64_t *indices,
+                         const double *weights, const double *k, const int64_t *order, double m2,
+                         double delta, int64_t max_passes, int64_t *comm, double *comm_tot,
+                         double *links, int64_t *seen, int64_t *touched, int64_t *out)
 {
     int64_t passes = 0, moves = 0, any_move = 0;
     for (int64_t c = 0; c < ncomm; c++) {

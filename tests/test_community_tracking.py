@@ -5,6 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.analysis import AnalysisContext
+from repro.community import tracking
 from repro.community.tracking import (
     CommunityTracker,
     _neighbor_set,
@@ -16,7 +18,7 @@ from repro.gen.config import presets
 from repro.graph.checkpoint import ReplayCheckpoint
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import EventStream
-from tests.oracles import DictReplay, csr_of, dict_replay
+from tests.oracles import DictReplay, csr_of, dict_replay, partition_communities
 
 
 def clique(base: int, size: int) -> list[tuple[int, int]]:
@@ -127,6 +129,44 @@ class TestCommunityState:
         for snap in tiny_tracker.snapshots:
             for state in snap.states.values():
                 assert isinstance(state.members, frozenset)
+
+    @pytest.mark.parametrize("case", ["tiny_merge-14", "tiny_merge-25", "figures-1"])
+    def test_member_sets_keep_the_partition_dict_layout(self, monkeypatch, case):
+        """Each member set iterates as ``frozenset`` of the set that the
+        ``set.add`` loop over the partition dict builds from the same
+        Louvain result, and ``LouvainResult.communities`` gives that loop's
+        dict, key order and set order included.  Figure 6c's strongest tie
+        and Figure 7's membership lookups iterate these sets.  "figures-1"
+        is the main tracker of perfbench's figures workload at seed 1."""
+        results = []
+        inner = tracking.louvain
+
+        def recording(*args, **kwargs):
+            results.append(inner(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(tracking, "louvain", recording)
+        name, seed = case.split("-")
+        if name == "figures":
+            config = presets.small(target_nodes=2500)
+            tracker = AnalysisContext(config, seed=int(seed), workers=1, cache_dir=None).tracker
+        else:
+            stream = generate_trace(presets.tiny_merge(), seed=int(seed))
+            tracker = track_stream(stream, interval=3.0, delta=0.04, seed=int(seed))
+        assert len(results) == len(tracker.snapshots) > 5
+        checked = 0
+        for result, snapshot in zip(results, tracker.snapshots, strict=True):
+            partition = result.partition
+            sets = partition_communities(partition)
+            for min_size in (1, 10):
+                got = [(k, list(v)) for k, v in result.communities(min_size).items()]
+                want = [(k, list(v)) for k, v in sets.items() if len(v) >= min_size]
+                assert got == want
+            for state in snapshot.states.values():
+                label = partition[next(iter(state.members))]
+                assert list(state.members) == list(frozenset(sets[label]))
+                checked += 1
+        assert checked > 20
 
 
 class TestTrackStream:

@@ -87,7 +87,8 @@ class TestLouvainSharedContract:
         ids = list(reversed(COLLIDING))
         for seed in (None, {1: 40, 9: 40, 17: 7}):
             want = oracles.initial_assignment(ids, seed)
-            got = kernels_louvain.initial_labels(np.array(ids, dtype=np.int64), seed)
+            arrays = seed and (np.array(list(seed)), np.array(list(seed.values())))
+            got = kernels_louvain.initial_labels(np.array(ids, dtype=np.int64), arrays)
             assert got.tolist() == [want[u] for u in ids]
 
     def test_initial_assignment_follows_input_order(self):

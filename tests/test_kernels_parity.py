@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.community import tracking
-from repro.community.louvain import louvain
+from repro.community.louvain import LouvainResult, louvain
 from repro.community.tracking import CommunityState, track_stream
 from repro.gen import generate_trace
 from repro.gen.config import presets
@@ -25,7 +25,8 @@ from repro.graph.components import connected_components, largest_component
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import ORIGIN_5Q, ORIGIN_NEW, ORIGIN_XIAONEI
 from repro.kernels.csr import CSRGraph
-from repro.kernels.matching import match_communities_csr
+from repro.kernels.louvain import count_communities
+from repro.kernels.matching import Lineages, match_communities_csr
 from repro.kernels.traversal import distance_to_set_csr
 from repro.metrics.assortativity import degree_assortativity
 from repro.metrics.clustering import average_clustering, local_clustering
@@ -342,9 +343,9 @@ def test_louvain_modularity_matches_dict_on_tracker_partitions(seed):
 # -- community matcher -----------------------------------------------------
 
 
-def _match_reference(raw, prev_sets):
-    """``match_communities_csr``'s signature over the reference matcher."""
-    prev_states = {
+def _states(prev_sets):
+    """Previous lineages as the reference matcher reads them."""
+    return {
         lin: CommunityState(
             lineage=lin,
             time=0.0,
@@ -355,7 +356,42 @@ def _match_reference(raw, prev_sets):
         )
         for lin, members in prev_sets.items()
     }
-    return _match_python(raw, prev_states)
+
+
+def _flat(groups):
+    """The member ids of ``key → member set`` groups, with each member's group index."""
+    ids = np.array([node for members in groups.values() for node in members], dtype=np.int64)
+    sizes = [len(members) for members in groups.values()]
+    return ids, np.repeat(np.arange(len(groups), dtype=np.int64), sizes)
+
+
+def _as_arrays(raw, prev_sets):
+    """``label → member set`` and ``lineage → member set`` as the kernel matcher takes them."""
+    previous = Lineages.of(np.array(list(prev_sets), dtype=np.int64), *_flat(prev_sets))
+    return list(raw), *_flat(raw), previous
+
+
+def _match_reference(labels, ids, community, previous):
+    """``match_communities_csr``'s signature over the reference matcher."""
+    raw = {label: frozenset(ids[community == c].tolist()) for c, label in enumerate(labels)}
+    prev_sets = {
+        lin: frozenset(previous.ids[previous.rank == rank].tolist())
+        for rank, lin in enumerate(previous.lineages.tolist())
+    }
+    return _match_python(raw, _states(prev_sets))
+
+
+def _louvain_reference(csr, seed_partition=None, **kwargs):
+    """:func:`louvain`'s signature over the reference, its partition as arrays."""
+    if seed_partition is not None:
+        seed_partition = seed_partition.partition
+    ref = louvain_reference(snapshot_of(csr), seed_partition=seed_partition, **kwargs)
+    order = csr.positions_of(np.array(list(ref.partition), dtype=np.int64))
+    labels = np.empty(csr.num_nodes, dtype=np.int64)
+    labels[order] = list(ref.partition.values())
+    counts = count_communities(csr, labels)
+    assert counts[-1] == ref.modularity
+    return LouvainResult(csr.node_ids, labels, order, *counts, levels=ref.levels)
 
 
 def _random_membership(rng, labels, pool, max_size):
@@ -375,8 +411,8 @@ def test_matcher_parity(seed):
     pool = np.arange(120)
     raw = _random_membership(rng, [3, 7, 8, 15], pool, 30)
     prev_sets = _random_membership(rng, [0, 1, 2, 5], pool, 30)
-    py_parent, py_overlaps = _match_reference(raw, prev_sets)
-    kr_parent, kr_overlaps = match_communities_csr(raw, prev_sets)
+    py_parent, py_overlaps = _match_python(raw, _states(prev_sets))
+    kr_parent, kr_overlaps = match_communities_csr(*_as_arrays(raw, prev_sets))
     assert list(kr_parent) == list(py_parent)
     for label in raw:
         assert kr_parent[label] == py_parent[label], label
@@ -384,12 +420,12 @@ def test_matcher_parity(seed):
 
 
 def test_matcher_empty_sides():
-    assert match_communities_csr({}, {1: frozenset({1})}) == ({}, {})
-    parent, overlaps = match_communities_csr({5: frozenset({1, 2})}, {})
+    assert match_communities_csr(*_as_arrays({}, {1: frozenset({1})})) == ({}, {})
+    parent, overlaps = match_communities_csr(*_as_arrays({5: frozenset({1, 2})}, {}))
     assert parent == {5: None}
     assert overlaps[5] == {}
     # No shared nodes at all.
-    parent, overlaps = match_communities_csr({5: frozenset({1})}, {0: frozenset({9})})
+    parent, overlaps = match_communities_csr(*_as_arrays({5: frozenset({1})}, {0: frozenset({9})}))
     assert parent == {5: None}
     assert overlaps[5] == {}
 
@@ -401,9 +437,7 @@ def test_tracking_parity(monkeypatch):
     """The tracker on the kernels equals the tracker on the references."""
     stream = generate_trace(presets.tiny(), seed=11)
     kr = track_stream(stream, interval=4.0, min_nodes=32, seed=5)
-    monkeypatch.setattr(
-        tracking, "louvain", lambda csr, **kwargs: louvain_reference(snapshot_of(csr), **kwargs)
-    )
+    monkeypatch.setattr(tracking, "louvain", _louvain_reference)
     monkeypatch.setattr(tracking, "match_communities_csr", _match_reference)
     py = track_stream(stream, interval=4.0, min_nodes=32, seed=5)
     assert len(py.snapshots) == len(kr.snapshots) > 0

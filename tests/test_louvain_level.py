@@ -232,7 +232,11 @@ def test_initial_labels_match_the_dict_assignment(ids, seed_ids, seed_labels, ov
     seed = dict(zip(keys, seed_labels, strict=False)) if seeded else None
     node_ids = np.asarray(ids, dtype=np.int64)
     want = initial_assignment(ids, seed)
-    got = kernel.initial_labels(node_ids, seed)
+    arrays = None
+    if seed is not None:
+        keys, labels = list(seed), list(seed.values())
+        arrays = (np.array(keys, dtype=np.int64), np.array(labels, dtype=np.int64))
+    got = kernel.initial_labels(node_ids, arrays)
     assert got.dtype == np.int64
     assert got.tolist() == [want[u] for u in ids]
 
@@ -240,36 +244,57 @@ def test_initial_labels_match_the_dict_assignment(ids, seed_ids, seed_labels, ov
 # -- robustness ----------------------------------------------------------------
 
 
+#: A two-node level with one edge, as :func:`kernel._first_level` takes it.
+_LEVEL = {
+    "indptr": np.array([0, 1, 2], dtype=np.int64),
+    "indices": np.array([1, 0], dtype=np.int64),
+    "weights": np.ones(2),
+    "self_w": np.zeros(2),
+    "comm": np.zeros(2, dtype=np.int64),
+}
+
+
+def _unreachable(*_):
+    pytest.fail("the array reached C")
+
+
 @pytest.mark.parametrize(
     "field,value,error",
     [
-        ("comm", np.zeros(4, dtype=np.float32), TypeError),
-        ("comm", np.zeros(8, dtype=np.int64)[::2], ValueError),
-        ("comm", np.zeros(5, dtype=np.int64), ValueError),
-        ("comm_tot", np.zeros(2, dtype=np.float32), TypeError),
-        ("comm_tot", np.zeros(4, dtype=np.float64)[::2], ValueError),
+        ("comm", np.zeros(2, dtype=np.float32), TypeError),
+        ("comm", np.zeros(4, dtype=np.int64)[::2], ValueError),
     ],
 )
 def test_c_scan_rejects_arrays_it_would_write_out_of_bounds(field, value, error):
-    """Checks that ``python -O`` keeps: C must never see these arrays."""
-    args = {
-        "indptr": np.array([0, 1, 2, 3, 4], dtype=np.int64),
-        "indices": np.array([1, 0, 3, 2], dtype=np.int64),
-        "weights": np.ones(4),
-        "k": np.ones(4),
-        "order": np.arange(4, dtype=np.int64),
-        "m2": 4.0,
-        "delta": 0.0,
-        "comm": np.arange(4, dtype=np.int64),
-        "comm_tot": np.ones(4),
-    }
-    args[field] = value
+    """Checks that ``python -O`` keeps: C must never see these arrays.
 
-    def unreachable(*_):
-        pytest.fail("the array reached C")
-
+    The scan writes ``comm``; its length is the level's node count, so only
+    its dtype and stride can be wrong.
+    """
+    case = {**_LEVEL, field: value}
     with pytest.raises(error, match=field):
-        kernel._c_scan(unreachable)(**args)
+        level = kernel._first_level(*case.values())
+        kernel._c_level(_unreachable, level, 2, np.arange(2, dtype=np.int64), 0.0, (0, 0))
+
+
+@pytest.mark.parametrize("field", ["indptr", "indices", "weights", "self_w", "order"])
+def test_c_level_rejects_arrays_it_would_access_out_of_bounds(field):
+    """Checks that ``python -O`` keeps: C must never see these arrays.
+
+    Each field in turn has the wrong dtype, a stride, or the wrong length.
+    """
+    arrays = {**_LEVEL, "order": np.arange(2, dtype=np.int64)}
+    good = arrays[field]
+    bad = [
+        (good.astype(np.float32), TypeError),
+        (np.repeat(good, 2)[::2], ValueError),
+        (np.append(good, good[:1]), ValueError),
+    ]
+    for value, error in bad:
+        case = {**arrays, field: value}
+        with pytest.raises(error, match=field):
+            level = kernel._first_level(*(case[name] for name in _LEVEL))
+            kernel._c_level(_unreachable, level, 2, case["order"], 0.0, (0, 0))
 
 
 def test_c_level_rejects_a_float32_comm():
@@ -329,10 +354,12 @@ def _digests(monkeypatch, seed):
     calls = defaultdict(list)
     inner = kernel.louvain_csr
 
-    def recording(csr, delta, seed_partition, rng):
-        partition, quality, levels = inner(csr, delta, seed_partition, rng)
-        calls[delta].append(repr((list(partition.items()), quality.hex(), levels)))
-        return partition, quality, levels
+    def recording(csr, delta, seed, rng):
+        labels, order, levels = inner(csr, delta, seed, rng)
+        pairs = list(zip(csr.node_ids[order].tolist(), labels[order].tolist(), strict=True))
+        *_, quality = kernel.count_communities(csr, labels)
+        calls[delta].append(repr((pairs, quality.hex(), levels)))
+        return labels, order, levels
 
     with monkeypatch.context() as patch:
         patch.setattr(community_louvain, "louvain_csr", recording)
@@ -351,12 +378,12 @@ def test_per_call_results_are_pinned_on_the_figures_trace(monkeypatch, seed):
         digests = _digests(monkeypatch, seed)
     assert digests == PINNED[seed]
     scans = {dict(s.attrs)["scan"] for s in rec.spans if s.name == "kernels.louvain"}
-    assert scans == ({"python"} if kernel._scan() is kernel._python_scan else {"c"})
+    assert scans == ({"python"} if kernel._library() is None else {"c"})
 
 
 def test_python_levels_give_the_pinned_results(monkeypatch):
     """With the C library off, the numpy level loop gives the same bits."""
-    monkeypatch.setattr(kernel, "_scan", lambda: kernel._python_scan)
+    monkeypatch.setattr(kernel, "_library", lambda: None)
     assert _digests(monkeypatch, 1) == PINNED[1]
 
 

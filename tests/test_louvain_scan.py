@@ -1,10 +1,11 @@
-"""The Louvain local-move scan in C against the Python scan, and its build cache.
+"""The Louvain levels in C against the Python levels on tracked traces, and their build cache.
 
-The C scan (``src/repro/kernels/louvain_scan.c``) must give the Python
-scan's bits: the same communities, community totals, pass and move
-counts.  Its build cache must survive concurrent builds, corrupt files,
-an unwritable cache and a missing compiler, always ending in the Python
-scan's answer.  Build-cache cases run in child processes, so that each
+Whole tracker runs with the C levels (``src/repro/kernels/louvain_scan.c``)
+must give the Python levels' bits on every Louvain call; one level call
+is compared array by array in ``tests/test_louvain_level.py``.  The
+build cache must survive concurrent builds, corrupt files, an
+unwritable cache and a missing compiler, always ending in the Python
+levels' answer.  Build-cache cases run in child processes, so that each
 starts with an empty in-process cache and a crash would show as a
 return code instead of killing the suite.
 """
@@ -19,8 +20,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.community.louvain import louvain
 from repro.community.tracking import track_stream
@@ -41,135 +40,22 @@ needs_cc = pytest.mark.skipif(native.find_compiler() is None, reason="no C compi
 
 @pytest.fixture()
 def python_scan(monkeypatch):
-    """Make every Louvain call in the test run the Python scan."""
-    monkeypatch.setattr(kernel, "_scan", lambda: kernel._python_scan)
-
-
-@pytest.fixture(scope="module")
-def c_function():
-    function = kernel._scan_library()
-    if function is None:
-        pytest.skip("the C scan did not build")
-    return function
-
-
-# -- scan inputs -----------------------------------------------------------
-
-
-def _scan_inputs(n, edges, loops, level, labels, seed):
-    """One level's scan arguments, built as ``_one_level_arrays`` builds them.
-
-    ``edges`` are ``(u, v, units)`` and ``loops`` ``(u, units)``; a weight
-    is ``units * 2**-level``, the dyadic weights aggregation produces.
-    """
-    scale = 2.0**-level
-    src = [u for u, v, _ in edges] + [v for u, v, _ in edges]
-    dst = [v for u, v, _ in edges] + [u for u, v, _ in edges]
-    w = [units * scale for _, _, units in edges] * 2
-    src_a = np.asarray(src, dtype=np.int64)
-    by_row = np.argsort(src_a, kind="stable")
-    indices = np.asarray(dst, dtype=np.int64)[by_row]
-    weights = np.asarray(w, dtype=np.float64)[by_row]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src_a, minlength=n), out=indptr[1:])
-    self_w = np.zeros(n, dtype=np.float64)
-    for u, units in loops:
-        self_w[u] += units * scale
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    k = np.bincount(rows, weights=weights, minlength=n) + 2.0 * self_w
-    uniq, inverse = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
-    comm = inverse.astype(np.int64)
-    comm_tot = np.bincount(comm, weights=k, minlength=uniq.size).astype(np.float64)
-    order = np.random.default_rng(seed).permutation(n).astype(np.int64)
-    return indptr, indices, weights, k, order, float(k.sum()), comm, comm_tot
-
-
-def _run(scan, inputs, delta):
-    indptr, indices, weights, k, order, m2, comm, comm_tot = inputs
-    comm, comm_tot = comm.copy(), comm_tot.copy()
-    passes, moves, any_move = scan(indptr, indices, weights, k, order, m2, delta, comm, comm_tot)
-    return comm, comm_tot, passes, moves, any_move
-
-
-def _assert_same_scan(got, want):
-    assert got[0].tolist() == want[0].tolist()
-    # Bit-exact totals: compare the IEEE-754 patterns, not the values.
-    assert got[1].view(np.int64).tolist() == want[1].view(np.int64).tolist()
-    assert got[2:] == want[2:]
-
-
-@st.composite
-def _graphs(draw):
-    n = draw(st.integers(1, 40))
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 16))
-    edges = [(u, v, w) for u, v, w in draw(st.lists(pairs, max_size=3 * n)) if u != v]
-    loops = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 16)), max_size=n))
-    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    return n, edges, loops, labels
-
-
-@needs_cc
-@settings(max_examples=300, deadline=None)
-@given(
-    graph=_graphs(),
-    level=st.integers(0, 4),
-    delta=st.sampled_from([0.0, 1e-4, 0.04, 0.3]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_c_scan_matches_python_scan(c_function, graph, level, delta, seed):
-    """Isolated nodes, self-loops, dyadic weights and seed partitions alike."""
-    n, edges, loops, labels = graph
-    inputs = _scan_inputs(n, edges, loops, level, labels, seed)
-    if inputs[5] == 0.0:
-        return  # m2 == 0: _one_level_arrays returns before any scan
-    want = _run(kernel._python_scan, inputs, delta)
-    got = _run(kernel._c_scan(c_function), inputs, delta)
-    _assert_same_scan(got, want)
-
-
-def _raw_call(function, inputs, delta, comm, comm_tot, links, seen, touched):
-    indptr, indices, weights, k, order, m2, _, _ = inputs
-    out = np.empty(3, dtype=np.int64)
-    pointers = [a.ctypes.data for a in (indptr, indices, weights, k, order)]
-    scratch = [a.ctypes.data for a in (comm, comm_tot, links, seen, touched, out)]
-    passes = kernel.MAX_PASSES_PER_LEVEL
-    function(order.size, comm_tot.size, *pointers, m2, delta, passes, *scratch)
-    return comm, comm_tot, *out.tolist()
-
-
-@needs_cc
-def test_c_scan_ignores_garbage_in_its_scratch(c_function):
-    rng = np.random.default_rng(5)
-    n = 60
-    edges = [(int(u), int(v), int(w)) for u, v, w in rng.integers(0, n, size=(150, 3)) if u != v]
-    inputs = _scan_inputs(n, edges, [(0, 3), (7, 1)], 2, rng.integers(0, 20, size=n), 9)
-    ncomm = inputs[7].size
-    outputs = []
-    for fill in (np.nan, 1e300):
-        links = np.full(ncomm, fill)
-        seen = rng.integers(-(2**62), 2**62, size=ncomm)
-        touched = rng.integers(-(2**62), 2**62, size=ncomm)
-        comm, comm_tot = inputs[6].copy(), inputs[7].copy()
-        outputs.append(_raw_call(c_function, inputs, 1e-4, comm, comm_tot, links, seen, touched))
-    want = _run(kernel._python_scan, inputs, 1e-4)
-    for got in outputs:
-        comm, comm_tot, passes, moves, any_move = got
-        _assert_same_scan((comm, comm_tot, passes, moves, bool(any_move)), want)
-    assert want[3] > 0
+    """Make every Louvain call in the test run the Python levels."""
+    monkeypatch.setattr(kernel, "_library", lambda: None)
 
 
 # -- whole-run parity on tracked snapshots ---------------------------------
 
 
 def _tracked_calls(monkeypatch, stream):
-    """``(partition items, Q bits, levels)`` of every Louvain call of a tracker."""
+    """``(labels, order, levels)`` of every Louvain call of a tracker."""
     calls = []
     inner = kernel.louvain_csr
 
     def recording(*args):
-        partition, quality, levels = inner(*args)
-        calls.append((list(partition.items()), quality.hex(), levels))
-        return partition, quality, levels
+        labels, order, levels = inner(*args)
+        calls.append((labels.tolist(), order.tolist(), levels))
+        return labels, order, levels
 
     with monkeypatch.context() as patch:
         patch.setattr(community_louvain, "louvain_csr", recording)
@@ -188,7 +74,7 @@ def test_tracked_snapshots_match_python_scan(monkeypatch, config, seed):
     with use_recorder(TraceRecorder()) as rec:
         c_calls = _tracked_calls(monkeypatch, stream)
     assert {dict(s.attrs)["scan"] for s in rec.spans if s.name == "kernels.louvain"} == {"c"}
-    monkeypatch.setattr(kernel, "_scan", lambda: kernel._python_scan)
+    monkeypatch.setattr(kernel, "_library", lambda: None)
     python_calls = _tracked_calls(monkeypatch, stream)
     assert len(c_calls) == len(python_calls) > 10
     for got, want in zip(c_calls, python_calls, strict=True):
@@ -218,16 +104,17 @@ def test_partition_order_follows_the_super_node_chain(monkeypatch, tiny_csr, see
     # each aggregation's node positions.
     monkeypatch.setattr(kernel, "_aggregate_arrays", recording_numpy)
     monkeypatch.setattr(kernel, "_c_level", recording_c)
-    seed_partition = louvain(tiny_csr, delta=0.04, seed=2).partition if seeded else None
+    seed = None
+    if seeded:
+        first = louvain(tiny_csr, delta=0.04, seed=2)
+        seed = (first.node_ids, first.labels)
     node_positions.clear()
-    partition, _, levels = kernel.louvain_csr(
-        tiny_csr, 0.0, seed_partition, np.random.default_rng(3)
-    )
+    _, order, levels = kernel.louvain_csr(tiny_csr, 0.0, seed, np.random.default_rng(3))
     assert len(node_positions) >= 2 and levels >= 3
     chain = [np.arange(tiny_csr.num_nodes)]
     for node_pos in node_positions:
         chain.append(node_pos[chain[-1]])
-    assert list(partition) == tiny_csr.node_ids[np.lexsort(chain)].tolist()
+    assert order.tolist() == np.lexsort(chain).tolist()
 
 
 # -- observability ---------------------------------------------------------
@@ -250,8 +137,9 @@ def test_louvain_span_names_the_python_scan(python_scan):
 def test_cold_build_has_its_own_span(monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     with use_recorder(TraceRecorder()) as rec:
-        assert kernel._scan_library() is not None
-        assert kernel._scan_library() is not None  # warm: loads, builds nothing
+        # The uncached loader: the first call builds, the second only loads.
+        assert kernel._library.__wrapped__() is not None
+        assert kernel._library.__wrapped__() is not None
     builds = [s for s in rec.spans if s.name == "kernels.louvain_build"]
     assert [dict(s.attrs)["compiler"] for s in builds] == [native.find_compiler()]
 
@@ -270,7 +158,7 @@ import json
 from repro.kernels import louvain as kernel, native
 {patch}
 from tests.test_louvain_scan import _reference_result
-scan = "python" if kernel._scan() is kernel._python_scan else "c"
+scan = "python" if kernel._library() is None else "c"
 print(json.dumps({{"scan": scan, "result": _reference_result()}}))
 """
 
@@ -388,7 +276,7 @@ def test_import_starts_no_subprocess(tmp_path):
         "subprocess.run = subprocess.Popen = refuse\n"
         "import repro.kernels, repro.serve, repro.store\n"
         "from repro.kernels import louvain\n"
-        "assert louvain._scan.cache_info().currsize == 0\n"
+        "assert louvain._library.cache_info().currsize == 0\n"
     )
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
