@@ -13,7 +13,7 @@ The library has three layers:
 * **Experiments** — :mod:`repro.analysis` maps every paper figure panel to
   a driver producing paper-comparable numbers.
 * **Runtime** — :mod:`repro.runtime` executes the metrics pipeline with
-  checkpointed parallel replay and a content-addressed result cache;
+  windowed parallel replay and a content-addressed result cache;
   :mod:`repro.store` is the columnar, memory-mapped on-disk event format
   it reads at paper scale.
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.community.tracking import CommunityTracker, track_stream
+from repro.community.tracking import CommunityTracker, track_deltas, track_stream
 from repro.gen.config import GeneratorConfig
 from repro.gen.fast import generate_trace
 from repro.graph.dynamic import DynamicGraph
@@ -22,7 +22,10 @@ from repro.osnmerge.edge_rates import EdgeRateSeries, edges_per_day_by_type
 from repro.runtime.api import compute_timeseries
 from repro.runtime.spec import MetricSpec
 
-__all__ = ["AnalysisContext"]
+__all__ = ["DELTA_SWEEP", "AnalysisContext"]
+
+#: The δ values the paper sweeps (§4.1).
+DELTA_SWEEP: tuple[float, ...] = (0.0001, 0.001, 0.01, 0.1, 0.3)
 
 
 class AnalysisContext:
@@ -62,6 +65,7 @@ class AnalysisContext:
         self.cache_dir = cache_dir
         self._stream: EventStream | None = None
         self._tracker: CommunityTracker | None = None
+        self._delta_sweep: dict[float, CommunityTracker] | None = None
         self._final_graph: CSRGraph | None = None
         self._edge_rates: EdgeRateSeries | None = None
         self._activity_threshold: float | None = None
@@ -95,6 +99,23 @@ class AnalysisContext:
                     seed=self.seed,
                 )
         return self._tracker
+
+    @property
+    def delta_sweep(self) -> dict[float, CommunityTracker]:
+        """One completed tracker per δ in :data:`DELTA_SWEEP` (cached).
+
+        All trackers step from one replay at a coarser cadence than
+        :attr:`tracker` (about 14 snapshots over the trace), which keeps
+        Figure 4's sweep affordable.
+        """
+        if self._delta_sweep is None:
+            interval = max(self.tracking_interval, self.config.days / 14.0)
+            stream = self.stream
+            with get_recorder().span("analysis.delta_sweep", deltas=len(DELTA_SWEEP)):
+                self._delta_sweep = track_deltas(
+                    stream, DELTA_SWEEP, interval=interval, seed=self.seed
+                )
+        return self._delta_sweep
 
     @property
     def final_graph(self) -> CSRGraph:

@@ -11,29 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.context import AnalysisContext
+from repro.analysis.context import DELTA_SWEEP, AnalysisContext
 from repro.analysis.experiments import ExperimentResult, finite, register, series_from
 from repro.community.stats import community_size_distribution
-from repro.community.tracking import CommunityTracker, track_deltas
-from repro.obs import get_recorder
 
 __all__ = ["DELTA_SWEEP"]
-
-#: The δ values the paper sweeps (§4.1).
-DELTA_SWEEP: tuple[float, ...] = (0.0001, 0.001, 0.01, 0.1, 0.3)
-
-def _sweep(ctx: AnalysisContext) -> dict[float, CommunityTracker]:
-    # Cached on the context itself so the cache's lifetime matches the
-    # artifacts it derives from (an id()-keyed global could collide after
-    # garbage collection).
-    cached = getattr(ctx, "_fig4_delta_sweep", None)
-    if cached is None:
-        interval = max(ctx.tracking_interval, ctx.config.days / 14.0)
-        stream = ctx.stream
-        with get_recorder().span("analysis.delta_sweep", deltas=len(DELTA_SWEEP)):
-            cached = track_deltas(stream, DELTA_SWEEP, interval=interval, seed=ctx.seed)
-        ctx._fig4_delta_sweep = cached
-    return cached
 
 
 @register("F4a")
@@ -46,7 +28,7 @@ def fig4a(ctx: AnalysisContext) -> ExperimentResult:
             "late_modularity[delta=0.01]": "always above 0.4 (strong community structure)"
         },
     )
-    for delta, tracker in _sweep(ctx).items():
+    for delta, tracker in ctx.delta_sweep.items():
         times = np.array([s.time for s in tracker.snapshots])
         mods = np.array([s.modularity for s in tracker.snapshots])
         result.series[f"delta={delta:g}"] = series_from(times, mods)
@@ -69,7 +51,7 @@ def fig4b(ctx: AnalysisContext) -> ExperimentResult:
             "mean_similarity[delta=0.1]": "deltas in [0.1, 0.3] track most stably",
         },
     )
-    for delta, tracker in _sweep(ctx).items():
+    for delta, tracker in ctx.delta_sweep.items():
         times = np.array([s.time for s in tracker.snapshots])
         sims = np.array([s.avg_similarity for s in tracker.snapshots])
         result.series[f"delta={delta:g}"] = series_from(times, sims)
@@ -89,7 +71,7 @@ def fig4c(ctx: AnalysisContext) -> ExperimentResult:
             "num_communities[delta=0.01]": "insensitive to delta once delta >= 0.01",
         },
     )
-    for delta, tracker in _sweep(ctx).items():
+    for delta, tracker in ctx.delta_sweep.items():
         if not tracker.snapshots:
             continue
         dist = community_size_distribution(tracker.snapshots[-1])

@@ -34,7 +34,6 @@ PICKLE_WHITELIST: frozenset[str] = frozenset(
         "NoneType",
         "EventStream",
         "MetricSpec",
-        "ReplayCheckpoint",
         "Window",
         "WindowResult",
     }

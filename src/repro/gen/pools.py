@@ -11,12 +11,11 @@ structures that support *batch* updates and O(1) vectorized sampling:
   arena (per-node adjacency, per-community node/endpoint pools, loner
   invite clusters), with vectorized batch append and uniform sampling
   across many buckets at once;
-* :class:`SortedKeySet` — membership testing for packed ``(u, v)`` edge
-  keys via a sorted base array plus a small unsorted pending tail, merged
-  amortized.
+* :class:`HashKeySet` — membership testing for packed ``(u, v)`` edge
+  keys in a vectorized open-addressing table.
 
 Everything here is deterministic and allocation-amortized: no per-event
-Python objects, no hashing, no dict churn.
+Python objects, no Python-level hashing, no dict churn.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from numpy.typing import DTypeLike
 
 from repro.util.arrays import AnyArray, BoolArray, FloatArray, IntArray, UIntArray
 
-__all__ = ["BucketPools", "GrowingArray", "HashKeySet", "SortedKeySet", "pack_edge_keys"]
+__all__ = ["BucketPools", "GrowingArray", "HashKeySet", "pack_edge_keys"]
 
 
 def _exclusive_cumsum(sizes: IntArray) -> IntArray:
@@ -277,55 +276,6 @@ def pack_edge_keys(us: AnyArray, vs: AnyArray) -> IntArray:
     return (lo << 32) | hi
 
 
-class SortedKeySet:
-    """Set membership for int64 keys: sorted base + small pending tail.
-
-    ``contains`` binary-searches the base and linearly checks the pending
-    tail; ``add`` appends to the tail and merges it into the base once the
-    tail exceeds ``max(merge_min, len(base) / 4)`` — the same amortization
-    as the delta-CSR append log, so total merge cost is O(n log n).
-    """
-
-    def __init__(self, merge_min: int = 4096) -> None:
-        self._base = np.empty(0, dtype=np.int64)
-        self._pending = GrowingArray(np.int64)
-        self._pending_sorted: IntArray | None = None
-        self._merge_min = merge_min
-
-    def __len__(self) -> int:
-        return len(self._base) + len(self._pending)
-
-    def add(self, keys: IntArray) -> None:
-        """Insert ``keys`` (caller guarantees they are not already present)."""
-        self._pending.extend(keys)
-        self._pending_sorted = None
-        if len(self._pending) > max(self._merge_min, len(self._base) // 4):
-            merged = np.concatenate((self._base, self._pending.view()))
-            merged.sort()
-            self._base = merged
-            self._pending = GrowingArray(np.int64)
-
-    @staticmethod
-    def _search(sorted_keys: IntArray, keys: IntArray) -> BoolArray:
-        pos = np.searchsorted(sorted_keys, keys)
-        clipped = np.minimum(pos, len(sorted_keys) - 1)
-        return (pos < len(sorted_keys)) & (sorted_keys[clipped] == keys)
-
-    def contains(self, keys: IntArray) -> BoolArray:
-        """Boolean membership mask for ``keys``."""
-        if len(self._base):
-            hit = self._search(self._base, keys)
-        else:
-            hit = np.zeros(len(keys), dtype=bool)
-        if len(self._pending):
-            # Binary-search a lazily sorted copy of the tail; np.isin would
-            # rebuild a hash table per probe, which dominated profiles.
-            if self._pending_sorted is None:
-                self._pending_sorted = np.sort(self._pending.view())
-            hit |= self._search(self._pending_sorted, keys)
-        return hit
-
-
 class HashKeySet:
     """Set membership for nonzero int64 keys: vectorized open addressing.
 
@@ -333,8 +283,8 @@ class HashKeySet:
     ``contains``; slot 0 is the empty sentinel, so keys must be nonzero
     (packed edge keys always are — ``hi >= 1``).  Probes are whole-batch
     gathers, so membership costs a couple of table reads per key instead
-    of the ``log n`` binary-search rounds :class:`SortedKeySet` pays; at
-    load factor <= 1/2 probe chains stay short.  Fully deterministic.
+    of the ``log n`` rounds a binary search over sorted keys pays; at load
+    factor <= 1/2 probe chains stay short.  Fully deterministic.
     """
 
     _MULT = np.uint64(0x9E3779B97F4A7C15)  # Fibonacci hashing

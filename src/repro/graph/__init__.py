@@ -11,15 +11,12 @@ creations and edge creations — from which daily static snapshots are derived
   columns that yields each snapshot as an immutable
   :class:`~repro.kernels.csr.CSRGraph`, the one graph representation the
   analyses read;
-* :class:`~repro.graph.checkpoint.ReplayCheckpoint` — compact mid-stream
-  replay state, so workers can resume without re-applying history;
 * :mod:`~repro.graph.components` — connected components over a
   :class:`~repro.kernels.csr.CSRGraph`;
 * :mod:`~repro.graph.nullmodel` — the degree-preserving rewired copy of
   a :class:`~repro.kernels.csr.CSRGraph`.
 """
 
-from repro.graph.checkpoint import ReplayCheckpoint
 from repro.graph.components import connected_components, largest_component
 from repro.graph.dynamic import DynamicGraph, SnapshotView
 from repro.graph.events import EdgeColumns, EventStream, NodeColumns
@@ -28,7 +25,6 @@ from repro.graph.stream_io import read_event_stream, write_event_stream
 from repro.graph.transform import relabel_nodes, rescale_time, subsample_nodes, truncate
 
 __all__ = [
-    "ReplayCheckpoint",
     "degree_preserving_rewire",
     "relabel_nodes",
     "rescale_time",

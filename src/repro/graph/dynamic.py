@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.checkpoint import ReplayCheckpoint
 from repro.graph.events import EventStream
 from repro.kernels.csr import CSRGraph
 from repro.util.arrays import BoolArray, IntArray
@@ -41,29 +40,23 @@ class SnapshotView:
 
 
 class _PrefixIndex:
-    """Sorted directed entries of a replay: start graph plus later edge events.
+    """Sorted directed entries of a replay: one per edge event and direction.
 
-    ``start`` is where the replay begins (its graph and cursors); only
-    columns from its cursors on are read.
     Semantics match applying the events one by one to a dict-of-sets graph:
     a repeated node or edge is counted once, a self-loop raises
     :class:`ValueError` and an endpoint that has not arrived raises
     :class:`KeyError` — both only once a snapshot includes that edge.
     """
 
-    def __init__(self, stream: EventStream, start: ReplayCheckpoint) -> None:
+    def __init__(self, stream: EventStream) -> None:
         nodes, edges = stream.nodes, stream.edges
-        base, node_lo, edge_lo = start.csr, start.node_index, start.edge_index
-        self.node_lo, self.edge_lo = node_lo, edge_lo
-        # Positions: base nodes first, then each new id at its first arrival.
-        all_ids = np.concatenate([base.node_ids, nodes.node[node_lo:]])
-        uniq, first_index = np.unique(all_ids, return_index=True)
-        first = np.zeros(all_ids.size, dtype=bool)
+        # Positions: each id at its first arrival.
+        uniq, first_index = np.unique(nodes.node, return_index=True)
+        first = np.zeros(nodes.node.size, dtype=bool)
         first[first_index] = True
-        base_n = base.num_nodes
-        #: Nodes present after each number of node events past ``node_lo``.
-        self.count_at = base_n + np.concatenate(([0], np.cumsum(first[base_n:], dtype=np.int64)))
-        self.node_ids = all_ids[first]
+        #: Nodes present after each number of node events.
+        self.count_at = np.concatenate(([0], np.cumsum(first, dtype=np.int64)))
+        self.node_ids = nodes.node[first]
         missing = self.node_ids.size  # a position past every node: never arrives
         uniq_pos = (np.cumsum(first, dtype=np.int64) - 1)[first_index]
 
@@ -73,24 +66,16 @@ class _PrefixIndex:
             at = np.minimum(np.searchsorted(uniq, ids), missing - 1)
             return np.where(uniq[at] == ids, uniq_pos[at], missing)
 
-        u, v = edges.u[edge_lo:], edges.v[edge_lo:]
-        pu, pv = positions(u), positions(v)
-        self.loop: BoolArray = u == v
+        pu, pv = positions(edges.u), positions(edges.v)
+        self.loop: BoolArray = edges.u == edges.v
         #: Per edge event: the node count its endpoints need.
         self.need = np.maximum(pu, pv) + 1
         event = np.flatnonzero(~self.loop & (self.need <= missing))
         # Interleave both directions of each event so a stable sort keeps
         # the earliest event of every repeated (row, col) pair first.
-        base_rows = np.repeat(np.arange(base_n), base.degrees)
-        rows = np.concatenate([base_rows, np.column_stack((pu[event], pv[event])).ravel()])
-        cols = np.concatenate([base.indices, np.column_stack((pv[event], pu[event])).ravel()])
-        if base.arrival is None:
-            inherited = np.full(base.indices.size, -1, dtype=np.int64)
-        else:
-            # Below every event index of this replay, in the base's order: a
-            # worker's window restarts its event indices at zero.
-            inherited = base.arrival - (int(base.arrival.max(initial=-1)) + 1)
-        arrival = np.concatenate([inherited, np.repeat(event + edge_lo, 2)])
+        rows = np.column_stack((pu[event], pv[event])).ravel()
+        cols = np.column_stack((pv[event], pu[event])).ravel()
+        arrival = np.repeat(event, 2)
         order = np.argsort(rows * max(missing, 1) + cols, kind="stable")
         rows, cols, arrival = rows[order], cols[order], arrival[order]
         keep = np.ones(rows.size, dtype=bool)
@@ -99,8 +84,7 @@ class _PrefixIndex:
 
     def check(self, stream: EventStream, edge_lo: int, edge_hi: int, nodes: int) -> None:
         """Raise as the per-event replay would on the first bad edge in the range."""
-        lo, hi = edge_lo - self.edge_lo, edge_hi - self.edge_lo
-        bad = self.loop[lo:hi] | (self.need[lo:hi] > nodes)
+        bad = self.loop[edge_lo:edge_hi] | (self.need[edge_lo:edge_hi] > nodes)
         if not bad.any():
             return
         k = edge_lo + int(np.argmax(bad))
@@ -135,41 +119,10 @@ class DynamicGraph:
 
     def __init__(self, stream: EventStream) -> None:
         self.stream = stream
-        self._start = ReplayCheckpoint(time=0.0, node_index=0, edge_index=0, csr=CSRGraph.empty())
-        self.graph = self._start.csr
+        self.graph = CSRGraph.empty()
         self._node_idx = 0
         self._edge_idx = 0
         self._index: _PrefixIndex | None = None
-
-    @classmethod
-    def from_checkpoint(cls, stream: EventStream, checkpoint: ReplayCheckpoint) -> "DynamicGraph":
-        """Resume replay of ``stream`` from ``checkpoint``.
-
-        The checkpoint's graph is the replay's base; only the columns past
-        its cursors are read.  Cursor indices out of range raise
-        :class:`ValueError`.
-        """
-        if checkpoint.node_index > len(stream.nodes) or checkpoint.edge_index > len(stream.edges):
-            raise ValueError(
-                f"checkpoint cursor ({checkpoint.node_index}, {checkpoint.edge_index}) "
-                f"out of range for stream with {len(stream.nodes)} node / "
-                f"{len(stream.edges)} edge events"
-            )
-        replay = cls(stream)
-        replay._start = checkpoint
-        replay.graph = checkpoint.csr
-        replay._node_idx = checkpoint.node_index
-        replay._edge_idx = checkpoint.edge_index
-        return replay
-
-    def checkpoint(self) -> ReplayCheckpoint:
-        """Freeze the current replay state into a compact checkpoint."""
-        return ReplayCheckpoint(
-            time=self.time_cursor,
-            node_index=self._node_idx,
-            edge_index=self._edge_idx,
-            csr=self.graph,
-        )
 
     @property
     def node_cursor(self) -> int:
@@ -207,8 +160,8 @@ class DynamicGraph:
             return SnapshotView(time=time, graph=self.graph)
         index = self._index
         if index is None:
-            index = self._index = _PrefixIndex(self.stream, self._start)
-        count = int(index.count_at[node_hi - index.node_lo])
+            index = self._index = _PrefixIndex(self.stream)
+        count = int(index.count_at[node_hi])
         index.check(self.stream, edge_lo, edge_hi, count)
         self.graph = index.graph(count, edge_hi)
         self._node_idx, self._edge_idx = node_hi, edge_hi

@@ -13,8 +13,7 @@ re-ordered nodes would permute the RNG-shuffled visit sequence and break
 bit-for-bit parity with the reference.
 
 Replay (:class:`~repro.graph.dynamic.DynamicGraph`) builds one per
-snapshot straight from the event columns, and replay checkpoints carry
-one as their frozen graph.  Every metric, the null model and community
+snapshot straight from the event columns.  Every metric, the null model and community
 detection read it; the dict-of-sets graph the parity oracles use lives
 in ``tests/oracles.py``.
 """
@@ -43,10 +42,10 @@ class CSRGraph:
     edge, so ``indices.size == 2 * num_edges``.
 
     ``arrival`` is set on graphs built by replay: ``arrival[i]`` is the
-    stream index of the edge event that created entry ``i``.  Entries
-    inherited from a checkpoint graph get negative values in their
-    original order (all ``-1`` if that graph carries no arrivals).  It lets
-    a consumer list a node's neighbors in the order they arrived.
+    stream index of the edge event that created entry ``i`` (a parallel
+    window replays the same stream prefix, so its indices are the serial
+    replay's).  It lets a consumer list a node's neighbors in the order
+    they arrived.
     """
 
     node_ids: IntArray

@@ -3,9 +3,10 @@
 The reference implementations walk Python dicts one neighbor at a time;
 these kernels advance a whole BFS frontier per step with fancy indexing,
 so each level costs a handful of numpy calls over int64 arrays.  Sampled
-path lengths go further and run 64 sources per traversal as bits of one
-``uint64`` word per node.  All accumulation is integer arithmetic, so
-results are exactly equal to the reference — no float tolerance needed.
+hop counts (path length, effective diameter) go further and run 64
+sources per traversal as bits of one ``uint64`` word per node.  All
+accumulation is integer arithmetic, so results are exactly equal to the
+reference — no float tolerance needed.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "largest_component_csr",
     "average_path_length_csr",
     "distance_to_set_csr",
+    "hop_counts_csr",
 ]
 
 #: Sources per bit-parallel BFS: one ``uint64`` word per position holds a
@@ -118,7 +120,6 @@ def average_path_length_csr(
 
     Draws the same sources (same sorted pool, same ``rng.choice`` call) and
     accumulates the same integer sums, so the returned float is identical.
-    Sources are traversed :data:`_BLOCK` at a time by :func:`_block_distance_sum`.
     """
     rec = get_recorder()
     with rec.span("kernels.path_length", nodes=csr.num_nodes):
@@ -127,13 +128,9 @@ def average_path_length_csr(
             return float("nan")
         k = min(sample_size, int(members.size))
         sources = rng.choice(members, size=k, replace=False)
-        positions = csr.positions_of(sources)
-        total = 0
-        count = 0
-        for start in range(0, k, _BLOCK):
-            t, c = _block_distance_sum(csr, positions[start : start + _BLOCK])
-            total += t
-            count += c
+        hops = hop_counts_csr(csr, csr.positions_of(sources)).tolist()
+        total = sum(depth * pairs for depth, pairs in enumerate(hops, start=1))
+        count = sum(hops)
         if rec.enabled:
             rec.count("kernels.bfs_sources", k)
             rec.count("kernels.bfs_frontier_nodes", count)
@@ -142,14 +139,29 @@ def average_path_length_csr(
         return total / count
 
 
-def _block_distance_sum(csr: CSRGraph, sources: IntArray) -> tuple[int, int]:
-    """``(sum of hop distances, reached pairs)`` over BFSs from distinct ``sources``.
+def hop_counts_csr(csr: CSRGraph, sources: IntArray) -> IntArray:
+    """Entry ``d - 1``: the (source, node) pairs at hop distance ``d`` from distinct ``sources``.
+
+    Sources are traversed :data:`_BLOCK` at a time by :func:`_block_hop_counts`;
+    each source is excluded from its own counts, as in the reference.
+    """
+    counts: list[int] = []
+    for start in range(0, sources.size, _BLOCK):
+        block = _block_hop_counts(csr, sources[start : start + _BLOCK])
+        counts.extend([0] * (len(block) - len(counts)))
+        for depth, newly in enumerate(block):
+            counts[depth] += newly
+    return np.asarray(counts, dtype=np.int64)
+
+
+def _block_hop_counts(csr: CSRGraph, sources: IntArray) -> list[int]:
+    """Per-depth pair counts (depth 1 first) over BFSs from up to 64 ``sources``.
 
     Bit ``i`` of ``frontier[p]`` says that source ``i`` reached position
     ``p`` at the current depth, so one ``bitwise_or.reduceat`` over the
-    neighbor rows advances every source a level at once.  Only rows of
-    degree > 0 are reduced: ``reduceat`` misreads empty rows.  Each source
-    is excluded from its own sums, as in the reference.
+    neighbor rows advances every source a level at once, and a popcount of
+    the newly reached bits counts that level's pairs.  Only rows of
+    degree > 0 are reduced: ``reduceat`` misreads empty rows.
     """
     rows = np.flatnonzero(csr.degrees)
     starts = csr.indptr[rows]
@@ -157,20 +169,16 @@ def _block_distance_sum(csr: CSRGraph, sources: IntArray) -> tuple[int, int]:
     frontier[sources] = np.left_shift(np.uint64(1), np.arange(sources.size, dtype=np.uint64))
     visited = frontier.copy()
     reached = np.zeros_like(frontier)
-    total = 0
-    count = 0
-    depth = 0
+    counts: list[int] = []
     while True:
-        depth += 1
         reached[rows] = np.bitwise_or.reduceat(frontier[csr.indices], starts)
         reached &= ~visited
         newly = int(_POPCOUNT[reached.view(np.uint8)].sum())
         if newly == 0:
-            return total, count
+            return counts
         visited |= reached
         frontier, reached = reached, frontier
-        total += depth * newly
-        count += newly
+        counts.append(newly)
 
 
 def distance_to_set_csr(csr: CSRGraph, target_mask: BoolArray, allowed_mask: BoolArray) -> IntArray:

@@ -9,9 +9,9 @@ integer hop counts (the standard smoothed definition).
 
 Sources are drawn from the sorted largest-component pool, the convention
 of :mod:`repro.metrics.paths`, so the sample depends on the node set
-alone.  Each source's hop counts come from
-:func:`~repro.kernels.traversal.distance_to_set_csr` with the source as
-the only target: hop distance is symmetric.
+alone.  The hop counts come from the bit-parallel BFS the path-length
+kernel runs (:func:`~repro.kernels.traversal.hop_counts_csr`), 64 sources
+at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.csr import CSRGraph
-from repro.kernels.traversal import distance_to_set_csr, largest_component_csr
+from repro.kernels.traversal import hop_counts_csr, largest_component_csr
 from repro.util.rng import make_rng
 
 __all__ = ["effective_diameter_sampled"]
@@ -43,20 +43,10 @@ def effective_diameter_sampled(
         return float("nan")
     k = min(sample_size, members.size)
     sources = generator.choice(members, size=k, replace=False)
-    # Histogram of pairwise distances from the sampled sources.
-    n = graph.num_nodes
-    counts = np.zeros(n, dtype=np.int64)
-    one_hot = np.zeros(n, dtype=bool)
-    everywhere = np.ones(n, dtype=bool)
-    for source in graph.positions_of(sources).tolist():
-        one_hot[source] = True
-        distance = distance_to_set_csr(graph, one_hot, everywhere)
-        one_hot[source] = False
-        counts += np.bincount(distance[distance > 0], minlength=n)
-    # The component is connected and has two or more nodes, so every
-    # source reaches some node and ``counts`` has a nonzero entry.
-    max_d = int(np.flatnonzero(counts)[-1])
-    cumulative = np.cumsum(counts[1 : max_d + 1], dtype=np.int64)
+    # Pairs per hop distance (depth 1 first).  The component is connected
+    # and has two or more nodes, so every source reaches some node and the
+    # last entry is the largest distance reached.
+    cumulative = np.cumsum(hop_counts_csr(graph, graph.positions_of(sources)), dtype=np.int64)
     total = cumulative[-1]
     target = quantile * total
     # Smallest integer g with cumulative(g) >= target, interpolated.

@@ -1,4 +1,4 @@
-"""Parallel, checkpointed, cached execution of the metrics pipeline.
+"""Parallel, cached execution of the metrics pipeline.
 
 The paper evaluates four graph metrics over 771 daily snapshots (§2); at
 that scale a single-cursor replay is the bottleneck for every figure
@@ -8,8 +8,8 @@ driver.  This subpackage makes the same computation scale:
   description whose RNGs are derived per snapshot index, making results
   independent of which process evaluates which snapshot;
 * :mod:`~repro.runtime.parallel` — splits the snapshot timeline into
-  contiguous windows, resumes a replay checkpoint per window, and
-  evaluates windows in a process pool, bit-identical to serial;
+  contiguous windows, replays each window's stream prefix in a process
+  pool and evaluates its snapshots, bit-identical to serial;
 * :mod:`~repro.runtime.cache` — a content-addressed on-disk result cache
   keyed by stream content + spec + cadence;
 * :func:`~repro.runtime.api.compute_timeseries` — the front door that

@@ -1,27 +1,25 @@
-"""Windowed, checkpointed, process-parallel metric evaluation.
+"""Windowed, process-parallel metric evaluation.
 
 The snapshot timeline is split into ``workers`` contiguous windows.  A
-single cheap structural replay (no metric evaluation) records a
-:class:`~repro.graph.checkpoint.ReplayCheckpoint` at each window boundary;
-each worker process then resumes from its checkpoint's graph, replays only
-its slice of the stream, and evaluates the metric suite with per-snapshot RNGs
-(:meth:`~repro.runtime.spec.MetricSpec.build`).  Stitching the per-window
-rows back in grid order yields output bit-identical to a serial run.
-Every metric reads the :class:`~repro.kernels.csr.CSRGraph` the replay
-yields per snapshot.
+window is its event bounds and its snapshot times: each worker replays the
+stream prefix up to its last snapshot and evaluates the metric suite with
+per-snapshot RNGs (:meth:`~repro.runtime.spec.MetricSpec.build`).  A
+snapshot is a pure function of the stream prefix, so every worker's graph
+equals the serial replay's bit for bit, and stitching the per-window rows
+back in grid order yields output bit-identical to a serial run.  Every
+metric reads the :class:`~repro.kernels.csr.CSRGraph` the replay yields
+per snapshot.
 """
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any
 
 import numpy as np
 
-from repro.graph.checkpoint import ReplayCheckpoint
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import EventStream
 from repro.metrics.timeseries import MetricTimeseries
@@ -47,10 +45,10 @@ Row = tuple[int, float, list[float], list[float]]
 # boundary).
 WindowResult = tuple[list[Row], dict[str, Any] | None]
 
-# Worker-process globals.  Under fork they are set in the parent right
-# before the pool starts and inherited copy-on-write — the multi-megabyte
-# event stream is never pickled.  Under spawn they are installed per worker
-# by _init_worker (pickled once per process, not once per window).
+# Worker-process globals, installed once per process by the pool
+# initializer.  Under fork the initializer's arguments reach the child as
+# the forked process's own arguments, so the event stream is never
+# pickled; under spawn it is pickled once per process, not once per window.
 _WORKER_STREAM: EventStream | None = None
 _WORKER_SPEC: MetricSpec | None = None
 _WORKER_STORE: EventStore | None = None
@@ -68,7 +66,7 @@ def _init_store_worker(store_path: str, spec: MetricSpec, tracing: bool = False)
     """Install the store-backed worker state: a memmap handle, not a stream.
 
     Opening a store is O(chunks) stat calls; the event payload itself
-    stays on disk and each window materializes only its own chunk rows.
+    stays on disk and each window decodes only its own stream prefix.
     """
     global _WORKER_STORE, _WORKER_SPEC, _WORKER_TRACING
     _WORKER_STORE = EventStore(store_path)
@@ -80,17 +78,19 @@ def _evaluate_rows(
     replay: DynamicGraph,
     spec: MetricSpec,
     indexed_times: list[tuple[int, float]],
+    cursor: tuple[int, int] = (0, 0),
 ) -> list[Row]:
     """Advance ``replay`` through ``indexed_times`` and evaluate the suite.
 
     Empty snapshots are skipped (matching the serial driver); the RNG for
     each snapshot is keyed by its *grid* index, so skipping never shifts
-    downstream randomness.
+    downstream randomness.  ``cursor`` is where the previous window's
+    replay stopped, so ``replay.events`` counts only this window's events.
     """
     rec = get_recorder()
     rows: list[Row] = []
+    node_before, edge_before = cursor
     for index, time in indexed_times:
-        node_before, edge_before = replay.node_cursor, replay.edge_cursor
         stage_began = perf_counter()
         with rec.span("replay.advance", snapshot=index):
             view = replay.advance_to(time)
@@ -100,6 +100,7 @@ def _evaluate_rows(
                 (replay.node_cursor - node_before) + (replay.edge_cursor - edge_before),
             )
             rec.observe("replay.advance_seconds", perf_counter() - stage_began)
+        node_before, edge_before = replay.node_cursor, replay.edge_cursor
         if view.graph.num_nodes == 0:
             continue
         fns = spec.build(index)
@@ -139,46 +140,58 @@ def _traced_rows(lane: int, evaluate: Callable[[], list[Row]]) -> WindowResult:
     return rows, recorder.shard()
 
 
-# Window payload: the lane, the checkpoint at window entry, this window's
-# half-open event-index ranges [node_lo, node_hi) / [edge_lo, edge_hi) and
-# its snapshot times.
-Window = tuple[
-    int,
-    ReplayCheckpoint,
-    tuple[int, int],
-    tuple[int, int],
-    list[tuple[int, float]],
-]
+# Window payload: the lane, this window's half-open event-index ranges
+# [node_lo, node_hi) / [edge_lo, edge_hi) and its snapshot times.
+Window = tuple[int, tuple[int, int], tuple[int, int], list[tuple[int, float]]]
 
 
 def _run_window(payload: Window) -> WindowResult:
-    """Evaluate one window from its entry checkpoint and its own event rows.
+    """Evaluate one window by replaying the stream prefix up to its end.
 
-    The worker reads only the window's rows — from the inherited stream,
-    or from its own chunks when store-backed — and replays them on top of
-    the checkpoint's graph, with the cursors rebased to the window: the
-    events it skips are exactly the events the checkpoint graph already
-    contains, so every metric value is bit-identical to a serial run.
+    The worker reads rows ``[0, node_hi)`` / ``[0, edge_hi)`` — from the
+    stream its initializer installed, or from the store's chunks when
+    store-backed — so every snapshot it builds is the serial replay's.
     """
-    lane, checkpoint, (node_lo, node_hi), (edge_lo, edge_hi), indexed_times = payload
+    lane, (node_lo, node_hi), (edge_lo, edge_hi), indexed_times = payload
     assert _WORKER_SPEC is not None
     spec = _WORKER_SPEC
 
     def evaluate() -> list[Row]:
-        if _WORKER_STORE is not None:
-            rows = _WORKER_STORE.slice_events(node_lo, node_hi, edge_lo, edge_hi)
-        else:
-            assert _WORKER_STREAM is not None
-            rows = EventStream(
-                nodes=_WORKER_STREAM.nodes[node_lo:node_hi],
-                edges=_WORKER_STREAM.edges[edge_lo:edge_hi],
-            )
-        entry = ReplayCheckpoint(
-            time=checkpoint.time, node_index=0, edge_index=0, csr=checkpoint.csr
-        )
-        return _evaluate_rows(DynamicGraph.from_checkpoint(rows, entry), spec, indexed_times)
+        replay = DynamicGraph(_prefix(node_hi, edge_hi))
+        return _evaluate_rows(replay, spec, indexed_times, (node_lo, edge_lo))
 
     return _traced_rows(lane, evaluate)
+
+
+def _prefix(node_hi: int, edge_hi: int) -> EventStream:
+    """The worker's first ``node_hi`` node and ``edge_hi`` edge events."""
+    if _WORKER_STORE is not None:
+        return _WORKER_STORE.slice_events(0, node_hi, 0, edge_hi)
+    assert _WORKER_STREAM is not None
+    return EventStream(nodes=_WORKER_STREAM.nodes[:node_hi], edges=_WORKER_STREAM.edges[:edge_hi])
+
+
+def _windows(
+    stream: EventStream, indexed: list[tuple[int, float]], workers: int
+) -> list[Window]:
+    """Split the grid into weight-balanced windows with their event bounds.
+
+    A window's events end at its last snapshot time, so its bounds are two
+    ``searchsorted`` calls; no replay runs in the parent.
+    """
+    chunks = _partition(_window_weights(stream, [t for _, t in indexed]), workers)
+    ends = [indexed[chunk[-1]][1] for chunk in chunks]
+    node_at = [0, *np.searchsorted(stream.nodes.time, ends, side="right").tolist()]
+    edge_at = [0, *np.searchsorted(stream.edges.time, ends, side="right").tolist()]
+    return [
+        (
+            lane,
+            (node_at[lane - 1], node_at[lane]),
+            (edge_at[lane - 1], edge_at[lane]),
+            [indexed[i] for i in chunk],
+        )
+        for lane, chunk in enumerate(chunks, start=1)
+    ]
 
 
 def _window_weights(stream: EventStream, times: list[float]) -> list[float]:
@@ -221,21 +234,16 @@ def _partition(weights: list[float], parts: int) -> list[list[int]]:
     return chunks
 
 
-def _mp_context() -> multiprocessing.context.BaseContext:
-    # fork shares the parent's pages (fast start, no re-import); fall back
-    # to spawn where fork is unavailable.
+def mp_context() -> multiprocessing.context.BaseContext:
+    """The start-method policy every pool in the tree uses.
+
+    fork shares the parent's pages (fast start, no re-import); spawn is
+    the fallback where fork is unavailable.  Sibling subsystems that run
+    their own pools (``repro.serve``'s shard workers) call this instead
+    of re-deciding fork-vs-spawn.
+    """
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     return multiprocessing.get_context(method)
-
-
-def mp_context() -> multiprocessing.context.BaseContext:
-    """The runtime's start-method policy, as a public seam.
-
-    Sibling subsystems that run their own pools (``repro.serve``'s shard
-    workers) call this instead of re-deciding fork-vs-spawn, so one
-    policy governs every pool in the tree.
-    """
-    return _mp_context()
 
 
 def evaluate_timeseries(
@@ -304,72 +312,28 @@ def _evaluate_parallel(
 ) -> tuple[list[Row], list[dict[str, Any]]]:
     rec = get_recorder()
     tracing = rec.enabled
-    chunks = _partition(_window_weights(stream, [t for _, t in indexed]), workers)
-    # One structural replay to place a checkpoint at each window boundary.
-    # It builds one CSR per window and runs no metric, so it is cheap
-    # relative to the metric evaluation it unlocks.  The replay also yields
-    # each window's event-index range, which is all a worker needs to pull
-    # its rows out of the stream or the store.
-    payloads: list[Window] = []
-    with rec.span("replay.checkpoints", windows=len(chunks)):
-        replay = DynamicGraph(stream)
-        for lane0, chunk in enumerate(chunks):
-            lane = 1 + lane0
-            checkpoint = replay.checkpoint()
-            replay.advance_to(indexed[chunk[-1]][1])
-            payloads.append(
-                (
-                    lane,
-                    checkpoint,
-                    (checkpoint.node_index, replay.node_cursor),
-                    (checkpoint.edge_index, replay.edge_cursor),
-                    [indexed[i] for i in chunk],
-                )
-            )
-    context = _mp_context()
-    pool_kwargs: dict[str, Any] = {}
-    handoff: contextlib.AbstractContextManager[None] = contextlib.nullcontext()
+    payloads = _windows(stream, indexed, workers)
+    pool_kwargs: dict[str, Any]
     if store is not None:
         # The store path is tiny and the chunk pages are shared through the
-        # page cache, so both fork and spawn use the same initializer.
+        # page cache, so workers decode their prefix rather than receive it.
         pool_kwargs = {
             "initializer": _init_store_worker,
             "initargs": (str(store.path), spec, tracing),
         }
-    elif context.get_start_method() == "fork":
-        handoff = _inherited_globals(stream, spec, tracing)
     else:
         pool_kwargs = {"initializer": _init_worker, "initargs": (stream, spec, tracing)}
     rows: list[Row] = []
     detail: list[dict[str, Any]] = []
     shards: list[dict[str, Any]] = []
     with rec.span("runtime.pool", windows=len(payloads)):
-        with handoff:
-            with ProcessPoolExecutor(
-                max_workers=len(payloads), mp_context=context, **pool_kwargs
-            ) as pool:
-                for lane0, (window_rows, shard) in enumerate(pool.map(_run_window, payloads)):
-                    rows.extend(window_rows)
-                    detail.append(_worker_stat(1 + lane0, f"worker-{1 + lane0}", window_rows))
-                    if shard is not None:
-                        shards.append(shard)
+        with ProcessPoolExecutor(
+            max_workers=len(payloads), mp_context=mp_context(), **pool_kwargs
+        ) as pool:
+            for lane0, (window_rows, shard) in enumerate(pool.map(_run_window, payloads)):
+                rows.extend(window_rows)
+                detail.append(_worker_stat(1 + lane0, f"worker-{1 + lane0}", window_rows))
+                if shard is not None:
+                    shards.append(shard)
     attach_shards(rec, shards)
     return rows, detail
-
-
-@contextlib.contextmanager
-def _inherited_globals(
-    stream: EventStream, spec: MetricSpec, tracing: bool
-) -> Iterator[None]:
-    """Expose the stream/spec to fork-children via the parent's module state.
-
-    Workers are forked lazily on first submit, inside this scope, so they
-    inherit the globals; the parent restores its state on exit.
-    """
-    global _WORKER_STREAM, _WORKER_SPEC, _WORKER_TRACING
-    previous = (_WORKER_STREAM, _WORKER_SPEC, _WORKER_TRACING)
-    _WORKER_STREAM, _WORKER_SPEC, _WORKER_TRACING = stream, spec, tracing
-    try:
-        yield
-    finally:
-        _WORKER_STREAM, _WORKER_SPEC, _WORKER_TRACING = previous

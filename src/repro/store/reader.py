@@ -351,8 +351,8 @@ class EventStore:
         """Copy events by global index range into an :class:`EventStream`.
 
         This is what parallel replay workers use: each worker pulls only
-        the chunk rows of its own window instead of receiving a pickled
-        copy of the whole stream.
+        the chunk rows of its own stream prefix instead of receiving a
+        pickled copy of the whole stream.
         """
         rec = get_recorder()
         with rec.span(

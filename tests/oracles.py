@@ -230,6 +230,15 @@ class DictReplay:
         self.node_cursor, self.edge_cursor = node_hi, edge_hi
 
 
+def stream_prefix(stream: EventStream, time: float) -> EventStream:
+    """The events with ``event.time <= time``: what a parallel window ending there replays."""
+    nodes, edges = stream.nodes, stream.edges
+    return EventStream(
+        nodes=nodes[: int(np.searchsorted(nodes.time, time, side="right"))],
+        edges=edges[: int(np.searchsorted(edges.time, time, side="right"))],
+    )
+
+
 def dict_replay(stream: EventStream, time: float = float("inf")) -> GraphSnapshot:
     """The dict-of-sets graph after every event with ``time <= time``."""
     replay = DictReplay(stream)
@@ -252,11 +261,13 @@ def csr_of(edges, nodes=()) -> CSRGraph:
 
 
 def assert_same_csr(got: CSRGraph, want: CSRGraph) -> None:
-    """Equal node order, rows and edge count."""
+    """Equal node order, rows and edge count, and arrivals when both carry them."""
     assert np.array_equal(got.node_ids, want.node_ids)
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert got.num_edges == want.num_edges
+    if got.arrival is not None and want.arrival is not None:
+        assert np.array_equal(got.arrival, want.arrival)
 
 
 def connected_components_reference(graph: GraphSnapshot) -> list[set[int]]:

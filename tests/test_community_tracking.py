@@ -15,10 +15,14 @@ from repro.community.tracking import (
 )
 from repro.gen import generate_trace
 from repro.gen.config import presets
-from repro.graph.checkpoint import ReplayCheckpoint
 from repro.graph.dynamic import DynamicGraph
-from repro.graph.events import EventStream
-from tests.oracles import DictReplay, csr_of, dict_replay, partition_communities
+from tests.oracles import (
+    DictReplay,
+    csr_of,
+    dict_replay,
+    partition_communities,
+    stream_prefix,
+)
 
 
 def clique(base: int, size: int) -> list[tuple[int, int]]:
@@ -268,25 +272,20 @@ def test_neighbor_sets_iterate_like_the_copied_graph(seed):
 
 @pytest.mark.parametrize("seed", [14, 25])
 def test_neighbor_sets_keep_arrival_order_after_resume(seed):
-    """A replay resumed from a mid-stream checkpoint keeps the inherited arrivals.
+    """A window over only its stream prefix lists neighbors as the serial replay does.
 
-    Resumed both over the whole stream and, as a parallel worker does, over
-    only the window's columns with the cursors rebased to zero.
+    The window covers 80-90% of the trace, as a parallel worker's might; at
+    each of its snapshots the neighbor sets iterate as the serial replay's
+    and the dict graph's do.
     """
     stream = generate_trace(presets.tiny_merge(), seed=seed)
-    first = DynamicGraph(stream)
-    first.advance_to(0.8 * stream.end_time)
-    entry = first.checkpoint()
-    window = EventStream(
-        nodes=stream.nodes[entry.node_index :], edges=stream.edges[entry.edge_index :]
-    )
-    rebased = ReplayCheckpoint(time=entry.time, node_index=0, edge_index=0, csr=entry.csr)
+    times = (0.8 * stream.end_time, 0.9 * stream.end_time)
+    serial, window = DynamicGraph(stream), DynamicGraph(stream_prefix(stream, times[-1]))
     oracle = DictReplay(stream)
-    oracle.advance_to(stream.end_time)
-    for resumed in (
-        DynamicGraph.from_checkpoint(stream, entry),
-        DynamicGraph.from_checkpoint(window, rebased),
-    ):
-        graph = resumed.final()
+    for time in times:
+        want, got = serial.advance_to(time).graph, window.advance_to(time).graph
+        oracle.advance_to(time)
         for node, neighbors in oracle.graph.adjacency.items():
-            assert list(_neighbor_set(graph, node)) == list(set(neighbors)), node
+            expected = list(set(neighbors))
+            assert list(_neighbor_set(want, node)) == expected, node
+            assert list(_neighbor_set(got, node)) == expected, node

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gen.pools import BucketPools, GrowingArray, SortedKeySet, pack_edge_keys
+from repro.gen.pools import BucketPools, GrowingArray, HashKeySet, pack_edge_keys
 from repro.util.rng import make_rng
 
 
@@ -87,13 +87,14 @@ def test_bucket_pools_compaction_keeps_contents():
 
 
 def test_sorted_key_set_matches_python_set():
+    # HashKeySet, the generator's edge-key set; keys are nonzero and unique.
     rng = make_rng(11)
-    keys = rng.choice(100_000, size=5000, replace=False).astype(np.int64)
-    sks = SortedKeySet(merge_min=64)
+    keys = 1 + rng.choice(100_000, size=5000, replace=False).astype(np.int64)
+    sks = HashKeySet(capacity=64)  # small, so the table grows several times
     members: set[int] = set()
     for start in range(0, len(keys), 333):
         batch = keys[start : start + 333]
-        probe = rng.integers(0, 100_000, size=500).astype(np.int64)
+        probe = rng.integers(1, 100_001, size=500).astype(np.int64)
         want = np.array([int(k) in members for k in probe.tolist()])
         assert np.array_equal(sks.contains(probe), want)
         sks.add(batch)
@@ -103,7 +104,7 @@ def test_sorted_key_set_matches_python_set():
 
 
 def test_sorted_key_set_empty():
-    sks = SortedKeySet()
+    sks = HashKeySet()
     assert not sks.contains(np.array([1, 2, 3], dtype=np.int64)).any()
     assert len(sks) == 0
 

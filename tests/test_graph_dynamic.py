@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from repro.gen import generate_trace
 from repro.gen.config import presets
-from repro.graph.checkpoint import ReplayCheckpoint
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import EventStream
 from repro.runtime.parallel import evaluate_timeseries
 from repro.runtime.spec import MetricSpec
-from tests.oracles import DictReplay, assert_same_csr, from_snapshot
+from tests.oracles import DictReplay, assert_same_csr, from_snapshot, stream_prefix
 
 
 def make_stream() -> EventStream:
@@ -133,15 +132,17 @@ def streams(draw) -> EventStream:
     resume_at=st.integers(0, 5),
 )
 def test_prefix_builder_matches_dict_replay(stream, times, resume_at):
-    """Every view equals the dict replay's, errors included, fresh or resumed.
+    """Every view equals the dict replay's, errors included, fresh or windowed.
 
-    After the advance at ``resume_at`` a second replay resumes from that
-    view's graph plus only the columns past its cursor, as a parallel
-    window does, and must agree from then on.
+    From the advance at ``resume_at`` on, a second replay over only the
+    stream prefix up to the last time joins in, as a parallel window does,
+    and must agree from then on.
     """
     oracle = DictReplay(stream)
     replays = [DynamicGraph(stream)]
     for step, time in enumerate(times):
+        if step == resume_at:
+            replays.append(DynamicGraph(stream_prefix(stream, times[-1])))
         try:
             oracle.advance_to(time)
         except (KeyError, ValueError) as exc:
@@ -150,15 +151,27 @@ def test_prefix_builder_matches_dict_replay(stream, times, resume_at):
                     replay.advance_to(time)
                 assert raised.value.args == exc.args
             return
-        for replay in replays:
-            view = replay.advance_to(time)
-            assert_same_csr(view.graph, from_snapshot(oracle.graph))
-        if step == resume_at:
-            window = EventStream(
-                nodes=stream.nodes[oracle.node_cursor :], edges=stream.edges[oracle.edge_cursor :]
-            )
-            entry = ReplayCheckpoint(time=time, node_index=0, edge_index=0, csr=view.graph)
-            replays.append(DynamicGraph.from_checkpoint(window, entry))
+        views = [replay.advance_to(time).graph for replay in replays]
+        for view in views:
+            assert_same_csr(view, from_snapshot(oracle.graph))
+        assert_same_csr(views[-1], views[0])  # the arrivals too
+
+
+class TestMaterialize:
+    def test_retained_view_no_longer_mutates_under_replay(self):
+        """Regression: views used to alias the replayer's live graph.
+
+        A view now holds an immutable CSR, so retaining one needs no copy.
+        """
+        replay = DynamicGraph(make_stream())
+        view = replay.advance_to(2.0)
+        nodes_then = view.graph.num_nodes
+        edges_then = view.graph.num_edges
+        final = replay.final()
+        assert final.num_nodes > nodes_then
+        assert view.graph.num_nodes == nodes_then
+        assert view.graph.num_edges == edges_then
+        assert 4 not in view.graph.node_ids
 
 
 class TestReplayErrors:
@@ -184,18 +197,18 @@ class TestReplayErrors:
 
 # -- generated replays vs the per-event dict replay --------------------------
 #
-# 2 trace shapes x 5 seeds x 3 checkpoint positions = 30 replays.  Case
-# ``c{n}`` checkpoints at the first snapshot holding at least n edges: 8
-# is the first few windows, 64 a little later, 4096 late in the merge
-# traces and the middle window of the plain ones, which never reach it.
+# 2 trace shapes x 5 seeds x 3 window starts = 30 replays.  Case ``c{n}``
+# starts a window at the first snapshot holding at least n edges: 8 is the
+# first few windows, 64 a little later, 4096 late in the merge traces and
+# the middle window of the plain ones, which never reach it.
 
-_CHECKPOINT_EDGES = (8, 64, 4096)
+_WINDOW_EDGES = (8, 64, 4096)
 _SEEDS = (0, 1, 2, 3, 4)
 CASES = [
     (kind, seed, edges)
     for kind in ("tiny", "tiny_merge")
     for seed in _SEEDS
-    for edges in _CHECKPOINT_EDGES
+    for edges in _WINDOW_EDGES
 ]
 CASE_IDS = [f"{kind}-s{seed}-c{edges}" for kind, seed, edges in CASES]
 
@@ -215,9 +228,10 @@ def _stream(kind: str, seed: int) -> EventStream:
 def test_replay_csr_matches_batch_build(kind: str, seed: int, edges: int) -> None:
     """The replay's CSR == dict replay + from_snapshot.
 
-    Checked on a fresh replay at every snapshot, and on a window resumed
-    from the checkpoint at step ``c`` with only the window's own columns,
-    as a parallel worker runs it.
+    Checked on a fresh replay at every snapshot, and on a window that starts
+    at step ``c``, ends halfway to the last snapshot and replays only the
+    stream prefix up to its end, as a parallel worker runs it: every field
+    equals the fresh replay's, ``arrival`` included.
     """
     stream = _stream(kind, seed)
     replay, oracle = DynamicGraph(stream), DictReplay(stream)
@@ -225,22 +239,21 @@ def test_replay_csr_matches_batch_build(kind: str, seed: int, edges: int) -> Non
     for view in replay.snapshots(interval=_INTERVALS[kind]):
         oracle.advance_to(view.time)
         assert_same_csr(view.graph, from_snapshot(oracle.graph))
-        views.append((view, oracle.node_cursor, oracle.edge_cursor))
+        views.append(view)
     step = next(
-        (i for i, (view, _, _) in enumerate(views) if view.graph.num_edges >= edges),
-        len(views) // 2,
+        (i for i, view in enumerate(views) if view.graph.num_edges >= edges), len(views) // 2
     )
-    entry, node_lo, edge_lo = views[step]
-    window = EventStream(nodes=stream.nodes[node_lo:], edges=stream.edges[edge_lo:])
-    checkpoint = ReplayCheckpoint(time=entry.time, node_index=0, edge_index=0, csr=entry.graph)
-    resumed = DynamicGraph.from_checkpoint(window, checkpoint)
-    for view, _, _ in views[step + 1 :]:
-        assert_same_csr(resumed.advance_to(view.time).graph, view.graph)
+    window = views[step : (step + len(views)) // 2 + 1]
+    windowed = DynamicGraph(stream_prefix(stream, window[-1].time))
+    for view in window:
+        got = windowed.advance_to(view.time).graph
+        assert got.arrival is not None
+        assert_same_csr(got, view.graph)
 
 
 @pytest.mark.parametrize("kind", ["tiny", "tiny_merge"])
 def test_timeseries_serial_matches_workers(kind: str) -> None:
-    """A serial timeseries == the same one over two checkpointed windows."""
+    """A serial timeseries == the same one over two windows."""
     stream = _stream(kind, 0)
     spec = MetricSpec(path_sample=60, clustering_sample=80, seed=3)
     serial = evaluate_timeseries(stream, spec, interval=_INTERVALS[kind])

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import AnalysisContext, fig4
+from repro.analysis import AnalysisContext
 from repro.analysis.fig4 import DELTA_SWEEP
 from repro.community.tracking import CommunityTracker, track_deltas, track_stream
 from repro.gen import generate_trace
@@ -365,7 +365,7 @@ def _digests(monkeypatch, seed):
         patch.setattr(community_louvain, "louvain_csr", recording)
         ctx = AnalysisContext(FIGURES, seed=seed, workers=1, cache_dir=None)
         _ = ctx.tracker
-        fig4._sweep(ctx)
+        _ = ctx.delta_sweep
     return {
         delta: hashlib.sha256("\n".join(lines).encode()).hexdigest()
         for delta, lines in calls.items()

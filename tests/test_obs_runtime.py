@@ -85,6 +85,23 @@ class TestTraceCoverage:
             assert "replay.advance" in names
             assert lane["gauges"]["worker.peak_rss_bytes"] > 0
 
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_window_replay_events_sum_to_the_serial_count(self, tiny_stream, tmp_path, workers):
+        # A window replays its whole prefix but counts only its own events.
+        from repro.store.convert import write_store
+        from repro.store.reader import EventStore
+
+        write_store(tiny_stream, tmp_path / "t.store")
+        store = EventStore(tmp_path / "t.store")
+        _, serial = traced_run(tiny_stream)
+        want = serial["lanes"][0]["counters"]["replay.events"]
+        assert want == len(tiny_stream.nodes) + len(tiny_stream.edges)
+        for backing in (None, store):
+            _, payload = traced_run(tiny_stream, workers=workers, store=backing)
+            lanes = [lane for lane in payload["lanes"] if lane["lane"] > 0]
+            assert len(lanes) == workers
+            assert sum(lane["counters"]["replay.events"] for lane in lanes) == want
+
     def test_store_and_cache_spans_recorded(self, tiny_stream, tmp_path):
         from repro.store.convert import write_store
         from repro.store.reader import EventStore

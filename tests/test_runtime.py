@@ -5,6 +5,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from repro.graph.dynamic import DynamicGraph
 from repro.runtime import (
     MetricSpec,
     ResultCache,
@@ -14,6 +15,9 @@ from repro.runtime import (
     stream_digest,
 )
 from repro.runtime.cache import decode_series, encode_series, series_key
+from repro.store.convert import write_store
+from repro.store.reader import EventStore
+from tests.oracles import assert_same_csr
 
 # Small sampling knobs keep each evaluation fast; the suite runs several.
 SPEC = MetricSpec(path_sample=20, clustering_sample=60, seed=3)
@@ -57,8 +61,6 @@ class TestMetricSpec:
 
 class TestSnapshotTimes:
     def test_matches_serial_snapshot_iterator(self, tiny_stream):
-        from repro.graph.dynamic import DynamicGraph
-
         grid = snapshot_times(tiny_stream.end_time, 7.0)
         serial = [v.time for v in DynamicGraph(tiny_stream).snapshots(interval=7.0)]
         assert grid == serial
@@ -98,7 +100,7 @@ class TestStartMethodContract:
 
         methods = multiprocessing.get_all_start_methods()
         expected = "fork" if "fork" in methods else "spawn"
-        assert parallel._mp_context().get_start_method() == expected
+        assert parallel.mp_context().get_start_method() == expected
 
     def test_spawn_fallback_when_fork_unavailable(self, monkeypatch):
         # On platforms without fork (Windows, macOS defaults) the runtime
@@ -108,7 +110,7 @@ class TestStartMethodContract:
         monkeypatch.setattr(
             parallel.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
-        assert parallel._mp_context().get_start_method() == "spawn"
+        assert parallel.mp_context().get_start_method() == "spawn"
 
     def test_spawn_pool_matches_serial(self, tiny_stream, monkeypatch):
         # Under spawn everything crosses the boundary by pickle (the
@@ -117,11 +119,74 @@ class TestStartMethodContract:
         from repro.runtime import parallel
 
         monkeypatch.setattr(
-            parallel, "_mp_context", lambda: multiprocessing.get_context("spawn")
+            parallel, "mp_context", lambda: multiprocessing.get_context("spawn")
         )
         serial = evaluate_timeseries(tiny_stream, SPEC, interval=INTERVAL, workers=1)
         spawned = evaluate_timeseries(tiny_stream, SPEC, interval=INTERVAL, workers=2)
         assert_series_identical(serial, spawned)
+
+
+class TestPrefixWindows:
+    """Each window replays the stream prefix up to its last snapshot (docs/runtime.md)."""
+
+    @pytest.fixture
+    def store_path(self, tiny_stream, tmp_path):
+        write_store(tiny_stream, tmp_path / "t.store")
+        return tmp_path / "t.store"
+
+    @pytest.mark.parametrize("backing", ["stream", "store"])
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_window_snapshots_match_the_serial_replay(
+        self, tiny_stream, store_path, backing, workers, monkeypatch
+    ):
+        # Every field of every snapshot, arrival included, and the windows
+        # tile the grid and the event columns without gaps.
+        from repro.runtime import parallel
+
+        for name in ("_WORKER_STREAM", "_WORKER_STORE", "_WORKER_SPEC"):
+            monkeypatch.setattr(parallel, name, None)
+        if backing == "store":
+            parallel._init_store_worker(str(store_path), SPEC)
+        else:
+            parallel._init_worker(tiny_stream, SPEC)
+        indexed = list(enumerate(snapshot_times(tiny_stream.end_time, INTERVAL)))
+        windows = parallel._windows(tiny_stream, indexed, workers)
+        assert len(windows) == workers
+        assert [pair for *_, times in windows for pair in times] == indexed
+        serial = DynamicGraph(tiny_stream)
+        cursor = (0, 0)
+        for (node_lo, node_hi), (edge_lo, edge_hi) in (w[1:3] for w in windows):
+            assert (node_lo, edge_lo) == cursor
+            cursor = (node_hi, edge_hi)
+        for _, (_, node_hi), (_, edge_hi), times in windows:
+            replay = DynamicGraph(parallel._prefix(node_hi, edge_hi))
+            for _, time in times:
+                want, got = serial.advance_to(time).graph, replay.advance_to(time).graph
+                assert (got.arrival is None) == (want.arrival is None)
+                assert_same_csr(got, want)
+            assert (replay.node_cursor, replay.edge_cursor) == (node_hi, edge_hi)
+            assert (serial.node_cursor, serial.edge_cursor) == (node_hi, edge_hi)
+        assert cursor == (len(tiny_stream.nodes), len(tiny_stream.edges))
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    @pytest.mark.parametrize("backing", ["stream", "store"])
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_parallel_repr_equals_serial(
+        self, tiny_stream, store_path, method, backing, workers, monkeypatch
+    ):
+        from repro.runtime import parallel
+
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        monkeypatch.setattr(parallel, "mp_context", lambda: multiprocessing.get_context(method))
+        store = EventStore(store_path) if backing == "store" else None
+        serial = evaluate_timeseries(tiny_stream, SPEC, interval=INTERVAL)
+        parallel_run = evaluate_timeseries(
+            tiny_stream, SPEC, interval=INTERVAL, workers=workers, store=store
+        )
+        assert repr((parallel_run.times, parallel_run.values)) == repr(
+            (serial.times, serial.values)
+        )
 
 
 class TestResultCache:
