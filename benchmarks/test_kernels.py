@@ -40,8 +40,8 @@ from tests.oracles import (
 from repro.community.louvain import louvain
 from repro.gen import generate_trace
 from repro.gen.config import presets
-from repro.graph.components import connected_components
 from repro.graph.events import EventStream
+from repro.kernels.traversal import connected_components_csr
 from repro.metrics.assortativity import degree_assortativity
 from repro.metrics.clustering import average_clustering
 from repro.metrics.paths import average_path_length_sampled
@@ -82,7 +82,7 @@ def _kernel_suite(path_sample: int, clustering_sample: int):
         "assortativity": (degree_assortativity_reference, degree_assortativity),
         "connected_components": (
             lambda g: float(len(connected_components_reference(g))),
-            lambda csr: float(len(connected_components(csr))),
+            lambda csr: float(len(connected_components_csr(csr))),
         ),
         "louvain": (
             lambda g: louvain_reference(g, delta=0.04, seed=7).modularity,

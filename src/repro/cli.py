@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--seed", type=int, default=0)
     metrics.add_argument(
         "--json", action="store_true",
-        help="emit times/values (and the profile, with --profile) as JSON",
+        help="emit times/values as JSON",
     )
     _add_runtime_args(metrics)
     _add_profile_arg(metrics)
@@ -251,7 +251,7 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
 def _add_profile_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile", action="store_true",
-        help="print per-metric wall-time, per-worker attribution, and cache hit/miss counts",
+        help="print the run's span, counter and per-worker lane tables to stderr",
     )
 
 
@@ -263,32 +263,20 @@ def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _emit_profile(profile: dict | None) -> None:
-    """Print the runtime profile table (diagnostics go to stderr, not stdout)."""
-    if profile is None:
-        print(
-            "profile: unavailable (metrics were not evaluated via the runtime)",
-            file=sys.stderr,
-        )
-        return
-    from repro.obs import render_profile
-
-    print(render_profile(profile))
-
-
 @contextlib.contextmanager
-def _traced(path: str | None) -> Iterator[None]:
-    """Record a trace of the enclosed command when ``path`` is given.
+def _traced(path: str | None, profile: bool = False) -> Iterator[None]:
+    """Record a trace of the enclosed command for ``--trace`` and ``--profile``.
 
-    Installs a lane-0 ``main`` recorder for the command's duration, then
-    writes the merged payload (parent lane plus any worker shards attached
-    by the runtime) to ``path``.  The write-confirmation note goes to
-    stderr so machine-readable stdout (``--json``) stays clean.
+    Installs a lane-0 ``main`` recorder for the command's duration.  At the
+    end the merged payload (parent lane plus any worker shards attached by
+    the runtime) is written to ``path`` when one is given, and with
+    ``profile`` its :func:`~repro.obs.render_trace` table is printed.  Both
+    notes go to stderr so stdout (``--json``, figure output) is unchanged.
     """
-    if path is None:
+    if path is None and not profile:
         yield
         return
-    from repro.obs import TraceRecorder, peak_rss_bytes, use_recorder, write_trace
+    from repro.obs import TraceRecorder, peak_rss_bytes, render_trace, use_recorder, write_trace
 
     recorder = TraceRecorder(lane=0, label="main")
     with use_recorder(recorder):
@@ -296,8 +284,12 @@ def _traced(path: str | None) -> Iterator[None]:
             yield
         finally:
             recorder.gauge("worker.peak_rss_bytes", peak_rss_bytes())
-            fmt = write_trace(recorder.to_payload(), path)
-            print(f"trace: wrote {fmt} trace to {path}", file=sys.stderr)
+            payload = recorder.to_payload()
+            if path is not None:
+                fmt = write_trace(payload, path)
+                print(f"trace: wrote {fmt} trace to {path}", file=sys.stderr)
+            if profile:
+                print(render_trace(payload), file=sys.stderr)
 
 
 def _resolve_cache_dir(args: argparse.Namespace):
@@ -385,7 +377,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         clustering_sample=args.clustering_sample,
         seed=args.seed,
     )
-    with _traced(args.trace_out):
+    with _traced(args.trace_out, args.profile):
         stream = _load_events(args.trace)
         series = compute_timeseries(
             stream,
@@ -397,10 +389,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if args.json:
         import json
 
-        payload: dict = {"times": series.times, "values": series.values}
-        if args.profile:
-            payload["profile"] = series.profile
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"times": series.times, "values": series.values}, indent=2))
         return 0
     names = list(series.values)
     header = "day".rjust(8) + "".join(name.rjust(22) for name in names)
@@ -410,8 +399,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         for name in names:
             row += f"{series.values[name][i]:22.4f}"
         print(row)
-    if args.profile:
-        _emit_profile(series.profile)
     return 0
 
 
@@ -510,7 +497,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     )
     targets = list_experiments() if args.experiment == "all" else [args.experiment]
     status = 0
-    with _traced(args.trace_out):
+    with _traced(args.trace_out, args.profile):
         for experiment in targets:
             try:
                 run_experiment(experiment, ctx).print_summary()
@@ -520,8 +507,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 print(f"[{experiment}] skipped: {exc}")
                 status = 0
-        if args.profile:
-            _emit_profile(ctx.metrics.profile)
     return status
 
 

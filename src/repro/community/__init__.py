@@ -14,7 +14,6 @@ Pipeline:
    merge-prediction classifier (Figure 6b).
 """
 
-from repro.community.export import read_tracking_json, tracker_to_dict, write_tracking_json
 from repro.community.louvain import LouvainResult, louvain
 from repro.community.stats import (
     community_lifetimes,
@@ -40,7 +39,4 @@ __all__ = [
     "community_size_distribution",
     "community_lifetimes",
     "top_k_coverage",
-    "read_tracking_json",
-    "tracker_to_dict",
-    "write_tracking_json",
 ]

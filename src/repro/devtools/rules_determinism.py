@@ -46,8 +46,8 @@ DETERMINISM_PACKAGES = frozenset(
 
 #: Packages that must be pure functions of their inputs (RPL004): the
 #: determinism set plus every other analysis-side library layer.  The
-#: runtime is included — its profile timings come from the observability
-#: layer's clock, never from a direct stdlib read.
+#: runtime is included — its span and histogram timings come from the
+#: observability layer's clock, never from a direct stdlib read.
 PURE_PACKAGES = DETERMINISM_PACKAGES | frozenset(
     {"edges", "pa", "osnmerge", "util", "gen", "ml"}
 )

@@ -11,13 +11,10 @@ creations and edge creations — from which daily static snapshots are derived
   columns that yields each snapshot as an immutable
   :class:`~repro.kernels.csr.CSRGraph`, the one graph representation the
   analyses read;
-* :mod:`~repro.graph.components` — connected components over a
-  :class:`~repro.kernels.csr.CSRGraph`;
 * :mod:`~repro.graph.nullmodel` — the degree-preserving rewired copy of
   a :class:`~repro.kernels.csr.CSRGraph`.
 """
 
-from repro.graph.components import connected_components, largest_component
 from repro.graph.dynamic import DynamicGraph, SnapshotView
 from repro.graph.events import EdgeColumns, EventStream, NodeColumns
 from repro.graph.nullmodel import degree_preserving_rewire
@@ -35,8 +32,6 @@ __all__ = [
     "EventStream",
     "DynamicGraph",
     "SnapshotView",
-    "connected_components",
-    "largest_component",
     "read_event_stream",
     "write_event_stream",
 ]

@@ -19,17 +19,15 @@ __all__ = ["MetricTimeseries"]
 class MetricTimeseries:
     """Sampled times and one value series per metric name.
 
-    ``profile`` is optional run metadata attached by the runtime layer
-    (worker count, per-metric wall-clock seconds per snapshot, cache
-    hit/miss counts, and a ``worker_detail`` list attributing snapshots,
-    busy seconds, and cache traffic to each worker lane — lane 0 is the
-    parent/serial process).  It describes how the numbers were produced,
-    never what they are, so it is excluded from equality.
+    ``cached`` is true when the runtime read the series from its result
+    cache instead of evaluating it.  It describes how the numbers were
+    produced, never what they are, so it is excluded from equality.  Run
+    timings live in the trace (:mod:`repro.obs`), not here.
     """
 
     times: list[float] = field(default_factory=list)
     values: dict[str, list[float]] = field(default_factory=dict)
-    profile: dict | None = field(default=None, compare=False, repr=False)
+    cached: bool = field(default=False, compare=False, repr=False)
 
     def as_arrays(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """The series as numpy arrays ``(times, {name: values})``."""

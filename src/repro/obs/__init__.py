@@ -11,8 +11,9 @@ The disabled path is the default and costs one module-global read plus a
 no-op method call per site (:class:`~repro.obs.recorder.NullRecorder` —
 no locks, no allocation, no branching on configuration).  Tracing is
 enabled by installing a :class:`~repro.obs.recorder.TraceRecorder` via
-:func:`~repro.obs.recorder.use_recorder` (the CLI's ``--trace PATH`` does
-this); parallel replay workers each record their own shard, and the
+:func:`~repro.obs.recorder.use_recorder` (the CLI's ``--trace PATH`` and
+``--profile`` do this, and the trace is the only record of a run's
+timings); parallel replay workers each record their own shard, and the
 parent merges them into stable per-window lanes — results are
 bit-identical with tracing on or off.
 
@@ -27,9 +28,9 @@ Layout:
   cross-lane rollups (histograms merge bucket-wise);
 * :mod:`~repro.obs.export` — JSONL span log and Chrome trace-event JSON
   (Perfetto-loadable) writers/readers;
-* :mod:`~repro.obs.summary` — human tables for traces and runtime
-  profiles, and the snapshot loader and regression gate behind
-  ``repro obs diff``.
+* :mod:`~repro.obs.summary` — the human trace table (what ``repro obs
+  summarize`` and ``--profile`` print), and the snapshot loader and
+  regression gate behind ``repro obs diff``.
 """
 
 from repro.obs.export import read_jsonl, to_chrome, write_chrome, write_jsonl, write_trace
@@ -64,7 +65,6 @@ from repro.obs.summary import (
     load_snapshot,
     regressed,
     render_diff,
-    render_profile,
     render_trace,
 )
 
@@ -96,7 +96,6 @@ __all__ = [
     "read_jsonl",
     "regressed",
     "render_diff",
-    "render_profile",
     "render_trace",
     "set_recorder",
     "span_tree",

@@ -55,29 +55,38 @@ def span_tree(payload: dict[str, Any]) -> dict[int, dict[str, int]]:
 def aggregate(payload: dict[str, Any]) -> dict[str, Any]:
     """Cross-lane rollup: per-span-name timing stats and summed counters.
 
-    Returns ``{"spans": {name: {count, total_s, mean_ms}}, "counters":
-    {name: value}, "gauges": {name: {lane: value}},
+    Returns ``{"spans": {name: {count, total_s, self_s, mean_ms}},
+    "counters": {name: value}, "gauges": {name: {lane: value}},
     "histograms": {name: summary}}`` with every mapping sorted by key so
-    rendering (and test comparison) is stable.  Same-named histograms
-    from different lanes are merged bucket-wise before summarizing, so
-    cross-shard quantiles carry the same relative-error bound as a
-    single shard's.
+    rendering (and test comparison) is stable.  A name's ``self_s`` is its
+    ``total_s`` minus the durations of the spans directly nested in it
+    (those whose parent path ends in that name), so the ``self_s`` column
+    sums to the total of the depth-0 spans.  Same-named histograms from
+    different lanes are merged bucket-wise before summarizing, so
+    cross-shard quantiles carry the same relative-error bound as a single
+    shard's.
     """
     spans: dict[str, dict[str, float]] = {}
+    nested_s: dict[str, float] = {}
     counters: dict[str, float] = {}
     gauges: dict[str, dict[int, float]] = {}
     for lane in payload["lanes"]:
         lane_id = int(lane["lane"])
         for span in lane["spans"]:
             name = str(span["name"])
+            duration = float(span["duration"])
             row = spans.setdefault(name, {"count": 0, "total_s": 0.0})
             row["count"] += 1
-            row["total_s"] += float(span["duration"])
+            row["total_s"] += duration
+            if span["parent"]:
+                owner = str(span["parent"]).rsplit("/", 1)[-1]
+                nested_s[owner] = nested_s.get(owner, 0.0) + duration
         for name, value in lane["counters"].items():
             counters[name] = counters.get(name, 0) + value
         for name, value in lane["gauges"].items():
             gauges.setdefault(name, {})[lane_id] = value
-    for row in spans.values():
+    for name, row in spans.items():
+        row["self_s"] = row["total_s"] - nested_s.get(name, 0.0)
         row["mean_ms"] = 1000.0 * row["total_s"] / row["count"] if row["count"] else 0.0
     merged = merge_histogram_dicts(
         [lane.get("histograms", {}) for lane in payload["lanes"]]
@@ -93,7 +102,11 @@ def aggregate(payload: dict[str, Any]) -> dict[str, Any]:
 
 
 def lane_summary(payload: dict[str, Any]) -> list[dict[str, Any]]:
-    """One row per lane: id, label, pid, span count, total span seconds."""
+    """One row per lane: id, label, pid, span count, busy seconds, peak RSS.
+
+    A lane's ``busy_s`` sums its depth-0 spans only: nested spans lie
+    inside their parents' time and would count it twice.
+    """
     rows = []
     for lane in payload["lanes"]:
         rows.append(
@@ -102,7 +115,7 @@ def lane_summary(payload: dict[str, Any]) -> list[dict[str, Any]]:
                 "label": str(lane["label"]),
                 "pid": int(lane["pid"]),
                 "spans": len(lane["spans"]),
-                "total_s": float(sum(s["duration"] for s in lane["spans"])),
+                "busy_s": float(sum(s["duration"] for s in lane["spans"] if s["depth"] == 0)),
                 "peak_rss_bytes": float(lane["gauges"].get("worker.peak_rss_bytes", 0.0)),
             }
         )

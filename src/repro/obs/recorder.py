@@ -5,7 +5,7 @@ wall clock (rule RPL004 exempts it by construction — see
 ``repro.devtools.rules_determinism.WALL_CLOCK_EXEMPT``).  Every other
 layer gets time exclusively through this module: either implicitly by
 opening a span, or explicitly via :func:`perf_counter` for run *metadata*
-(the ``--profile`` timings) that never feeds back into computed results.
+(histogram observations) that never feeds back into computed results.
 
 Two recorder implementations share one tiny interface:
 

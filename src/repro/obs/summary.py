@@ -1,10 +1,8 @@
-"""Human-readable rendering: trace summaries, profiles, snapshot diffs.
+"""Human-readable rendering: trace summaries and snapshot diffs.
 
-:func:`render_trace` is what ``repro obs summarize`` prints — per-span
-timing rollups, counters, histograms, and one row per lane.
-:func:`render_profile` renders the runtime's ``MetricTimeseries.profile``
-dict (workers, cache hit/miss, per-metric wall time, per-worker
-attribution).  :func:`load_snapshot` / :func:`flatten_numeric` /
+:func:`render_trace` is what ``repro obs summarize`` and ``--profile``
+print — per-span timing rollups with self time, counters, histograms,
+and one row per lane.  :func:`load_snapshot` / :func:`flatten_numeric` /
 :func:`diff_rows` / :func:`regressed` / :func:`render_diff` power
 ``repro obs diff``: two telemetry snapshots, traces or BENCH reports
 flattened to dotted numeric rows and compared with percent deltas.
@@ -31,7 +29,6 @@ __all__ = [
     "load_snapshot",
     "regressed",
     "render_diff",
-    "render_profile",
     "render_trace",
 ]
 
@@ -44,13 +41,13 @@ def render_trace(payload: dict[str, Any]) -> str:
     """The trace payload as a span/counter/lane summary table."""
     rollup = aggregate(payload)
     lines: list[str] = []
-    lines.append(f"{'span':<32}{'count':>8}{'total s':>12}{'mean ms':>12}")
+    lines.append(f"{'span':<32}{'count':>8}{'total s':>12}{'self s':>12}{'mean ms':>12}")
     for name, row in sorted(
         rollup["spans"].items(), key=lambda item: (-item[1]["total_s"], item[0])
     ):
         lines.append(
             f"{name:<32}{int(row['count']):>8d}{row['total_s']:>12.3f}"
-            f"{row['mean_ms']:>12.2f}"
+            f"{row['self_s']:>12.3f}{row['mean_ms']:>12.2f}"
         )
     if rollup["counters"]:
         lines.append("")
@@ -76,39 +73,8 @@ def render_trace(payload: dict[str, Any]) -> str:
         peak_mb = row["peak_rss_bytes"] / (1024.0 * 1024.0)
         lines.append(
             f"{row['lane']:>6d}  {row['label']:<14}{row['pid']:>8d}{row['spans']:>8d}"
-            f"{row['total_s']:>10.3f}{peak_mb:>10.1f}"
+            f"{row['busy_s']:>10.3f}{peak_mb:>10.1f}"
         )
-    return "\n".join(lines)
-
-
-def render_profile(profile: dict[str, Any]) -> str:
-    """The runtime profile dict as a summary table.
-
-    A header (``workers: ...  cache: H hit(s) / M miss(es)``), the
-    per-metric table, and the per-worker attribution rows when the runtime
-    recorded them.
-    """
-    hits = profile.get("cache_hits", 0)
-    misses = profile.get("cache_misses", 0)
-    lines = [
-        f"workers: {profile.get('workers', 1)}  cache: {hits} hit(s) / {misses} miss(es)"
-    ]
-    metric_seconds = profile.get("metric_seconds") or {}
-    lines.append(f"{'metric':<24}{'snapshots':>10}{'total s':>12}{'mean ms':>12}")
-    for name, seconds in metric_seconds.items():
-        total = sum(seconds)
-        mean_ms = 1000.0 * total / len(seconds) if seconds else float("nan")
-        lines.append(f"{name:<24}{len(seconds):>10d}{total:>12.3f}{mean_ms:>12.2f}")
-    detail = profile.get("worker_detail") or []
-    if detail:
-        lines.append(f"{'worker':>8}  {'label':<14}{'snapshots':>10}{'busy s':>10}"
-                     f"{'cache h/m':>11}")
-        for row in detail:
-            cache = f"{row.get('cache_hits', 0)}/{row.get('cache_misses', 0)}"
-            lines.append(
-                f"{row['worker']:>8d}  {row.get('label', '-'):<14}"
-                f"{row['snapshots']:>10d}{row['seconds']:>10.3f}{cache:>11}"
-            )
     return "\n".join(lines)
 
 

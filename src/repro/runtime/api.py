@@ -7,8 +7,6 @@ and serve all call.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any
-
 from repro.graph.events import EventStream
 from repro.metrics.timeseries import MetricTimeseries
 from repro.runtime.cache import (
@@ -52,13 +50,6 @@ def compute_timeseries(
         key = series_key(stream_digest(stream), spec, interval, start)
         hit = cache.load(key, decode_series)
         if hit is not None:
-            hit.profile = _profile(
-                {
-                    "workers": workers,
-                    "metric_seconds": {name: [] for name in spec.names},
-                },
-                cache,
-            )
             return hit
     store = stream if isinstance(stream, EventStore) else None
     events = stream.to_stream() if isinstance(stream, EventStore) else stream
@@ -67,36 +58,4 @@ def compute_timeseries(
     )
     if cache is not None and key is not None:
         cache.store(key, encode_series(series))
-    assert series.profile is not None
-    series.profile = _profile(series.profile, cache)
     return series
-
-
-def _profile(profile: dict[str, Any], cache: ResultCache | None) -> dict[str, Any]:
-    """Run metadata for :attr:`MetricTimeseries.profile`.
-
-    A cache hit carries no timings (nothing was evaluated), so
-    ``metric_seconds`` maps every metric to an empty list in that case and
-    ``worker_detail`` holds a single idle main row.
-
-    Cache traffic is attributed to worker 0 ("main") in ``worker_detail``:
-    only the parent process ever touches the result cache, so per-worker
-    cache columns are exact, not estimates.
-    """
-    profile["cache_hits"] = cache.hits if cache is not None else 0
-    profile["cache_misses"] = cache.misses if cache is not None else 0
-    detail: list[dict[str, Any]] = profile.setdefault("worker_detail", [])
-    main = next((row for row in detail if row.get("worker") == 0), None)
-    if main is None:
-        main = {
-            "worker": 0,
-            "label": "main",
-            "snapshots": 0,
-            "seconds": 0.0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-        }
-        detail.insert(0, main)
-    main["cache_hits"] = profile["cache_hits"]
-    main["cache_misses"] = profile["cache_misses"]
-    return profile

@@ -80,16 +80,13 @@ def stream_digest(stream: EventStream | EventStore) -> str:
 class ResultCache:
     """A directory of ``<key><suffix>`` entries.
 
-    ``hits`` and ``misses`` count :meth:`load` outcomes over the cache
-    object's lifetime, feeding the runtime's ``--profile`` report and the
-    serve shards' per-process accounting.
+    :meth:`load` outcomes are counted on the installed recorder as
+    ``cache.hits`` / ``cache.misses``; the cache itself keeps no tallies.
     """
 
     def __init__(self, root: str | Path, suffix: str = ".npz") -> None:
         self.root = Path(root).expanduser()
         self.suffix = suffix
-        self.hits = 0
-        self.misses = 0
 
     @staticmethod
     def key(*parts: str) -> str:
@@ -113,11 +110,9 @@ class ResultCache:
             try:
                 value = decode(self.path(key).read_bytes())
             except (OSError, ValueError):
-                self.misses += 1
                 if rec.enabled:
                     rec.count("cache.misses", 1)
                 return None
-            self.hits += 1
             if rec.enabled:
                 rec.count("cache.hits", 1)
             return value
@@ -168,4 +163,5 @@ def decode_series(data: bytes) -> MetricTimeseries:
     return MetricTimeseries(
         times=times.tolist(),
         values={name: values[i].tolist() for i, name in enumerate(names)},
+        cached=True,
     )

@@ -36,9 +36,8 @@ from repro.store.reader import EventStore
 
 __all__ = ["evaluate_timeseries", "mp_context"]
 
-# One row per non-empty snapshot: (grid index, time, values in spec.names
-# order, per-metric wall-clock seconds in the same order).
-Row = tuple[int, float, list[float], list[float]]
+# One row per non-empty snapshot: (grid index, time, values in spec.names order).
+Row = tuple[int, float, list[float]]
 
 # What one window sends back: its rows plus, when tracing, the worker's
 # recorder shard (a plain dict — no recorder object crosses the process
@@ -105,17 +104,13 @@ def _evaluate_rows(
             continue
         fns = spec.build(index)
         values: list[float] = []
-        seconds: list[float] = []
-        # Profiling metadata only: the timings feed --profile and never
-        # influence any computed metric value.
         for name in spec.names:
             with rec.span(f"metric.{name}", snapshot=index):
                 began = perf_counter()
                 values.append(fns[name](view.graph))
-                seconds.append(perf_counter() - began)
             if rec.enabled:
-                rec.observe(f"metric.{name}.seconds", seconds[-1])
-        rows.append((index, time, values, seconds))
+                rec.observe(f"metric.{name}.seconds", perf_counter() - began)
+        rows.append((index, time, values))
         if rec.enabled:
             rec.count("runtime.snapshots", 1)
     return rows
@@ -273,34 +268,14 @@ def evaluate_timeseries(
     indexed = list(enumerate(times))
     if workers == 1 or len(indexed) < 2:
         rows = _evaluate_rows(DynamicGraph(stream), spec, indexed)
-        detail = [_worker_stat(0, "main", rows)]
     else:
-        rows, detail = _evaluate_parallel(stream, spec, indexed, workers, store)
+        rows = _evaluate_parallel(stream, spec, indexed, workers, store)
     series = MetricTimeseries(values={name: [] for name in spec.names})
-    metric_seconds: dict[str, list[float]] = {name: [] for name in spec.names}
-    for _, time, values, seconds in sorted(rows):
+    for _, time, values in sorted(rows):
         series.times.append(time)
-        for name, value, spent in zip(spec.names, values, seconds, strict=True):
+        for name, value in zip(spec.names, values, strict=True):
             series.values[name].append(value)
-            metric_seconds[name].append(spent)
-    series.profile = {
-        "workers": workers,
-        "metric_seconds": metric_seconds,
-        "worker_detail": detail,
-    }
     return series
-
-
-def _worker_stat(lane: int, label: str, rows: list[Row]) -> dict[str, Any]:
-    """One ``worker_detail`` profile row: who evaluated what, for how long."""
-    return {
-        "worker": lane,
-        "label": label,
-        "snapshots": len(rows),
-        "seconds": sum(sum(seconds) for _, _, _, seconds in rows),
-        "cache_hits": 0,
-        "cache_misses": 0,
-    }
 
 
 def _evaluate_parallel(
@@ -309,7 +284,7 @@ def _evaluate_parallel(
     indexed: list[tuple[int, float]],
     workers: int,
     store: EventStore | None = None,
-) -> tuple[list[Row], list[dict[str, Any]]]:
+) -> list[Row]:
     rec = get_recorder()
     tracing = rec.enabled
     payloads = _windows(stream, indexed, workers)
@@ -324,16 +299,14 @@ def _evaluate_parallel(
     else:
         pool_kwargs = {"initializer": _init_worker, "initargs": (stream, spec, tracing)}
     rows: list[Row] = []
-    detail: list[dict[str, Any]] = []
     shards: list[dict[str, Any]] = []
     with rec.span("runtime.pool", windows=len(payloads)):
         with ProcessPoolExecutor(
             max_workers=len(payloads), mp_context=mp_context(), **pool_kwargs
         ) as pool:
-            for lane0, (window_rows, shard) in enumerate(pool.map(_run_window, payloads)):
+            for window_rows, shard in pool.map(_run_window, payloads):
                 rows.extend(window_rows)
-                detail.append(_worker_stat(1 + lane0, f"worker-{1 + lane0}", window_rows))
                 if shard is not None:
                     shards.append(shard)
     attach_shards(rec, shards)
-    return rows, detail
+    return rows

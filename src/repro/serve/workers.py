@@ -287,7 +287,7 @@ def _handle_metrics(params: dict[str, Any]) -> tuple[str, str]:
     )
     status = "none"
     if _CACHE_DIR is not None:
-        status = "hit" if series.profile and series.profile["cache_hits"] else "miss"
+        status = "hit" if series.cached else "miss"
     body = dumps(
         json_safe({"times": list(series.times), "values": dict(series.values)})
     )

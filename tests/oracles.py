@@ -43,11 +43,11 @@ from repro.community.tracking import CommunityState
 from repro.edges.interarrival import AGE_BUCKETS_PAPER, node_interarrival_times
 from repro.edges.lifetime import NodeLifetime
 from repro.edges.powerlaw import PowerLawFit, fit_power_law_mle
-from repro.graph.components import largest_component
 from repro.graph.events import ORIGIN_5Q, ORIGIN_XIAONEI, EventStream
 from repro.kernels.csr import CSRGraph
 from repro.kernels.louvain import MAX_LEVELS as _MAX_LEVELS
 from repro.kernels.louvain import MAX_PASSES_PER_LEVEL as _MAX_PASSES_PER_LEVEL
+from repro.kernels.traversal import largest_component_csr
 from repro.osnmerge.activity import ActiveUserSeries
 from repro.osnmerge.classify import EdgeClass, classify_edge
 from repro.osnmerge.edge_rates import EdgeRateSeries
@@ -271,7 +271,7 @@ def assert_same_csr(got: CSRGraph, want: CSRGraph) -> None:
 
 
 def connected_components_reference(graph: GraphSnapshot) -> list[set[int]]:
-    """Dict-BFS reference for :func:`connected_components`."""
+    """Dict-BFS reference for :func:`connected_components_csr`."""
     seen: set[int] = set()
     components: list[set[int]] = []
     for root in graph.nodes():
@@ -285,7 +285,7 @@ def connected_components_reference(graph: GraphSnapshot) -> list[set[int]]:
 
 
 def largest_component_reference(graph: GraphSnapshot) -> set[int]:
-    """Dict-BFS reference for :func:`largest_component`."""
+    """Dict-BFS reference for :func:`largest_component_csr`."""
     best: set[int] = set()
     seen: set[int] = set()
     for root in graph.nodes():
@@ -757,7 +757,7 @@ def effective_diameter_reference(
     if not 0 < quantile <= 1:
         raise ValueError("quantile must be in (0, 1]")
     generator = make_rng(rng)
-    component = largest_component(from_snapshot(graph))
+    component = set(largest_component_csr(from_snapshot(graph)).tolist())
     if len(component) < 2:
         return float("nan")
     members = np.fromiter(component, dtype=np.int64, count=len(component))

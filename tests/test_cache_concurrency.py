@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.metrics.timeseries import MetricTimeseries
+from repro.obs import TraceRecorder, use_recorder
 from repro.runtime import MetricSpec, mp_context
 from repro.runtime.cache import ResultCache, decode_series, encode_series, series_key
 from repro.serve.workers import _json_text
@@ -232,10 +233,11 @@ class TestJsonCacheConcurrency:
         cache.store(key, expected_payload("k").encode())
         # Simulate a foreign/corrupt entry published by a buggy writer.
         cache.path(key).write_text('{"torn', encoding="utf-8")
-        assert cache.load(key, _json_text) is None
-        cache.store(key, expected_payload("k").encode())
-        assert cache.load(key, _json_text) == expected_payload("k")
-        assert (cache.hits, cache.misses) == (1, 1)
+        with use_recorder(TraceRecorder()) as rec:
+            assert cache.load(key, _json_text) is None
+            cache.store(key, expected_payload("k").encode())
+            assert cache.load(key, _json_text) == expected_payload("k")
+        assert (rec.counters["cache.hits"], rec.counters["cache.misses"]) == (1, 1)
 
 
 class TestResultCacheConcurrency:
@@ -260,10 +262,11 @@ class TestResultCacheConcurrency:
         cache.store(key, data)
         # A torn copy of a real entry: its first ``keep`` bytes only.
         cache.path(key).write_bytes(data[:keep])
-        assert cache.load(key, decode_series) is None
-        cache.store(key, data)
-        assert cache.load(key, decode_series) == expected_series(1)
-        assert (cache.hits, cache.misses) == (1, 1)
+        with use_recorder(TraceRecorder()) as rec:
+            assert cache.load(key, decode_series) is None
+            cache.store(key, data)
+            assert cache.load(key, decode_series) == expected_series(1)
+        assert (rec.counters["cache.hits"], rec.counters["cache.misses"]) == (1, 1)
 
 
 class TestTwoServersOneCacheDir:

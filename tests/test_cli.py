@@ -99,14 +99,54 @@ class TestCommands:
         assert "error" in capsys.readouterr().err
 
 
+def _counters(text):
+    """``{name: value}`` from the counter block of a ``render_trace`` table."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.split()[:2] == ["counter", "value"])
+    rows = {}
+    for line in lines[start + 1:]:
+        if not line.strip():
+            break
+        name, value = line.split()
+        rows[name] = float(value)
+    return rows
+
+
+def _lanes(text):
+    """Lane ids of the lane block of a ``render_trace`` table."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.split()[:2] == ["lane", "label"])
+    return [int(line.split()[0]) for line in lines[start + 1:]]
+
+
 class TestProfileAndBackend:
+    """``--profile`` prints the run's trace table to stderr; stdout is unchanged."""
+
     def test_metrics_profile_table(self, trace_path, capsys):
-        args = ["metrics", trace_path, "--interval", "30", "--path-sample", "30", "--profile"]
+        args = ["metrics", trace_path, "--interval", "30", "--path-sample", "30"]
         assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "workers: 1  cache: 0 hit(s) / 0 miss(es)" in out
-        assert "backend" not in out
-        assert "mean ms" in out
+        plain = capsys.readouterr()
+        assert main(args + ["--profile"]) == 0
+        profiled = capsys.readouterr()
+        assert profiled.out == plain.out
+        assert plain.err == ""
+        header = profiled.err.splitlines()[0].split()
+        assert header == ["span", "count", "total", "s", "self", "s", "mean", "ms"]
+        assert "metric.average_path_length" in profiled.err
+        assert "busy s" in profiled.err
+        assert _counters(profiled.err)["runtime.snapshots"] == len(plain.out.splitlines()) - 1
+        assert _lanes(profiled.err) == [0]
+
+    def test_metrics_profile_lanes_per_worker(self, trace_path, capsys):
+        args = [
+            "metrics", trace_path, "--interval", "10", "--path-sample", "30",
+            "--workers", "3", "--profile",
+        ]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert _lanes(captured.err) == [0, 1, 2, 3]
+        rows = len(captured.out.splitlines()) - 1
+        assert _counters(captured.err)["runtime.snapshots"] == rows
 
     def test_metrics_profile_counts_cache_hits(self, trace_path, tmp_path, capsys):
         args = [
@@ -114,11 +154,16 @@ class TestProfileAndBackend:
             "--profile", "--cache-dir", str(tmp_path / "cache"),
         ]
         assert main(args) == 0
-        assert "cache: 0 hit(s) / 1 miss(es)" in capsys.readouterr().out
+        cold = _counters(capsys.readouterr().err)
+        assert cold["cache.misses"] == 1
+        assert "cache.hits" not in cold
         assert main(args) == 0
-        assert "cache: 1 hit(s) / 0 miss(es)" in capsys.readouterr().out
+        warm = _counters(capsys.readouterr().err)
+        assert warm["cache.hits"] == 1
+        assert "cache.misses" not in warm
+        assert "runtime.snapshots" not in warm
 
-    def test_metrics_json_includes_profile(self, trace_path, capsys):
+    def test_metrics_json_profile_prints_only_times_and_values(self, trace_path, capsys):
         import json
 
         args = [
@@ -126,22 +171,24 @@ class TestProfileAndBackend:
             "--json", "--profile",
         ]
         assert main(args) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"times", "values", "profile"}
-        assert "backend" not in payload["profile"]
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert set(payload) == {"times", "values"}
         assert len(payload["times"]) > 0
-        seconds = payload["profile"]["metric_seconds"]["average_path_length"]
-        assert len(seconds) == len(payload["times"])
+        assert "metric.average_path_length" in captured.err
 
     def test_experiment_profile(self, capsys):
-        code = main([
+        args = [
             "experiment", "F1d", "--preset", "tiny",
-            "--seed", "3", "--nodes", "300", "--days", "40", "--profile",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "workers: 1  cache:" in out
-        assert "mean ms" in out
+            "--seed", "3", "--nodes", "300", "--days", "40",
+        ]
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        assert main(args + ["--profile"]) == 0
+        profiled = capsys.readouterr()
+        assert profiled.out == plain
+        assert "analysis.experiment" in profiled.err
+        assert "self s" in profiled.err
 
 
 class TestObsCommand:

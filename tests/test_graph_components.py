@@ -1,8 +1,8 @@
-"""Tests for repro.graph.components and the dict BFS oracles."""
+"""Tests for the component kernels in repro.kernels.traversal and the dict BFS oracles."""
 
 import pytest
 
-from repro.graph.components import connected_components, largest_component
+from repro.kernels.traversal import connected_components_csr, largest_component_csr
 from tests.oracles import (
     GraphSnapshot,
     bfs_distance_to_set,
@@ -27,25 +27,25 @@ def disjoint_graph() -> GraphSnapshot:
 
 class TestComponents:
     def test_finds_all(self, disjoint_graph):
-        comps = connected_components(from_snapshot(disjoint_graph))
+        comps = connected_components_csr(from_snapshot(disjoint_graph))
         assert sorted(len(c) for c in comps) == [1, 2, 3]
 
     def test_largest_first(self, disjoint_graph):
-        comps = connected_components(from_snapshot(disjoint_graph))
+        comps = connected_components_csr(from_snapshot(disjoint_graph))
         assert len(comps[0]) == 3
 
     def test_largest_component(self, disjoint_graph):
-        assert largest_component(from_snapshot(disjoint_graph)) == {0, 1, 2}
+        assert set(largest_component_csr(from_snapshot(disjoint_graph)).tolist()) == {0, 1, 2}
 
     def test_empty_graph(self):
-        assert connected_components(from_snapshot(GraphSnapshot())) == []
-        assert largest_component(from_snapshot(GraphSnapshot())) == set()
+        assert connected_components_csr(from_snapshot(GraphSnapshot())) == []
+        assert set(largest_component_csr(from_snapshot(GraphSnapshot())).tolist()) == set()
 
     @pytest.mark.parametrize(
         "largest",
         [
             pytest.param(largest_component_reference, id="python"),
-            pytest.param(lambda g: largest_component(from_snapshot(g)), id="csr"),
+            pytest.param(lambda g: set(largest_component_csr(from_snapshot(g)).tolist()), id="csr"),
         ],
     )
     def test_largest_component_tie_breaks_by_smallest_member(self, largest):
@@ -58,7 +58,7 @@ class TestComponents:
         "components",
         [
             pytest.param(connected_components_reference, id="python"),
-            pytest.param(lambda g: connected_components(from_snapshot(g)), id="csr"),
+            pytest.param(lambda g: connected_components_csr(from_snapshot(g)), id="csr"),
         ],
     )
     def test_component_order_deterministic_under_ties(self, components):
@@ -87,7 +87,7 @@ class TestBfsDistances:
         G = nx.Graph()
         G.add_nodes_from(tiny_graph.nodes())
         G.add_edges_from(tiny_graph.edges())
-        source = next(iter(largest_component(from_snapshot(tiny_graph))))
+        source = next(iter(set(largest_component_csr(from_snapshot(tiny_graph)).tolist())))
         expected = nx.single_source_shortest_path_length(G, source)
         assert bfs_distances(tiny_graph, source) == dict(expected)
 

@@ -11,8 +11,8 @@ from repro.obs import (
     TraceRecorder,
     aggregate,
     get_recorder,
+    lane_summary,
     read_jsonl,
-    render_profile,
     render_trace,
     set_recorder,
     span_tree,
@@ -212,29 +212,56 @@ class TestSummary:
         assert "main" in text
         assert "peak MB" in text
 
-    def test_render_profile_keeps_historic_header(self):
-        profile = {
-            "workers": 2,
-            "cache_hits": 1,
-            "cache_misses": 0,
-            "metric_seconds": {"average_degree": [0.001, 0.002]},
-        }
-        text = render_profile(profile)
-        assert "workers: 2  cache: 1 hit(s) / 0 miss(es)" in text
-        assert "mean ms" in text
 
-    def test_render_profile_appends_worker_detail(self):
-        profile = {
-            "workers": 2,
-            "metric_seconds": {},
-            "worker_detail": [
-                {"worker": 0, "label": "main", "snapshots": 0, "seconds": 0.0,
-                 "cache_hits": 1, "cache_misses": 2},
-                {"worker": 1, "label": "worker-1", "snapshots": 4, "seconds": 0.5,
-                 "cache_hits": 0, "cache_misses": 0},
+def nested_payload():
+    """Two lanes of hand-timed spans: ``a`` ⊃ ``b`` ⊃ ``c`` and a second root ``d``."""
+
+    def span(name, duration, parent=""):
+        depth = len(parent.split("/")) if parent else 0
+        return SpanRecord(name, 0.0, duration, depth, parent, ()).as_dict()
+
+    lanes = []
+    for lane in (0, 1):
+        lanes.append({
+            "lane": lane,
+            "label": f"lane-{lane}",
+            "pid": 1,
+            "spans": [
+                span("c", 0.125, "a/b"),
+                span("b", 0.375, "a"),
+                span("a", 1.0),
+                span("d", 0.5),
             ],
+            "counters": {},
+            "gauges": {},
+        })
+    return {"version": 1, "lanes": lanes}
+
+
+class TestSelfAndBusyTime:
+    def test_lane_busy_seconds_sum_root_spans_only(self):
+        rows = lane_summary(nested_payload())
+        assert [row["busy_s"] for row in rows] == [1.5, 1.5]
+        assert [row["spans"] for row in rows] == [4, 4]
+
+    def test_self_time_subtracts_directly_nested_spans(self):
+        spans = aggregate(nested_payload())["spans"]
+        assert {name: row["self_s"] for name, row in spans.items()} == {
+            "a": 2 * (1.0 - 0.375),
+            "b": 2 * (0.375 - 0.125),
+            "c": 2 * 0.125,
+            "d": 2 * 0.5,
         }
-        text = render_profile(profile)
-        assert "worker-1" in text
-        assert "cache h/m" in text
-        assert "1/2" in text
+        assert spans["a"]["total_s"] == 2.0
+
+    def test_self_time_column_sums_to_root_span_total(self):
+        payload = nested_payload()
+        self_total = sum(row["self_s"] for row in aggregate(payload)["spans"].values())
+        busy_total = sum(row["busy_s"] for row in lane_summary(payload))
+        assert self_total == busy_total == 3.0
+
+    def test_rendered_tables_carry_self_and_busy_seconds(self):
+        lines = render_trace(nested_payload()).splitlines()
+        assert lines[1].split() == ["a", "2", "2.000", "1.250", "1000.00"]
+        lane_rows = [line.split() for line in lines if line.strip().startswith(("0 ", "1 "))]
+        assert [row[4] for row in lane_rows] == ["1.500", "1.500"]

@@ -11,9 +11,17 @@ import json
 
 import pytest
 
-from repro.cli import _emit_profile, main
+from repro.cli import main
 from repro.graph.stream_io import write_event_stream
-from repro.obs import NULL_RECORDER, TraceRecorder, get_recorder, span_tree, use_recorder
+from repro.obs import (
+    NULL_RECORDER,
+    TraceRecorder,
+    aggregate,
+    get_recorder,
+    lane_summary,
+    span_tree,
+    use_recorder,
+)
 from repro.runtime import MetricSpec, compute_timeseries
 
 SPEC = MetricSpec(path_sample=30, clustering_sample=50, seed=0)
@@ -133,31 +141,42 @@ class TestTraceCoverage:
 
 
 class TestWorkerDetailProfile:
+    """Per-worker attribution, read from the trace's lanes and counters."""
+
     def test_serial_profile_attributes_all_snapshots_to_main(self, tiny_stream):
-        series = compute_timeseries(tiny_stream, SPEC, interval=15.0)
-        detail = series.profile["worker_detail"]
-        assert [row["worker"] for row in detail] == [0]
-        assert detail[0]["label"] == "main"
-        assert detail[0]["snapshots"] == len(series.times)
+        series, payload = traced_run(tiny_stream)
+        assert [lane["lane"] for lane in payload["lanes"]] == [0]
+        assert payload["lanes"][0]["label"] == "main"
+        assert payload["lanes"][0]["counters"]["runtime.snapshots"] == len(series.times)
 
     def test_parallel_profile_has_one_row_per_worker(self, tiny_stream):
-        series = compute_timeseries(tiny_stream, SPEC, interval=15.0, workers=3)
-        detail = series.profile["worker_detail"]
-        assert [row["worker"] for row in detail] == [0, 1, 2, 3]
-        assert sum(row["snapshots"] for row in detail) == len(series.times)
-        assert all(row["seconds"] >= 0.0 for row in detail)
+        series, payload = traced_run(tiny_stream, workers=3)
+        assert [lane["lane"] for lane in payload["lanes"]] == [0, 1, 2, 3]
+        snapshots = [lane["counters"].get("runtime.snapshots", 0) for lane in payload["lanes"]]
+        assert snapshots[0] == 0
+        assert sum(snapshots) == len(series.times)
+        assert [row["lane"] for row in lane_summary(payload)] == [0, 1, 2, 3]
 
     def test_cache_traffic_lands_on_main_row(self, tiny_stream, tmp_path):
         cache_dir = tmp_path / "cache"
-        compute_timeseries(tiny_stream, SPEC, interval=15.0, cache_dir=cache_dir)
-        series = compute_timeseries(tiny_stream, SPEC, interval=15.0, cache_dir=cache_dir)
-        detail = series.profile["worker_detail"]
-        main_row = detail[0]
-        assert main_row["worker"] == 0
-        assert main_row["cache_hits"] == 1
-        assert main_row["cache_misses"] == 0
+        cold, _ = traced_run(tiny_stream, workers=2, cache_dir=cache_dir)
+        assert not cold.cached
+        series, payload = traced_run(tiny_stream, workers=2, cache_dir=cache_dir)
+        assert series.cached
+        assert [lane["lane"] for lane in payload["lanes"]] == [0]
+        counters = payload["lanes"][0]["counters"]
+        assert counters["cache.hits"] == 1
+        assert "cache.misses" not in counters
         # A pure cache hit evaluated nothing.
-        assert main_row["snapshots"] == 0
+        assert "runtime.snapshots" not in counters
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_self_times_sum_to_root_spans(self, tiny_stream, workers):
+        _, payload = traced_run(tiny_stream, workers=workers)
+        busy = sum(row["busy_s"] for row in lane_summary(payload))
+        self_total = sum(row["self_s"] for row in aggregate(payload)["spans"].values())
+        assert busy > 0.0
+        assert self_total == pytest.approx(busy, rel=1e-9)
 
 
 @pytest.fixture()
@@ -216,9 +235,9 @@ class TestCLITraceRoundTrip:
         ]
         assert main(args) == 0
         captured = capsys.readouterr()
-        payload = json.loads(captured.out)  # would fail if the note hit stdout
-        assert set(payload) == {"times", "values", "profile"}
-        assert payload["profile"]["worker_detail"][0]["worker"] == 0
+        payload = json.loads(captured.out)  # would fail if a table hit stdout
+        assert set(payload) == {"times", "values"}
+        assert "replay.advance" in captured.err
 
     def test_traced_values_match_untraced_cli_run(self, trace_path, tmp_path, capsys):
         base = ["metrics", trace_path, "--interval", "30", "--path-sample", "30"]
@@ -234,9 +253,3 @@ class TestCLITraceRoundTrip:
         captured = capsys.readouterr()
         assert "error" in captured.err
         assert captured.out == ""
-
-    def test_unavailable_profile_goes_to_stderr(self, capsys):
-        _emit_profile(None)
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "unavailable" in captured.err

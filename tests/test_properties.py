@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.community.louvain import louvain
 from repro.community.tracking import jaccard
-from repro.graph.components import connected_components
+from repro.kernels.traversal import connected_components_csr
 from repro.util.binning import cdf_points, empirical_cdf, log_binned_pdf
 from repro.util.stats import linear_fit_loglog, pearson_correlation
 from tests.oracles import GraphSnapshot, bfs_distances, from_snapshot, modularity
@@ -62,7 +62,7 @@ def test_snapshot_adjacency_symmetric(edges):
 @given(edge_lists)
 def test_components_partition_nodes(edges):
     g = graph_from(edges)
-    comps = connected_components(from_snapshot(g))
+    comps = connected_components_csr(from_snapshot(g))
     union = set().union(*comps) if comps else set()
     assert union == set(g.nodes())
     assert sum(len(c) for c in comps) == g.num_nodes

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.obs import TraceRecorder, use_recorder
 from repro.runtime.cache import ResultCache
 from repro.serve import ReproServer, ServeConfig
 from repro.serve.loadgen import PROFILES, LoadConfig, _pick_target
@@ -142,10 +143,11 @@ class TestServeReportCache:
     def test_store_load_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path / "serve", suffix=".json")
         key = ResultCache.key("a", "b")
-        assert cache.load(key, _json_text) is None
-        cache.store(key, b'{"x":1}')
-        assert cache.load(key, _json_text) == '{"x":1}'
-        assert (cache.hits, cache.misses) == (1, 1)
+        with use_recorder(TraceRecorder()) as rec:
+            assert cache.load(key, _json_text) is None
+            cache.store(key, b'{"x":1}')
+            assert cache.load(key, _json_text) == '{"x":1}'
+        assert (rec.counters["cache.hits"], rec.counters["cache.misses"]) == (1, 1)
 
     def test_invalid_json_counts_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path, suffix=".json")
@@ -240,6 +242,23 @@ class TestServerEndToEnd:
         assert first[1] == second[1]
         # The repeat was answered from the worker-side memo, not recomputed.
         assert stats["cache"].get("/metrics:memo", 0) >= 1
+
+    def test_metrics_cache_status_is_miss_hit_or_none(self, tiny_store, tmp_path):
+        def metrics_status(cache_dir):
+            config = ServeConfig(store_path=str(tiny_store), cache_dir=cache_dir)
+            (metrics, (_, stats)) = _serve_and_fetch(config, ["/metrics?interval=20", "/stats"])
+            counts = json.loads(stats)["cache"]
+            return metrics, {key: n for key, n in counts.items() if key.startswith("/metrics:")}
+
+        cache_dir = str(tmp_path / "c")
+        cold, cold_counts = metrics_status(cache_dir)
+        # A fresh server has no memo: the second run reads the result cache.
+        warm, warm_counts = metrics_status(cache_dir)
+        bare, bare_counts = metrics_status(None)
+        assert cold == warm == bare
+        assert cold_counts == {"/metrics:miss": 1}
+        assert warm_counts == {"/metrics:hit": 1}
+        assert bare_counts == {"/metrics:none": 1}
 
     def test_error_envelopes(self, tiny_store, tmp_path):
         responses = _serve_and_fetch(

@@ -51,17 +51,17 @@ class TestCacheParity:
     def test_tsv_run_seeds_cache_for_store_run(self, tmp_path, store, tiny_stream, spec):
         cache_dir = tmp_path / "cache"
         first = compute_timeseries(tiny_stream, spec, interval=15.0, cache_dir=cache_dir)
-        assert first.profile["cache_hits"] == 0
+        assert not first.cached
         second = compute_timeseries(store, spec, interval=15.0, cache_dir=cache_dir)
-        assert second.profile["cache_hits"] == 1
+        assert second.cached
         assert second.values == first.values
 
     def test_store_run_seeds_cache_for_tsv_run(self, tmp_path, store, tiny_stream, spec):
         cache_dir = tmp_path / "cache"
         first = compute_timeseries(store, spec, interval=15.0, workers=2, cache_dir=cache_dir)
-        assert first.profile["cache_hits"] == 0
+        assert not first.cached
         second = compute_timeseries(tiny_stream, spec, interval=15.0, cache_dir=cache_dir)
-        assert second.profile["cache_hits"] == 1
+        assert second.cached
         assert second.values == first.values
 
     def test_cache_keys_are_identical(self, store, tiny_stream, spec):
